@@ -3,9 +3,14 @@
 Adding the shifts 2 eps w_t + eps^2 w and eps u makes the period map a
 strict contraction, so marching from rest converges to a unique periodic
 orbit for every eps > 0. The orbit approaches the undamped periodic
-solution linearly in eps, and the contraction factor per period follows
-exp(-eps T). The energy balance of the damped system holds with a constant
-that stays put across the sweep.
+solution linearly in eps. The contraction factor per period stays near
+exp(-eps T) only while the time step resolves the stiffest wave modes: the
+trapezoidal step damps those modes less, by about
+exp(-eps T / (1 + mu dt^2 / 4)) for Laplacian eigenvalue mu. On the 17^2
+grid with 512 steps used here the measured factor is at or below
+exp(-eps T); at 65^2 with 256 steps, eps = 0.2 and wave forcing mode 2 the
+measured median is 0.619 against exp(-eps T) = 0.285. The energy balance of
+the damped system holds with a constant that stays put across the sweep.
 """
 
 import numpy as np

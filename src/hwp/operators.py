@@ -1,11 +1,26 @@
-"""Per-frequency elliptic systems and stationary mean-value solves.
+"""The coupled heat-wave stencil and the solves built on it.
 
-For temporal mode k != 0 the coupled system reduces to one complex linear
-solve: five-point Laplacians in each subdomain, a -(w k)^2 mass on wave rows,
-an i w k mass on heat rows, and one flux-balance row per interface node built
-from second-order one-sided vertical derivatives on both sides. The heat
-trace is eliminated through u_k = i w k * w_k on the interface, so interface
-nodes carry a single wave unknown.
+Every linear system of the two solvers discretizes one operator on the
+stacked rectangles. ``coupled_matrix(grid, c_wave, c_heat, c_trace)``
+assembles it:
+
+* (-Lap + c_wave) w on wave interior rows (five-point Laplacian),
+* (-Lap + c_heat) u on heat interior rows,
+* one flux-balance row per interface node: the second-order one-sided
+  vertical derivative of w (wave side) minus that of u (heat side),
+* the heat interface trace eliminated as u = c_trace * w, so interface
+  nodes carry a single wave unknown.
+
+The callers differ only in the coefficients (s = i w k for temporal mode k,
+s = 2/dt for the march step, eps the damping shift):
+
+    system                    c_wave       c_heat    c_trace
+    mode k != 0               s^2          s         s
+    mean pair (k = 0)         0            0         0
+    march step (new level)    (s+eps)^2    s+eps     s
+
+The matrix dtype follows the coefficients: the mean pair and the march step
+are real, the mode systems complex.
 
 Unknown layout: wave nodes not on the outer wave wall first (row-major,
 interface row included), then heat nodes strictly inside the heat rectangle.
@@ -43,9 +58,64 @@ def heat_index_map(grid: Grid, offset: int) -> np.ndarray:
     return idx
 
 
+def coupled_matrix(grid: Grid, c_wave: complex, c_heat: complex,
+                   c_trace: complex) -> sp.csr_matrix:
+    """The coupled stencil with shifts c_wave, c_heat and heat trace
+    u = c_trace * w on the interface (see the module docstring)."""
+    dtype = np.result_type(c_wave, c_heat, c_trace, float)
+    wave_ids = wave_index_map(grid)
+    n_wave = int((wave_ids >= 0).sum())
+    heat_ids = heat_index_map(grid, n_wave)
+    n = n_wave + int((heat_ids >= 0).sum())
+    hx, hyw, hyh = grid.hx, grid.hy_w, grid.hy_h
+    rows: list[np.ndarray] = []
+    cols: list[np.ndarray] = []
+    vals: list[np.ndarray] = []
+
+    def add(r, c, v):
+        ok = c >= 0  # Dirichlet wall nodes carry the value zero
+        rows.append(r[ok])
+        cols.append(c[ok])
+        vals.append(np.full(int(ok.sum()), v, dtype=dtype))
+
+    # wave interior rows: (-Lap + c_wave) w
+    jj, ii = np.mgrid[1:grid.ny_w - 1, 1:grid.nx - 1]
+    r = wave_ids[jj, ii]
+    add(r, r, c_wave + 2.0 / hx**2 + 2.0 / hyw**2)
+    for dj, di, coef in ((0, -1, -1 / hx**2), (0, 1, -1 / hx**2),
+                         (-1, 0, -1 / hyw**2), (1, 0, -1 / hyw**2)):
+        add(r, wave_ids[jj + dj, ii + di], coef)
+
+    # heat interior rows: (-Lap + c_heat) u; the north neighbor of the top
+    # row is the interface trace c_trace * w
+    jj, ii = np.mgrid[1:grid.ny_h - 1, 1:grid.nx - 1]
+    r = heat_ids[jj, ii]
+    add(r, r, c_heat + 2.0 / hx**2 + 2.0 / hyh**2)
+    for dj, di, coef in ((0, -1, -1 / hx**2), (0, 1, -1 / hx**2),
+                         (-1, 0, -1 / hyh**2), (1, 0, -1 / hyh**2)):
+        add(r, heat_ids[jj + dj, ii + di], coef)
+    top = jj == grid.ny_h - 2
+    add(r[top], wave_ids[0, ii[top]], -c_trace / hyh**2)
+
+    # interface rows: d_y w (wave side, upward) - d_y u (heat side, downward)
+    icols = grid.interface_columns
+    r = wave_ids[0, icols]
+    for nb, coef in ((r, -3.0 / (2 * hyw) - 3.0 * c_trace / (2 * hyh)),
+                     (wave_ids[1, icols], 4.0 / (2 * hyw)),
+                     (wave_ids[2, icols], -1.0 / (2 * hyw)),
+                     (heat_ids[grid.ny_h - 2, icols], 4.0 / (2 * hyh)),
+                     (heat_ids[grid.ny_h - 3, icols], -1.0 / (2 * hyh))):
+        add(r, nb, coef)
+
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n))
+
+
 @dataclass
 class ModeOperator:
-    """Assembled complex system for one temporal frequency."""
+    """Assembled coupled system for one temporal frequency (k = 0: the real
+    mean pair)."""
 
     k: int
     omega: float
@@ -69,81 +139,29 @@ class ModeOperator:
                 f.write(f"{r} {c} {v.real:.17g} {v.imag:.17g}\n")
 
 
+def _mode_operator(grid: Grid, k: int, omega: float,
+                   matrix: sp.csr_matrix) -> ModeOperator:
+    wave_ids = wave_index_map(grid)
+    n_wave = int((wave_ids >= 0).sum())
+    return ModeOperator(k=k, omega=omega, matrix=matrix, wave_ids=wave_ids,
+                        heat_ids=heat_index_map(grid, n_wave), n_wave=n_wave,
+                        n_heat=matrix.shape[0] - n_wave, grid=grid)
+
+
 def assemble_coupled_mode(grid: Grid, k: int, period: float) -> ModeOperator:
     """Assemble the coupled mode system for frequency index k != 0."""
     if k == 0:
         raise ConfigurationError("mode 0 is stationary; use solve_mean_pair")
     omega = 2.0 * np.pi / period
-    iwk = 1j * omega * k
-    wave_ids = wave_index_map(grid)
-    n_wave = int((wave_ids >= 0).sum())
-    heat_ids = heat_index_map(grid, n_wave)
-    n_heat = int((heat_ids >= 0).sum())
-    n = n_wave + n_heat
-    hx, hyw, hyh = grid.hx, grid.hy_w, grid.hy_h
-
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-
-    def add(r, c, v):
-        r = np.atleast_1d(r)
-        c = np.atleast_1d(c)
-        v = np.broadcast_to(np.atleast_1d(v), r.shape)
-        rows.append(r.ravel())
-        cols.append(c.ravel())
-        vals.append(np.asarray(v, dtype=complex).ravel())
-
-    # wave interior rows: (-(w k)^2 + 2/hx^2 + 2/hy^2) w - neighbors = g
-    jj, ii = np.mgrid[1:grid.ny_w - 1, 1:grid.nx - 1]
-    r = wave_ids[jj, ii]
-    add(r, r, -(omega * k) ** 2 + 2.0 / hx**2 + 2.0 / hyw**2)
-    for dj, di, coef in ((0, -1, -1 / hx**2), (0, 1, -1 / hx**2),
-                         (-1, 0, -1 / hyw**2), (1, 0, -1 / hyw**2)):
-        nb = wave_ids[jj + dj, ii + di]
-        ok = nb >= 0
-        add(r[ok], nb[ok], coef)
-
-    # heat interior rows: (i w k + 2/hx^2 + 2/hy^2) u - neighbors = f
-    jj, ii = np.mgrid[1:grid.ny_h - 1, 1:grid.nx - 1]
-    r = heat_ids[jj, ii]
-    add(r, r, iwk + 2.0 / hx**2 + 2.0 / hyh**2)
-    for dj, di, coef in ((0, -1, -1 / hx**2), (0, 1, -1 / hx**2), (-1, 0, -1 / hyh**2)):
-        nb = heat_ids[jj + dj, ii + di]
-        ok = nb >= 0
-        add(r[ok], nb[ok], coef)
-    # north neighbor: either interior heat node or the interface trace
-    nb = heat_ids[jj + 1, ii]
-    ok = nb >= 0
-    add(r[ok], nb[ok], -1 / hyh**2)
-    top = jj + 1 == grid.ny_h - 1
-    add(r[top], wave_ids[0, ii[top]], -iwk / hyh**2)
-
-    # interface rows: one-sided flux balance, d_y w (wave side, upward)
-    # equals d_y u (heat side, downward); u on the interface is i w k * w.
-    icols = grid.interface_columns
-    r = wave_ids[0, icols]
-    add(r, wave_ids[0, icols], -3.0 / (2 * hyw) - 3.0 * iwk / (2 * hyh))
-    add(r, wave_ids[1, icols], 4.0 / (2 * hyw))
-    for nb, coef in ((wave_ids[2, icols], -1.0 / (2 * hyw)),
-                     (heat_ids[grid.ny_h - 2, icols], 4.0 / (2 * hyh)),
-                     (heat_ids[grid.ny_h - 3, icols], -1.0 / (2 * hyh))):
-        ok = nb >= 0  # minimal grids touch Dirichlet nodes with value zero
-        add(r[ok], nb[ok], coef)
-
-    matrix = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n))
-    return ModeOperator(k=k, omega=omega, matrix=matrix, wave_ids=wave_ids,
-                        heat_ids=heat_ids, n_wave=n_wave, n_heat=n_heat,
-                        grid=grid)
+    s = 1j * omega * k
+    return _mode_operator(grid, k, omega, coupled_matrix(grid, s * s, s, s))
 
 
 def mode_rhs(op: ModeOperator, f_k: np.ndarray | None,
              g_k: np.ndarray | None) -> np.ndarray:
     """Right-hand side vector from nodal mode coefficients of (f, g)."""
     grid = op.grid
-    rhs = np.zeros(op.dimension, dtype=complex)
+    rhs = np.zeros(op.dimension, dtype=op.matrix.dtype)
     if g_k is not None:
         jj, ii = np.mgrid[1:grid.ny_w - 1, 1:grid.nx - 1]
         rhs[op.wave_ids[jj, ii]] = g_k[jj, ii]
@@ -176,16 +194,17 @@ def split_mode_solution(op: ModeOperator, x: np.ndarray) -> tuple[np.ndarray, np
     """Scatter a solution vector into wave and heat nodal arrays.
 
     The heat array includes the derived interface trace u = i w k * w in its
-    last row.
+    last row (zero for the mean pair).
     """
     grid = op.grid
-    w = np.zeros((grid.ny_w, grid.nx), dtype=complex)
+    w = np.zeros((grid.ny_w, grid.nx), dtype=x.dtype)
     mask = op.wave_ids >= 0
     w[mask] = x[op.wave_ids[mask]]
-    u = np.zeros((grid.ny_h, grid.nx), dtype=complex)
+    u = np.zeros((grid.ny_h, grid.nx), dtype=x.dtype)
     hmask = op.heat_ids >= 0
     u[hmask] = x[op.heat_ids[hmask]]
-    u[-1, :] = (1j * op.omega * op.k) * w[0, :]
+    if op.k:
+        u[-1, :] = (1j * op.omega * op.k) * w[0, :]
     return w, u
 
 
@@ -210,95 +229,26 @@ class MeanPair:
     residual_wave: float
 
 
-def heat_dirichlet_solve(grid: Grid, rhs_interior: np.ndarray) -> np.ndarray:
-    """-Lap u = rhs on the heat rectangle, u = 0 on its whole boundary."""
-    a = quad.laplacian_5pt(grid.ny_h, grid.nx, grid.hx, grid.hy_h)
-    b = rhs_interior[1:-1, 1:-1].ravel()
-    x = spla.spsolve(a.tocsc(), b)
-    u = np.zeros((grid.ny_h, grid.nx), dtype=x.dtype)
-    u[1:-1, 1:-1] = x.reshape(grid.ny_h - 2, grid.nx - 2)
-    return u
-
-
-def interface_flux_from_heat(grid: Grid, u: np.ndarray) -> np.ndarray:
-    """d_y u at y=0 from below (3-point one-sided), all columns."""
-    return quad.one_sided_deriv_high(u, grid.hy_h, axis=0)
-
-
-def wave_mixed_solve(grid: Grid, rhs_interior: np.ndarray,
-                     flux: np.ndarray, shift: complex = 0.0) -> np.ndarray:
-    """(-Lap + shift) w = rhs inside the wave rectangle, w = 0 on the outer
-    wall, and d_y w = flux on the interface row (one-sided 3-point rows)."""
-    wave_ids = wave_index_map(grid)
-    n = int((wave_ids >= 0).sum())
-    hx, hy = grid.hx, grid.hy_w
-    rows, cols, vals = [], [], []
-
-    def add(r, c, v):
-        rows.append(np.atleast_1d(r).ravel())
-        cols.append(np.atleast_1d(c).ravel())
-        vals.append(np.broadcast_to(np.atleast_1d(v), np.atleast_1d(r).shape).astype(complex).ravel())
-
-    jj, ii = np.mgrid[1:grid.ny_w - 1, 1:grid.nx - 1]
-    r = wave_ids[jj, ii]
-    add(r, r, shift + 2.0 / hx**2 + 2.0 / hy**2)
-    for dj, di, coef in ((0, -1, -1 / hx**2), (0, 1, -1 / hx**2),
-                         (-1, 0, -1 / hy**2), (1, 0, -1 / hy**2)):
-        nb = wave_ids[jj + dj, ii + di]
-        ok = nb >= 0
-        add(r[ok], nb[ok], coef)
-    icols = grid.interface_columns
-    r = wave_ids[0, icols]
-    add(r, wave_ids[0, icols], -3.0 / (2 * hy))
-    add(r, wave_ids[1, icols], 4.0 / (2 * hy))
-    nb = wave_ids[2, icols]
-    ok = nb >= 0
-    add(r[ok], nb[ok], -1.0 / (2 * hy))
-    a = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(n, n))
-
-    rhs = np.zeros(n, dtype=complex)
-    jj, ii = np.mgrid[1:grid.ny_w - 1, 1:grid.nx - 1]
-    rhs[wave_ids[jj, ii]] = rhs_interior[jj, ii]
-    rhs[wave_ids[0, icols]] = flux[icols]
-
-    x = spla.spsolve(a.tocsc(), rhs)
-    w = np.zeros((grid.ny_w, grid.nx), dtype=complex)
-    mask = wave_ids >= 0
-    w[mask] = x[wave_ids[mask]]
-    return w
-
-
 def solve_mean_pair(grid: Grid, mean_f: np.ndarray | None,
                     mean_g: np.ndarray | None, tol: float = 1e-10) -> MeanPair:
-    """Solve the decoupled stationary problems for the time averages.
+    """Solve the stationary problem for the time averages: the real coupled
+    stencil at (0, 0, 0).
 
-    The heat average solves a pure Dirichlet problem (its interface trace
-    vanishes by periodicity of the wave trace); its one-sided interface flux
-    then feeds the mixed wave problem as Neumann data.
+    The heat trace vanishes (it is the mean of a time derivative), so the
+    heat average solves a pure Dirichlet problem and its one-sided interface
+    flux is the Neumann data of the wave average. residual_heat and
+    residual_wave are the heat-row and wave-row (interface included) parts
+    of ||Ax - b|| / ||b||; solve_linear holds the whole against tol.
     """
-    zero_h = np.zeros((grid.ny_h, grid.nx))
-    zero_w = np.zeros((grid.ny_w, grid.nx))
-    f = zero_h if mean_f is None else np.asarray(mean_f, dtype=float)
-    g = zero_w if mean_g is None else np.asarray(mean_g, dtype=float)
-
-    u = heat_dirichlet_solve(grid, f)
-    lap = quad.laplacian_5pt(grid.ny_h, grid.nx, grid.hx, grid.hy_h)
-    rb = f[1:-1, 1:-1].ravel()
-    res_h = float(np.linalg.norm(lap @ u[1:-1, 1:-1].ravel() - rb)
-                  / max(np.linalg.norm(rb), 1e-300))
-    if res_h > tol and np.linalg.norm(rb) > 0:
-        raise SolverError(f"mean heat solve residual {res_h:.3e}", residual=res_h)
-
-    flux = interface_flux_from_heat(grid, u)
-    w = wave_mixed_solve(grid, g.astype(complex), flux.astype(complex)).real
-
-    # residual of the interior wave rows
-    interior = (-(w[1:-1, 2:] - 2 * w[1:-1, 1:-1] + w[1:-1, :-2]) / grid.hx**2
-                - (w[2:, 1:-1] - 2 * w[1:-1, 1:-1] + w[:-2, 1:-1]) / grid.hy_w**2)
-    res_w = float(np.linalg.norm(interior - g[1:-1, 1:-1])
-                  / max(np.linalg.norm(g[1:-1, 1:-1]), 1.0))
-    return MeanPair(mean_u=u, mean_w=w, residual_heat=res_h, residual_wave=res_w)
+    op = _mode_operator(grid, 0, 0.0, coupled_matrix(grid, 0.0, 0.0, 0.0))
+    rhs = mode_rhs(op, mean_f, mean_g)
+    x = solve_linear(op, rhs, tol=tol)
+    w, u = split_mode_solution(op, x)
+    r = op.matrix @ x - rhs
+    bnorm = max(float(np.linalg.norm(rhs)), 1e-300)  # zero data: r = 0
+    return MeanPair(mean_u=u, mean_w=w,
+                    residual_heat=float(np.linalg.norm(r[op.n_wave:])) / bnorm,
+                    residual_wave=float(np.linalg.norm(r[:op.n_wave])) / bnorm)
 
 
 # ---------------------------------------------------------------------------
@@ -320,15 +270,6 @@ def heat_dual_norm_sq(grid: Grid, v: np.ndarray) -> float:
     lu = _dirichlet_lu(grid.ny_h, grid.nx, grid.hx, grid.hy_h)
     z = lu.solve(b.astype(complex))
     return float(np.real(np.vdot(b, z)) * grid.hx * grid.hy_h)
-
-
-def wave_dual_norm_sq(grid: Grid, v: np.ndarray) -> float:
-    b = v[1:-1, 1:-1].ravel()
-    if not np.any(b):
-        return 0.0
-    lu = _dirichlet_lu(grid.ny_w, grid.nx, grid.hx, grid.hy_w)
-    z = lu.solve(b.astype(complex))
-    return float(np.real(np.vdot(b, z)) * grid.hx * grid.hy_w)
 
 
 class _WaveWeakSolver:

@@ -12,6 +12,13 @@ Two routes to the same T-periodic solution of the coupled system:
   (trapezoidal / Crank-Nicolson) marches the first-order system from rest
   until successive period snapshots agree, then the last period is
   transformed back to Fourier coefficients.
+
+The trapezoidal step is A-stable but not L-stable, so it damps the stiffest
+wave modes less than the continuous system does: a wave mode of Laplacian
+eigenvalue mu contracts per period by about exp(-eps T / (1 + mu dt^2 / 4)),
+not exp(-eps T). The bound exp(-eps T) holds only while mu_max dt^2 is
+small. At 65^2 with 256 steps, eps = 0.2 and wave forcing mode 2 the
+measured median contraction is 0.619, against exp(-eps T) = 0.285.
 """
 
 from __future__ import annotations
@@ -171,100 +178,40 @@ class _MarchOperator:
         w' = v
         v' = Lap w - 2 eps v - eps^2 w + g     (wave interior)
         u' = Lap u - eps u + f                 (heat interior)
-    The v-slot at interface nodes carries the algebraic flux-balance row
-    (one-sided derivatives, heat trace = v on the interface), enforced at
-    the new time level each step.
+    The heat interface trace is v, and the flux balance holds at the new
+    time level. With s = 2/dt the trapezoidal rule on w' = v gives
+    v_new = s (w_new - w) - v; eliminating v_new leaves the coupled stencil
+    at ((s+eps)^2, s+eps, s) for (w_new, u_new). The old level enters as
+    minus the interior rows of the stencil at (-(s^2 + 2 eps s - eps^2),
+    -(s - eps), -s), plus 2 s v on wave interior rows and
+    -3 (s w + v) / (2 hy_h) on interface rows.
     """
 
     def __init__(self, grid: Grid, eps: float, dt: float):
         self.grid = grid
         self.eps = eps
         self.dt = dt
-        wave_ids = ops.wave_index_map(grid)
-        self.wave_ids = wave_ids
-        nw = int((wave_ids >= 0).sum())
-        heat_ids = ops.heat_index_map(grid, 0)
-        self.heat_ids = heat_ids
-        nh = int((heat_ids >= 0).sum())
+        self.s = s = 2.0 / dt
+        self.wave_ids = ops.wave_index_map(grid)
+        self.heat_ids = ops.heat_index_map(grid, 0)
+        nw = int((self.wave_ids >= 0).sum())
+        nh = int((self.heat_ids >= 0).sum())
         self.nw, self.nh = nw, nh
         self.n = 2 * nw + nh
+        self.ow, self.ov, self.ou = 0, nw, 2 * nw
         hx, hyw, hyh = grid.hx, grid.hy_w, grid.hy_h
 
-        rows, cols, vals = [], [], []
-
-        def add(r, c, v):
-            r = np.atleast_1d(r)
-            rows.append(r.ravel())
-            cols.append(np.atleast_1d(c).ravel())
-            vals.append(np.broadcast_to(np.atleast_1d(v), r.shape).astype(float).ravel())
-
-        ow, ov, ou = 0, nw, 2 * nw  # block offsets
-
-        # w' = v on every wave unknown (interface included)
-        jall, iall = np.where(wave_ids >= 0)
-        rw = wave_ids[jall, iall]
-        add(rw + ow, rw + ov, 1.0)
-
-        # v' rows at wave interior nodes
-        jj, ii = np.mgrid[1:grid.ny_w - 1, 1:grid.nx - 1]
-        r = wave_ids[jj, ii]
-        add(r + ov, r + ow, -(2.0 / hx**2 + 2.0 / hyw**2) - eps**2)
-        add(r + ov, r + ov, -2.0 * eps)
-        for dj, di, coef in ((0, -1, 1 / hx**2), (0, 1, 1 / hx**2),
-                             (-1, 0, 1 / hyw**2), (1, 0, 1 / hyw**2)):
-            nb = wave_ids[jj + dj, ii + di]
-            ok = nb >= 0
-            add(r[ok] + ov, nb[ok] + ow, coef)
-
-        # u' rows at heat interior nodes; north neighbor may be the trace v
-        jj, ii = np.mgrid[1:grid.ny_h - 1, 1:grid.nx - 1]
-        r = heat_ids[jj, ii]
-        add(r + ou, r + ou, -(2.0 / hx**2 + 2.0 / hyh**2) - eps)
-        for dj, di, coef in ((0, -1, 1 / hx**2), (0, 1, 1 / hx**2), (-1, 0, 1 / hyh**2)):
-            nb = heat_ids[jj + dj, ii + di]
-            ok = nb >= 0
-            add(r[ok] + ou, nb[ok] + ou, coef)
-        nb = heat_ids[jj + 1, ii]
-        ok = nb >= 0
-        add(r[ok] + ou, nb[ok] + ou, 1 / hyh**2)
-        top = jj + 1 == grid.ny_h - 1
-        add(r[top] + ou, wave_ids[0, ii[top]] + ov, 1 / hyh**2)
-
-        k_ode = sp.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.n, self.n))
-
-        # algebraic flux rows live in the v-slot of interface nodes
-        rows, cols, vals = [], [], []
-        icols = grid.interface_columns
-        r = wave_ids[0, icols]
-        add(r + ov, wave_ids[0, icols] + ow, -3.0 / (2 * hyw))
-        add(r + ov, wave_ids[1, icols] + ow, 4.0 / (2 * hyw))
-        nb = wave_ids[2, icols]
-        ok = nb >= 0
-        add(r[ok] + ov, nb[ok] + ow, -1.0 / (2 * hyw))
-        add(r + ov, wave_ids[0, icols] + ov, -3.0 / (2 * hyh))
-        for nb, coef in ((heat_ids[grid.ny_h - 2, icols], 4.0 / (2 * hyh)),
-                         (heat_ids[grid.ny_h - 3, icols], -1.0 / (2 * hyh))):
-            ok = nb >= 0
-            add(r[ok] + ov, nb[ok] + ou, coef)
-        k_alg = sp.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.n, self.n))
-
-        alg_rows = wave_ids[0, icols] + ov
-        self.is_alg = np.zeros(self.n, dtype=bool)
-        self.is_alg[alg_rows] = True
-        diag_ode = sp.diags((~self.is_alg).astype(float))
-
-        lhs = (diag_ode - 0.5 * dt * k_ode).tolil()
-        rhs = (diag_ode + 0.5 * dt * k_ode).tolil()
-        for rr in alg_rows:
-            lhs[rr, :] = k_alg[rr, :]
-            rhs[rr, :] = 0.0
-        self.lu = spla.splu(lhs.tocsc())
-        self.rhs_mat = rhs.tocsr()
-        self.ow, self.ov, self.ou = ow, ov, ou
+        iface = np.zeros(nw, dtype=bool)
+        iface[self.wave_ids[0, grid.interface_columns]] = True
+        interior_rows = sp.diags(np.concatenate((~iface, np.ones(nh, bool))).astype(float))
+        old = -(interior_rows @ ops.coupled_matrix(
+            grid, -(s * s + 2 * eps * s - eps**2), -(s - eps), -s)).tocsc()
+        c = 3.0 / (2 * hyh)
+        self.rhs_mat = sp.hstack([
+            old[:, :nw] + sp.diags(np.where(iface, -c * s, 0.0), shape=(nw + nh, nw)),
+            sp.diags(np.where(iface, -c, 2 * s), shape=(nw + nh, nw)),
+            old[:, nw:]]).tocsr()
+        self.lu = spla.splu(ops.coupled_matrix(grid, (s + eps) ** 2, s + eps, s).tocsc())
 
         # energy mass: |grad w|^2 (edge form) + |v|^2 + |u|^2
         self.energy_form = ops._sbp_form(grid.ny_w, grid.nx, hx, hyw)
@@ -290,18 +237,21 @@ class _MarchOperator:
         return grad + quad.norm_sq(self.mass_w, v) + quad.norm_sq(self.mass_h, u)
 
     def forcing_vector(self, g_t: np.ndarray | None, f_t: np.ndarray | None) -> np.ndarray:
-        out = np.zeros(self.n)
+        """Step forcing: 2 g on wave interior rows, 2 f on heat rows."""
+        out = np.zeros(self.nw + self.nh)
         if g_t is not None:
             jj, ii = np.mgrid[1:self.grid.ny_w - 1, 1:self.grid.nx - 1]
-            out[self.ov + self.wave_ids[jj, ii]] = g_t[jj, ii]
+            out[self.wave_ids[jj, ii]] = 2.0 * g_t[jj, ii]
         if f_t is not None:
             jj, ii = np.mgrid[1:self.grid.ny_h - 1, 1:self.grid.nx - 1]
-            out[self.ou + self.heat_ids[jj, ii]] = f_t[jj, ii]
-        out[self.is_alg] = 0.0
+            out[self.nw + self.heat_ids[jj, ii]] = 2.0 * f_t[jj, ii]
         return out
 
     def step(self, y: np.ndarray, force_mid: np.ndarray) -> np.ndarray:
-        return self.lu.solve(self.rhs_mat @ y + self.dt * force_mid)
+        x = self.lu.solve(self.rhs_mat @ y + force_mid)
+        w_new = x[:self.nw]
+        v_new = self.s * (w_new - y[:self.nw]) - y[self.nw:2 * self.nw]
+        return np.concatenate((w_new, v_new, x[self.nw:]))
 
 
 def epsilon_march(grid: Grid, f: FourierField | None, g: FourierField | None,

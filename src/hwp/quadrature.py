@@ -39,11 +39,6 @@ def interior_mass(ny: int, nx: int, hx: float, hy: float) -> np.ndarray:
     return m
 
 
-def inner(mass: np.ndarray, a: np.ndarray, b: np.ndarray) -> complex:
-    """Weighted inner product  sum mass * a * conj(b)."""
-    return complex(np.sum(mass * a * np.conj(b)))
-
-
 def norm_sq(mass: np.ndarray, a: np.ndarray) -> float:
     return float(np.sum(mass * np.abs(a) ** 2))
 
@@ -64,27 +59,6 @@ def cell_centers(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     xc = 0.5 * (x[:-1] + x[1:])
     yc = 0.5 * (y[:-1] + y[1:])
     return np.meshgrid(xc, yc)
-
-
-def cell_gradient_operators(ny: int, nx: int, hx: float, hy: float) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Sparse operators mapping flattened nodal values to cell-center gradients."""
-    ncell = (ny - 1) * (nx - 1)
-    rows, cols_x, vals_x, cols_y, vals_y = [], [], [], [], []
-    for j in range(ny - 1):
-        for i in range(nx - 1):
-            c = j * (nx - 1) + i
-            n00 = j * nx + i
-            n01 = j * nx + i + 1
-            n10 = (j + 1) * nx + i
-            n11 = (j + 1) * nx + i + 1
-            rows.extend([c] * 4)
-            cols_x.extend([n00, n01, n10, n11])
-            vals_x.extend([-1 / (2 * hx), 1 / (2 * hx), -1 / (2 * hx), 1 / (2 * hx)])
-            cols_y.extend([n00, n01, n10, n11])
-            vals_y.extend([-1 / (2 * hy), -1 / (2 * hy), 1 / (2 * hy), 1 / (2 * hy)])
-    gx = sp.csr_matrix((vals_x, (rows, cols_x)), shape=(ncell, ny * nx))
-    gy = sp.csr_matrix((vals_y, (rows, cols_y)), shape=(ncell, ny * nx))
-    return gx, gy
 
 
 def gradient_energy(f: np.ndarray, hx: float, hy: float) -> float:
@@ -158,23 +132,15 @@ def sbp_stiffness(ny: int, nx: int, hx: float, hy: float,
     horizontal rim. x_edge_rows must be the rows that carry Laplacian rows
     (strictly interior rows of the subgrid).
     """
-    n = ny * nx
-    rows, cols, vals = [], [], []
-
-    def add_edge(a: int, b: int, c: float) -> None:
-        rows.extend([a, b, a, b])
-        cols.extend([a, b, b, a])
-        vals.extend([c, c, -c, -c])
-
-    cx = hy / hx
-    cy = hx / hy
-    for j in np.atleast_1d(x_edge_rows):
-        for i in range(nx - 1):
-            add_edge(j * nx + i, j * nx + i + 1, cx)
-    for i in range(1, nx - 1):
-        for j in range(ny - 1):
-            add_edge(j * nx + i, (j + 1) * nx + i, cy)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    dx = sp.diags([-1.0, 1.0], [0, 1], shape=(nx - 1, nx))
+    dy = sp.diags([-1.0, 1.0], [0, 1], shape=(ny - 1, ny))
+    edge_rows = np.zeros(ny)
+    edge_rows[np.atleast_1d(x_edge_rows)] = 1.0
+    interior_cols = np.zeros(nx)
+    interior_cols[1:-1] = 1.0
+    form = ((hy / hx) * sp.kron(sp.diags(edge_rows), dx.T @ dx)
+            + (hx / hy) * sp.kron(dy.T @ dy, sp.diags(interior_cols)))
+    return form.tocsr()
 
 
 def laplacian_5pt(ny: int, nx: int, hx: float, hy: float) -> sp.csr_matrix:

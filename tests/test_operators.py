@@ -4,6 +4,7 @@ import scipy.sparse as sp
 
 import hwp
 from hwp import operators as ops
+from hwp import quadrature as quad
 from hwp.errors import ConfigurationError, SolverError
 
 T = 2 * np.pi
@@ -138,6 +139,27 @@ def test_mean_pair_manufactured_second_order():
     assert errs[17] / errs[33] == pytest.approx(4.0, abs=1.2)
 
 
+def test_mean_pair_residual_contract_enforced():
+    grid = small_grid(9)
+    X, Y = np.meshgrid(grid.x, grid.y_w)
+    g = np.cos(X) * (1 - Y)
+    with pytest.raises(SolverError):
+        hwp.solve_mean_pair(grid, None, g, tol=1e-30)
+    pair = hwp.solve_mean_pair(grid, None, g)
+    assert pair.residual_wave <= 1e-10
+    assert pair.residual_heat <= 1e-10
+
+
+@pytest.mark.parametrize("which", ["heat", "wave"])
+def test_mean_pair_rejects_nan_data(which):
+    grid = small_grid(9)
+    f = np.ones((grid.ny_h, grid.nx))
+    g = np.ones((grid.ny_w, grid.nx))
+    (f if which == "heat" else g)[3, 4] = np.nan
+    with pytest.raises(SolverError):
+        hwp.solve_mean_pair(grid, f, g)
+
+
 def test_mean_pair_boundary_conditions():
     grid = small_grid(9)
     X, Y = np.meshgrid(grid.x, grid.y_h)
@@ -157,7 +179,7 @@ def test_mean_pair_flux_compatibility_first_order():
         grid = small_grid(n)
         X, Y = np.meshgrid(grid.x, grid.y_h)
         pair = hwp.solve_mean_pair(grid, np.sin(X) * (1 + Y) * Y, None)
-        flux_heat = ops.interface_flux_from_heat(grid, pair.mean_u)
+        flux_heat = quad.one_sided_deriv_high(pair.mean_u, grid.hy_h, axis=0)
         dyw_2pt = (pair.mean_w[1, :] - pair.mean_w[0, :]) / grid.hy_w
         cols = grid.interface_columns
         gaps[n] = np.max(np.abs((dyw_2pt - flux_heat)[cols]))
@@ -250,3 +272,21 @@ def test_mode_operator_coordinate_dump(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0].startswith("# mode k=1")
     assert len(lines) == 1 + op.matrix.nnz
+
+
+@pytest.mark.parametrize("rows", ["interior", "all"])
+def test_sbp_stiffness_matches_edge_loop(rows):
+    # reference: the form assembled edge by edge
+    ny, nx, hx, hy = 7, 9, np.pi / 8, 1.0 / 6
+    x_rows = np.arange(1, ny - 1) if rows == "interior" else np.arange(ny)
+    ref = np.zeros((ny * nx, ny * nx))
+    edges = [(j * nx + i, j * nx + i + 1, hy / hx) for j in x_rows for i in range(nx - 1)]
+    edges += [(j * nx + i, (j + 1) * nx + i, hx / hy)
+              for i in range(1, nx - 1) for j in range(ny - 1)]
+    for a, b, c in edges:
+        ref[a, a] += c
+        ref[b, b] += c
+        ref[a, b] -= c
+        ref[b, a] -= c
+    form = quad.sbp_stiffness(ny, nx, hx, hy, x_rows).toarray()
+    np.testing.assert_allclose(form, ref, rtol=1e-15, atol=0)

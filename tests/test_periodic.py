@@ -157,6 +157,76 @@ def test_contraction_strengthens_with_damping():
     assert rates[0.05] == pytest.approx(np.exp(-0.05 * T), abs=0.12)
 
 
+def _dense_first_order_step(grid, eps, dt, y, g, f):
+    """Reference trapezoidal step of the first-order (w, v, u) system,
+    assembled densely with plain loops. The interface v slot carries the
+    flux-balance row at the new level; the heat interface trace is v."""
+    wid, hid = {}, {}
+    for j in range(grid.ny_w - 1):
+        for i in range(1, grid.nx - 1):
+            wid[j, i] = len(wid)
+    for j in range(1, grid.ny_h - 1):
+        for i in range(1, grid.nx - 1):
+            hid[j, i] = len(hid)
+    nw = len(wid)
+    n = 2 * nw + len(hid)
+    hx, hyw, hyh = grid.hx, grid.hy_w, grid.hy_h
+    k = np.zeros((n, n))
+    alg = np.zeros((n, n))
+    force = np.zeros(n)
+    ode = np.ones(n)
+    for (j, i), p in wid.items():
+        k[p, nw + p] = 1.0
+        r = nw + p
+        if j == 0:  # flux balance: d_y w (upward) = d_y u (downward)
+            ode[r] = 0.0
+            alg[r, p] -= 3 / (2 * hyw)
+            alg[r, wid[1, i]] += 4 / (2 * hyw)
+            if (2, i) in wid:
+                alg[r, wid[2, i]] -= 1 / (2 * hyw)
+            alg[r, nw + p] -= 3 / (2 * hyh)
+            alg[r, 2 * nw + hid[grid.ny_h - 2, i]] += 4 / (2 * hyh)
+            if (grid.ny_h - 3, i) in hid:
+                alg[r, 2 * nw + hid[grid.ny_h - 3, i]] -= 1 / (2 * hyh)
+            continue
+        k[r, p] = -2 / hx**2 - 2 / hyw**2 - eps**2
+        k[r, r] = -2 * eps
+        for jj, ii, h in ((j, i - 1, hx), (j, i + 1, hx), (j - 1, i, hyw), (j + 1, i, hyw)):
+            if (jj, ii) in wid:
+                k[r, wid[jj, ii]] += 1 / h**2
+        force[r] = g[j, i]
+    for (j, i), q in hid.items():
+        r = 2 * nw + q
+        k[r, r] = -2 / hx**2 - 2 / hyh**2 - eps
+        for jj, ii, h in ((j, i - 1, hx), (j, i + 1, hx), (j - 1, i, hyh), (j + 1, i, hyh)):
+            if jj == grid.ny_h - 1 and 0 < ii < grid.nx - 1:
+                k[r, nw + wid[0, ii]] += 1 / h**2  # heat trace = v
+            elif (jj, ii) in hid:
+                k[r, 2 * nw + hid[jj, ii]] += 1 / h**2
+        force[r] = f[j, i]
+    lhs = np.diag(ode) - 0.5 * dt * k
+    rhs = np.diag(ode) + 0.5 * dt * k
+    algebraic = ode == 0
+    lhs[algebraic] = alg[algebraic]
+    rhs[algebraic] = 0.0
+    return np.linalg.solve(lhs, rhs @ y + dt * force)
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_march_step_matches_dense_first_order_step(n):
+    from hwp.periodic import _MarchOperator
+    grid = grid_n(n)
+    eps, dt = 0.2, T / 16
+    march = _MarchOperator(grid, eps, dt)
+    rng = np.random.default_rng(n)
+    y = rng.standard_normal(march.n)
+    g = rng.standard_normal((grid.ny_w, grid.nx))
+    f = rng.standard_normal((grid.ny_h, grid.nx))
+    got = march.step(y, march.forcing_vector(g, f))
+    ref = _dense_first_order_step(grid, eps, dt, y, g, f)
+    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
 def test_epsilon_march_max_periods_error_carries_history():
     grid = grid_n(9)
     g2, _ = hwp.analytic_mode(2, grid)
