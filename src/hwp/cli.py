@@ -8,8 +8,6 @@ regularity-scan, example-gen. Configs are flat ``key = value`` text files
 (``#`` comments allowed); dotted keys group related settings. All outputs
 are written as ``<command>_<name>.json`` plus CSV tables with deterministic
 formatting, so identical configs and seeds reproduce identical bytes.
-The environment variable HWP_THREADS caps the worker count used for
-independent per-mode solves.
 """
 
 from __future__ import annotations
@@ -159,6 +157,8 @@ def _convert(key: str, spec: _Key, raw: str):
             val = raw.strip()
     except ValueError as exc:
         raise ConfigurationError(f"key {key!r}: {exc}") from exc
+    if spec.typ in ("float", "floats") and not np.all(np.isfinite(val)):
+        raise ConfigurationError(f"key {key!r}: {raw!r} is not a finite number")
     if spec.typ in ("int", "float"):
         if spec.lo is not None and val < spec.lo:
             raise ConfigurationError(

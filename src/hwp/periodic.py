@@ -3,7 +3,7 @@
 Two routes to the same T-periodic solution of the coupled system:
 
 * solve_periodic_harmonic: spectral in time. Mode 0 is the stationary
-  mean-value pair; every mode k >= 1 is one complex sparse solve; negative
+  mean-value pair; every mode k >= 1 is one complex coupled solve; negative
   modes follow by conjugation, so reconstructions are real to round-off.
 
 * epsilon_march: the damped construction. A small shift eps > 0 adds
@@ -23,9 +23,7 @@ measured median contraction is 0.619, against exp(-eps T) = 0.285.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,14 +35,6 @@ from .mesh import Grid
 from . import operators as ops
 from . import quadrature as quad
 from .timefourier import HEAT, INTERFACE, WAVE, FourierField, time_transform
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("HWP_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 @dataclass
@@ -107,7 +97,7 @@ def solve_periodic_harmonic(grid: Grid, f: FourierField | None,
     residuals[0] = max(pair.residual_heat, pair.residual_wave)
     t_mean = time.perf_counter()
 
-    def solve_one(k: int):
+    for k in range(1, n_modes + 1):
         op = ops.assemble_coupled_mode(grid, k, period)
         f_k = f.mode(k) if f is not None else None
         g_k = g.mode(k) if g is not None else None
@@ -117,21 +107,11 @@ def solve_periodic_harmonic(grid: Grid, f: FourierField | None,
         except SolverError as exc:
             raise SolverError(f"mode k={k}: {exc}", residual=exc.residual) from exc
         w_k, u_k = ops.split_mode_solution(op, x)
-        return k, w_k, u_k, ops.mode_residual_fields(op, x, rhs)
-
-    workers = _worker_count()
-    ks = range(1, n_modes + 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(solve_one, ks))
-    else:
-        results = [solve_one(k) for k in ks]
-    for k, w_k, u_k, res in results:
         w_out.coeffs[k + n_modes] = w_k
         w_out.coeffs[-k + n_modes] = np.conj(w_k)
         u_out.coeffs[k + n_modes] = u_k
         u_out.coeffs[-k + n_modes] = np.conj(u_k)
-        residuals[k] = res
+        residuals[k] = ops.mode_residual_fields(op, x, rhs)
     t_modes = time.perf_counter()
 
     h, big_h = _trace_fields(grid, w_out)

@@ -171,12 +171,16 @@ def test_bad_config_path_exit_code():
     assert main(["solve", "--config", "/nope/missing.cfg"]) == 3
 
 
-def test_threaded_solve_matches_serial(tmp_path, monkeypatch):
-    cfg = _write(tmp_path, MINIMAL_SOLVE + "modes = 3\n")
-    out1, out2 = tmp_path / "serial", tmp_path / "threads"
-    assert main(["solve", "--config", cfg, "--out", str(out1)]) == 0
-    monkeypatch.setenv("HWP_THREADS", "2")
-    assert main(["solve", "--config", cfg, "--out", str(out2)]) == 0
-    a = (out1 / "solve_run_modes.csv").read_bytes()
-    b = (out2 / "solve_run_modes.csv").read_bytes()
-    assert a == b
+@pytest.mark.parametrize("line", ["tol = nan", "grid.lx = inf"])
+def test_non_finite_numbers_rejected_by_name(tmp_path, capsys, line):
+    cfg = _write(tmp_path, MINIMAL_SOLVE + line + "\n")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    assert repr(line.split(" =")[0]) in capsys.readouterr().err
+    assert not out.exists()  # rejected before any work started
+
+
+def test_non_finite_list_entry_rejected():
+    with pytest.raises(ConfigurationError) as err:
+        parse_scenario("epsilons = 0.2, nan\n", "epsilon-sweep")
+    assert "epsilons" in str(err.value)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import hwp
 from hwp import operators as ops
@@ -99,6 +100,72 @@ def test_solve_linear_contract_violations():
         n_wave=op.n_wave, n_heat=op.n_heat, grid=grid)
     with pytest.raises(SolverError):
         hwp.solve_linear(singular, np.ones(op.dimension, dtype=complex))
+
+
+def test_solve_linear_rejects_non_finite_tolerance():
+    op = hwp.assemble_coupled_mode(small_grid(5), 1, T)
+    rhs = np.ones(op.dimension, dtype=complex)
+    for tol in (float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError):
+            hwp.solve_linear(op, rhs, tol=tol)
+
+
+_DT = T / 64
+_EPS = 0.1
+_S_MARCH = 2.0 / _DT
+
+
+@pytest.mark.parametrize("dims", [(9, 9, 9, np.pi, 1.0, 1.0),
+                                  (17, 9, 13, 2.0, 1.0, 0.7),
+                                  (5, 3, 3, np.pi, 1.0, 1.0)],
+                         ids=["9^3", "17-9-13", "5-3-3"])
+@pytest.mark.parametrize("coeffs", [(-1.0 + 0j, 1j, 1j), (-9.0 + 0j, -3j, -3j),
+                                    (0.0, 0.0, 0.0),
+                                    ((_S_MARCH + _EPS) ** 2, _S_MARCH + _EPS, _S_MARCH)],
+                         ids=["k=1", "k=-3", "mean", "march"])
+def test_separable_solve_matches_sparse_lu(monkeypatch, dims, coeffs):
+    nx, ny_w, ny_h, lx, ly_w, ly_h = dims
+    grid = hwp.build_stacked_rectangles(lx, ly_w, ly_h, nx, ny_w, ny_h)
+    op = ops._mode_operator(grid, 1, 1.0, coeffs)
+    rng = np.random.default_rng(nx + ny_w + ny_h)
+    b = rng.standard_normal(op.dimension)
+    if op.matrix.dtype.kind == "c":
+        b = b + 1j * rng.standard_normal(op.dimension)
+    ref = spla.spsolve(op.matrix.tocsc(), b)
+
+    def no_sparse_lu(*args, **kwargs):
+        raise AssertionError("coupled operators must not use sparse LU")
+
+    monkeypatch.setattr(spla, "spsolve", no_sparse_lu)
+    x = hwp.solve_linear(op, b)
+    assert x.dtype == ref.dtype
+    assert np.linalg.norm(x - ref) <= 1e-11 * np.linalg.norm(ref)
+
+
+def test_separable_solve_reports_lapack_failure(monkeypatch):
+    op = hwp.assemble_coupled_mode(small_grid(5), 1, T)
+    band, interior = ops._column_band(op.grid, *op.coeffs)
+    singular = (np.zeros_like(band), np.zeros_like(interior))
+    monkeypatch.setattr(ops, "_column_band", lambda grid, *c: singular)
+    with pytest.raises(SolverError):
+        hwp.solve_linear(op, np.ones(op.dimension, dtype=complex))
+
+
+def test_zero_data_never_factorizes(monkeypatch):
+    grid = small_grid(9)
+    op = hwp.assemble_coupled_mode(grid, 2, T)
+    shell = ops.ModeOperator(k=1, omega=1.0, matrix=op.matrix, wave_ids=None,
+                             heat_ids=None, n_wave=op.n_wave, n_heat=op.n_heat,
+                             grid=grid)
+
+    def no_factorization(*args, **kwargs):
+        raise AssertionError("zero data need no factorization")
+
+    monkeypatch.setattr(spla, "spsolve", no_factorization)
+    monkeypatch.setattr(ops, "_separable_solve", no_factorization)
+    for o in (op, shell):
+        x = hwp.solve_linear(o, np.zeros(o.dimension, dtype=complex))
+        assert x.dtype == complex and not np.any(x)
 
 
 def test_flux_row_divergence_consistency():
