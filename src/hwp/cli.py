@@ -219,6 +219,12 @@ def parse_scenario(text: str, command: str, out_dir: str = ".") -> Scenario:
 def _load_coefficient_file(path: str, period: float, shape, domain: str) -> FourierField:
     raw = np.genfromtxt(path, delimiter=",", names=True)
     raw = np.atleast_1d(raw)
+    for key, size in (("j", shape[0]), ("i", shape[1])):
+        bad = ~((raw[key] >= 0) & (raw[key] < size))
+        if np.any(bad):
+            raise ConfigurationError(
+                f"coefficient file {path}: index {key} = {raw[key][bad][0]:g} "
+                f"outside 0..{size - 1}")
     ks = raw["k"].astype(int)
     n = int(np.max(np.abs(ks))) if len(ks) else 0
     f = FourierField.zeros(period, n, shape, domain)
@@ -541,11 +547,12 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     try:
         scn = parse_scenario(text, args.command, out_dir=args.out)
+        if args.seed is not None:
+            scn.values["seed"] = _convert("seed", SCHEMAS[args.command]["seed"],
+                                          str(args.seed))
     except (ConfigurationError, FileNotFoundError) as exc:
         print(f"[hwp] config error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ConfigurationError) else 3
-    if args.seed is not None:
-        scn.values["seed"] = args.seed
     return run_scenario(scn)
 
 

@@ -25,7 +25,8 @@ import scipy.sparse.linalg as spla
 
 from .errors import GeometryCheckError, SolverError
 from .fields import VectorFieldSpec, jet_batch, sym_min_eig
-from .mesh import DomainSamples, Grid, sample_domain
+from .mesh import DomainSamples, Grid, _ruled_midpoints, sample_domain
+from .operators import wave_index_map
 from . import quadrature as quad
 
 
@@ -151,20 +152,6 @@ class PoincareReport:
         return np.inf if self.rayleigh_min <= 0 else 1.0 / self.rayleigh_min
 
 
-def _wave_rect_free_nodes(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Free node mask for the wave rectangle (vanishing on the wall).
-
-    Free nodes: strict interior plus interface-row interior columns.
-    Returns (mask (ny,nx) bool, index array with -1 on constrained nodes).
-    """
-    ny, nx = grid.ny_w, grid.nx
-    mask = np.zeros((ny, nx), dtype=bool)
-    mask[0:ny - 1, 1:nx - 1] = True
-    idx = -np.ones((ny, nx), dtype=int)
-    idx[mask] = np.arange(mask.sum())
-    return mask, idx
-
-
 def _poincare_form(spec: VectorFieldSpec, grid: Grid) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """Assemble (A, M) of the generalized eigenproblem on the wave rectangle.
 
@@ -175,8 +162,6 @@ def _poincare_form(spec: VectorFieldSpec, grid: Grid) -> tuple[sp.csr_matrix, sp
     """
     ny, nx = grid.ny_w, grid.nx
     hx, hy = grid.hx, grid.hy_w
-    mask, idx = _wave_rect_free_nodes(grid)
-    nfree = int(mask.sum())
 
     xc, yc = quad.cell_centers(grid.x, grid.y_w)
     centers = np.stack([xc.ravel(), yc.ravel()], axis=1)
@@ -187,46 +172,31 @@ def _poincare_form(spec: VectorFieldSpec, grid: Grid) -> tuple[sp.csr_matrix, sp
         sym[:, 0, 0].reshape(xc.shape), sym[:, 0, 1].reshape(xc.shape),
         sym[:, 1, 1].reshape(xc.shape))
 
-    # interface L2 mass on the bottom row
+    # interface L2 mass on the bottom row (corner nodes are constrained anyway)
     wx = quad.trap_weights_1d(nx, hx)
-    rows = np.arange(1, nx - 1)  # corner nodes are constrained anyway
-    a_full = a_full.tolil()
-    for i in rows:
-        a_full[i, i] += wx[i]
+    interface = np.zeros(ny * nx)
+    interface[1:nx - 1] = wx[1:nx - 1]
 
-    # -int_wall (b.n) |dn f|^2 with 3-point one-sided normal derivatives;
-    # each wall edge is handled with its own stencil and trapezoid weights.
-    def rank_one(coef: float, cols: list[int], vals: list[float]):
-        if coef == 0.0:
-            return
-        for c1, v1 in zip(cols, vals):
-            for c2, v2 in zip(cols, vals):
-                a_full[c1, c2] += coef * v1 * v2
-
-    def node(j, i):
-        return j * nx + i
-
+    # -int_wall (b.n) |dn f|^2 with 3-point one-sided normal derivatives
+    # (3 f_wall - 4 f_1 + f_2) / (2h), f_wall = 0: one row of D per wall
+    # sample, weighted by -(b.n) times its trapezoid weight.
     wy = quad.trap_weights_1d(ny, hy)
     b_top = jet_batch(spec, np.stack([grid.x, np.full(nx, grid.ly_w)], axis=1))["b"]
-    for i in range(nx):
-        bn = b_top[i, 1]  # n = (0, 1)
-        # dn f = (3 f_J - 4 f_{J-1} + f_{J-2}) / (2 hy), f_J = 0 on the wall
-        cols = [node(ny - 2, i), node(ny - 3, i)]
-        vals = [-4.0 / (2 * hy), 1.0 / (2 * hy)]
-        rank_one(-bn * wx[i], cols, vals)
     b_left = jet_batch(spec, np.stack([np.zeros(ny), grid.y_w], axis=1))["b"]
     b_right = jet_batch(spec, np.stack([np.full(ny, grid.lx), grid.y_w], axis=1))["b"]
-    for j in range(ny):
-        bn = -b_left[j, 0]  # n = (-1, 0)
-        cols = [node(j, 1), node(j, 2)]
-        vals = [4.0 / (2 * hx), -1.0 / (2 * hx)]  # sign immaterial, squared
-        rank_one(-bn * wy[j], cols, vals)
-        bn = b_right[j, 0]  # n = (1, 0)
-        cols = [node(j, nx - 2), node(j, nx - 3)]
-        vals = [-4.0 / (2 * hx), 1.0 / (2 * hx)]
-        rank_one(-bn * wy[j], cols, vals)
+    i, j = np.arange(nx), np.arange(ny)
+    near = np.concatenate([(ny - 2) * nx + i, j * nx + 1, j * nx + nx - 2])
+    far = np.concatenate([(ny - 3) * nx + i, j * nx + 2, j * nx + nx - 3])
+    h = np.concatenate([np.full(nx, hy), np.full(2 * ny, hx)])
+    b_dot_n = np.concatenate([b_top[:, 1], -b_left[:, 0], b_right[:, 0]])
+    coef = -b_dot_n * np.concatenate([wx, wy, wy])
+    rows = np.arange(len(near))
+    d = sp.csr_matrix((np.concatenate([-4.0 / (2 * h), 1.0 / (2 * h)]),
+                       (np.concatenate([rows, rows]), np.concatenate([near, far]))),
+                      shape=(len(near), ny * nx))
+    a_full = a_full + sp.diags(interface) + d.T @ sp.diags(coef) @ d
 
-    free = np.where(mask.ravel())[0]
+    free = np.flatnonzero(wave_index_map(grid) >= 0)
     a = a_full.tocsr()[free][:, free]
     mass = quad.trap_mass(ny, nx, hx, hy).ravel()[free]
     m = sp.diags(mass).tocsr()
@@ -311,16 +281,9 @@ def trapezoid_obstruction(spec: VectorFieldSpec, resolution: int = 64,
     interior = float(np.sum(jets["grad"][:, 0, 0] * samples.interior_weights))
     # Omega_l = right triangle, x in (1, 1+y)
     ys, hy = np.linspace(0, 1, resolution, endpoint=False) + 0.5 / resolution, 1.0 / resolution
-    pts_l, wts_l = [], []
-    for y in ys:
-        nx = max(1, int(np.ceil(y * resolution)))
-        hx = y / nx
-        for i in range(nx):
-            pts_l.append((1.0 + (i + 0.5) * hx, y))
-            wts_l.append(hx * hy)
-    if pts_l:
-        jl = jet_batch(spec, np.array(pts_l))
-        interior += float(np.sum(jl["grad"][:, 1, 1] * np.array(wts_l)))
+    y, x, hx = _ruled_midpoints(ys, np.zeros_like(ys), ys, resolution, "trapezoid")
+    jl = jet_batch(spec, np.stack([1.0 + x, y], axis=1))
+    interior += float(np.sum(jl["grad"][:, 1, 1] * (hx * hy)))
 
     ny = 4 * resolution  # 1D quadrature is cheap; oversample it
     yq, hyq = np.linspace(0, 1, ny, endpoint=False) + 0.5 / ny, 1.0 / ny

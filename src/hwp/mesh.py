@@ -12,6 +12,14 @@ slot (the wave value); the heat trace is derived from it by the per-mode
 velocity relation in the solver modules. Demo domains are carried as
 closed-form region tests plus parameterized boundaries; they are sampled,
 never meshed.
+
+Interior samples use ruled midpoint quadrature: the outer coordinate (x,
+y or the polar angle) is cut into equal cells, and each outer midpoint t
+gets max(1, ceil((hi(t) - lo(t)) * resolution)) equal inner cells between
+the domain's bounds lo(t) < s < hi(t); the weight is the product of the two
+spacings (times r in polar coordinates). A domain whose sample count would
+exceed MAX_INTERIOR_SAMPLES is rejected with ConfigurationError before any
+sample is built.
 """
 
 from __future__ import annotations
@@ -150,6 +158,7 @@ def build_stacked_rectangles(lx: float, ly_w: float, ly_h: float,
 
 ON_GAMMA = "OnGamma"
 ON_GAMMA_W = "OnGammaW"
+MAX_INTERIOR_SAMPLES = 2**21
 
 
 @dataclass
@@ -186,25 +195,34 @@ def _midpoints(a: float, b: float, n: int) -> tuple[np.ndarray, float]:
     return a + (np.arange(n) + 0.5) * h, h
 
 
-def _column_samples(x_of_t, y_lo, y_hi, t0: float, t1: float, nt: int,
-                    res: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor midpoint quadrature over a vertically-bounded region.
+def _ruled_midpoints(ts: np.ndarray, lo: np.ndarray, hi: np.ndarray, res: int,
+                     name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Inner midpoints of the region { (t, s) : lo(t) < s < hi(t) }.
 
-    The region is { (x(t), y) : t in (t0,t1), y_lo(t) < y < y_hi(t) } with
-    x(t) = t. Returns points (n,2) and weights (n,).
+    ts are the outer midpoints and lo, hi the inner bounds there. Column t
+    gets n = max(1, ceil((hi-lo)*res)) midpoints; columns with hi <= lo get
+    none. Returns the repeated t, the inner midpoints s and their spacing
+    h_s. The sample count is checked against MAX_INTERIOR_SAMPLES before
+    anything is allocated.
     """
-    ts, ht = _midpoints(t0, t1, nt)
-    pts, wts = [], []
-    for t in ts:
-        lo, hi = y_lo(t), y_hi(t)
-        if hi <= lo:
-            continue
-        ny = max(1, int(np.ceil((hi - lo) * res)))
-        ys, hy = _midpoints(lo, hi, ny)
-        for y in ys:
-            pts.append((t, y))
-            wts.append(ht * hy)
-    return np.array(pts), np.array(wts)
+    keep = hi > lo
+    ts, lo, hi = ts[keep], lo[keep], hi[keep]
+    n = np.maximum(1, np.ceil((hi - lo) * res)).astype(np.int64)
+    total = int(n.sum())
+    if total > MAX_INTERIOR_SAMPLES:
+        raise ConfigurationError(
+            f"domain {name!r} at resolution {res} needs {total} interior "
+            f"samples, above the bound of {MAX_INTERIOR_SAMPLES}")
+    h = (hi - lo) / n
+    k = np.arange(total) - np.repeat(np.cumsum(n) - n, n)
+    h_s = np.repeat(h, n)
+    return np.repeat(ts, n), np.repeat(lo, n) + (k + 0.5) * h_s, h_s
+
+
+def _polar(th: np.ndarray, r: np.ndarray, h_r: np.ndarray,
+           h_th: float) -> tuple[np.ndarray, np.ndarray]:
+    """Cartesian points and area weights of polar midpoint samples."""
+    return np.stack([r * np.cos(th), r * np.sin(th)], axis=1), r * h_r * h_th
 
 
 def _segment_boundary(p0, p1, normal, tag: str, res: int):
@@ -247,9 +265,18 @@ def _stack(parts):
     return pts, nrm, wts, tags
 
 
-def _rectangle_samples(lx: float, ly: float, res: int) -> DomainSamples:
-    nxc = max(1, int(np.ceil(lx * res)))
-    pts, wts = _column_samples(lambda t: t, lambda t: 0.0, lambda t: ly, 0.0, lx, nxc, res)
+def _column_samples(t0: float, t1: float, lo, hi, res: int,
+                    name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Points (x, y) and weights of the region t0 < x < t1, lo(x) < y < hi(x)."""
+    nt = max(1, int(np.ceil((t1 - t0) * res)))
+    ts, ht = _midpoints(t0, t1, nt)
+    x, y, hy = _ruled_midpoints(ts, lo(ts), hi(ts), res, name)
+    return np.stack([x, y], axis=1), ht * hy
+
+
+def _rectangle_samples(lx: float, ly: float, res: int, name: str) -> DomainSamples:
+    pts, wts = _column_samples(0.0, lx, np.zeros_like, lambda t: np.full_like(t, ly),
+                               res, name)
     parts = [
         _segment_boundary((0, 0), (lx, 0), (0, -1), ON_GAMMA, res),
         _segment_boundary((lx, 0), (lx, ly), (1, 0), ON_GAMMA_W, res),
@@ -263,10 +290,8 @@ def _rectangle_samples(lx: float, ly: float, res: int) -> DomainSamples:
 def _triangle_samples(res: int) -> DomainSamples:
     # apex at the origin, opening left; vertical far side is the interface
     # vertices (0,0), (-1, 1/2), (-1, -1/2)
-    nxc = max(1, int(np.ceil(res)))
-    pts, wts = _column_samples(lambda t: t,
-                               lambda t: 0.5 * t, lambda t: -0.5 * t,
-                               -1.0, 0.0, nxc, res)
+    pts, wts = _column_samples(-1.0, 0.0, lambda t: 0.5 * t, lambda t: -0.5 * t,
+                               res, "triangle")
     parts = [
         _segment_boundary((-1, -0.5), (-1, 0.5), (-1, 0), ON_GAMMA, res),
         # upper slanted edge y = -x/2, outward normal (1/2, 1)
@@ -287,8 +312,7 @@ def _horn_samples(res: int, beta: float = 0.5, c_lo: float = 0.5,
     def wall(c):
         return lambda t: c * (-t) ** p
 
-    nxc = max(1, int(np.ceil(res)))
-    pts, wts = _column_samples(lambda t: t, wall(c_lo), wall(c_hi), -1.0, 0.0, nxc, res)
+    pts, wts = _column_samples(-1.0, 0.0, wall(c_lo), wall(c_hi), res, "horn")
 
     def curve(c):
         return lambda t: (t, c * (-t) ** p)
@@ -312,15 +336,8 @@ def _horn_samples(res: int, beta: float = 0.5, c_lo: float = 0.5,
 
 def _trapezoid_samples(res: int) -> DomainSamples:
     # vertices (0,0), (1,0), (2,1), (0,1); interface is the bottom edge
-    nyc = max(1, int(np.ceil(res)))
-    ys, hy = _midpoints(0.0, 1.0, nyc)
-    pts, wts = [], []
-    for y in ys:
-        nx = max(1, int(np.ceil((1.0 + y) * res)))
-        xs, hx = _midpoints(0.0, 1.0 + y, nx)
-        for x in xs:
-            pts.append((x, y))
-            wts.append(hx * hy)
+    ys, hy = _midpoints(0.0, 1.0, res)
+    y, x, hx = _ruled_midpoints(ys, np.zeros_like(ys), 1.0 + ys, res, "trapezoid")
     parts = [
         _segment_boundary((0, 0), (1, 0), (0, -1), ON_GAMMA, res),
         _segment_boundary((1, 0), (2, 1), (1, -1), ON_GAMMA_W, res),
@@ -328,7 +345,7 @@ def _trapezoid_samples(res: int) -> DomainSamples:
         _segment_boundary((0, 1), (0, 0), (-1, 0), ON_GAMMA_W, res),
     ]
     b = _stack(parts)
-    return DomainSamples("trapezoid", np.array(pts), np.array(wts), *b)
+    return DomainSamples("trapezoid", np.stack([x, y], axis=1), hx * hy, *b)
 
 
 def _spiral_band(res: int, alpha: float, r0: float, r1_factor: float,
@@ -344,14 +361,7 @@ def _spiral_band(res: int, alpha: float, r0: float, r1_factor: float,
     r_out = lambda th: r1_factor * r0 * np.exp(alpha * th)
     n_th = max(8, int(np.ceil(theta_max * r1_factor * r0 * np.exp(alpha * theta_max) * res)))
     ths, hth = _midpoints(0.0, theta_max, n_th)
-    pts, wts = [], []
-    for th in ths:
-        a, bnd = r_in(th), r_out(th)
-        nr = max(1, int(np.ceil((bnd - a) * res)))
-        rs, hr = _midpoints(a, bnd, nr)
-        for r in rs:
-            pts.append((r * np.cos(th), r * np.sin(th)))
-            wts.append(r * hr * hth)
+    pts, wts = _polar(*_ruled_midpoints(ths, r_in(ths), r_out(ths), res, name), hth)
 
     def arc(curve_r):
         return lambda th: (curve_r(th) * np.cos(th), curve_r(th) * np.sin(th))
@@ -386,7 +396,7 @@ def _spiral_band(res: int, alpha: float, r0: float, r1_factor: float,
                         ON_GAMMA_W, res, arc_len),
     ]
     b = _stack(parts)
-    return DomainSamples(name, np.array(pts), np.array(wts), *b)
+    return DomainSamples(name, pts, wts, *b)
 
 
 def _arc_samples(res: int, r_in: float = 1.0, r_out: float = 2.0,
@@ -394,13 +404,8 @@ def _arc_samples(res: int, r_in: float = 1.0, r_out: float = 2.0,
     """Annular sector in the upper half plane; interface is the far radial cap."""
     n_th = max(8, int(np.ceil((th1 - th0) * r_out * res)))
     ths, hth = _midpoints(th0, th1, n_th)
-    pts, wts = [], []
-    for th in ths:
-        nr = max(1, int(np.ceil((r_out - r_in) * res)))
-        rs, hr = _midpoints(r_in, r_out, nr)
-        for r in rs:
-            pts.append((r * np.cos(th), r * np.sin(th)))
-            wts.append(r * hr * hth)
+    pts, wts = _polar(*_ruled_midpoints(ths, np.full(n_th, r_in), np.full(n_th, r_out),
+                                        res, "arc"), hth)
 
     def circle(r, sign):
         def param(th):
@@ -421,12 +426,13 @@ def _arc_samples(res: int, r_in: float = 1.0, r_out: float = 2.0,
         _curve_boundary(pi_, th0, th1, ni, ON_GAMMA_W, res, (th1 - th0) * r_in),
     ]
     b = _stack(parts)
-    return DomainSamples("arc", np.array(pts), np.array(wts), *b)
+    return DomainSamples("arc", pts, wts, *b)
 
 
 _DOMAIN_BUILDERS = {
-    "unit-square": lambda res, **kw: _rectangle_samples(1.0, 1.0, res),
-    "rectangle": lambda res, **kw: _rectangle_samples(kw.get("lx", np.pi), kw.get("ly", 1.0), res),
+    "unit-square": lambda res, **kw: _rectangle_samples(1.0, 1.0, res, "unit-square"),
+    "rectangle": lambda res, **kw: _rectangle_samples(kw.get("lx", np.pi), kw.get("ly", 1.0),
+                                                      res, "rectangle"),
     "triangle": lambda res, **kw: _triangle_samples(res),
     "horn": lambda res, **kw: _horn_samples(res, beta=kw.get("beta", 0.5)),
     "trapezoid": lambda res, **kw: _trapezoid_samples(res),

@@ -80,42 +80,18 @@ def anisotropic_gradient_form(ny: int, nx: int, hx: float, hy: float,
     semidefinite whenever every S is.
     """
     area = hx * hy
-    rows, cols, vals = [], [], []
-
-    def rank_one(coef: float, idx: list[int], coeffs: list[float]) -> None:
-        for a, va in zip(idx, coeffs):
-            for b, vb in zip(idx, coeffs):
-                rows.append(a)
-                cols.append(b)
-                vals.append(coef * va * vb)
-
-    for j in range(ny - 1):
-        for i in range(nx - 1):
-            n00 = j * nx + i
-            n01 = j * nx + i + 1
-            n10 = (j + 1) * nx + i
-            n11 = (j + 1) * nx + i + 1
-            a11 = float(s11[j, i])
-            a12 = float(s12[j, i])
-            a22 = float(s22[j, i])
-            if a11:
-                rank_one(0.5 * area * a11, [n01, n00], [1 / hx, -1 / hx])
-                rank_one(0.5 * area * a11, [n11, n10], [1 / hx, -1 / hx])
-            if a22:
-                rank_one(0.5 * area * a22, [n10, n00], [1 / hy, -1 / hy])
-                rank_one(0.5 * area * a22, [n11, n01], [1 / hy, -1 / hy])
-            if a12:
-                gx = [n01, n00, n11, n10]
-                cx = [0.5 / hx, -0.5 / hx, 0.5 / hx, -0.5 / hx]
-                gy = [n10, n00, n11, n01]
-                cy = [0.5 / hy, -0.5 / hy, 0.5 / hy, -0.5 / hy]
-                # 2 * s12 * mean(dx) * mean(dy), symmetrized
-                for a, va in zip(gx, cx):
-                    for b, vb in zip(gy, cy):
-                        rows.extend([a, b])
-                        cols.extend([b, a])
-                        vals.extend([area * a12 * va * vb] * 2)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(ny * nx, ny * nx))
+    dx = sp.diags([-1.0, 1.0], [0, 1], shape=(nx - 1, nx)) / hx
+    dy = sp.diags([-1.0, 1.0], [0, 1], shape=(ny - 1, ny)) / hy
+    lo_x, hi_x = sp.eye(nx - 1, nx), sp.eye(nx - 1, nx, k=1)
+    lo_y, hi_y = sp.eye(ny - 1, ny), sp.eye(ny - 1, ny, k=1)
+    d_bottom, d_top = sp.kron(lo_y, dx), sp.kron(hi_y, dx)
+    d_left, d_right = sp.kron(dy, lo_x), sp.kron(dy, hi_x)
+    gx, gy = 0.5 * (d_bottom + d_top), 0.5 * (d_left + d_right)
+    c11, c12, c22 = (sp.diags(np.ravel(c)) for c in (s11, s12, s22))
+    form = (0.5 * area * (d_bottom.T @ c11 @ d_bottom + d_top.T @ c11 @ d_top
+                          + d_left.T @ c22 @ d_left + d_right.T @ c22 @ d_right)
+            + area * (gx.T @ c12 @ gy + gy.T @ c12 @ gx))
+    return form.tocsr()
 
 
 def sbp_stiffness(ny: int, nx: int, hx: float, hy: float,

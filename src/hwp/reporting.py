@@ -59,8 +59,10 @@ def write_json(path: str, payload: dict) -> None:
 
 
 def write_grid_csv(path: str, array: np.ndarray) -> None:
-    """Matrix-layout CSV of one nodal field (rows bottom-to-top)."""
-    rows = [[array[j, i] for i in range(array.shape[1])]
-            for j in range(array.shape[0])]
-    header = [f"c{i}" for i in range(array.shape[1])]
-    write_csv(path, header, rows)
+    """Matrix-layout CSV of one real nodal field (rows bottom-to-top), in
+    the bytes write_csv gives for the same values."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    header = ",".join(f"c{i}" for i in range(array.shape[1]))
+    with open(path, "w", newline="\n") as f:
+        np.savetxt(f, array, fmt="%.17g", delimiter=",", newline="\n",
+                   header=header, comments="")

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hwp import mesh
 from hwp.cli import main, parse_scenario
 from hwp.errors import ConfigurationError
 
@@ -184,3 +185,35 @@ def test_non_finite_list_entry_rejected():
     with pytest.raises(ConfigurationError) as err:
         parse_scenario("epsilons = 0.2, nan\n", "epsilon-sweep")
     assert "epsilons" in str(err.value)
+
+
+SMALL_SOLVE = "grid.nx = 9\ngrid.ny_w = 9\ngrid.ny_h = 9\nmodes = 2\n"
+
+
+@pytest.mark.parametrize("key,value", [("j", -1), ("j", 20), ("i", 9)])
+def test_coefficient_file_index_out_of_range_rejected(tmp_path, capsys, key, value):
+    idx = {"j": 2, "i": 3, key: value}
+    coeffs = tmp_path / "g.csv"
+    coeffs.write_text(f"k,j,i,re,im\n1,{idx['j']},{idx['i']},0.5,0.0\n"
+                      f"-1,{idx['j']},{idx['i']},0.5,0.0\n")
+    cfg = _write(tmp_path, SMALL_SOLVE + f"forcing.wave = file:{coeffs}\n")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert str(coeffs) in err and f"{key} = {value}" in err
+
+
+def test_negative_seed_override_rejected_by_name(tmp_path, capsys):
+    cfg = _write(tmp_path, SMALL_SOLVE + "check.weak = true\n")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out), "--seed", "-5"]) == 2
+    assert "'seed'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_geometry_check_sample_bound_exit_code(tmp_path, monkeypatch):
+    monkeypatch.setattr(mesh, "MAX_INTERIOR_SAMPLES", 1000)
+    cfg = _write(tmp_path, "domain = unit-square\nfield = zero\nresolution = 64\n")
+    out = tmp_path / "out"
+    assert main(["geometry-check", "--config", cfg, "--out", str(out)]) == 2
+    record = json.loads((out / "geometry_check_run_error.json").read_text())
+    assert "4096" in record["message"] and "1000" in record["message"]

@@ -3,7 +3,9 @@ import pytest
 
 import hwp
 from hwp.errors import GeometryCheckError
-from hwp.geometry import boundary_sign_table
+from hwp import geometry, quadrature as quad
+from hwp.fields import jet_batch
+from hwp.geometry import _poincare_form, boundary_sign_table
 from hwp.mesh import DomainSamples
 
 
@@ -144,3 +146,126 @@ def test_trapezoid_counting_identity_for_every_field(spec):
     rep = hwp.trapezoid_obstruction(spec, 128)
     scale = max(abs(rep.interior_integral), abs(rep.boundary_integral), 0.1)
     assert rep.mismatch <= 0.02 * scale
+
+
+# ---------------------------------------------------------------------------
+# array-built forms against the loops they replaced
+# ---------------------------------------------------------------------------
+
+def _loop_gradient_form(ny, nx, hx, hy, s11, s12, s22):
+    """Reference: the cell-by-cell rank-one assembly, as a dense matrix."""
+    area = hx * hy
+    a = np.zeros((ny * nx, ny * nx))
+
+    def rank_one(coef, idx, coeffs):
+        for p, vp in zip(idx, coeffs):
+            for q, vq in zip(idx, coeffs):
+                a[p, q] += coef * vp * vq
+
+    for j in range(ny - 1):
+        for i in range(nx - 1):
+            n00, n01 = j * nx + i, j * nx + i + 1
+            n10, n11 = n00 + nx, n01 + nx
+            rank_one(0.5 * area * s11[j, i], [n01, n00], [1 / hx, -1 / hx])
+            rank_one(0.5 * area * s11[j, i], [n11, n10], [1 / hx, -1 / hx])
+            rank_one(0.5 * area * s22[j, i], [n10, n00], [1 / hy, -1 / hy])
+            rank_one(0.5 * area * s22[j, i], [n11, n01], [1 / hy, -1 / hy])
+            gx = [(n01, 0.5 / hx), (n00, -0.5 / hx), (n11, 0.5 / hx), (n10, -0.5 / hx)]
+            gy = [(n10, 0.5 / hy), (n00, -0.5 / hy), (n11, 0.5 / hy), (n01, -0.5 / hy)]
+            for p, vp in gx:
+                for q, vq in gy:
+                    a[p, q] += area * s12[j, i] * vp * vq
+                    a[q, p] += area * s12[j, i] * vp * vq
+    return a
+
+
+def _rel_diff(a, ref):
+    return np.max(np.abs(a - ref)) / np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("ny,nx", [(7, 9), (17, 17)])
+def test_anisotropic_gradient_form_matches_cell_loop(ny, nx):
+    rng = np.random.default_rng(ny * nx)
+    hx, hy = np.pi / (nx - 1), 0.7 / (ny - 1)
+    s11, s12, s22 = (np.where(rng.random((ny - 1, nx - 1)) < 0.3, 0.0,
+                              rng.standard_normal((ny - 1, nx - 1)))
+                     for _ in range(3))
+    form = quad.anisotropic_gradient_form(ny, nx, hx, hy, s11, s12, s22).toarray()
+    assert _rel_diff(form, _loop_gradient_form(ny, nx, hx, hy, s11, s12, s22)) <= 1e-14
+
+
+def _loop_poincare_form(spec, grid):
+    """Reference: loop-built gradient form plus per-node interface mass and
+    per-wall-sample rank-one normal-derivative terms."""
+    ny, nx, hx, hy = grid.ny_w, grid.nx, grid.hx, grid.hy_w
+    xc, yc = quad.cell_centers(grid.x, grid.y_w)
+    grad = jet_batch(spec, np.stack([xc.ravel(), yc.ravel()], axis=1))["grad"]
+    sym = 0.5 * (grad + np.swapaxes(grad, 1, 2))
+    a = _loop_gradient_form(ny, nx, hx, hy, *(sym[:, p, q].reshape(xc.shape)
+                                              for p, q in ((0, 0), (0, 1), (1, 1))))
+    wx = quad.trap_weights_1d(nx, hx)
+    wy = quad.trap_weights_1d(ny, hy)
+    for i in range(1, nx - 1):
+        a[i, i] += wx[i]
+
+    def rank_one(coef, cols, vals):
+        for c1, v1 in zip(cols, vals):
+            for c2, v2 in zip(cols, vals):
+                a[c1, c2] += coef * v1 * v2
+
+    b_top = jet_batch(spec, np.stack([grid.x, np.full(nx, grid.ly_w)], axis=1))["b"]
+    b_left = jet_batch(spec, np.stack([np.zeros(ny), grid.y_w], axis=1))["b"]
+    b_right = jet_batch(spec, np.stack([np.full(ny, grid.lx), grid.y_w], axis=1))["b"]
+    for i in range(nx):
+        rank_one(-b_top[i, 1] * wx[i], [(ny - 2) * nx + i, (ny - 3) * nx + i],
+                 [-4.0 / (2 * hy), 1.0 / (2 * hy)])
+    for j in range(ny):
+        rank_one(b_left[j, 0] * wy[j], [j * nx + 1, j * nx + 2],
+                 [4.0 / (2 * hx), -1.0 / (2 * hx)])
+        rank_one(-b_right[j, 0] * wy[j], [j * nx + nx - 2, j * nx + nx - 3],
+                 [-4.0 / (2 * hx), 1.0 / (2 * hx)])
+    free = np.zeros((ny, nx), dtype=bool)
+    free[:ny - 1, 1:nx - 1] = True
+    free = free.ravel()
+    a = a[free][:, free]
+    return 0.5 * (a + a.T), quad.trap_mass(ny, nx, hx, hy).ravel()[free]
+
+
+@pytest.mark.parametrize("field", ["graph-vertical:2", "spiral:0.2", "horn:0.5"])
+def test_poincare_form_matches_loop_assembly(field):
+    spec = hwp.parse_field(field)
+    grid = hwp.build_stacked_rectangles(1.3, 0.8, 1.0, 11, 9, 3)
+    a, m = _poincare_form(spec, grid)
+    ref_a, ref_m = _loop_poincare_form(spec, grid)
+    assert _rel_diff(a.toarray(), ref_a) <= 1e-14
+    np.testing.assert_array_equal(m.diagonal(), ref_m)
+
+
+def test_trapezoid_integrals_match_column_loop(monkeypatch):
+    spec, res = hwp.spiral(0.2), 64
+    evaluated = []
+
+    def recording_jet_batch(spec, points):
+        evaluated.append(points)
+        return jet_batch(spec, points)
+
+    monkeypatch.setattr(geometry, "jet_batch", recording_jet_batch)
+    rep = hwp.trapezoid_obstruction(spec, res)
+    # reference: the trapezoid samples plus the triangle x in (1, 1+y),
+    # built row by row
+    s = hwp.sample_domain("trapezoid", res)
+    interior = float(np.sum(jet_batch(spec, s.interior_points)["grad"][:, 0, 0]
+                            * s.interior_weights))
+    ys, hy = np.linspace(0, 1, res, endpoint=False) + 0.5 / res, 1.0 / res
+    pts, wts = [], []
+    for y in ys:
+        nx = max(1, int(np.ceil(y * res)))
+        hx = y / nx
+        for i in range(nx):
+            pts.append((1.0 + (i + 0.5) * hx, y))
+            wts.append(hx * hy)
+    interior += float(np.sum(jet_batch(spec, np.array(pts))["grad"][:, 1, 1]
+                             * np.array(wts)))
+    assert rep.interior_integral == interior
+    # the built-in fields have constant gradients there, so check the points too
+    np.testing.assert_array_equal(evaluated[1], np.array(pts))

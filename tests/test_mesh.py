@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import hwp
+from hwp import mesh
 from hwp.errors import ConfigurationError, MeshError
 
 
@@ -132,3 +133,81 @@ def test_unknown_descriptor_rejected():
 def test_coarse_resolution_rejected():
     with pytest.raises(ConfigurationError):
         hwp.sample_domain("unit-square", 4)
+
+
+# ---------------------------------------------------------------------------
+# vectorized sampler against the column-by-column loop it replaced
+# ---------------------------------------------------------------------------
+
+def _loop_midpoints(a, b, n):
+    h = (b - a) / n
+    return a + (np.arange(n) + 0.5) * h, h
+
+
+def _loop_samples(t0, t1, nt, lo, hi, res, layout):
+    """Reference: one Python loop per outer column, scalar bounds."""
+    ts, ht = _loop_midpoints(t0, t1, nt)
+    pts, wts = [], []
+    for t in ts:
+        a, b = lo(t), hi(t)
+        if b <= a:
+            continue
+        ss, hs = _loop_midpoints(a, b, max(1, int(np.ceil((b - a) * res))))
+        for s in ss:
+            if layout == "polar":
+                pts.append((s * np.cos(t), s * np.sin(t)))
+                wts.append(s * hs * ht)
+            elif layout == "xy":
+                pts.append((t, s))
+                wts.append(ht * hs)
+            else:  # outer coordinate is y
+                pts.append((s, t))
+                wts.append(hs * ht)
+    return np.array(pts), np.array(wts)
+
+
+def _loop_reference(name, res):
+    alpha, theta_max = 0.2, 1.5 * np.pi
+
+    def band(r0, r1_factor):
+        n_th = max(8, int(np.ceil(theta_max * r1_factor * r0
+                                  * np.exp(alpha * theta_max) * res)))
+        return (0.0, theta_max, n_th, lambda th: r0 * np.exp(alpha * th),
+                lambda th: r1_factor * r0 * np.exp(alpha * th), "polar")
+
+    table = {
+        "unit-square": (0.0, 1.0, res, lambda t: 0.0, lambda t: 1.0, "xy"),
+        "rectangle": (0.0, np.pi, int(np.ceil(np.pi * res)),
+                      lambda t: 0.0, lambda t: 1.0, "xy"),
+        "triangle": (-1.0, 0.0, res, lambda t: 0.5 * t, lambda t: -0.5 * t, "xy"),
+        "horn": (-1.0, 0.0, res, lambda t: 0.5 * (-t) ** 2.0,
+                 lambda t: 1.5 * (-t) ** 2.0, "xy"),
+        "trapezoid": (0.0, 1.0, res, lambda t: 0.0, lambda t: 1.0 + t, "yx"),
+        "spiral": band(0.5, np.exp(2 * np.pi * alpha)),
+        "shell": band(0.6, 5.0 / 3.0),
+        "arc": (np.pi / 6, 5 * np.pi / 6,
+                max(8, int(np.ceil((5 * np.pi / 6 - np.pi / 6) * 2.0 * res))),
+                lambda th: 1.0, lambda th: 2.0, "polar"),
+    }
+    assert sorted(table) == sorted(hwp.DEMO_DOMAINS)
+    t0, t1, nt, lo, hi, layout = table[name]
+    return _loop_samples(t0, t1, nt, lo, hi, res, layout)
+
+
+@pytest.mark.parametrize("res", [16, 32])
+@pytest.mark.parametrize("name", hwp.DEMO_DOMAINS)
+def test_interior_samples_match_column_loop(name, res):
+    pts, wts = _loop_reference(name, res)
+    s = hwp.sample_domain(name, res)
+    np.testing.assert_array_equal(s.interior_points, pts)
+    np.testing.assert_array_equal(s.interior_weights, wts)
+
+
+def test_sample_count_bounded_before_sampling(monkeypatch):
+    monkeypatch.setattr(mesh, "MAX_INTERIOR_SAMPLES", 1000)
+    with pytest.raises(ConfigurationError) as err:
+        hwp.sample_domain("unit-square", 64)
+    msg = str(err.value)
+    assert all(part in msg for part in ("'unit-square'", "64", "4096", "1000"))
+    monkeypatch.setattr(mesh, "MAX_INTERIOR_SAMPLES", 1024)
+    assert len(hwp.sample_domain("unit-square", 32).interior_weights) == 1024
