@@ -99,7 +99,6 @@ SCHEMAS: dict[str, dict[str, _Key]] = {
                        "domain": _k("str", required=True, choices=DEMO_DOMAINS),
                        "resolution": _k("int", 32, lo=8, hi=4096),
                        "field": _k("str", required=True),
-                       "directions": _k("int", 64, lo=64, hi=4096),
                        "poincare": _k("bool", False),
                        "poincare.nx": _k("int", 17, lo=5, hi=513),
                        "poincare.ny": _k("int", 17, lo=5, hi=513)},
@@ -172,6 +171,43 @@ def _convert(key: str, spec: _Key, raw: str):
     return val
 
 
+_FORCING_FORMS = {"forcing.wave": "none | mode:<n> | series:G1|G2[:<N>] | file:<csv>",
+                  "forcing.heat": "none | smooth:<k> | file:<csv>"}
+
+
+def _positive_int(raw: str) -> int:
+    n = int(raw)
+    if n < 1:
+        raise ValueError(f"{n} < 1")
+    return n
+
+
+def _forcing_spec(key: str, text: str) -> tuple[str, tuple]:
+    """Split a forcing.wave / forcing.heat spec into (kind, args).
+
+    Anything but the forms of ``_FORCING_FORMS`` (integers >= 1; series
+    terms default to 8) is a ConfigurationError naming the key.
+    """
+    kind, _, rest = text.partition(":")
+    args = rest.split(":")
+    try:
+        if text == "none":
+            return "none", ()
+        if kind == "file" and rest:
+            return "file", (rest,)
+        if key == "forcing.wave" and kind == "mode" and len(args) == 1:
+            return "mode", (_positive_int(args[0]),)
+        if key == "forcing.wave" and kind == "series" and args[0] in ("G1", "G2") \
+                and len(args) <= 2:
+            return "series", (args[0], _positive_int(args[1]) if len(args) == 2 else 8)
+        if key == "forcing.heat" and kind == "smooth" and len(args) == 1:
+            return "smooth", (_positive_int(args[0]),)
+    except ValueError:
+        pass
+    raise ConfigurationError(
+        f"key {key!r}: bad forcing spec {text!r}; expected {_FORCING_FORMS[key]}")
+
+
 def parse_scenario(text: str, command: str, out_dir: str = ".") -> Scenario:
     """Parse and validate a flat key=value config for one command."""
     if command not in SCHEMAS:
@@ -190,6 +226,8 @@ def parse_scenario(text: str, command: str, out_dir: str = ".") -> Scenario:
         if key not in schema:
             raise ConfigurationError(
                 f"unknown key {key!r} for command {command!r}")
+        if key in values:
+            raise ConfigurationError(f"line {lineno}: duplicate key {key!r}")
         values[key] = _convert(key, schema[key], raw.strip())
     if values.get("command") not in (None, command):
         raise ConfigurationError(
@@ -202,13 +240,12 @@ def parse_scenario(text: str, command: str, out_dir: str = ".") -> Scenario:
         values.setdefault(key, spec.default)
     values["command"] = command
 
-    # referenced files must exist before execution starts
-    for key in ("forcing.wave", "forcing.heat"):
-        val = values.get(key)
-        if isinstance(val, str) and val.startswith("file:"):
-            path = val[5:]
-            if not Path(path).is_file():
-                raise FileNotFoundError(f"forcing file not found: {path}")
+    # forcing specs parse, and referenced files exist, before execution starts
+    for key in _FORCING_FORMS:
+        if key in schema:
+            kind, args = _forcing_spec(key, values[key])
+            if kind == "file" and not Path(args[0]).is_file():
+                raise FileNotFoundError(f"forcing file not found: {args[0]}")
     return Scenario(command=command, values=values, out_dir=out_dir)
 
 
@@ -238,23 +275,18 @@ def _wave_forcing(scn: Scenario, grid) -> tuple[FourierField | None, dict]:
     text = scn["forcing.wave"]
     amp = scn["forcing.wave.amplitude"]
     meta = {"spec": text, "amplitude": amp}
-    if text == "none":
+    kind, args = _forcing_spec("forcing.wave", text)
+    if kind == "none":
         return None, meta
-    if text.startswith("mode:"):
-        n = int(text[5:])
-        g, w_ref = closedform.analytic_mode(n, grid)
-        meta["analytic_mode"] = n
+    if kind == "mode":
+        g, w_ref = closedform.analytic_mode(args[0], grid)
+        meta["analytic_mode"] = args[0]
         return g.scaled(amp), {**meta, "_w_ref": w_ref.scaled(amp)}
-    if text.startswith("series:"):
-        parts = text.split(":")
-        rule = closedform.series_rule(parts[1])
-        n_terms = int(parts[2]) if len(parts) > 2 else 8
-        g, _ = closedform.series_forcing(rule, n_terms, grid)
+    if kind == "series":
+        g, _ = closedform.series_forcing(closedform.series_rule(args[0]), args[1], grid)
         return g.scaled(amp), meta
-    if text.startswith("file:"):
-        return _load_coefficient_file(text[5:], scn["period"],
-                                      (grid.ny_w, grid.nx), WAVE).scaled(amp), meta
-    raise ConfigurationError(f"bad forcing.wave spec {text!r}")
+    return _load_coefficient_file(args[0], scn["period"],
+                                  (grid.ny_w, grid.nx), WAVE).scaled(amp), meta
 
 
 def smooth_heat_forcing(grid, period: float, k: int = 1,
@@ -269,15 +301,13 @@ def _heat_forcing(scn: Scenario, grid) -> tuple[FourierField | None, dict]:
     text = scn["forcing.heat"]
     amp = scn["forcing.heat.amplitude"]
     meta = {"spec": text, "amplitude": amp}
-    if text == "none":
+    kind, args = _forcing_spec("forcing.heat", text)
+    if kind == "none":
         return None, meta
-    if text.startswith("smooth:"):
-        k = int(text[7:])
-        return smooth_heat_forcing(grid, scn["period"], k, amp), meta
-    if text.startswith("file:"):
-        return _load_coefficient_file(text[5:], scn["period"],
-                                      (grid.ny_h, grid.nx), HEAT).scaled(amp), meta
-    raise ConfigurationError(f"bad forcing.heat spec {text!r}")
+    if kind == "smooth":
+        return smooth_heat_forcing(grid, scn["period"], args[0], amp), meta
+    return _load_coefficient_file(args[0], scn["period"],
+                                  (grid.ny_h, grid.nx), HEAT).scaled(amp), meta
 
 
 def _build_grid(scn: Scenario):
@@ -406,8 +436,7 @@ def _run_geometry_check(scn: Scenario) -> dict:
     spec = parse_field(scn["field"])
     _phase(f"sampling domain {scn['domain']} at resolution {scn['resolution']}")
     samples = sample_domain(scn["domain"], scn["resolution"])
-    report = geometry.check_conditions(spec, samples, tol=scn["tol"],
-                                       n_directions=scn["directions"])
+    report = geometry.check_conditions(spec, samples, tol=scn["tol"])
     payload = report.as_dict()
     payload["area"] = samples.area
     reporting.write_csv(_out(scn, "_boundary.csv"),

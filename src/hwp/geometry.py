@@ -10,7 +10,11 @@ conditions involve non-explicit constants:
   interface-sign variant of the energy estimate);
 * bilap_max: max of Lap(div b) over interior samples (<= 0 required);
 * graph_quadform_margin: largest C with xi^T grad b xi >= C |xi . b|^2 over
-  samples and sampled unit directions;
+  samples and all directions xi, exact per sample: with S = sym(grad b),
+  b_perp = (-b_y, b_x), p = b_perp^T S b_perp and q = b_perp^T S b it is
+  det S / p if p > 0, -inf if p < 0 or (p = 0, q != 0), b^T S b / |b|^4 if
+  p = q = 0; samples with b = 0 give -inf only where S is negative
+  (see _quadform_margin);
 * a Rayleigh-quotient check of the interface Poincare inequality on the
   rectangular wave subgrid.
 """
@@ -28,6 +32,9 @@ from .fields import VectorFieldSpec, jet_batch, sym_min_eig
 from .mesh import DomainSamples, Grid, _ruled_midpoints, sample_domain
 from .operators import wave_index_map
 from . import quadrature as quad
+
+# relative round-off level at which p and q of _quadform_margin count as zero
+_PQ_RTOL = 64 * np.finfo(float).eps
 
 
 @dataclass
@@ -56,33 +63,50 @@ class GeometryReport:
         }
 
 
-def _quadform_margin(spec: VectorFieldSpec, points: np.ndarray,
-                     n_directions: int, tol: float) -> float:
-    """Largest C with xi^T grad(b) xi >= C |xi.b|^2 over points/directions.
+def _quadform_margin(jets: dict[str, np.ndarray], tol: float) -> float:
+    """Largest C with xi^T grad(b) xi >= C |xi.b|^2 at every point and every xi.
 
-    Directions where xi.b vanishes constrain nothing unless the quadratic
-    form itself goes negative there, in which case no C exists.
+    Exact per point, from the interior jets (b, grad). With S = sym(grad b),
+    b_perp = (-b_y, b_x), p = b_perp^T S b_perp and q = b_perp^T S b, the
+    directions xi = (b + t b_perp) / |b|^2 give xi.b = 1 and
+    xi^T S xi = (b^T S b + 2 t q + t^2 p) / |b|^4, so the minimum over xi is
+
+    * det S / p               when p > 0 (since b^T S b p - q^2 = det S |b|^4);
+    * -inf                    when p < 0, or p = 0 and q != 0;
+    * b^T S b / |b|^4         when p = q = 0.
+
+    "p = 0" and "q = 0" are read at the round-off tolerance
+    ``_PQ_RTOL * |S|_F * |b|^2`` (|S|_F the Frobenius norm), the size of the
+    rounding error of p and q. Points with b = 0 (exactly) bound nothing:
+    there every xi has xi.b = 0, and they only make the margin -inf when the
+    form itself goes negative there, lambda_min(S) < -tol. The result is inf
+    when no point has b != 0.
     """
-    out = jet_batch(spec, points)
-    b = out["b"]
-    grad = out["grad"]
-    thetas = np.arange(n_directions) * np.pi / n_directions
-    xi = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)  # (d, 2)
-    # num[p, d] = xi_d^T sym(grad_p) xi_d ; den[p, d] = (xi_d . b_p)^2
-    sym = 0.5 * (grad + np.swapaxes(grad, 1, 2))
-    num = np.einsum("da,pab,db->pd", xi, sym, xi)
-    den = np.einsum("da,pa->pd", xi, b) ** 2
-    bscale = np.maximum(np.sum(b * b, axis=1), 1.0)[:, None]
-    active = den > 1e-14 * bscale
-    if np.any(~active & (num < -tol)):
+    b, grad = jets["b"], jets["grad"]
+    bx, by = b[:, 0], b[:, 1]
+    sxx, syy = grad[:, 0, 0], grad[:, 1, 1]
+    sxy = 0.5 * (grad[:, 0, 1] + grad[:, 1, 0])
+    bb = bx * bx + by * by
+    moving = bb > 0
+    if np.any(sym_min_eig(grad[~moving]) < -tol):
         return -np.inf
-    if not np.any(active):
+    if not np.any(moving):
         return np.inf
-    return float(np.min(num[active] / den[active]))
+    bx, by, sxx, syy, sxy, bb = (a[moving] for a in (bx, by, sxx, syy, sxy, bb))
+    p = sxx * by * by - 2.0 * sxy * bx * by + syy * bx * bx
+    q = sxy * (bx * bx - by * by) + (syy - sxx) * bx * by
+    zero = _PQ_RTOL * np.sqrt(sxx * sxx + 2.0 * sxy * sxy + syy * syy) * bb
+    if np.any((p < -zero) | ((np.abs(p) <= zero) & (np.abs(q) > zero))):
+        return -np.inf
+    flat = p <= zero
+    det = sxx * syy - sxy * sxy
+    bsb = sxx * bx * bx + 2.0 * sxy * bx * by + syy * by * by
+    return float(min(np.min(det[~flat] / p[~flat], initial=np.inf),
+                     np.min(bsb[flat] / (bb[flat] * bb[flat]), initial=np.inf)))
 
 
 def check_conditions(spec: VectorFieldSpec, samples: DomainSamples,
-                     tol: float = 1e-10, n_directions: int = 64) -> GeometryReport:
+                     tol: float = 1e-10) -> GeometryReport:
     """Evaluate all sign and contractivity margins of a field on a domain."""
     if samples.interior_points.size == 0:
         raise GeometryCheckError("empty interior sample set")
@@ -102,7 +126,7 @@ def check_conditions(spec: VectorFieldSpec, samples: DomainSamples,
     gammaW_sign_max = float(np.max(b_dot_n[gamma_w]))
     interface_sign_min = float(np.min(b_dot_n[gamma]))
 
-    margin = _quadform_margin(spec, samples.interior_points, n_directions, tol)
+    margin = _quadform_margin(interior, tol)
 
     verdicts = {
         "contractive": contractivity > tol,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hwp import mesh
-from hwp.cli import main, parse_scenario
+from hwp.cli import _forcing_spec, main, parse_scenario
 from hwp.errors import ConfigurationError
 
 
@@ -217,3 +217,45 @@ def test_geometry_check_sample_bound_exit_code(tmp_path, monkeypatch):
     assert main(["geometry-check", "--config", cfg, "--out", str(out)]) == 2
     record = json.loads((out / "geometry_check_run_error.json").read_text())
     assert "4096" in record["message"] and "1000" in record["message"]
+
+
+def test_directions_key_rejected_by_name(tmp_path, capsys):
+    # the graph margin is exact, so the old direction count has no meaning
+    cfg = _write(tmp_path, "domain = unit-square\nfield = zero\ndirections = 64\n")
+    out = tmp_path / "out"
+    assert main(["geometry-check", "--config", cfg, "--out", str(out)]) == 2
+    assert "'directions'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,spec", [
+    ("forcing.wave", "mode:x"), ("forcing.wave", "mode:0"), ("forcing.wave", "mode:2:1"),
+    ("forcing.wave", "series:G3:4"), ("forcing.wave", "series:G1:x"),
+    ("forcing.wave", "series:G1:0"), ("forcing.wave", "smooth:1"),
+    ("forcing.wave", "file:"), ("forcing.heat", "smooth:x"),
+    ("forcing.heat", "smooth:0"), ("forcing.heat", "mode:2"),
+])
+def test_bad_forcing_spec_rejected_by_name(tmp_path, capsys, key, spec):
+    cfg = _write(tmp_path, SMALL_SOLVE + f"{key} = {spec}\n")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert repr(key) in err and repr(spec) in err
+    assert not out.exists()  # rejected before any work started
+
+
+def test_forcing_specs_parse_with_defaults():
+    assert _forcing_spec("forcing.wave", "series:G2") == ("series", ("G2", 8))
+    assert _forcing_spec("forcing.wave", "series:G1:3") == ("series", ("G1", 3))
+    assert _forcing_spec("forcing.wave", "file:a:b.csv") == ("file", ("a:b.csv",))
+    assert _forcing_spec("forcing.heat", "smooth:2") == ("smooth", (2,))
+    assert _forcing_spec("forcing.heat", "none") == ("none", ())
+
+
+def test_duplicate_key_rejected_by_name(tmp_path, capsys):
+    cfg = _write(tmp_path, SMALL_SOLVE + "modes = 3\n")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "'modes'" in err and "duplicate" in err
+    assert not out.exists()

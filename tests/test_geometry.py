@@ -269,3 +269,135 @@ def test_trapezoid_integrals_match_column_loop(monkeypatch):
     assert rep.interior_integral == interior
     # the built-in fields have constant gradients there, so check the points too
     np.testing.assert_array_equal(evaluated[1], np.array(pts))
+
+
+# ---------------------------------------------------------------------------
+# exact graph quadratic-form margin against the sampled one it replaced
+# ---------------------------------------------------------------------------
+
+def _sampled_quadform_margin(jets, tol=1e-10, n_directions=64):
+    """Reference: min of xi^T sym(grad b) xi / (xi.b)^2 over 64 unit
+    directions per point. It can only overestimate the true minimum."""
+    b, grad = jets["b"], jets["grad"]
+    thetas = np.arange(n_directions) * np.pi / n_directions
+    xi = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)  # (d, 2)
+    sym = 0.5 * (grad + np.swapaxes(grad, 1, 2))
+    num = np.einsum("da,pab,db->pd", xi, sym, xi)
+    den = np.einsum("da,pa->pd", xi, b) ** 2
+    bscale = np.maximum(np.sum(b * b, axis=1), 1.0)[:, None]
+    active = den > 1e-14 * bscale
+    if np.any(~active & (num < -tol)):
+        return -np.inf
+    if not np.any(active):
+        return np.inf
+    return float(np.min(num[active] / den[active]))
+
+
+# every demo domain with the fields demo 02 pairs it with (the rectangle
+# with the field of the benchmark's Poincare check)
+_DEMO_PAIRS = [
+    ("triangle", "translate"), ("horn", "horn:0.5"),
+    ("unit-square", "graph-vertical:2"), ("rectangle", "graph-vertical:2"),
+    ("shell", "spiral:0.2"), ("spiral", "spiral:0.2"), ("arc", "arc"),
+    ("trapezoid", "translate"), ("trapezoid", "horn:1"), ("trapezoid", "spiral:0.2"),
+]
+
+
+@pytest.mark.parametrize("domain,field", _DEMO_PAIRS)
+def test_sampled_margin_bounds_exact_margin(domain, field):
+    jets = jet_batch(hwp.parse_field(field), hwp.sample_domain(domain, 32).interior_points)
+    exact = geometry._quadform_margin(jets, 1e-10)
+    sampled = _sampled_quadform_margin(jets)
+    assert np.isfinite(exact) and exact > 0
+    # the arc field's sym(grad b) is rank one, but its off-diagonal is the
+    # sum of -theta - xy/r^2 and theta - xy/r^2, so it carries round-off of
+    # about eps*theta; the sampled form divides that by (xi.b)^2 down to
+    # sin^2(pi/128) |b|^2, about 1.7e3 times smaller, and reads ~2e-12 low
+    rtol = 1e-11 if field == "arc" else 1e-12
+    assert sampled >= exact - rtol * exact
+
+
+def test_exact_margin_equals_sampled_when_ratio_is_direction_free():
+    # graph-vertical: xi^T S xi = xi_2^2 and (xi.b)^2 = (y-2)^2 xi_2^2
+    jets = jet_batch(hwp.graph_vertical(2.0), hwp.sample_domain("unit-square", 32).interior_points)
+    exact = geometry._quadform_margin(jets, 1e-10)
+    assert exact == pytest.approx(_sampled_quadform_margin(jets), rel=1e-14)
+    assert exact == pytest.approx(1.0 / np.max((jets["b"][:, 1]) ** 2), rel=1e-14)
+
+
+def test_exact_margin_on_arc_matches_closed_form():
+    # sym(grad b) = v v^T / r^2 with v = (y, -x) parallel to b = theta (-y, x),
+    # so p = q = 0 and the ratio is 1 / (theta r)^2 in every direction
+    pts = hwp.sample_domain("arc", 32).interior_points
+    exact = geometry._quadform_margin(jet_batch(hwp.arc_renormalized(), pts), 1e-10)
+    theta, r2 = np.arctan2(pts[:, 1], pts[:, 0]), np.sum(pts * pts, axis=1)
+    assert exact == pytest.approx(np.min(1.0 / (theta**2 * r2)), rel=1e-14)
+
+
+def test_sampling_overestimates_the_margin():
+    jets = jet_batch(hwp.horn(0.5), hwp.sample_domain("trapezoid", 64).interior_points)
+    exact = geometry._quadform_margin(jets, 1e-10)
+    sampled = _sampled_quadform_margin(jets)
+    assert exact == pytest.approx(0.3385964, abs=1e-7)
+    assert sampled == pytest.approx(0.3388244, abs=1e-7)
+    # a direction search never lands on the exact minimiser here
+    assert sampled - exact > 2e-4
+    assert _sampled_quadform_margin(jets, n_directions=1024) >= exact
+
+
+def _jets(b, grad):
+    return {"b": np.array(b, dtype=float), "grad": np.array(grad, dtype=float)}
+
+
+@pytest.mark.parametrize("b,grad,expected", [
+    # p > 0: S = diag(1, 2), b = (1, 0): p = 2, det S / p = 1
+    ([[1.0, 0.0]], [[[1.0, 0.0], [0.0, 2.0]]], 1.0),
+    # p > 0 off the axes, S = [[2, 1], [1, 3]], b = (1, 1): p = 3, det S = 5
+    ([[1.0, 1.0]], [[[2.0, 0.5], [1.5, 3.0]]], 5.0 / 3.0),
+    # p < 0: S = diag(1, -1), b = (1, 0): the form is negative across b
+    ([[1.0, 0.0]], [[[1.0, 0.0], [0.0, -1.0]]], -np.inf),
+    # p = 0, q != 0: S = [[1, 1], [1, 0]], b = (1, 0): p = 0, q = 1
+    ([[1.0, 0.0]], [[[1.0, 1.0], [1.0, 0.0]]], -np.inf),
+    # p = q = 0: S = diag(0, 3), b = (0, 2): b^T S b / |b|^4 = 12 / 16
+    ([[0.0, 2.0]], [[[0.0, 0.0], [0.0, 3.0]]], 0.75),
+    # b = 0 with S PSD bounds nothing; the other point sets the margin
+    ([[0.0, 0.0], [1.0, 0.0]], [[[0.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 2.0]]], 1.0),
+    # b = 0 everywhere with S PSD: no constraint at all
+    ([[0.0, 0.0]], [[[1.0, 0.0], [0.0, 0.0]]], np.inf),
+    # b = 0 with S indefinite: no C exists
+    ([[0.0, 0.0], [1.0, 0.0]], [[[1.0, 0.0], [0.0, -1e-3]], [[1.0, 0.0], [0.0, 2.0]]],
+     -np.inf),
+], ids=["p-pos", "p-pos-general", "p-neg", "p-zero-q-nonzero", "p-q-zero",
+        "b-zero-psd", "b-zero-only", "b-zero-indefinite"])
+def test_exact_margin_branches(b, grad, expected):
+    jets = _jets(b, grad)
+    assert geometry._quadform_margin(jets, 1e-10) == pytest.approx(expected, rel=1e-15)
+    sampled = _sampled_quadform_margin(jets)
+    if np.isfinite(expected):
+        assert sampled >= expected - 1e-12 * abs(expected)
+    elif expected > 0:
+        assert sampled == np.inf
+
+
+def test_exact_margin_scale_invariant_round_off_branches():
+    # p < 0 and q != 0 at round-off level relative to |S| |b|^2 count as
+    # zero, at any scale of b; read literally, either would give -inf
+    for scale in (1e-6, 1.0, 1e6):
+        b = scale * np.array([[0.0, 2.0]])
+        grad = np.array([[[-1e-17, 1e-17], [0.0, 3.0]]])
+        got = geometry._quadform_margin(_jets(b, grad), 1e-10)
+        assert got == pytest.approx(0.75 / scale**2, rel=1e-14)
+
+
+def test_check_conditions_evaluates_interior_jets_once(monkeypatch):
+    samples = hwp.sample_domain("spiral", 16)
+    counts = []
+
+    def counting_jet_batch(spec, points):
+        counts.append(len(points))
+        return jet_batch(spec, points)
+
+    monkeypatch.setattr(geometry, "jet_batch", counting_jet_batch)
+    hwp.check_conditions(hwp.spiral(0.2), samples)
+    assert sorted(counts) == sorted([len(samples.interior_points),
+                                     len(samples.boundary_points)])
