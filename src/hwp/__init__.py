@@ -3,7 +3,8 @@
 Computes time-periodic solutions of a linear heat equation and an undamped
 linear wave equation coupled across a flat interface (velocity and flux
 matching), two ways: harmonic balance in time, and a damped marching
-construction that contracts onto the periodic orbit. Alongside the solvers,
+construction that contracts onto the periodic orbit (the harmonic solver
+also computes that damped orbit directly). Alongside the solvers,
 the package verifies the associated integral identities, a priori estimate
 ratios, geometric admissibility conditions for multiplier fields on demo
 domains, and the time-regularity gap between forcing and solution.

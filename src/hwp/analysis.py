@@ -438,8 +438,9 @@ def estimate_check(report: SolveReport, f: FourierField | None,
         out.update(lhs=lhs, rhs=rhs, u_norm=u_norm,
                    u_norm_meanfree=u_norm_meanfree)
     elif variant == "damped-energy":
-        if report.method != "epsilon" or "eps" not in report.params:
-            raise AnalysisError("damped-energy estimate needs an epsilon-march report")
+        if report.method != "epsilon" or not report.params.get("eps", 0) > 0:
+            raise AnalysisError("damped-energy estimate needs an epsilon report "
+                                "with a positive damping shift")
         eps = float(report.params["eps"])
         omega = u.omega
         wk_u = np.array([(omega * kk) ** (2 * k) for kk in u.wavenumbers()])

@@ -27,7 +27,7 @@ from .errors import (AliasingError, AnalysisError, ClosedFormError,
                      HwpError, MeshError, SolverError)
 from .fields import parse_field
 from .mesh import DEMO_DOMAINS, build_stacked_rectangles, sample_domain
-from .periodic import EpsilonParams, epsilon_march, solve_periodic_harmonic
+from .periodic import solve_periodic_harmonic
 from .timefourier import HEAT, WAVE, FourierField
 
 COMMANDS = ("solve", "epsilon-sweep", "geometry-check", "identity-check",
@@ -92,9 +92,7 @@ SCHEMAS: dict[str, dict[str, _Key]] = {
     "epsilon-sweep": {**_COMMON_KEYS, **_GRID_KEYS, **_FORCING_KEYS,
                       "modes": _k("int", 8, lo=1, hi=128),
                       "epsilons": _k("floats", (0.2, 0.1, 0.05)),
-                      "steps": _k("int", 512, lo=4, hi=65536),
-                      "period_tol": _k("float", 1e-7, lo=1e-14, hi=1e-1),
-                      "max_periods": _k("int", 400, lo=1, hi=100000)},
+                      "steps": _k("int", 512, lo=4, hi=65536)},
     "geometry-check": {**_COMMON_KEYS,
                        "domain": _k("str", required=True, choices=DEMO_DOMAINS),
                        "resolution": _k("int", 32, lo=8, hi=4096),
@@ -246,12 +244,22 @@ def parse_scenario(text: str, command: str, out_dir: str = ".") -> Scenario:
             kind, args = _forcing_spec(key, values[key])
             if kind == "file" and not Path(args[0]).is_file():
                 raise FileNotFoundError(f"forcing file not found: {args[0]}")
+    if "epsilons" in schema and not all(e > 0 for e in values["epsilons"]):
+        raise ConfigurationError(
+            f"key 'epsilons': damping shifts must be positive, got {values['epsilons']}")
     return Scenario(command=command, values=values, out_dir=out_dir)
 
 
 # ---------------------------------------------------------------------------
 # Forcing construction
 # ---------------------------------------------------------------------------
+
+# A coefficient file describes a real forcing, so c_{-k} = conj(c_k). Files
+# written with %.17g round-trip exactly; the tolerance on
+# FourierField.hermitian_defect (relative to the largest coefficient) only
+# forgives round-off from other writers.
+HERMITIAN_TOL = 1e-12
+
 
 def _load_coefficient_file(path: str, period: float, shape, domain: str) -> FourierField:
     raw = np.genfromtxt(path, delimiter=",", names=True)
@@ -268,6 +276,11 @@ def _load_coefficient_file(path: str, period: float, shape, domain: str) -> Four
     for rec in raw:
         k, j, i = int(rec["k"]), int(rec["j"]), int(rec["i"])
         f.coeffs[k + n, j, i] += rec["re"] + 1j * rec["im"]
+    defect = f.hermitian_defect()
+    if defect > HERMITIAN_TOL:
+        raise ConfigurationError(
+            f"coefficient file {path}: not a real forcing, c(-k) != conj(c(k)) "
+            f"(relative defect {defect:.3e} > {HERMITIAN_TOL:.0e})")
     return f
 
 
@@ -293,8 +306,10 @@ def smooth_heat_forcing(grid, period: float, k: int = 1,
                         amplitude: float = 1.0) -> FourierField:
     """cos(k w t) * sin(pi x / Lx) * (1 + y / Ly_h) on the heat subdomain."""
     shape = np.sin(np.pi * grid.x / grid.lx)[None, :] * (1.0 + grid.y_h / grid.ly_h)[:, None]
+    if k < 1:
+        raise ConfigurationError(f"smooth heat forcing needs k >= 1, got {k}")
     c = 0.5 * amplitude * shape
-    return FourierField.from_mode_dict(period, max(k, 1), {k: c, -k: c}, HEAT)
+    return FourierField.from_mode_dict(period, k, {k: c, -k: c}, HEAT)
 
 
 def _heat_forcing(scn: Scenario, grid) -> tuple[FourierField | None, dict]:
@@ -402,24 +417,19 @@ def _run_epsilon_sweep(scn: Scenario) -> dict:
     gaps = []
     ratios = []
     for eps in scn["epsilons"]:
-        params = EpsilonParams(eps=eps, n_steps=scn["steps"],
-                               period_tol=scn["period_tol"],
-                               max_periods=scn["max_periods"],
-                               n_report_modes=scn["modes"])
-        _phase(f"damped march eps={eps:g}")
-        rep = epsilon_march(grid, f, g, params, period=scn["period"])
+        # the periodic orbit of the trapezoidal march with `steps` steps
+        rep = solve_periodic_harmonic(grid, f, g, scn["modes"], tol=scn["tol"],
+                                      eps=eps, n_steps=scn["steps"])
         gap = (analysis.sobolev_time_norm(rep.w - reference.w, 0, grid, "l2")
                / w_ref_norm)
         est = analysis.estimate_check(rep, f, g, "damped-energy", k=0)
-        contraction = rep.params["contraction"]
-        rows.append((eps, rep.params["dt"], rep.params["periods"],
-                     contraction[-1] if contraction else np.nan, gap, est["ratio"]))
+        rows.append((eps, rep.params["dt"], gap, est["ratio"], rep.max_residual()))
         gaps.append(gap)
         ratios.append(est["ratio"])
-        _phase(f"eps={eps:g}: {rep.params['periods']} periods, gap {gap:.3e}")
+        _phase(f"eps={eps:g}: gap {gap:.3e}")
     reporting.write_csv(_out(scn, ".csv"),
-                        ["epsilon", "dt", "periods", "contraction", "gap_rel",
-                         "damped_energy_ratio"], rows)
+                        ["epsilon", "dt", "gap_rel", "damped_energy_ratio",
+                         "max_residual"], rows)
     summary = {
         "epsilons": list(scn["epsilons"]),
         "gaps": gaps,

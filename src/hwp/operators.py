@@ -12,11 +12,13 @@ assembles it:
   nodes carry a single wave unknown.
 
 The callers differ only in the coefficients (s = i w k for temporal mode k,
-s = 2/dt for the march step, eps the damping shift):
+or the trapezoidal symbol s = (2i/dt) tan(w k dt/2) for the discrete
+periodic orbit of a march with step dt; s = 2/dt for the march step; eps
+the damping shift, 0 for the undamped problem):
 
     system                    c_wave       c_heat    c_trace
-    mode k != 0               s^2          s         s
-    mean pair (k = 0)         0            0         0
+    mode k != 0               (s+eps)^2    s+eps     s
+    mean pair (k = 0)         eps^2        eps       0
     march step (new level)    (s+eps)^2    s+eps     s
 
 The matrix dtype follows the coefficients: the mean pair and the march step
@@ -162,13 +164,19 @@ def _mode_operator(grid: Grid, k: int, omega: float, coeffs: tuple) -> ModeOpera
                         coeffs=coeffs)
 
 
-def assemble_coupled_mode(grid: Grid, k: int, period: float) -> ModeOperator:
-    """Assemble the coupled mode system for frequency index k != 0."""
+def assemble_coupled_mode(grid: Grid, k: int, period: float, eps: float = 0.0,
+                          dt: float | None = None) -> ModeOperator:
+    """Assemble the coupled mode system for frequency index k != 0.
+
+    The time derivative is the symbol s = i w k, or with a step dt the
+    trapezoidal symbol s = (2i/dt) tan(w k dt/2); eps is the damping shift.
+    """
     if k == 0:
         raise ConfigurationError("mode 0 is stationary; use solve_mean_pair")
     omega = 2.0 * np.pi / period
-    s = 1j * omega * k
-    return _mode_operator(grid, k, omega, (s * s, s, s))
+    s = 1j * omega * k if dt is None else (2j / dt) * np.tan(0.5 * omega * k * dt)
+    a = s + eps
+    return _mode_operator(grid, k, omega, (a * a, a, s))
 
 
 def mode_rhs(op: ModeOperator, f_k: np.ndarray | None,
@@ -287,8 +295,8 @@ def solve_linear(op: ModeOperator, rhs: np.ndarray, tol: float = 1e-10) -> np.nd
 def split_mode_solution(op: ModeOperator, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Scatter a solution vector into wave and heat nodal arrays.
 
-    The heat array includes the derived interface trace u = i w k * w in its
-    last row (zero for the mean pair).
+    The heat array includes the derived interface trace u = c_trace * w in
+    its last row (zero for the mean pair).
     """
     grid = op.grid
     w = np.zeros((grid.ny_w, grid.nx), dtype=x.dtype)
@@ -298,7 +306,7 @@ def split_mode_solution(op: ModeOperator, x: np.ndarray) -> tuple[np.ndarray, np
     hmask = op.heat_ids >= 0
     u[hmask] = x[op.heat_ids[hmask]]
     if op.k:
-        u[-1, :] = (1j * op.omega * op.k) * w[0, :]
+        u[-1, :] = op.coeffs[2] * w[0, :]
     return w, u
 
 
@@ -324,17 +332,18 @@ class MeanPair:
 
 
 def solve_mean_pair(grid: Grid, mean_f: np.ndarray | None,
-                    mean_g: np.ndarray | None, tol: float = 1e-10) -> MeanPair:
+                    mean_g: np.ndarray | None, tol: float = 1e-10,
+                    eps: float = 0.0) -> MeanPair:
     """Solve the stationary problem for the time averages: the real coupled
-    stencil at (0, 0, 0).
+    stencil at (eps^2, eps, 0), eps the damping shift.
 
     The heat trace vanishes (it is the mean of a time derivative), so the
-    heat average solves a pure Dirichlet problem and its one-sided interface
+    heat average solves a Dirichlet problem and its one-sided interface
     flux is the Neumann data of the wave average. residual_heat and
     residual_wave are the heat-row and wave-row (interface included) parts
     of ||Ax - b|| / ||b||; solve_linear holds the whole against tol.
     """
-    op = _mode_operator(grid, 0, 0.0, (0.0, 0.0, 0.0))
+    op = _mode_operator(grid, 0, 0.0, (eps * eps, eps, 0.0))
     rhs = mode_rhs(op, mean_f, mean_g)
     x = solve_linear(op, rhs, tol=tol)
     w, u = split_mode_solution(op, x)

@@ -1,17 +1,36 @@
 """Periodic solution computation.
 
-Two routes to the same T-periodic solution of the coupled system:
+Two routes to T-periodic solutions of the coupled system:
 
 * solve_periodic_harmonic: spectral in time. Mode 0 is the stationary
   mean-value pair; every mode k >= 1 is one complex coupled solve; negative
   modes follow by conjugation, so reconstructions are real to round-off.
+  With a damping shift eps and a step count n_steps it computes the damped
+  construction below directly, one frequency solve per mode.
 
-* epsilon_march: the damped construction. A small shift eps > 0 adds
-  2 eps w_t + eps^2 w to the wave equation and eps u to the heat equation,
-  which makes the period map a contraction; a one-step implicit scheme
-  (trapezoidal / Crank-Nicolson) marches the first-order system from rest
-  until successive period snapshots agree, then the last period is
-  transformed back to Fourier coefficients.
+* epsilon_march: the damped construction by marching. A small shift
+  eps > 0 adds 2 eps w_t + eps^2 w to the wave equation and eps u to the
+  heat equation, which makes the period map a contraction; a one-step
+  implicit scheme (trapezoidal / Crank-Nicolson) marches the first-order
+  system from rest until successive period snapshots agree, then the last
+  period is transformed back to Fourier coefficients. It is kept as an
+  independent check of the frequency route.
+
+The march has an exact discrete periodic orbit. On a uniform period grid
+with m steps of size dt, a periodic sequence y_n = sum_k Y_k z^n with
+z = exp(i w k dt) turns the trapezoidal step
+    y_{n+1} - y_n = dt/2 (K y_{n+1} + K y_n + g_{n+1} + g_n)
+into (z - 1) Y_k = dt (z + 1)/2 (K Y_k + G_k). The factor (z + 1)/2 of the
+trapezoidal forcing average multiplies both sides, so it cancels, and
+mode k solves s Y_k = K Y_k + G_k with the trapezoidal symbol
+s = (2/dt)(z - 1)/(z + 1) = (2i/dt) tan(w k dt/2) in place of i w k
+(Hairer & Wanner, Solving ODEs II, 1996). The flux row holds at every time
+level, so it holds in every mode. G_k is the discrete Fourier coefficient
+of the m samples g(n dt), that is the sum of the forcing coefficients
+k + j m over all j, and only modes |k| <= (m - 1)/2 are distinct. So
+solve_periodic_harmonic(..., eps, n_steps) is the orbit the march
+converges to, at the cost of one coupled solve per mode instead of
+hundreds of steps per period.
 
 The trapezoidal step is A-stable but not L-stable, so it damps the stiffest
 wave modes less than the continuous system does: a wave mode of Laplacian
@@ -71,16 +90,44 @@ def _trace_fields(grid: Grid, w: FourierField) -> tuple[FourierField, FourierFie
     return h, big_h
 
 
+def _aliased_mode(x: FourierField, k: int, n_steps: int | None) -> np.ndarray:
+    """Mode k of x as n_steps uniform samples per period see it: the sum of
+    the coefficients k + j n_steps (the plain coefficient when n_steps is
+    None)."""
+    if n_steps is None:
+        return x.mode(k)
+    return x.coeffs[(x.wavenumbers() - k) % n_steps == 0].sum(axis=0)
+
+
 def solve_periodic_harmonic(grid: Grid, f: FourierField | None,
                             g: FourierField | None, n_modes: int,
-                            tol: float = 1e-10) -> SolveReport:
-    """Mode-by-mode periodic solve with n_modes temporal frequencies."""
+                            tol: float = 1e-10, eps: float = 0.0,
+                            n_steps: int | None = None) -> SolveReport:
+    """Mode-by-mode periodic solve with n_modes temporal frequencies.
+
+    eps > 0 adds the damping shift of the damped construction. With
+    n_steps set, the result is the discrete periodic orbit of the
+    trapezoidal march with n_steps steps per period (see the module
+    docstring): the trapezoidal symbol replaces i w k, the forcing is folded
+    onto its aliases mod n_steps, and the mode count is capped at
+    (n_steps - 1) // 2. A damped or stepped solve reports method "epsilon"
+    with params eps, dt and n_steps (dt and n_steps None when continuous in
+    time); the plain one reports method "harmonic".
+    """
     if n_modes < 0:
         raise ConfigurationError("mode count must be non-negative")
+    if not (np.isfinite(eps) and eps >= 0):
+        raise ConfigurationError(f"damping shift eps must be non-negative, got {eps}")
+    if n_steps is not None and n_steps < 4:
+        raise ConfigurationError("need at least 4 steps per period")
     periods = {x.period for x in (f, g) if x is not None}
     if len(periods) > 1:
         raise ConfigurationError("forcing fields disagree on the period")
     period = periods.pop() if periods else 2.0 * np.pi
+    dt = None
+    if n_steps is not None:
+        dt = period / n_steps
+        n_modes = min(n_modes, (n_steps - 1) // 2)
 
     t0 = time.perf_counter()
     shape_w = (grid.ny_w, grid.nx)
@@ -89,18 +136,18 @@ def solve_periodic_harmonic(grid: Grid, f: FourierField | None,
     w_out = FourierField.zeros(period, n_modes, shape_w, WAVE)
     residuals: dict[int, float] = {}
 
-    mean_f = f.mode(0).real if f is not None else None
-    mean_g = g.mode(0).real if g is not None else None
-    pair = ops.solve_mean_pair(grid, mean_f, mean_g, tol=tol)
+    mean_f = _aliased_mode(f, 0, n_steps).real if f is not None else None
+    mean_g = _aliased_mode(g, 0, n_steps).real if g is not None else None
+    pair = ops.solve_mean_pair(grid, mean_f, mean_g, tol=tol, eps=eps)
     u_out.coeffs[n_modes] = pair.mean_u
     w_out.coeffs[n_modes] = pair.mean_w
     residuals[0] = max(pair.residual_heat, pair.residual_wave)
     t_mean = time.perf_counter()
 
     for k in range(1, n_modes + 1):
-        op = ops.assemble_coupled_mode(grid, k, period)
-        f_k = f.mode(k) if f is not None else None
-        g_k = g.mode(k) if g is not None else None
+        op = ops.assemble_coupled_mode(grid, k, period, eps=eps, dt=dt)
+        f_k = _aliased_mode(f, k, n_steps) if f is not None else None
+        g_k = _aliased_mode(g, k, n_steps) if g is not None else None
         rhs = ops.mode_rhs(op, f_k, g_k)
         try:
             x = ops.solve_linear(op, rhs, tol=tol)
@@ -115,11 +162,15 @@ def solve_periodic_harmonic(grid: Grid, f: FourierField | None,
     t_modes = time.perf_counter()
 
     h, big_h = _trace_fields(grid, w_out)
+    if n_steps is None and eps == 0:
+        method, params = "harmonic", {"n_modes": n_modes, "tol": tol}
+    else:
+        method, params = "epsilon", {"eps": eps, "dt": dt, "n_steps": n_steps}
     return SolveReport(
         grid=grid, u=u_out, w=w_out, trace_h=h, trace_primitive=big_h,
         mode_residuals=residuals,
         timings={"mean": t_mean - t0, "modes": t_modes - t_mean},
-        method="harmonic", params={"n_modes": n_modes, "tol": tol})
+        method=method, params=params)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hwp import mesh
-from hwp.cli import _forcing_spec, main, parse_scenario
+from hwp.cli import _forcing_spec, main, parse_scenario, smooth_heat_forcing
 from hwp.errors import ConfigurationError
 
 
@@ -259,3 +259,54 @@ def test_duplicate_key_rejected_by_name(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "'modes'" in err and "duplicate" in err
     assert not out.exists()
+
+
+def test_epsilon_sweep_scenario(tmp_path):
+    cfg = _write(tmp_path, "grid.nx = 17\ngrid.ny_w = 17\ngrid.ny_h = 17\n"
+                           "name = sweep\n")
+    out = tmp_path / "out"
+    assert main(["epsilon-sweep", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "epsilon_sweep_sweep.json").read_text())
+    assert summary["epsilons"] == [0.2, 0.1, 0.05]
+    gaps = summary["gaps"]
+    assert len(summary["damped_energy_ratios"]) == 3
+    for a, b in zip(gaps, gaps[1:]):
+        assert 1.8 <= a / b <= 2.2  # the gap is linear in eps
+    header = (out / "epsilon_sweep_sweep.csv").read_text().splitlines()[0]
+    assert header == "epsilon,dt,gap_rel,damped_energy_ratio,max_residual"
+
+
+@pytest.mark.parametrize("line", ["period_tol = 1e-7", "max_periods = 400"])
+def test_epsilon_sweep_march_keys_rejected_by_name(tmp_path, capsys, line):
+    # the sweep solves for the damped orbit directly; nothing is marched
+    cfg = _write(tmp_path, SMALL_SOLVE + line + "\n")
+    out = tmp_path / "out"
+    assert main(["epsilon-sweep", "--config", cfg, "--out", str(out)]) == 2
+    assert repr(line.split(" =")[0]) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0.2, 0", "-0.1"])
+def test_epsilon_sweep_non_positive_shift_rejected_by_name(value):
+    with pytest.raises(ConfigurationError) as err:
+        parse_scenario(f"epsilons = {value}\n", "epsilon-sweep")
+    assert "'epsilons'" in str(err.value)
+
+
+@pytest.mark.parametrize("command", ["solve", "epsilon-sweep"])
+def test_non_hermitian_coefficient_file_rejected(tmp_path, capsys, command):
+    # a one-sided mode k = 1 with no conjugate k = -1 is not a real forcing
+    coeffs = tmp_path / "g.csv"
+    coeffs.write_text("k,j,i,re,im\n1,2,3,0.5,0.0\n")
+    cfg = _write(tmp_path, SMALL_SOLVE + f"forcing.wave = file:{coeffs}\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(coeffs) in err and "conj" in err
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_smooth_heat_forcing_rejects_non_positive_mode(k):
+    grid = mesh.build_stacked_rectangles(np.pi, 1.0, 1.0, 5, 5, 5)
+    with pytest.raises(ConfigurationError):
+        smooth_heat_forcing(grid, 2 * np.pi, k)

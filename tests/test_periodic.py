@@ -3,7 +3,7 @@ import pytest
 
 import hwp
 from hwp import analysis
-from hwp.errors import SolverError
+from hwp.errors import ConfigurationError, SolverError
 from hwp.timefourier import FourierField
 
 T = 2 * np.pi
@@ -235,6 +235,67 @@ def test_epsilon_march_max_periods_error_carries_history():
     with pytest.raises(SolverError) as err:
         hwp.epsilon_march(grid, None, g2, params)
     assert len(err.value.history) == 3
+
+
+def _max_rel(a, b):
+    return float(np.max(np.abs(a.coeffs - b.coeffs)) / np.max(np.abs(b.coeffs)))
+
+
+@pytest.mark.parametrize("case", ["mode2", "mode2+smooth1", "aliased"])
+def test_converged_march_equals_trapezoidal_symbol_solve(case):
+    # The march converges to the discrete periodic orbit that the frequency
+    # solve computes directly; they differ by the march's period tolerance.
+    from hwp.cli import smooth_heat_forcing
+    if case == "aliased":
+        # 8 steps per period see forcing modes 5..8 as their aliases -3..0
+        grid = hwp.build_stacked_rectangles(np.pi, 1.0, 1.0, 17, 5, 5)
+        g, _ = hwp.series_forcing(hwp.series_rule("G1"), 8, grid)
+        steps, eps = 8, 0.5
+    else:
+        grid = grid_n(9)
+        g, _ = hwp.analytic_mode(2, grid)
+        steps, eps = 64, 0.2
+    f = None if case == "mode2" else smooth_heat_forcing(grid, T, 1)
+    tol = 1e-9
+    params = hwp.EpsilonParams(eps=eps, n_steps=steps, period_tol=tol,
+                               max_periods=1000, n_report_modes=6)
+    march = hwp.epsilon_march(grid, f, g, params)
+    freq = hwp.solve_periodic_harmonic(grid, f, g, 6, eps=eps, n_steps=steps)
+    assert freq.w.n_modes == march.w.n_modes == min(6, (steps - 1) // 2)
+    assert _max_rel(march.w, freq.w) <= 10 * tol
+    assert _max_rel(march.u, freq.u) <= 10 * tol
+
+
+def test_frequency_epsilon_report_feeds_damped_energy_estimate():
+    grid = grid_n(9)
+    g2, _ = hwp.analytic_mode(2, grid)
+    rep = hwp.solve_periodic_harmonic(grid, None, g2, 40, eps=0.1, n_steps=16)
+    assert rep.method == "epsilon"
+    assert rep.params == {"eps": 0.1, "dt": T / 16, "n_steps": 16}
+    assert rep.w.n_modes == 7  # capped at (n_steps - 1) // 2
+    assert rep.max_residual() <= 1e-10
+    out = analysis.estimate_check(rep, None, g2, "damped-energy")
+    assert out["eps"] == 0.1 and 0 < out["ratio"] < np.inf
+
+
+def test_damped_solve_approaches_trapezoidal_orbit_as_dt_shrinks():
+    # continuous-in-time damped solution vs the trapezoidal orbit: O(dt^2)
+    grid = grid_n(9)
+    g2, _ = hwp.analytic_mode(2, grid)
+    cont = hwp.solve_periodic_harmonic(grid, None, g2, 3, eps=0.2)
+    assert cont.method == "epsilon" and cont.params["dt"] is None
+    diffs = [_max_rel(hwp.solve_periodic_harmonic(grid, None, g2, 3, eps=0.2,
+                                                  n_steps=m).w, cont.w)
+             for m in (64, 128)]
+    assert diffs[0] / diffs[1] == pytest.approx(4.0, abs=0.2)
+
+
+@pytest.mark.parametrize("kwargs", [{"eps": -0.1}, {"eps": float("nan")},
+                                    {"eps": 0.1, "n_steps": 3}])
+def test_damped_solve_rejects_bad_parameters(kwargs):
+    grid = grid_n(5)
+    with pytest.raises(ConfigurationError):
+        hwp.solve_periodic_harmonic(grid, None, None, 2, **kwargs)
 
 
 def test_epsilon_params_validation():
