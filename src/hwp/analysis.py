@@ -281,28 +281,6 @@ def _random_test_pair(grid: Grid, period: float, rng: np.random.Generator,
     return psi, phi
 
 
-def _pair_integral(a: FourierField, b: FourierField, grid: Grid,
-                   flavor: str) -> float:
-    """int_0^T <a, b> dt with the requested spatial pairing (time-exact)."""
-    n = max(a.n_modes, b.n_modes)
-    ca = a.truncated(n).coeffs
-    cb = b.truncated(n).coeffs
-    ny, nx, hx, hy = _subdomain_dims(grid, a.domain)
-    total = 0.0
-    if flavor == "l2":
-        mass = quad.trap_mass(ny, nx, hx, hy)
-        for idx in range(2 * n + 1):
-            total += float(np.real(np.sum(mass * ca[idx] * np.conj(cb[idx]))))
-    elif flavor == "grad":
-        for idx in range(2 * n + 1):
-            ax, ay = quad.cell_gradient(ca[idx], hx, hy)
-            bx, by = quad.cell_gradient(cb[idx], hx, hy)
-            total += float(np.real(np.sum(ax * np.conj(bx) + ay * np.conj(by)))) * hx * hy
-    else:
-        raise AnalysisError(f"unknown pairing flavor {flavor!r}")
-    return a.period * total
-
-
 def weak_residual(report: SolveReport, f: FourierField | None,
                   g: FourierField | None, grid: Grid, n_tests: int = 10,
                   seed: int = 2024) -> float:

@@ -247,6 +247,10 @@ def parse_scenario(text: str, command: str, out_dir: str = ".") -> Scenario:
     if "epsilons" in schema and not all(e > 0 for e in values["epsilons"]):
         raise ConfigurationError(
             f"key 'epsilons': damping shifts must be positive, got {values['epsilons']}")
+    if "steps" in schema and values["modes"] > (values["steps"] - 1) // 2:
+        raise ConfigurationError(
+            f"key 'modes': {values['modes']} modes need at least "
+            f"{2 * values['modes'] + 1} 'steps' per period, got {values['steps']}")
     return Scenario(command=command, values=values, out_dir=out_dir)
 
 
@@ -264,6 +268,17 @@ HERMITIAN_TOL = 1e-12
 def _load_coefficient_file(path: str, period: float, shape, domain: str) -> FourierField:
     raw = np.genfromtxt(path, delimiter=",", names=True)
     raw = np.atleast_1d(raw)
+    for key in ("k", "j", "i", "re", "im"):
+        if key not in (raw.dtype.names or ()):
+            raise ConfigurationError(f"coefficient file {path}: column {key} is missing")
+        col = raw[key]
+        integer = key in ("k", "j", "i")
+        bad = ~np.isfinite(col) | (integer & (col != np.round(col)))
+        if np.any(bad):
+            kind = "an integer" if integer else "a finite number"
+            raise ConfigurationError(
+                f"coefficient file {path}: column {key} value {col[bad][0]:g} "
+                f"is not {kind}")
     for key, size in (("j", shape[0]), ("i", shape[1])):
         bad = ~((raw[key] >= 0) & (raw[key] < size))
         if np.any(bad):

@@ -24,19 +24,27 @@ the damping shift, 0 for the undamped problem):
 The matrix dtype follows the coefficients: the mean pair and the march step
 are real, the mode systems complex.
 
-Unknown layout: wave nodes not on the outer wave wall first (row-major,
-interface row included), then heat nodes strictly inside the heat rectangle.
+Layout. The unknowns run in row blocks of nx-2 nodes along x (row-major):
+the interface row (one wave unknown per node), the wave interior rows
+bottom to top, then the heat interior rows bottom to top. Interface and
+heat-top rows couple only within one column, so with the y-rows ordered
+heat, interface, wave (``_column_band``; a cyclic shift of the blocks) the
+matrix is the Kronecker sum
+
+    A = B_y (x) I_x + D_y (x) T_x,
+
+B_y the pentadiagonal column system, D_y the identity without the interface
+row and T_x the three-point x second difference (-1, 2, -1)/hx^2.
+``_column_band`` is the one place the stencil coefficients are written;
+``coupled_matrix`` assembles A from it.
 
 Solving. ``solve_linear`` returns exact zeros for zero data without
-factorizing anything. Operators built by ``coupled_matrix`` carry their
-coefficients and are solved by the fast direct method of Buzbee, Golub &
-Nielson (SIAM J. Numer. Anal. 7, 1970): the matrix is
-I_x (x) B_y + T_x (x) D_y, since interface and heat-top rows couple only
-within one column, so the orthonormal sine transform (DST-I) in x splits it
-into nx-2 independent pentadiagonal y-systems B_y + lambda_j D_y, each
-solved by banded LU with partial pivoting. Any other operator is solved by
-sparse LU. Either way the sparse matrix is the residual oracle: the answer
-must satisfy ||A x - b|| / ||b|| <= tol.
+factorizing anything, and otherwise uses the fast direct method of Buzbee,
+Golub & Nielson (SIAM J. Numer. Anal. 7, 1970): the orthonormal sine
+transform (DST-I) in x splits A into nx-2 independent pentadiagonal
+y-systems B_y + lambda_j D_y, each solved by banded LU with partial
+pivoting. The sparse matrix is the residual oracle: the answer must satisfy
+||A x - b|| / ||b|| <= tol.
 """
 
 from __future__ import annotations
@@ -72,58 +80,34 @@ def heat_index_map(grid: Grid, offset: int) -> np.ndarray:
     return idx
 
 
+def _row_blocks(grid: Grid) -> np.ndarray:
+    """Unknown row block of each _column_band row: the band runs heat,
+    interface, wave, the blocks interface, wave, heat (module docstring),
+    so band row r is block (r - nh) mod n_y."""
+    nh = grid.ny_h - 2
+    return np.roll(np.arange(nh + grid.ny_w - 1, dtype=np.int32), nh)
+
+
 def coupled_matrix(grid: Grid, c_wave: complex, c_heat: complex,
                    c_trace: complex) -> sp.csr_matrix:
     """The coupled stencil with shifts c_wave, c_heat and heat trace
-    u = c_trace * w on the interface (see the module docstring)."""
-    dtype = np.result_type(c_wave, c_heat, c_trace, float)
-    wave_ids = wave_index_map(grid)
-    n_wave = int((wave_ids >= 0).sum())
-    heat_ids = heat_index_map(grid, n_wave)
-    n = n_wave + int((heat_ids >= 0).sum())
-    hx, hyw, hyh = grid.hx, grid.hy_w, grid.hy_h
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-
-    def add(r, c, v):
-        ok = c >= 0  # Dirichlet wall nodes carry the value zero
-        rows.append(r[ok])
-        cols.append(c[ok])
-        vals.append(np.full(int(ok.sum()), v, dtype=dtype))
-
-    # wave interior rows: (-Lap + c_wave) w
-    jj, ii = np.mgrid[1:grid.ny_w - 1, 1:grid.nx - 1]
-    r = wave_ids[jj, ii]
-    add(r, r, c_wave + 2.0 / hx**2 + 2.0 / hyw**2)
-    for dj, di, coef in ((0, -1, -1 / hx**2), (0, 1, -1 / hx**2),
-                         (-1, 0, -1 / hyw**2), (1, 0, -1 / hyw**2)):
-        add(r, wave_ids[jj + dj, ii + di], coef)
-
-    # heat interior rows: (-Lap + c_heat) u; the north neighbor of the top
-    # row is the interface trace c_trace * w
-    jj, ii = np.mgrid[1:grid.ny_h - 1, 1:grid.nx - 1]
-    r = heat_ids[jj, ii]
-    add(r, r, c_heat + 2.0 / hx**2 + 2.0 / hyh**2)
-    for dj, di, coef in ((0, -1, -1 / hx**2), (0, 1, -1 / hx**2),
-                         (-1, 0, -1 / hyh**2), (1, 0, -1 / hyh**2)):
-        add(r, heat_ids[jj + dj, ii + di], coef)
-    top = jj == grid.ny_h - 2
-    add(r[top], wave_ids[0, ii[top]], -c_trace / hyh**2)
-
-    # interface rows: d_y w (wave side, upward) - d_y u (heat side, downward)
-    icols = grid.interface_columns
-    r = wave_ids[0, icols]
-    for nb, coef in ((r, -3.0 / (2 * hyw) - 3.0 * c_trace / (2 * hyh)),
-                     (wave_ids[1, icols], 4.0 / (2 * hyw)),
-                     (wave_ids[2, icols], -1.0 / (2 * hyw)),
-                     (heat_ids[grid.ny_h - 2, icols], 4.0 / (2 * hyh)),
-                     (heat_ids[grid.ny_h - 3, icols], -1.0 / (2 * hyh))):
-        add(r, nb, coef)
-
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n))
+    u = c_trace * w on the interface (see the module docstring): every
+    x-column carries the band B_y, every row but the interface row the
+    x second difference T_x."""
+    band, interior = _column_band(grid, c_wave, c_heat, c_trace)
+    m = grid.nx - 2
+    n = band.shape[1] * m
+    diags = band[2:].copy()  # diags[q, c] is entry (c + q - 2, c) of B_y
+    diags[2, interior] += 2.0 / grid.hx**2
+    q, c = np.nonzero(diags)
+    x = np.arange(m, dtype=np.int32)
+    start = _row_blocks(grid) * np.int32(m)
+    t = (start[interior][:, None] + x[:-1]).ravel()  # x-neighbor pairs (t, t+1)
+    rows = np.concatenate(((start[c + q - 2][:, None] + x).ravel(), t, t + 1))
+    cols = np.concatenate(((start[c][:, None] + x).ravel(), t + 1, t))
+    vals = np.concatenate((np.repeat(diags[q, c], m),
+                           np.full(2 * t.size, -1.0 / grid.hx**2, dtype=band.dtype)))
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
 @dataclass
@@ -139,7 +123,7 @@ class ModeOperator:
     n_wave: int
     n_heat: int
     grid: Grid
-    coeffs: tuple | None = None  # (c_wave, c_heat, c_trace) of coupled_matrix
+    coeffs: tuple  # (c_wave, c_heat, c_trace) of coupled_matrix
 
     @property
     def dimension(self) -> int:
@@ -195,7 +179,7 @@ def mode_rhs(op: ModeOperator, f_k: np.ndarray | None,
 
 def _column_band(grid: Grid, c_wave: complex, c_heat: complex,
                  c_trace: complex) -> tuple[np.ndarray, np.ndarray]:
-    """One x-column of coupled_matrix without its x second difference.
+    """The coupled stencil of one x-column without its x second difference.
 
     Rows run heat interior (bottom to top), interface, wave interior. Returns
     B_y in LAPACK band storage for two sub- and two super-diagonals (rows 0-1
@@ -244,14 +228,13 @@ def _separable_solve(op: ModeOperator, rhs: np.ndarray) -> np.ndarray:
     back (see the module docstring)."""
     grid = op.grid
     m = grid.nx - 2
-    # column layout (n_y, m): heat interior rows, interface row, wave rows
-    ids = np.vstack((op.heat_ids[1:-1, 1:-1], op.wave_ids[:-1, 1:-1]))
+    blocks = _row_blocks(grid)
     band, interior = _column_band(grid, *op.coeffs)
     dtype = np.result_type(band, rhs)
     band = band.astype(dtype)
     sine = _sine_basis(m)
-    # row j: the y-system data of x-frequency j
-    cols = (sine @ rhs[ids].T).astype(dtype, copy=False)
+    # row j: the y-system data of x-frequency j, in band row order
+    cols = (sine @ rhs.reshape(-1, m)[blocks].T).astype(dtype, copy=False)
     # eigenvalues of the x second difference, (2 - 2 cos theta_j) / hx^2,
     # in the form that keeps the small ones accurate
     lam = (2.0 * np.sin(0.5 * np.pi * np.arange(1, m + 1) / (m + 1)) / grid.hx) ** 2
@@ -264,14 +247,15 @@ def _separable_solve(op: ModeOperator, rhs: np.ndarray) -> np.ndarray:
             raise SolverError(
                 f"mode k={op.k}: banded solve of x-frequency {j + 1} failed "
                 f"(LAPACK info {info})")
-    x = np.empty(op.dimension, dtype=cols.dtype)
-    x[ids] = (sine @ cols).T
-    return x
+    x = np.empty((len(blocks), m), dtype=cols.dtype)
+    x[blocks] = (sine @ cols).T
+    return x.ravel()
 
 
 def solve_linear(op: ModeOperator, rhs: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Direct solve with a mandatory relative-residual check against the
-    sparse matrix; zero data return exact zeros without a factorization."""
+    """Separable direct solve with a mandatory relative-residual check
+    against the sparse matrix; zero data return exact zeros without a
+    factorization."""
     if rhs.shape[0] != op.dimension:
         raise ConfigurationError(
             f"rhs length {rhs.shape[0]} does not match dimension {op.dimension}")
@@ -280,10 +264,7 @@ def solve_linear(op: ModeOperator, rhs: np.ndarray, tol: float = 1e-10) -> np.nd
     bnorm = np.linalg.norm(rhs)
     if bnorm == 0.0:
         return np.zeros_like(rhs)
-    if op.coeffs is not None:
-        x = _separable_solve(op, rhs)
-    else:
-        x = spla.spsolve(op.matrix.tocsc(), rhs)
+    x = _separable_solve(op, rhs)
     res = float(np.linalg.norm(op.matrix @ x - rhs) / bnorm)
     if not np.isfinite(res) or res > tol:
         raise SolverError(

@@ -149,10 +149,7 @@ def solve_periodic_harmonic(grid: Grid, f: FourierField | None,
         f_k = _aliased_mode(f, k, n_steps) if f is not None else None
         g_k = _aliased_mode(g, k, n_steps) if g is not None else None
         rhs = ops.mode_rhs(op, f_k, g_k)
-        try:
-            x = ops.solve_linear(op, rhs, tol=tol)
-        except SolverError as exc:
-            raise SolverError(f"mode k={k}: {exc}", residual=exc.residual) from exc
+        x = ops.solve_linear(op, rhs, tol=tol)
         w_k, u_k = ops.split_mode_solution(op, x)
         w_out.coeffs[k + n_modes] = w_k
         w_out.coeffs[-k + n_modes] = np.conj(w_k)

@@ -202,6 +202,25 @@ def test_coefficient_file_index_out_of_range_rejected(tmp_path, capsys, key, val
     assert str(coeffs) in err and f"{key} = {value}" in err
 
 
+@pytest.mark.parametrize("column,text", [
+    ("k", "k,j,i,re,im\nnan,2,3,0.5,0.0\n"),
+    ("j", "k,j,i,re,im\n1,2.5,3,0.5,0.0\n-1,2.5,3,0.5,0.0\n"),
+    ("k", "k,j,i,re,im\n1.5,2,3,0.5,0.0\n-1.5,2,3,0.5,0.0\n"),
+    ("re", "k,j,i,re,im\n1,2,3,nan,0.0\n-1,2,3,nan,0.0\n"),
+    ("im", "k,j,i,re\n1,2,3,0.5\n-1,2,3,0.5\n"),
+], ids=["k-nan", "j-fraction", "k-fraction-pair", "re-nan", "im-missing"])
+def test_coefficient_file_bad_column_rejected_by_name(tmp_path, capsys, column, text):
+    coeffs = tmp_path / "g.csv"
+    coeffs.write_text(text)
+    cfg = _write(tmp_path, SMALL_SOLVE + f"forcing.wave = file:{coeffs}\n")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert str(coeffs) in captured.err and f"column {column} " in captured.err
+    assert "solving" not in captured.out  # rejected before any work started
+    assert [p.name for p in out.iterdir()] == ["solve_run_error.json"]
+
+
 def test_negative_seed_override_rejected_by_name(tmp_path, capsys):
     cfg = _write(tmp_path, SMALL_SOLVE + "check.weak = true\n")
     out = tmp_path / "out"
@@ -283,6 +302,18 @@ def test_epsilon_sweep_march_keys_rejected_by_name(tmp_path, capsys, line):
     out = tmp_path / "out"
     assert main(["epsilon-sweep", "--config", cfg, "--out", str(out)]) == 2
     assert repr(line.split(" =")[0]) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_epsilon_sweep_modes_beyond_steps_rejected_by_name(tmp_path, capsys):
+    # 8 steps per period resolve modes 1..3 only; more were once cut silently
+    text = "grid.nx = 9\ngrid.ny_w = 9\ngrid.ny_h = 9\nsteps = 8\n"
+    assert parse_scenario(text + "modes = 3\n", "epsilon-sweep")["modes"] == 3
+    cfg = _write(tmp_path, text + "modes = 8\n")
+    out = tmp_path / "out"
+    assert main(["epsilon-sweep", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "'modes'" in err and "'steps'" in err
     assert not out.exists()
 
 

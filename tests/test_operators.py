@@ -46,36 +46,6 @@ def test_mode_zero_redirects_to_mean_pair():
         hwp.assemble_coupled_mode(small_grid(), 0, T)
 
 
-def test_solve_linear_identity_like_diagonal():
-    grid = small_grid(5)
-    op = hwp.assemble_coupled_mode(grid, 1, T)
-    eye_op = ops.ModeOperator(k=1, omega=1.0, matrix=sp.identity(op.dimension, format="csr", dtype=complex),
-                              wave_ids=op.wave_ids, heat_ids=op.heat_ids,
-                              n_wave=op.n_wave, n_heat=op.n_heat, grid=grid)
-    rhs = np.arange(op.dimension, dtype=complex)
-    assert np.allclose(hwp.solve_linear(eye_op, rhs), rhs)
-
-
-def test_solve_linear_dirichlet_laplacian_eigenfunction():
-    # 1D Dirichlet rows embedded in a ModeOperator shell: -Lap sin = sin on (0, pi)
-    n = 199
-    h = np.pi / (n + 1)
-    x = np.linspace(h, np.pi - h, n)
-    main = np.full(n, 2.0 / h**2 - 1.0)  # (-Lap - 1) sin ~ 0 at O(h^2)
-    a = sp.diags([main, np.full(n - 1, -1 / h**2), np.full(n - 1, -1 / h**2)],
-                 [0, 1, -1], format="csr").astype(complex)
-    grid = small_grid(5)
-    shell = ops.ModeOperator(k=1, omega=1.0, matrix=a, wave_ids=None,
-                             heat_ids=None, n_wave=n, n_heat=0, grid=grid)
-    rhs = np.sin(x).astype(complex)
-    # (-Lap) u = sin has solution u = sin; here solve (-Lap - 1 + 1) variant:
-    a2 = (a + sp.identity(n, dtype=complex)).tocsr()
-    shell2 = ops.ModeOperator(k=1, omega=1.0, matrix=a2, wave_ids=None,
-                              heat_ids=None, n_wave=n, n_heat=0, grid=grid)
-    x_sol = hwp.solve_linear(shell2, rhs)
-    assert np.max(np.abs(x_sol - np.sin(x))) < 1e-3  # O(h^2) eigen-defect
-
-
 def test_solve_linear_manufactured_pair_recovery():
     grid = small_grid(9)
     op = hwp.assemble_coupled_mode(grid, 1, T)
@@ -93,13 +63,6 @@ def test_solve_linear_contract_violations():
         hwp.solve_linear(op, np.zeros(3))
     with pytest.raises(ConfigurationError):
         hwp.solve_linear(op, np.zeros(op.dimension), tol=0.0)
-    singular = ops.ModeOperator(
-        k=1, omega=1.0,
-        matrix=sp.csr_matrix((op.dimension, op.dimension), dtype=complex),
-        wave_ids=op.wave_ids, heat_ids=op.heat_ids,
-        n_wave=op.n_wave, n_heat=op.n_heat, grid=grid)
-    with pytest.raises(SolverError):
-        hwp.solve_linear(singular, np.ones(op.dimension, dtype=complex))
 
 
 def test_solve_linear_rejects_non_finite_tolerance():
@@ -110,19 +73,83 @@ def test_solve_linear_rejects_non_finite_tolerance():
             hwp.solve_linear(op, rhs, tol=tol)
 
 
+def _entrywise_coupled_matrix(grid, c_wave, c_heat, c_trace):
+    """Reference: the coupled stencil written entry by entry on the 2-D
+    index maps (the Kronecker build in operators must reproduce it)."""
+    dtype = np.result_type(c_wave, c_heat, c_trace, float)
+    wave_ids = ops.wave_index_map(grid)
+    n_wave = int((wave_ids >= 0).sum())
+    heat_ids = ops.heat_index_map(grid, n_wave)
+    n = n_wave + int((heat_ids >= 0).sum())
+    hx, hyw, hyh = grid.hx, grid.hy_w, grid.hy_h
+    a = sp.lil_matrix((n, n), dtype=dtype)
+
+    def add(r, c, v):
+        for rr, cc in zip(np.ravel(r), np.ravel(c)):
+            if cc >= 0:  # Dirichlet wall nodes carry the value zero
+                a[rr, cc] += v
+
+    # wave interior rows: (-Lap + c_wave) w
+    jj, ii = np.mgrid[1:grid.ny_w - 1, 1:grid.nx - 1]
+    r = wave_ids[jj, ii]
+    add(r, r, c_wave + 2.0 / hx**2 + 2.0 / hyw**2)
+    for dj, di, coef in ((0, -1, -1 / hx**2), (0, 1, -1 / hx**2),
+                         (-1, 0, -1 / hyw**2), (1, 0, -1 / hyw**2)):
+        add(r, wave_ids[jj + dj, ii + di], coef)
+    # heat interior rows: (-Lap + c_heat) u; the north neighbor of the top
+    # row is the interface trace c_trace * w
+    jj, ii = np.mgrid[1:grid.ny_h - 1, 1:grid.nx - 1]
+    r = heat_ids[jj, ii]
+    add(r, r, c_heat + 2.0 / hx**2 + 2.0 / hyh**2)
+    for dj, di, coef in ((0, -1, -1 / hx**2), (0, 1, -1 / hx**2),
+                         (-1, 0, -1 / hyh**2), (1, 0, -1 / hyh**2)):
+        add(r, heat_ids[jj + dj, ii + di], coef)
+    top = jj == grid.ny_h - 2
+    add(r[top], wave_ids[0, ii[top]], -c_trace / hyh**2)
+    # interface rows: d_y w (wave side, upward) - d_y u (heat side, downward)
+    icols = grid.interface_columns
+    r = wave_ids[0, icols]
+    for nb, coef in ((r, -3.0 / (2 * hyw) - 3.0 * c_trace / (2 * hyh)),
+                     (wave_ids[1, icols], 4.0 / (2 * hyw)),
+                     (wave_ids[2, icols], -1.0 / (2 * hyw)),
+                     (heat_ids[grid.ny_h - 2, icols], 4.0 / (2 * hyh)),
+                     (heat_ids[grid.ny_h - 3, icols], -1.0 / (2 * hyh))):
+        add(r, nb, coef)
+    return a.tocsr()
+
+
 _DT = T / 64
 _EPS = 0.1
 _S_MARCH = 2.0 / _DT
+_COEFFS = [(-1.0 + 0j, 1j, 1j), (-9.0 + 0j, -3j, -3j), (0.0, 0.0, 0.0),
+           ((_S_MARCH + _EPS) ** 2, _S_MARCH + _EPS, _S_MARCH)]
+_COEFF_IDS = ["k=1", "k=-3", "mean", "march"]
+
+
+@pytest.mark.parametrize("dims", [(9, 9, 9, np.pi, 1.0, 1.0),
+                                  (17, 9, 13, 2.0, 1.0, 0.7),
+                                  (5, 3, 3, np.pi, 1.0, 1.0),
+                                  (33, 65, 17, np.pi, 1.0, 1.0)],
+                         ids=["9^3", "17-9-13", "5-3-3", "33-65-17"])
+@pytest.mark.parametrize("coeffs", _COEFFS + [
+    (-(_S_MARCH**2 + 2 * _EPS * _S_MARCH - _EPS**2), -(_S_MARCH - _EPS), -_S_MARCH)],
+    ids=_COEFF_IDS + ["march-old"])
+def test_coupled_matrix_matches_entrywise_reference(dims, coeffs):
+    nx, ny_w, ny_h, lx, ly_w, ly_h = dims
+    grid = hwp.build_stacked_rectangles(lx, ly_w, ly_h, nx, ny_w, ny_h)
+    a = ops.coupled_matrix(grid, *coeffs)
+    ref = _entrywise_coupled_matrix(grid, *coeffs)
+    assert a.dtype == ref.dtype
+    assert a.shape == ref.shape
+    diff = abs(a - ref).max()
+    assert diff <= 1e-15 * abs(ref).max()
 
 
 @pytest.mark.parametrize("dims", [(9, 9, 9, np.pi, 1.0, 1.0),
                                   (17, 9, 13, 2.0, 1.0, 0.7),
                                   (5, 3, 3, np.pi, 1.0, 1.0)],
                          ids=["9^3", "17-9-13", "5-3-3"])
-@pytest.mark.parametrize("coeffs", [(-1.0 + 0j, 1j, 1j), (-9.0 + 0j, -3j, -3j),
-                                    (0.0, 0.0, 0.0),
-                                    ((_S_MARCH + _EPS) ** 2, _S_MARCH + _EPS, _S_MARCH)],
-                         ids=["k=1", "k=-3", "mean", "march"])
+@pytest.mark.parametrize("coeffs", _COEFFS, ids=_COEFF_IDS)
 def test_separable_solve_matches_sparse_lu(monkeypatch, dims, coeffs):
     nx, ny_w, ny_h, lx, ly_w, ly_h = dims
     grid = hwp.build_stacked_rectangles(lx, ly_w, ly_h, nx, ny_w, ny_h)
@@ -154,18 +181,14 @@ def test_separable_solve_reports_lapack_failure(monkeypatch):
 def test_zero_data_never_factorizes(monkeypatch):
     grid = small_grid(9)
     op = hwp.assemble_coupled_mode(grid, 2, T)
-    shell = ops.ModeOperator(k=1, omega=1.0, matrix=op.matrix, wave_ids=None,
-                             heat_ids=None, n_wave=op.n_wave, n_heat=op.n_heat,
-                             grid=grid)
 
     def no_factorization(*args, **kwargs):
         raise AssertionError("zero data need no factorization")
 
     monkeypatch.setattr(spla, "spsolve", no_factorization)
     monkeypatch.setattr(ops, "_separable_solve", no_factorization)
-    for o in (op, shell):
-        x = hwp.solve_linear(o, np.zeros(o.dimension, dtype=complex))
-        assert x.dtype == complex and not np.any(x)
+    x = hwp.solve_linear(op, np.zeros(op.dimension, dtype=complex))
+    assert x.dtype == complex and not np.any(x)
 
 
 def test_flux_row_divergence_consistency():

@@ -227,6 +227,15 @@ def test_march_step_matches_dense_first_order_step(n):
     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+def test_mode_solve_failure_names_the_mode_once():
+    grid = grid_n(9)
+    g2, _ = hwp.analytic_mode(2, grid)
+    with pytest.raises(SolverError) as err:
+        hwp.solve_periodic_harmonic(grid, None, g2, 3, tol=1e-30)
+    assert str(err.value).count("k=2") == 1
+    assert err.value.residual > 1e-30
+
+
 def test_epsilon_march_max_periods_error_carries_history():
     grid = grid_n(9)
     g2, _ = hwp.analytic_mode(2, grid)
