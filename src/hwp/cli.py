@@ -265,7 +265,8 @@ def parse_scenario(text: str, command: str, out_dir: str = ".") -> Scenario:
 HERMITIAN_TOL = 1e-12
 
 
-def _load_coefficient_file(path: str, period: float, shape, domain: str) -> FourierField:
+def _load_coefficient_file(path: str, period: float, shape, domain: str,
+                           modes: int) -> FourierField:
     raw = np.genfromtxt(path, delimiter=",", names=True)
     raw = np.atleast_1d(raw)
     for key in ("k", "j", "i", "re", "im"):
@@ -285,6 +286,11 @@ def _load_coefficient_file(path: str, period: float, shape, domain: str) -> Four
             raise ConfigurationError(
                 f"coefficient file {path}: index {key} = {raw[key][bad][0]:g} "
                 f"outside 0..{size - 1}")
+    bad = np.abs(raw["k"]) > modes
+    if np.any(bad):
+        raise ConfigurationError(
+            f"coefficient file {path}: mode k = {raw['k'][bad][0]:g} is above "
+            f"modes = {modes}")
     ks = raw["k"].astype(int)
     n = int(np.max(np.abs(ks))) if len(ks) else 0
     f = FourierField.zeros(period, n, shape, domain)
@@ -313,8 +319,8 @@ def _wave_forcing(scn: Scenario, grid) -> tuple[FourierField | None, dict]:
     if kind == "series":
         g, _ = closedform.series_forcing(closedform.series_rule(args[0]), args[1], grid)
         return g.scaled(amp), meta
-    return _load_coefficient_file(args[0], scn["period"],
-                                  (grid.ny_w, grid.nx), WAVE).scaled(amp), meta
+    return _load_coefficient_file(args[0], scn["period"], (grid.ny_w, grid.nx),
+                                  WAVE, scn["modes"]).scaled(amp), meta
 
 
 def smooth_heat_forcing(grid, period: float, k: int = 1,
@@ -336,8 +342,8 @@ def _heat_forcing(scn: Scenario, grid) -> tuple[FourierField | None, dict]:
         return None, meta
     if kind == "smooth":
         return smooth_heat_forcing(grid, scn["period"], args[0], amp), meta
-    return _load_coefficient_file(args[0], scn["period"],
-                                  (grid.ny_h, grid.nx), HEAT).scaled(amp), meta
+    return _load_coefficient_file(args[0], scn["period"], (grid.ny_h, grid.nx),
+                                  HEAT, scn["modes"]).scaled(amp), meta
 
 
 def _build_grid(scn: Scenario):

@@ -36,21 +36,25 @@ matrix is the Kronecker sum
 B_y the pentadiagonal column system, D_y the identity without the interface
 row and T_x the three-point x second difference (-1, 2, -1)/hx^2.
 ``_column_band`` is the one place the stencil coefficients are written;
-``coupled_matrix`` assembles A from it.
+``coupled_apply`` applies A from it matrix-free, on the (n_y, nx-2) row
+blocks, and ``coupled_matrix`` assembles A from it. The mode systems and
+the mean pair never assemble: ``ModeOperator.matrix`` is built on demand
+only (tests, ``dump_coordinate``), and the march step factors the
+assembled matrix.
 
 Solving. ``solve_linear`` returns exact zeros for zero data without
 factorizing anything, and otherwise uses the fast direct method of Buzbee,
 Golub & Nielson (SIAM J. Numer. Anal. 7, 1970): the orthonormal sine
 transform (DST-I) in x splits A into nx-2 independent pentadiagonal
 y-systems B_y + lambda_j D_y, each solved by banded LU with partial
-pivoting. The sparse matrix is the residual oracle: the answer must satisfy
-||A x - b|| / ||b|| <= tol.
+pivoting. The residual is checked with ``coupled_apply``: the answer must
+satisfy ||A x - b|| / ||b|| <= tol.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -110,24 +114,62 @@ def coupled_matrix(grid: Grid, c_wave: complex, c_heat: complex,
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
+def coupled_apply(grid: Grid, c_wave: complex, c_heat: complex,
+                  c_trace: complex, x: np.ndarray) -> np.ndarray:
+    """coupled_matrix(grid, c_wave, c_heat, c_trace) @ x without the matrix:
+    on the row blocks in band order, the five band products of B_y plus
+    T_x on every row but the interface row."""
+    band, interior = _column_band(grid, c_wave, c_heat, c_trace)
+    blocks = _row_blocks(grid)
+    xb = x.reshape(-1, grid.nx - 2)[blocks]
+    y = band[4, :, None] * xb
+    for d in (1, 2):
+        y[:-d] += band[4 - d, d:, None] * xb[d:]   # entries (r, r + d)
+        y[d:] += band[4 + d, :-d, None] * xb[:-d]  # entries (r, r - d)
+    xi = xb[interior]
+    tx = 2.0 * xi
+    tx[:, 1:] -= xi[:, :-1]
+    tx[:, :-1] -= xi[:, 1:]
+    y[interior] += tx / grid.hx**2
+    out = np.empty_like(y)
+    out[blocks] = y
+    return out.ravel()
+
+
 @dataclass
 class ModeOperator:
-    """Assembled coupled system for one temporal frequency (k = 0: the real
-    mean pair)."""
+    """The coupled system for one temporal frequency (k = 0: the real mean
+    pair), kept matrix-free: solve_linear works from the coefficients."""
 
     k: int
     omega: float
-    matrix: sp.csr_matrix
-    wave_ids: np.ndarray
-    heat_ids: np.ndarray
-    n_wave: int
-    n_heat: int
     grid: Grid
     coeffs: tuple  # (c_wave, c_heat, c_trace) of coupled_matrix
+    # heat-row and wave-row (interface included) parts of ||A x - b|| / ||b||
+    # of the last solve_linear on this operator
+    residual_heat: float = field(default=0.0, init=False)
+    residual_wave: float = field(default=0.0, init=False)
+
+    @property
+    def residual(self) -> float:
+        return float(np.hypot(self.residual_heat, self.residual_wave))
+
+    @property
+    def n_wave(self) -> int:
+        return (self.grid.ny_w - 1) * (self.grid.nx - 2)
+
+    @property
+    def n_heat(self) -> int:
+        return (self.grid.ny_h - 2) * (self.grid.nx - 2)
 
     @property
     def dimension(self) -> int:
         return self.n_wave + self.n_heat
+
+    @cached_property
+    def matrix(self) -> sp.csr_matrix:
+        """The assembled sparse system, built on first use only."""
+        return coupled_matrix(self.grid, *self.coeffs)
 
     def dump_coordinate(self, path: str) -> None:
         """Plain-text COO dump (row col re im) for debugging."""
@@ -136,16 +178,6 @@ class ModeOperator:
             f.write(f"# mode k={self.k} dimension={self.dimension}\n")
             for r, c, v in zip(coo.row, coo.col, coo.data):
                 f.write(f"{r} {c} {v.real:.17g} {v.imag:.17g}\n")
-
-
-def _mode_operator(grid: Grid, k: int, omega: float, coeffs: tuple) -> ModeOperator:
-    matrix = coupled_matrix(grid, *coeffs)
-    wave_ids = wave_index_map(grid)
-    n_wave = int((wave_ids >= 0).sum())
-    return ModeOperator(k=k, omega=omega, matrix=matrix, wave_ids=wave_ids,
-                        heat_ids=heat_index_map(grid, n_wave), n_wave=n_wave,
-                        n_heat=matrix.shape[0] - n_wave, grid=grid,
-                        coeffs=coeffs)
 
 
 def assemble_coupled_mode(grid: Grid, k: int, period: float, eps: float = 0.0,
@@ -160,21 +192,23 @@ def assemble_coupled_mode(grid: Grid, k: int, period: float, eps: float = 0.0,
     omega = 2.0 * np.pi / period
     s = 1j * omega * k if dt is None else (2j / dt) * np.tan(0.5 * omega * k * dt)
     a = s + eps
-    return _mode_operator(grid, k, omega, (a * a, a, s))
+    return ModeOperator(k, omega, grid, (a * a, a, s))
 
 
 def mode_rhs(op: ModeOperator, f_k: np.ndarray | None,
              g_k: np.ndarray | None) -> np.ndarray:
-    """Right-hand side vector from nodal mode coefficients of (f, g)."""
+    """Right-hand side vector from nodal mode coefficients of (f, g): the
+    interior nodes of each, row by row, in the unknown row blocks (module
+    docstring); the interface rows carry no data."""
     grid = op.grid
-    rhs = np.zeros(op.dimension, dtype=op.matrix.dtype)
+    nw = grid.ny_w - 1
+    rhs = np.zeros((nw + grid.ny_h - 2, grid.nx - 2),
+                   dtype=np.result_type(*op.coeffs, float))
     if g_k is not None:
-        jj, ii = np.mgrid[1:grid.ny_w - 1, 1:grid.nx - 1]
-        rhs[op.wave_ids[jj, ii]] = g_k[jj, ii]
+        rhs[1:nw] = g_k[1:nw, 1:-1]
     if f_k is not None:
-        jj, ii = np.mgrid[1:grid.ny_h - 1, 1:grid.nx - 1]
-        rhs[op.heat_ids[jj, ii]] = f_k[jj, ii]
-    return rhs
+        rhs[nw:] = f_k[1:-1, 1:-1]
+    return rhs.ravel()
 
 
 def _column_band(grid: Grid, c_wave: complex, c_heat: complex,
@@ -254,18 +288,22 @@ def _separable_solve(op: ModeOperator, rhs: np.ndarray) -> np.ndarray:
 
 def solve_linear(op: ModeOperator, rhs: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Separable direct solve with a mandatory relative-residual check
-    against the sparse matrix; zero data return exact zeros without a
-    factorization."""
+    through coupled_apply, recorded on op; zero data return exact zeros
+    without a factorization."""
     if rhs.shape[0] != op.dimension:
         raise ConfigurationError(
             f"rhs length {rhs.shape[0]} does not match dimension {op.dimension}")
     if not np.isfinite(tol) or tol <= 0:
         raise ConfigurationError(f"tolerance must be positive and finite, got {tol}")
+    op.residual_heat = op.residual_wave = 0.0
     bnorm = np.linalg.norm(rhs)
     if bnorm == 0.0:
         return np.zeros_like(rhs)
     x = _separable_solve(op, rhs)
-    res = float(np.linalg.norm(op.matrix @ x - rhs) / bnorm)
+    r = coupled_apply(op.grid, *op.coeffs, x) - rhs
+    op.residual_heat = float(np.linalg.norm(r[op.n_wave:]) / bnorm)
+    op.residual_wave = float(np.linalg.norm(r[:op.n_wave]) / bnorm)
+    res = op.residual
     if not np.isfinite(res) or res > tol:
         raise SolverError(
             f"mode k={op.k} solve missed the residual contract: {res:.3e} > {tol:.1e}",
@@ -280,21 +318,15 @@ def split_mode_solution(op: ModeOperator, x: np.ndarray) -> tuple[np.ndarray, np
     its last row (zero for the mean pair).
     """
     grid = op.grid
+    nw = grid.ny_w - 1
+    xb = x.reshape(-1, grid.nx - 2)
     w = np.zeros((grid.ny_w, grid.nx), dtype=x.dtype)
-    mask = op.wave_ids >= 0
-    w[mask] = x[op.wave_ids[mask]]
+    w[:nw, 1:-1] = xb[:nw]
     u = np.zeros((grid.ny_h, grid.nx), dtype=x.dtype)
-    hmask = op.heat_ids >= 0
-    u[hmask] = x[op.heat_ids[hmask]]
+    u[1:-1, 1:-1] = xb[nw:]
     if op.k:
         u[-1, :] = op.coeffs[2] * w[0, :]
     return w, u
-
-
-def mode_residual_fields(op: ModeOperator, x: np.ndarray, rhs: np.ndarray) -> float:
-    r = op.matrix @ x - rhs
-    denom = max(float(np.linalg.norm(rhs)), 1e-300)
-    return float(np.linalg.norm(r) / denom)
 
 
 # ---------------------------------------------------------------------------
@@ -324,15 +356,11 @@ def solve_mean_pair(grid: Grid, mean_f: np.ndarray | None,
     residual_wave are the heat-row and wave-row (interface included) parts
     of ||Ax - b|| / ||b||; solve_linear holds the whole against tol.
     """
-    op = _mode_operator(grid, 0, 0.0, (eps * eps, eps, 0.0))
-    rhs = mode_rhs(op, mean_f, mean_g)
-    x = solve_linear(op, rhs, tol=tol)
+    op = ModeOperator(0, 0.0, grid, (eps * eps, eps, 0.0))
+    x = solve_linear(op, mode_rhs(op, mean_f, mean_g), tol=tol)
     w, u = split_mode_solution(op, x)
-    r = op.matrix @ x - rhs
-    bnorm = max(float(np.linalg.norm(rhs)), 1e-300)  # zero data: r = 0
-    return MeanPair(mean_u=u, mean_w=w,
-                    residual_heat=float(np.linalg.norm(r[op.n_wave:])) / bnorm,
-                    residual_wave=float(np.linalg.norm(r[:op.n_wave])) / bnorm)
+    return MeanPair(mean_u=u, mean_w=w, residual_heat=op.residual_heat,
+                    residual_wave=op.residual_wave)
 
 
 # ---------------------------------------------------------------------------

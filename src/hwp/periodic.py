@@ -145,17 +145,16 @@ def solve_periodic_harmonic(grid: Grid, f: FourierField | None,
     t_mean = time.perf_counter()
 
     for k in range(1, n_modes + 1):
-        op = ops.assemble_coupled_mode(grid, k, period, eps=eps, dt=dt)
         f_k = _aliased_mode(f, k, n_steps) if f is not None else None
         g_k = _aliased_mode(g, k, n_steps) if g is not None else None
-        rhs = ops.mode_rhs(op, f_k, g_k)
-        x = ops.solve_linear(op, rhs, tol=tol)
+        op = ops.assemble_coupled_mode(grid, k, period, eps=eps, dt=dt)
+        x = ops.solve_linear(op, ops.mode_rhs(op, f_k, g_k), tol=tol)
         w_k, u_k = ops.split_mode_solution(op, x)
         w_out.coeffs[k + n_modes] = w_k
         w_out.coeffs[-k + n_modes] = np.conj(w_k)
         u_out.coeffs[k + n_modes] = u_k
         u_out.coeffs[-k + n_modes] = np.conj(u_k)
-        residuals[k] = ops.mode_residual_fields(op, x, rhs)
+        residuals[k] = op.residual
     t_modes = time.perf_counter()
 
     h, big_h = _trace_fields(grid, w_out)

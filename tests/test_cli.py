@@ -221,6 +221,22 @@ def test_coefficient_file_bad_column_rejected_by_name(tmp_path, capsys, column, 
     assert [p.name for p in out.iterdir()] == ["solve_run_error.json"]
 
 
+@pytest.mark.parametrize("k", [3, 10**12])
+@pytest.mark.parametrize("command", ["solve", "epsilon-sweep"])
+def test_coefficient_file_mode_above_modes_rejected(tmp_path, capsys, command, k):
+    # modes = 2: a k = +-3 pair used to be dropped without a word (exit 0,
+    # zero norms), and the field was sized by the largest |k| in the file
+    coeffs = tmp_path / "g.csv"
+    coeffs.write_text(f"k,j,i,re,im\n{k},2,3,0.5,0.0\n-{k},2,3,0.5,0.0\n")
+    cfg = _write(tmp_path, SMALL_SOLVE + f"forcing.wave = file:{coeffs}\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert str(coeffs) in captured.err
+    assert f"k = {k:g}" in captured.err and "modes = 2" in captured.err
+    assert "solving" not in captured.out and "reference" not in captured.out
+
+
 def test_negative_seed_override_rejected_by_name(tmp_path, capsys):
     cfg = _write(tmp_path, SMALL_SOLVE + "check.weak = true\n")
     out = tmp_path / "out"

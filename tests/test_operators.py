@@ -35,7 +35,7 @@ def test_wave_diagonal_carries_squared_frequency():
     grid = small_grid()
     op = hwp.assemble_coupled_mode(grid, 2, T)
     # an interior wave row: diagonal = -(w k)^2 + 2/hx^2 + 2/hy^2 with wk = 2
-    r = op.wave_ids[2, 2]
+    r = ops.wave_index_map(op.grid)[2, 2]
     diag = op.matrix[r, r]
     expected = -4.0 + 2 / grid.hx**2 + 2 / grid.hy_w**2
     assert diag == pytest.approx(expected, rel=1e-15)
@@ -126,14 +126,17 @@ _COEFFS = [(-1.0 + 0j, 1j, 1j), (-9.0 + 0j, -3j, -3j), (0.0, 0.0, 0.0),
 _COEFF_IDS = ["k=1", "k=-3", "mean", "march"]
 
 
-@pytest.mark.parametrize("dims", [(9, 9, 9, np.pi, 1.0, 1.0),
-                                  (17, 9, 13, 2.0, 1.0, 0.7),
-                                  (5, 3, 3, np.pi, 1.0, 1.0),
-                                  (33, 65, 17, np.pi, 1.0, 1.0)],
-                         ids=["9^3", "17-9-13", "5-3-3", "33-65-17"])
-@pytest.mark.parametrize("coeffs", _COEFFS + [
+_STENCIL_DIMS = pytest.mark.parametrize(
+    "dims", [(9, 9, 9, np.pi, 1.0, 1.0), (17, 9, 13, 2.0, 1.0, 0.7),
+             (5, 3, 3, np.pi, 1.0, 1.0), (33, 65, 17, np.pi, 1.0, 1.0)],
+    ids=["9^3", "17-9-13", "5-3-3", "33-65-17"])
+_STENCIL_COEFFS = pytest.mark.parametrize("coeffs", _COEFFS + [
     (-(_S_MARCH**2 + 2 * _EPS * _S_MARCH - _EPS**2), -(_S_MARCH - _EPS), -_S_MARCH)],
     ids=_COEFF_IDS + ["march-old"])
+
+
+@_STENCIL_DIMS
+@_STENCIL_COEFFS
 def test_coupled_matrix_matches_entrywise_reference(dims, coeffs):
     nx, ny_w, ny_h, lx, ly_w, ly_h = dims
     grid = hwp.build_stacked_rectangles(lx, ly_w, ly_h, nx, ny_w, ny_h)
@@ -145,6 +148,41 @@ def test_coupled_matrix_matches_entrywise_reference(dims, coeffs):
     assert diff <= 1e-15 * abs(ref).max()
 
 
+@_STENCIL_DIMS
+@_STENCIL_COEFFS
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_coupled_apply_matches_matrix_product(dims, coeffs, kind):
+    nx, ny_w, ny_h, lx, ly_w, ly_h = dims
+    grid = hwp.build_stacked_rectangles(lx, ly_w, ly_h, nx, ny_w, ny_h)
+    a = ops.coupled_matrix(grid, *coeffs)
+    rng = np.random.default_rng(nx * ny_w + ny_h)
+    x = rng.standard_normal(a.shape[0])
+    if kind == "complex":
+        x = x + 1j * rng.standard_normal(a.shape[0])
+    ref = a @ x
+    y = ops.coupled_apply(grid, *coeffs, x)
+    assert y.dtype == ref.dtype
+    assert np.linalg.norm(y - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("system", ["mode", "mean"])
+def test_residual_contract_catches_a_perturbed_solution(monkeypatch, system):
+    # a solution off by a relative 1e-6 must fail the 1e-10 contract
+    grid = small_grid(9)
+    exact = ops._separable_solve
+    monkeypatch.setattr(ops, "_separable_solve",
+                        lambda op, rhs: exact(op, rhs) * (1 + 1e-6))
+    X, Y = np.meshgrid(grid.x, grid.y_w)
+    g = np.sin(X) * (1 - Y)
+    with pytest.raises(SolverError) as err:
+        if system == "mode":
+            op = hwp.assemble_coupled_mode(grid, 1, T)
+            hwp.solve_linear(op, hwp.mode_rhs(op, None, g), tol=1e-10)
+        else:
+            hwp.solve_mean_pair(grid, None, g, tol=1e-10)
+    assert err.value.residual > 1e-10
+
+
 @pytest.mark.parametrize("dims", [(9, 9, 9, np.pi, 1.0, 1.0),
                                   (17, 9, 13, 2.0, 1.0, 0.7),
                                   (5, 3, 3, np.pi, 1.0, 1.0)],
@@ -153,7 +191,7 @@ def test_coupled_matrix_matches_entrywise_reference(dims, coeffs):
 def test_separable_solve_matches_sparse_lu(monkeypatch, dims, coeffs):
     nx, ny_w, ny_h, lx, ly_w, ly_h = dims
     grid = hwp.build_stacked_rectangles(lx, ly_w, ly_h, nx, ny_w, ny_h)
-    op = ops._mode_operator(grid, 1, 1.0, coeffs)
+    op = ops.ModeOperator(1, 1.0, grid, coeffs)
     rng = np.random.default_rng(nx + ny_w + ny_h)
     b = rng.standard_normal(op.dimension)
     if op.matrix.dtype.kind == "c":
@@ -199,7 +237,7 @@ def test_flux_row_divergence_consistency():
     rng = np.random.default_rng(8)
     x = rng.standard_normal(op.dimension) + 1j * rng.standard_normal(op.dimension)
     w, u = ops.split_mode_solution(op, x)
-    rows = op.wave_ids[0, grid.interface_columns]
+    rows = ops.wave_index_map(grid)[0, grid.interface_columns]
     total = complex(np.sum((op.matrix @ x)[rows]))
     dyw = (-3 * w[0, :] + 4 * w[1, :] - w[2, :]) / (2 * grid.hy_w)
     dyu = (3 * u[-1, :] - 4 * u[-2, :] + u[-3, :]) / (2 * grid.hy_h)

@@ -236,6 +236,29 @@ def test_mode_solve_failure_names_the_mode_once():
     assert err.value.residual > 1e-30
 
 
+def test_zero_data_modes_build_no_matrix(monkeypatch):
+    # mode:2 forcing with 6 modes: only mode 2 carries data and reaches the
+    # separable solve, and nothing assembles a sparse matrix
+    from hwp import operators as ops
+    grid = grid_n(9)
+    g2, _ = hwp.analytic_mode(2, grid)
+
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("mode systems must not assemble a sparse matrix")
+
+    solves = []
+    separable = ops._separable_solve
+    monkeypatch.setattr(ops, "coupled_matrix", no_assembly)
+    monkeypatch.setattr(ops, "_separable_solve",
+                        lambda op, rhs: solves.append(op.k) or separable(op, rhs))
+    rep = hwp.solve_periodic_harmonic(grid, None, g2, 6)
+    assert solves == [2]
+    for k in (1, 3, 4, 5, 6):
+        assert rep.mode_residuals[k] == 0.0
+        assert not np.any(rep.w.mode(k)) and not np.any(rep.u.mode(k))
+    assert 0 < rep.mode_residuals[2] <= 1e-10
+
+
 def test_epsilon_march_max_periods_error_carries_history():
     grid = grid_n(9)
     g2, _ = hwp.analytic_mode(2, grid)
