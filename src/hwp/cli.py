@@ -472,7 +472,7 @@ def _run_geometry_check(scn: Scenario) -> dict:
     payload["area"] = samples.area
     reporting.write_csv(_out(scn, "_boundary.csv"),
                         ["x", "y", "nx", "ny", "tag", "b_dot_n"],
-                        geometry.boundary_sign_table(spec, samples))
+                        geometry.boundary_sign_table(report, samples))
     if scn["domain"] == "trapezoid":
         obs = geometry.trapezoid_obstruction(spec, scn["resolution"], tol=scn["tol"])
         payload["trapezoid_obstruction"] = obs.as_dict()
@@ -568,9 +568,11 @@ _RUNNERS = {
 
 def run_scenario(scn: Scenario) -> int:
     """Execute a parsed scenario; returns the process exit status."""
+    error_path = _out(scn, "_error.json")
     try:
         Path(scn.out_dir).mkdir(parents=True, exist_ok=True)
         _RUNNERS[scn.command](scn)
+        Path(error_path).unlink(missing_ok=True)  # left by an earlier failed run
         return 0
     except Exception as exc:  # mapped to per-module exit codes below
         code = 1
@@ -580,8 +582,11 @@ def run_scenario(scn: Scenario) -> int:
                 break
         record = {"error_type": type(exc).__name__, "message": str(exc),
                   "exit_code": code}
+        if isinstance(exc, SolverError):
+            record["residual"] = exc.residual
+            record["history"] = exc.history
         try:
-            reporting.write_json(_out(scn, "_error.json"), record)
+            reporting.write_json(error_path, record)
         except OSError:
             pass
         print(f"[hwp] error ({type(exc).__name__}): {exc}", file=sys.stderr)

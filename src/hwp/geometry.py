@@ -48,6 +48,8 @@ class GeometryReport:
     bilap_max: float
     graph_quadform_margin: float
     verdicts: dict[str, bool] = field(default_factory=dict)
+    # b.n per boundary sample, for boundary_sign_table; not part of as_dict
+    b_dot_n: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def as_dict(self) -> dict:
         return {
@@ -146,16 +148,16 @@ def check_conditions(spec: VectorFieldSpec, samples: DomainSamples,
         bilap_max=bilap_max,
         graph_quadform_margin=margin,
         verdicts=verdicts,
+        b_dot_n=b_dot_n,
     )
 
 
-def boundary_sign_table(spec: VectorFieldSpec, samples: DomainSamples) -> list[tuple]:
-    """Per-sample b.n rows (x, y, nx, ny, tag, b_dot_n) for CSV export."""
-    bnd = jet_batch(spec, samples.boundary_points)
-    b_dot_n = np.sum(bnd["b"] * samples.boundary_normals, axis=1)
+def boundary_sign_table(report: GeometryReport, samples: DomainSamples) -> list[tuple]:
+    """Per-sample b.n rows (x, y, nx, ny, tag, b_dot_n) for CSV export, from
+    the b.n that check_conditions computed on the same samples."""
     rows = []
     for p, n, t, v in zip(samples.boundary_points, samples.boundary_normals,
-                          samples.boundary_tags, b_dot_n):
+                          samples.boundary_tags, report.b_dot_n):
         rows.append((float(p[0]), float(p[1]), float(n[0]), float(n[1]), str(t), float(v)))
     return rows
 

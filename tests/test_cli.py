@@ -4,9 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hwp import mesh
+from hwp import geometry, mesh, operators
 from hwp.cli import _forcing_spec, main, parse_scenario, smooth_heat_forcing
 from hwp.errors import ConfigurationError
+from hwp.fields import jet_batch
 
 
 MINIMAL_SOLVE = """
@@ -357,3 +358,52 @@ def test_smooth_heat_forcing_rejects_non_positive_mode(k):
     grid = mesh.build_stacked_rectangles(np.pi, 1.0, 1.0, 5, 5, 5)
     with pytest.raises(ConfigurationError):
         smooth_heat_forcing(grid, 2 * np.pi, k)
+
+
+def test_geometry_check_evaluates_each_jet_batch_once(tmp_path, monkeypatch):
+    # the boundary b.n of check_conditions also fills _boundary.csv
+    calls = []
+
+    def counting_jet_batch(spec, points):
+        calls.append(len(points))
+        return jet_batch(spec, points)
+
+    monkeypatch.setattr(geometry, "jet_batch", counting_jet_batch)
+    cfg = _write(tmp_path, "domain = spiral\nfield = spiral:0.2\nresolution = 16\n")
+    out = tmp_path / "out"
+    assert main(["geometry-check", "--config", cfg, "--out", str(out)]) == 0
+    samples = mesh.sample_domain("spiral", 16)
+    assert sorted(calls) == sorted([len(samples.interior_points),
+                                    len(samples.boundary_points)])
+    rows = (out / "geometry_check_run_boundary.csv").read_text().splitlines()
+    assert len(rows) == 1 + len(samples.boundary_points)
+
+
+def _perturbed_solver(monkeypatch):
+    # a solution off by a relative 1e-6 fails the 1e-10 residual contract
+    exact = operators._separable_solve
+    monkeypatch.setattr(operators, "_separable_solve",
+                        lambda op, rhs: exact(op, rhs) * (1 + 1e-6))
+
+
+def test_solver_error_record_carries_residual(tmp_path, monkeypatch):
+    _perturbed_solver(monkeypatch)
+    cfg = _write(tmp_path, SMALL_SOLVE + "forcing.wave = mode:2\n")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 12
+    record = json.loads((out / "solve_run_error.json").read_text())
+    assert record["error_type"] == "SolverError" and record["exit_code"] == 12
+    assert record["residual"] > 1e-10
+    assert record["history"] == []
+
+
+def test_successful_run_removes_stale_error_record(tmp_path, monkeypatch):
+    cfg = _write(tmp_path, SMALL_SOLVE + "forcing.wave = mode:2\n")
+    out = tmp_path / "out"
+    _perturbed_solver(monkeypatch)
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 12
+    assert (out / "solve_run_error.json").exists()
+    monkeypatch.undo()
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    assert not (out / "solve_run_error.json").exists()
+    assert (out / "solve_run.json").exists()

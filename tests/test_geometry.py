@@ -72,7 +72,8 @@ def test_empty_boundary_set_rejected():
 
 def test_boundary_sign_table_shape():
     samples = hwp.sample_domain("triangle", 16)
-    rows = boundary_sign_table(hwp.translate((0.0, 0.0)), samples)
+    report = hwp.check_conditions(hwp.translate((0.0, 0.0)), samples)
+    rows = boundary_sign_table(report, samples)
     assert len(rows) == len(samples.boundary_points)
     # slant edge rows carry ~zero b.n
     slant = [r for r in rows if r[4] == "OnGammaW"]

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from hwp import reporting
 
@@ -15,3 +16,83 @@ def test_grid_csv_bytes_match_row_writer(tmp_path):
     assert grid_path.read_bytes().startswith(
         b"c0,c1,c2,c3,c4,c5,c6\n-0,4.9406564584124654e-324,10000000000000000,"
         b"0.10000000000000001,-2.5,")
+
+
+def _percent_g(array):
+    """The reference: Python's %.17g per value, ',' between, '\\n' after rows."""
+    return "".join(",".join("%.17g" % v for v in row) + "\n" for row in array).encode()
+
+
+def _powers_of_ten_with_neighbours(exponents):
+    values = []
+    for k in exponents:
+        p = float(f"1e{k}")
+        values += [np.nextafter(p, 0.0), p, np.nextafter(p, np.inf)]
+    return values
+
+
+EDGE_VALUES = [
+    0.0, -0.0, np.inf, -np.inf, np.nan,
+    5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1e-300,
+    1e-281, 1e-280, 1e280, 1e281, 1.7976931348623157e308,
+    # exact ties at the 17th digit: half to even, so .12/.62 down, .38/.88 up
+    125000000000000.125, 125000000000000.375, -125000000000000.625,
+    125000000000000.875,
+    # a 17-digit rounding that carries through ...99999, and doubles just
+    # below a power of ten that round up to it (1e-14 is 1 - 1.2e-18 of 10**-14)
+    502.410989417, 8.27959428132e-08, 5.31538976585e+22,
+    1e-79, 1e-78, 1e-14, 1e129, 1e153,
+    # a log10 estimate one too high: 1e-19 is 9.9999999999999998e-20
+    1e-19, 1e23, 0.1, 0.5, 1.0, 2.5, 100.0, 123456.5, 9007199254740993.0,
+    *_powers_of_ten_with_neighbours([-6, -5, -4, -3, -1, 0, 1, 15, 16, 17, 18, 22, 100]),
+]
+
+
+def test_grid_csv_body_matches_percent_g_on_random_bit_patterns():
+    rng = np.random.default_rng(20240)
+    array = rng.integers(0, 2**64, size=(1000, 201), dtype=np.uint64).view(np.float64)
+    assert reporting._grid_csv_body(array) == _percent_g(array)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_grid_csv_body_matches_percent_g_on_edge_values(sign):
+    array = sign * np.array(EDGE_VALUES).reshape(1, -1)
+    assert reporting._grid_csv_body(array) == _percent_g(array)
+    assert reporting._grid_csv_body(array.T) == _percent_g(array.T)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-20, 1e-5, 1e-4, 1.0, 1e16, 1e17, 1e250])
+def test_grid_csv_body_matches_percent_g_across_magnitudes(scale):
+    array = scale * np.random.default_rng(7).standard_normal((40, 33))
+    assert reporting._grid_csv_body(array) == _percent_g(array)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (1, 10000)],
+                         ids=["1x1", "1xn", "nx1", "1xn-over-a-block"])
+def test_grid_csv_body_small_and_thin_shapes(shape):
+    array = np.random.default_rng(11).standard_normal(shape)
+    assert reporting._grid_csv_body(array) == _percent_g(array)
+
+
+def test_grid_csv_body_formats_in_bounded_blocks(monkeypatch):
+    cols = 7
+    rows = 3 * (reporting._BLOCK_VALUES // cols) + 5
+    array = np.random.default_rng(5).standard_normal((rows, cols))
+    array[::97] *= 1e-6
+    blocks = []
+    format_block = reporting._format_block
+
+    def recording(block):
+        blocks.append(block.shape)
+        return format_block(block)
+
+    monkeypatch.setattr(reporting, "_format_block", recording)
+    body = reporting._grid_csv_body(array)
+    assert len(blocks) == 4
+    assert all(r * c <= reporting._BLOCK_VALUES for r, c in blocks)
+    assert sum(r for r, _ in blocks) == rows
+    assert body == _percent_g(array)
+    # block by block: the same bytes from each block of rows on its own
+    step = blocks[0][0]
+    assert body == b"".join(reporting._grid_csv_body(array[i:i + step])
+                            for i in range(0, rows, step))
