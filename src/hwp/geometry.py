@@ -47,9 +47,9 @@ class GeometryReport:
     interface_sign_min: float
     bilap_max: float
     graph_quadform_margin: float
-    verdicts: dict[str, bool] = field(default_factory=dict)
     # b.n per boundary sample, for boundary_sign_table; not part of as_dict
-    b_dot_n: np.ndarray | None = field(default=None, repr=False, compare=False)
+    b_dot_n: np.ndarray = field(repr=False, compare=False)
+    verdicts: dict[str, bool] = field(default_factory=dict)
 
     def as_dict(self) -> dict:
         return {

@@ -11,9 +11,8 @@ value. Per value it
   |x| * 10**(16 - e) as a double-double product (Dekker's TwoProduct with a
   double-double table of powers of ten built from exact integers), whose
   error is far below 1e-6;
-* corrects e from that unrounded product (one more product when it lies
-  outside [1e16, 1e17)) and rounds it to the 17-digit integer D, half to
-  even; a carry to 1e17 moves e up by one;
+* checks e against that unrounded product, which must lie in
+  [1e16, 1e17), and rounds it to the 17-digit integer D, half to even;
 * turns D into ASCII through a 10,000-entry table of 4-digit words and
   lays out the %g form (fixed for -4 <= e < 17, else ``e+XX``) in
   little-endian 64-bit words, with the trailing-zero strip, the decimal
@@ -21,8 +20,10 @@ value. Per value it
   count, sign); the NUL padding is then deleted.
 
 Values the fast path cannot prove exact go through Python's own %.17g:
-non-finite values, |x| outside [1e-280, 1e280] (subnormals included), and
-products within 1e-6 of a rounding tie (exact ties included).
+non-finite values, |x| outside [1e-280, 1e280] (subnormals included),
+products outside [1e16, 1e17) (where log10 missed by one), a rounding that
+carries to 1e17, and products within 1e-6 of a rounding tie (exact ties
+included).
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ def write_grid_csv(path: str, array: np.ndarray) -> None:
 _BLOCK_VALUES = 1 << 13
 _FAST_MIN, _FAST_MAX = 1e-280, 1e280  # |x| range of the fast path
 _TIE_BAND = 1e-6    # fractional parts this close to 1/2 go to Python
-_S_MIN, _S_MAX = -266, 299   # 10**(16 - e) for the fast range, e off by one
+_S_MIN, _S_MAX = -264, 297   # 10**(16 - e) for floor(log10|x|) of the fast range
 _E_MIN, _E_MAX = -300, 300   # exponents the layout tables cover
 _SPLIT = 134217729.0         # 2**27 + 1: Veltkamp splitting constant
 _TEN16, _TEN17 = 10 ** 16, 10 ** 17
@@ -196,17 +197,11 @@ def _format_block(block: np.ndarray) -> bytes:
     y = np.where(fast, mag, 1.0)
     e = np.floor(np.log10(y)).astype(np.int64)
     whole, frac = _scaled(y, e)
-    off = (whole < _TEN16).astype(np.int64) - (whole >= _TEN17)
-    redo = np.flatnonzero(off)
-    if redo.size:  # log10 missed by one: scale again by 10**(+-1)
-        e[redo] -= off[redo]
-        whole[redo], frac[redo] = _scaled(y[redo], e[redo])
-    slow = (~fast & (mag != 0) | (np.abs(frac - 0.5) < _TIE_BAND)
-            | (whole < _TEN16) | (whole >= _TEN17))
     d = whole + (frac > 0.5)
-    carry = d == _TEN17
-    d[carry] = _TEN16
-    e += carry
+    # a log10 that missed by one, or a carry to 1e17, puts D outside
+    # [1e16, 1e17): Python formats those
+    slow = (~fast & (mag != 0) | (np.abs(frac - 0.5) < _TIE_BAND)
+            | (whole < _TEN16) | (d >= _TEN17))
 
     # D = lead, then four 4-digit chunks; digit p of D is byte p of d0|d1|d2
     lead = d // _TEN16

@@ -61,6 +61,21 @@ def test_grid_csv_body_matches_percent_g_on_edge_values(sign):
     assert reporting._grid_csv_body(array.T) == _percent_g(array.T)
 
 
+@pytest.mark.parametrize("direction", [-np.inf, np.inf], ids=["low", "high"])
+def test_grid_csv_body_exact_when_log10_is_one_ulp_off(monkeypatch, direction):
+    # a faithful but not correctly rounded log10 may miss floor(log10|x|) by
+    # one next to every power of ten; the bytes must not depend on it
+    log10 = np.log10
+
+    def off_by_one_ulp(y):
+        with np.errstate(under="ignore"):  # log10(1) = 0 steps to a subnormal
+            return np.nextafter(log10(y), direction)
+
+    monkeypatch.setattr(np, "log10", off_by_one_ulp)
+    array = np.array(EDGE_VALUES + _powers_of_ten_with_neighbours(range(-20, 24))).reshape(1, -1)
+    assert reporting._grid_csv_body(array) == _percent_g(array)
+
+
 @pytest.mark.parametrize("scale", [1e-300, 1e-20, 1e-5, 1e-4, 1.0, 1e16, 1e17, 1e250])
 def test_grid_csv_body_matches_percent_g_across_magnitudes(scale):
     array = scale * np.random.default_rng(7).standard_normal((40, 33))
