@@ -10,10 +10,9 @@ ratios, geometric admissibility conditions for multiplier fields on demo
 domains, and the time-regularity gap between forcing and solution.
 """
 
-from .analysis import (IdentityReport, NormProfile, equipartition_residual,
-                       estimate_check, multiplier_identity_residual,
-                       norm_profile, regularity_scan, sobolev_time_norm,
-                       weak_residual)
+from .analysis import (IdentityReport, equipartition_residual, estimate_check,
+                       multiplier_identity_residual, regularity_scan,
+                       sobolev_time_norm, weak_residual)
 from .closedform import (BumpProfile, SeriesRule, analytic_mode, bump_profile,
                          series_forcing, series_rule)
 from .fields import (FieldJet, VectorFieldSpec, arc_renormalized, field_jet,
@@ -21,8 +20,8 @@ from .fields import (FieldJet, VectorFieldSpec, arc_renormalized, field_jet,
                      zero_field)
 from .geometry import (GeometryReport, PoincareReport, check_conditions,
                        check_poincare, trapezoid_obstruction)
-from .mesh import (DEMO_DOMAINS, DomainSamples, Grid, NodeTag,
-                   build_stacked_rectangles, sample_domain)
+from .mesh import (DEMO_DOMAINS, DomainSamples, Grid, build_stacked_rectangles,
+                   sample_domain)
 from .operators import (MeanPair, ModeOperator, assemble_coupled_mode,
                         harmonic_extension_mode, mode_rhs, solve_linear,
                         solve_mean_pair, split_mode_solution)
@@ -36,13 +35,13 @@ __version__ = "0.1.0"
 __all__ = [
     "BumpProfile", "DEMO_DOMAINS", "DomainSamples", "EpsilonParams",
     "FieldJet", "FourierField", "GeometryReport", "Grid", "IdentityReport",
-    "MeanPair", "ModeOperator", "NodeTag", "NormProfile", "PoincareReport",
+    "MeanPair", "ModeOperator", "PoincareReport",
     "SeriesRule", "SolveReport", "VectorFieldSpec", "analytic_mode",
     "arc_renormalized", "assemble_coupled_mode", "build_stacked_rectangles",
     "bump_profile", "check_conditions", "check_poincare", "epsilon_march",
     "equipartition_residual", "estimate_check", "field_jet", "graph_vertical",
     "harmonic_extension_mode", "horn", "mean_decompose",
-    "mode_rhs", "multiplier_identity_residual", "norm_profile", "parse_field",
+    "mode_rhs", "multiplier_identity_residual", "parse_field",
     "periodic_antiderivative", "regularity_scan", "sample_domain",
     "series_forcing", "series_rule", "sobolev_time_norm", "solve_linear",
     "solve_mean_pair", "solve_periodic_harmonic", "spiral",

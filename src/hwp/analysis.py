@@ -11,7 +11,7 @@ average; ratios and convergence orders are unaffected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,33 +63,6 @@ def sobolev_time_norm(field_: FourierField, s: float, grid: Grid,
     ks = field_.wavenumbers().astype(float)
     weights = (1.0 + (field_.omega * ks) ** 2) ** s
     return float(np.sqrt(np.sum(weights * _spatial_norm_sq(field_, grid, spatial_flavor))))
-
-
-@dataclass
-class NormProfile:
-    """(s, value) pairs of Sobolev-in-time norms for a fixed field."""
-
-    spatial_flavor: str
-    entries: list[tuple[float, float]] = field(default_factory=list)
-
-    def value(self, s: float) -> float:
-        for ss, v in self.entries:
-            if ss == s:
-                return v
-        raise KeyError(s)
-
-    def is_monotone(self) -> bool:
-        ordered = sorted(self.entries)
-        return all(ordered[i][1] <= ordered[i + 1][1] * (1 + 1e-12)
-                   for i in range(len(ordered) - 1))
-
-
-def norm_profile(field_: FourierField, s_values, grid: Grid,
-                 spatial_flavor: str = "l2") -> NormProfile:
-    prof = NormProfile(spatial_flavor=spatial_flavor)
-    for s in s_values:
-        prof.entries.append((float(s), sobolev_time_norm(field_, s, grid, spatial_flavor)))
-    return prof
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,8 @@ def _convert(key: str, spec: _Key, raw: str):
             val = raw.strip()
     except ValueError as exc:
         raise ConfigurationError(f"key {key!r}: {exc}") from exc
+    if spec.typ in ("ints", "floats") and not val:
+        raise ConfigurationError(f"key {key!r}: {raw!r} lists no value")
     if spec.typ in ("float", "floats") and not np.all(np.isfinite(val)):
         raise ConfigurationError(f"key {key!r}: {raw!r} is not a finite number")
     if spec.typ in ("int", "float"):
@@ -247,6 +249,10 @@ def parse_scenario(text: str, command: str, out_dir: str = ".") -> Scenario:
     if "epsilons" in schema and not all(e > 0 for e in values["epsilons"]):
         raise ConfigurationError(
             f"key 'epsilons': damping shifts must be positive, got {values['epsilons']}")
+    truncs = values.get("truncations", ())
+    if any(n < 1 for n in truncs) or any(b <= a for a, b in zip(truncs, truncs[1:])):
+        raise ConfigurationError(
+            f"key 'truncations': need strictly increasing values >= 1, got {truncs}")
     if "steps" in schema and values["modes"] > (values["steps"] - 1) // 2:
         raise ConfigurationError(
             f"key 'modes': {values['modes']} modes need at least "

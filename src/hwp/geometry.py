@@ -30,7 +30,6 @@ import scipy.sparse.linalg as spla
 from .errors import GeometryCheckError, SolverError
 from .fields import VectorFieldSpec, jet_batch, sym_min_eig
 from .mesh import DomainSamples, Grid, _ruled_midpoints, sample_domain
-from .operators import wave_index_map
 from . import quadrature as quad
 
 # relative round-off level at which p and q of _quadform_margin count as zero
@@ -222,7 +221,7 @@ def _poincare_form(spec: VectorFieldSpec, grid: Grid) -> tuple[sp.csr_matrix, sp
                       shape=(len(near), ny * nx))
     a_full = a_full + sp.diags(interface) + d.T @ sp.diags(coef) @ d
 
-    free = np.flatnonzero(wave_index_map(grid) >= 0)
+    free = np.arange(ny * nx).reshape(ny, nx)[:-1, 1:-1].ravel()  # interface row free
     a = a_full.tocsr()[free][:, free]
     mass = quad.trap_mass(ny, nx, hx, hy).ravel()[free]
     m = sp.diags(mass).tocsr()

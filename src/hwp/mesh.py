@@ -7,9 +7,11 @@ The solver geometry is two axis-aligned rectangles,
     wave subdomain  (0, Lx) x (0, Ly_w),
     heat subdomain  (0, Lx) x (-Ly_h, 0),
 
-glued along the interface row y = 0. Interface nodes carry a single unknown
-slot (the wave value); the heat trace is derived from it by the per-mode
-velocity relation in the solver modules. Demo domains are carried as
+glued along the interface row y = 0. The grid holds only node positions
+and spacings. Which nodes are unknowns, and in what order, is stated once,
+by the row blocks of the coupled operator (``operators``): interface nodes
+carry a single unknown (the wave value), and the heat trace is derived from
+it by the per-mode velocity relation. Demo domains are carried as
 closed-form region tests plus parameterized boundaries; they are sampled,
 never meshed.
 
@@ -25,24 +27,15 @@ sample is built.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
 from .errors import ConfigurationError, MeshError
 
 
-class NodeTag(Enum):
-    INTERIOR_W = "InteriorW"
-    INTERIOR_H = "InteriorH"
-    GAMMA_W = "GammaW"
-    GAMMA_H = "GammaH"
-    INTERFACE = "Interface"
-
-
 @dataclass(frozen=True)
 class Grid:
-    """Tagged structured discretization of the stacked-rectangle geometry.
+    """Structured discretization of the stacked-rectangle geometry.
 
     Wave nodal arrays have shape (ny_w, nx) with row 0 on the interface
     (y = 0) and row ny_w-1 on the top wall. Heat nodal arrays have shape
@@ -73,67 +66,10 @@ class Grid:
     def n_interface(self) -> int:
         return self.nx - 2
 
-    def wave_tags(self) -> np.ndarray:
-        """Tag array for the wave subgrid, shape (ny_w, nx)."""
-        tags = np.full((self.ny_w, self.nx), NodeTag.INTERIOR_W, dtype=object)
-        tags[:, 0] = NodeTag.GAMMA_W
-        tags[:, -1] = NodeTag.GAMMA_W
-        tags[-1, :] = NodeTag.GAMMA_W
-        tags[0, 1:-1] = NodeTag.INTERFACE
-        # corner nodes of the interface row are Dirichlet by the corner rule
-        tags[0, 0] = NodeTag.GAMMA_W
-        tags[0, -1] = NodeTag.GAMMA_W
-        return tags
-
-    def heat_tags(self) -> np.ndarray:
-        """Tag array for the heat subgrid, shape (ny_h, nx).
-
-        The last row duplicates the shared interface row and mirrors its tags.
-        """
-        tags = np.full((self.ny_h, self.nx), NodeTag.INTERIOR_H, dtype=object)
-        tags[:, 0] = NodeTag.GAMMA_H
-        tags[:, -1] = NodeTag.GAMMA_H
-        tags[0, :] = NodeTag.GAMMA_H
-        tags[-1, 1:-1] = NodeTag.INTERFACE
-        tags[-1, 0] = NodeTag.GAMMA_W
-        tags[-1, -1] = NodeTag.GAMMA_W
-        return tags
-
-    def tag_counts(self) -> dict[str, int]:
-        """Counts over the unique node set (interface row counted once)."""
-        counts: dict[str, int] = {t.value: 0 for t in NodeTag}
-        wt = self.wave_tags()
-        ht = self.heat_tags()
-        for row in wt:
-            for t in row:
-                counts[t.value] += 1
-        for row in ht[:-1]:  # last heat row is the shared interface row
-            for t in row:
-                counts[t.value] += 1
-        return counts
-
-    def node_table(self) -> list[tuple[float, float, str]]:
-        """Unique nodes as (x, y, tag), ordered bottom-up then left-right."""
-        rows: list[tuple[float, float, str]] = []
-        ht = self.heat_tags()
-        for j in range(self.ny_h - 1):
-            for i in range(self.nx):
-                rows.append((float(self.x[i]), float(self.y_h[j]), ht[j, i].value))
-        wt = self.wave_tags()
-        for j in range(self.ny_w):
-            for i in range(self.nx):
-                rows.append((float(self.x[i]), float(self.y_w[j]), wt[j, i].value))
-        return rows
-
-    def dump_csv(self, path: str) -> None:
-        from .reporting import write_csv
-
-        write_csv(path, ["x", "y", "tag"], self.node_table())
-
 
 def build_stacked_rectangles(lx: float, ly_w: float, ly_h: float,
                              nx: int, ny_w: int, ny_h: int) -> Grid:
-    """Build and tag the two stacked rectangles sharing the flat interface."""
+    """Build the two stacked rectangles sharing the flat interface."""
     if min(nx, ny_w, ny_h) < 3:
         raise ConfigurationError(
             f"node counts must be >= 3 per direction, got ({nx}, {ny_w}, {ny_h})")

@@ -39,8 +39,14 @@ row and T_x the three-point x second difference (-1, 2, -1)/hx^2.
 ``coupled_apply`` applies A from it matrix-free, on the (n_y, nx-2) row
 blocks, and ``coupled_matrix`` assembles A from it. The mode systems and
 the mean pair never assemble: ``ModeOperator.matrix`` is built on demand
-only (tests, ``dump_coordinate``), and the march step factors the
-assembled matrix.
+only, by the tests and by the march step, which factors it. These row
+blocks (``mode_rhs``, ``split_mode_solution``) are the one statement of
+which nodes are unknowns and in what order.
+
+Extension. ``harmonic_extension_mode`` lifts the heat interface flux of
+one mode into the wave rectangle (the extension lemma). Its heat-side
+functional takes one adjoint Dirichlet solve with the cached five-point
+factorization of ``heat_dual_norm_sq``, not one solve per interface node.
 
 Solving. ``solve_linear`` returns exact zeros for zero data without
 factorizing anything, and otherwise uses the fast direct method of Buzbee,
@@ -64,24 +70,6 @@ from scipy.linalg.lapack import get_lapack_funcs
 from .errors import ConfigurationError, SolverError
 from .mesh import Grid
 from . import quadrature as quad
-
-
-def wave_index_map(grid: Grid) -> np.ndarray:
-    """Wave unknown ids, shape (ny_w, nx); -1 marks Dirichlet wall nodes."""
-    idx = -np.ones((grid.ny_w, grid.nx), dtype=int)
-    mask = np.zeros_like(idx, dtype=bool)
-    mask[0:grid.ny_w - 1, 1:grid.nx - 1] = True
-    idx[mask] = np.arange(mask.sum())
-    return idx
-
-
-def heat_index_map(grid: Grid, offset: int) -> np.ndarray:
-    """Heat unknown ids, shape (ny_h, nx); -1 on walls and the interface."""
-    idx = -np.ones((grid.ny_h, grid.nx), dtype=int)
-    mask = np.zeros_like(idx, dtype=bool)
-    mask[1:grid.ny_h - 1, 1:grid.nx - 1] = True
-    idx[mask] = offset + np.arange(mask.sum())
-    return idx
 
 
 def _row_blocks(grid: Grid) -> np.ndarray:
@@ -138,8 +126,9 @@ def coupled_apply(grid: Grid, c_wave: complex, c_heat: complex,
 
 @dataclass
 class ModeOperator:
-    """The coupled system for one temporal frequency (k = 0: the real mean
-    pair), kept matrix-free: solve_linear works from the coefficients."""
+    """The coupled system for one temporal frequency (k = 0: a real system,
+    the mean pair or the march step), kept matrix-free: solve_linear works
+    from the coefficients."""
 
     k: int
     omega: float
@@ -170,14 +159,6 @@ class ModeOperator:
     def matrix(self) -> sp.csr_matrix:
         """The assembled sparse system, built on first use only."""
         return coupled_matrix(self.grid, *self.coeffs)
-
-    def dump_coordinate(self, path: str) -> None:
-        """Plain-text COO dump (row col re im) for debugging."""
-        coo = self.matrix.tocoo()
-        with open(path, "w", newline="\n") as f:
-            f.write(f"# mode k={self.k} dimension={self.dimension}\n")
-            for r, c, v in zip(coo.row, coo.col, coo.data):
-                f.write(f"{r} {c} {v.real:.17g} {v.imag:.17g}\n")
 
 
 def assemble_coupled_mode(grid: Grid, k: int, period: float, eps: float = 0.0,
@@ -384,110 +365,63 @@ def heat_dual_norm_sq(grid: Grid, v: np.ndarray) -> float:
     return float(np.real(np.vdot(b, z)) * grid.hx * grid.hy_h)
 
 
-class _WaveWeakSolver:
-    """Edge-form stiffness on the wave rectangle, interface dofs free."""
+def _interface_functional(grid: Grid, u_k: np.ndarray, f_k: np.ndarray | None,
+                          iwk: complex, eps: float = 0.0) -> np.ndarray:
+    """<F, psi_i> for every interface hat i, where F is the heat-side weak
+    residual pairing of the extension lemma and psi_i the discrete harmonic
+    extension of hat i into the heat rectangle.
 
-    def __init__(self, grid: Grid):
-        self.grid = grid
-        ny, nx = grid.ny_w, grid.nx
-        full = quad.sbp_stiffness(ny, nx, grid.hx, grid.hy_w,
-                                  np.arange(1, ny - 1))
-        idx = wave_index_map(grid)
-        free = np.where(idx.ravel() >= 0)[0]
-        self.free = free
-        self.idx = idx
-        self.matrix = full.tocsr()[free][:, free].astype(complex).tocsc()
-        self.lu = spla.splu(self.matrix)
-
-    def solve(self, rhs_free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x = self.lu.solve(rhs_free)
-        w = np.zeros((self.grid.ny_w, self.grid.nx), dtype=x.dtype)
-        mask = self.idx >= 0
-        w[mask] = x[self.idx[mask]]
-        return w, x
+    psi_i is L^(-1) e_i / hy^2 on the interior nodes (L the symmetric
+    Dirichlet five-point operator, e_i the unit vector of the node below
+    hat i) and the hat on the interface row. The pairing is linear in psi_i,
+    so with r = M (f - (iwk + eps) u) - A_H u (M the interior mass, A_H the
+    edge form) one adjoint solve serves every hat:
+        <F, psi_i> = r[top, i] + (L^(-1) r_int)[top - 1, i - 1] / hy^2.
+    """
+    ny, nx, hx, hy = grid.ny_h, grid.nx, grid.hx, grid.hy_h
+    r = -(iwk + eps) * u_k
+    if f_k is not None:
+        r = r + f_k
+    r = quad.interior_mass(ny, nx, hx, hy) * r
+    r -= (_sbp_form(ny, nx, hx, hy) @ u_k.ravel()).reshape(ny, nx)
+    z = _dirichlet_lu(ny, nx, hx, hy).solve(r[1:-1, 1:-1].ravel())
+    return r[-1, 1:-1] + z.reshape(ny - 2, nx - 2)[-1] / hy**2
 
 
-class _HeatTraceExtension:
-    """Discrete harmonic extensions of interface hat data into the heat
-    rectangle, plus the edge Dirichlet form used in the weak pairing."""
-
-    def __init__(self, grid: Grid):
-        self.grid = grid
-        ny, nx = grid.ny_h, grid.nx
-        self.form = quad.sbp_stiffness(ny, nx, grid.hx, grid.hy_h,
-                                       np.arange(1, ny - 1)).tocsr()
-        lap = quad.laplacian_5pt(ny, nx, grid.hx, grid.hy_h)
-        self.lu = spla.splu(lap.tocsc())
-        self.extensions = self._build_extensions()
-
-    def _build_extensions(self) -> np.ndarray:
-        grid = self.grid
-        ny, nx = grid.ny_h, grid.nx
-        exts = np.zeros((grid.n_interface, ny, nx))
-        for col, i in enumerate(grid.interface_columns):
-            rhs = np.zeros((ny - 2, nx - 2))
-            # hat value 1 at interface column i enters the row below it
-            rhs[-1, i - 1] = 1.0 / grid.hy_h**2
-            z = self.lu.solve(rhs.ravel())
-            ext = np.zeros((ny, nx))
-            ext[1:-1, 1:-1] = z.reshape(ny - 2, nx - 2)
-            ext[-1, i] = 1.0
-            exts[col] = ext
-        return exts
-
-    def functional(self, u_k: np.ndarray, f_k: np.ndarray | None,
-                   iwk: complex, eps: float = 0.0) -> np.ndarray:
-        """<F, hat_i> for every interface hat, where F is the heat-side
-        weak residual pairing of the extension lemma."""
-        grid = self.grid
-        mass = quad.interior_mass(grid.ny_h, grid.nx, grid.hx, grid.hy_h)
-        out = np.zeros(grid.n_interface, dtype=complex)
-        form_u = self.form @ u_k.ravel()
-        for col in range(grid.n_interface):
-            psi = self.extensions[col]
-            val = 0.0 + 0.0j
-            if f_k is not None:
-                val += np.sum(mass * f_k * psi)
-            val -= iwk * np.sum(mass * u_k * psi)
-            if eps:
-                val -= eps * np.sum(mass * u_k * psi)
-            val -= psi.ravel() @ form_u  # psi is real: plain bilinear pairing
-            out[col] = val
-        return out
+@lru_cache(maxsize=4)
+def _wave_free_system(ny: int, nx: int, hx: float, hy: float):
+    """The wave edge form on the free nodes [:-1, 1:-1] (interface row
+    first, outer wall and sides fixed at zero) and its factorization."""
+    free = np.arange(ny * nx).reshape(ny, nx)[:-1, 1:-1].ravel()
+    a = _sbp_form(ny, nx, hx, hy)[free][:, free].astype(complex).tocsc()
+    return a, spla.splu(a)
 
 
 def harmonic_extension_mode(grid: Grid, u_k: np.ndarray, f_k: np.ndarray | None,
-                            k: int, period: float, eps: float = 0.0,
-                            _cache: dict | None = None) -> np.ndarray:
+                            k: int, period: float, eps: float = 0.0) -> np.ndarray:
     """Wave-side lift of the heat interface flux for one temporal mode.
 
     Solves, in the discrete weak sense, the stationary problem
         a_W(e, phi) = <F, phi|_interface>   for all wave test functions phi
     with e = 0 on the outer wave wall, where F is the heat-side residual
-    functional built from (u_k, f_k). Equivalently e is discrete-harmonic
-    with Neumann interface data equal to the discrete heat flux of u_k.
+    functional built from (u_k, f_k) (see _interface_functional).
+    Equivalently e is discrete-harmonic with Neumann interface data equal to
+    the discrete heat flux of u_k.
     """
-    omega = 2.0 * np.pi / period
-    iwk = 1j * omega * k
-    if _cache is not None and "wave" in _cache:
-        wave = _cache["wave"]
-        heat = _cache["heat"]
-    else:
-        wave = _WaveWeakSolver(grid)
-        heat = _HeatTraceExtension(grid)
-        if _cache is not None:
-            _cache["wave"] = wave
-            _cache["heat"] = heat
-    f_iface = heat.functional(np.asarray(u_k, dtype=complex), f_k, iwk, eps)
-    rhs = np.zeros(wave.matrix.shape[0], dtype=complex)
-    rhs[wave.idx[0, grid.interface_columns]] = f_iface
-    e, x = wave.solve(rhs)
+    iwk = 1j * (2.0 * np.pi / period) * k
+    a, lu = _wave_free_system(grid.ny_w, grid.nx, grid.hx, grid.hy_w)
+    rhs = np.zeros(a.shape[0], dtype=complex)
+    rhs[:grid.nx - 2] = _interface_functional(
+        grid, np.asarray(u_k, dtype=complex), f_k, iwk, eps)
+    x = lu.solve(rhs)
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm > 0:
-        rel = float(np.linalg.norm(wave.matrix @ x - rhs)) / rhs_norm
+        rel = float(np.linalg.norm(a @ x - rhs)) / rhs_norm
         if rel > 1e-9:
             raise SolverError(f"harmonic extension weak residual {rel:.3e}",
                               residual=rel)
+    e = np.zeros((grid.ny_w, grid.nx), dtype=complex)
+    e[:-1, 1:-1] = x.reshape(grid.ny_w - 1, grid.nx - 2)
     return e
 
 

@@ -13,7 +13,8 @@ Two routes to T-periodic solutions of the coupled system:
   heat equation, which makes the period map a contraction; a one-step
   implicit scheme (trapezoidal / Crank-Nicolson) marches the first-order
   system from rest until successive period snapshots agree, then the last
-  period is transformed back to Fourier coefficients. It is kept as an
+  period is transformed back to Fourier coefficients. The state lives in
+  the row blocks of the new-level step's ModeOperator. It is kept as an
   independent check of the frequency route.
 
 The march has an exact discrete periodic orbit. On a uniform period grid
@@ -191,17 +192,23 @@ class EpsilonParams:
     n_report_modes: int = 16
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ConfigurationError("damping shift eps must be positive")
+        if not (np.isfinite(self.eps) and self.eps > 0):
+            raise ConfigurationError(
+                f"damping shift eps must be positive and finite, got {self.eps}")
+        if not np.isfinite(self.period_tol):
+            raise ConfigurationError(f"period_tol must be finite, got {self.period_tol}")
         if self.n_steps < 4:
             raise ConfigurationError("need at least 4 steps per period")
+        if self.max_periods < 1:
+            raise ConfigurationError(f"max_periods must be >= 1, got {self.max_periods}")
 
 
 class _MarchOperator:
     """Trapezoidal step for the damped first-order system.
 
     State y = (w, v, u) with w, v on wave unknowns (interface included) and
-    u on heat interior unknowns. ODE rows:
+    u on heat interior unknowns, each in the row blocks of self.op, the
+    new-level step. ODE rows:
         w' = v
         v' = Lap w - 2 eps v - eps^2 w + g     (wave interior)
         u' = Lap u - eps u + f                 (heat interior)
@@ -219,17 +226,13 @@ class _MarchOperator:
         self.eps = eps
         self.dt = dt
         self.s = s = 2.0 / dt
-        self.wave_ids = ops.wave_index_map(grid)
-        self.heat_ids = ops.heat_index_map(grid, 0)
-        nw = int((self.wave_ids >= 0).sum())
-        nh = int((self.heat_ids >= 0).sum())
-        self.nw, self.nh = nw, nh
-        self.n = 2 * nw + nh
-        self.ow, self.ov, self.ou = 0, nw, 2 * nw
+        # the new-level step; its row blocks are the layout of w, v and u
+        self.op = ops.ModeOperator(0, 0.0, grid, ((s + eps) ** 2, s + eps, s))
+        nw, nh = self.op.n_wave, self.op.n_heat
+        self.nw, self.n = nw, 2 * nw + nh
         hx, hyw, hyh = grid.hx, grid.hy_w, grid.hy_h
 
-        iface = np.zeros(nw, dtype=bool)
-        iface[self.wave_ids[0, grid.interface_columns]] = True
+        iface = np.arange(nw) < grid.nx - 2  # the first row block
         interior_rows = sp.diags(np.concatenate((~iface, np.ones(nh, bool))).astype(float))
         old = -(interior_rows @ ops.coupled_matrix(
             grid, -(s * s + 2 * eps * s - eps**2), -(s - eps), -s)).tocsc()
@@ -238,7 +241,7 @@ class _MarchOperator:
             old[:, :nw] + sp.diags(np.where(iface, -c * s, 0.0), shape=(nw + nh, nw)),
             sp.diags(np.where(iface, -c, 2 * s), shape=(nw + nh, nw)),
             old[:, nw:]]).tocsr()
-        self.lu = spla.splu(ops.coupled_matrix(grid, (s + eps) ** 2, s + eps, s).tocsc())
+        self.lu = spla.splu(self.op.matrix.tocsc())
 
         # energy mass: |grad w|^2 (edge form) + |v|^2 + |u|^2
         self.energy_form = ops._sbp_form(grid.ny_w, grid.nx, hx, hyw)
@@ -246,15 +249,13 @@ class _MarchOperator:
         self.mass_h = quad.trap_mass(grid.ny_h, grid.nx, hx, hyh)
 
     def scatter(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        grid = self.grid
+        grid, nw, m = self.grid, self.nw, self.grid.nx - 2
         w = np.zeros((grid.ny_w, grid.nx))
         v = np.zeros((grid.ny_w, grid.nx))
         u = np.zeros((grid.ny_h, grid.nx))
-        mask = self.wave_ids >= 0
-        w[mask] = y[self.ow + self.wave_ids[mask]]
-        v[mask] = y[self.ov + self.wave_ids[mask]]
-        hmask = self.heat_ids >= 0
-        u[hmask] = y[self.ou + self.heat_ids[hmask]]
+        w[:-1, 1:-1] = y[:nw].reshape(-1, m)
+        v[:-1, 1:-1] = y[nw:2 * nw].reshape(-1, m)
+        u[1:-1, 1:-1] = y[2 * nw:].reshape(-1, m)
         u[-1, :] = v[0, :]  # heat interface trace is the wave velocity
         return w, v, u
 
@@ -265,14 +266,7 @@ class _MarchOperator:
 
     def forcing_vector(self, g_t: np.ndarray | None, f_t: np.ndarray | None) -> np.ndarray:
         """Step forcing: 2 g on wave interior rows, 2 f on heat rows."""
-        out = np.zeros(self.nw + self.nh)
-        if g_t is not None:
-            jj, ii = np.mgrid[1:self.grid.ny_w - 1, 1:self.grid.nx - 1]
-            out[self.wave_ids[jj, ii]] = 2.0 * g_t[jj, ii]
-        if f_t is not None:
-            jj, ii = np.mgrid[1:self.grid.ny_h - 1, 1:self.grid.nx - 1]
-            out[self.nw + self.heat_ids[jj, ii]] = 2.0 * f_t[jj, ii]
-        return out
+        return 2.0 * ops.mode_rhs(self.op, f_t, g_t)
 
     def step(self, y: np.ndarray, force_mid: np.ndarray) -> np.ndarray:
         x = self.lu.solve(self.rhs_mat @ y + force_mid)

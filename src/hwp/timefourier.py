@@ -191,18 +191,3 @@ def periodic_antiderivative(field: FourierField, order: int = 1) -> FourierField
     coeffs = field.coeffs * shaped
     coeffs[field.n_modes] = 0.0
     return FourierField(field.period, coeffs, field.domain)
-
-
-def time_product_integral(a: FourierField, b: FourierField,
-                          weights: np.ndarray) -> float:
-    """Exact value of int_0^T sum_nodes w * a(t) * b(t) dt for real fields.
-
-    Uses the Parseval pairing  int_0^T a b = T sum_k <a_k, conj(b_k)>.
-    """
-    if a.period != b.period:
-        raise AnalysisError("period mismatch")
-    n = max(a.n_modes, b.n_modes)
-    ca = a.truncated(n).coeffs
-    cb = b.truncated(n).coeffs
-    val = np.sum(weights[None, ...] * ca * np.conj(cb))
-    return float(a.period * val.real)

@@ -16,7 +16,6 @@ import pytest
 
 import hwp
 from hwp import analysis
-from hwp import operators as ops
 from hwp.cli import main, smooth_heat_forcing
 
 T = 2 * np.pi
@@ -119,8 +118,12 @@ def test_criterion_2_uniqueness_trivial_solution():
 
 def _dense_collocation_solution(grid, f, g, n_modes):
     """Dense direct space-time collocation solve (independent oracle)."""
-    wid = ops.wave_index_map(grid)
-    hid = ops.heat_index_map(grid, 0)
+    # local layout: wave unknowns on rows [:-1], heat unknowns on rows
+    # [1:-1], both on the inner columns, row-major; -1 on fixed nodes
+    wid = -np.ones((grid.ny_w, grid.nx), dtype=int)
+    wid[:-1, 1:-1] = np.arange((grid.ny_w - 1) * (grid.nx - 2)).reshape(-1, grid.nx - 2)
+    hid = -np.ones((grid.ny_h, grid.nx), dtype=int)
+    hid[1:-1, 1:-1] = np.arange((grid.ny_h - 2) * (grid.nx - 2)).reshape(-1, grid.nx - 2)
     nw = int((wid >= 0).sum())
     nh = int((hid >= 0).sum())
     m = 2 * n_modes + 1

@@ -341,6 +341,21 @@ def test_epsilon_sweep_non_positive_shift_rejected_by_name(value):
     assert "'epsilons'" in str(err.value)
 
 
+@pytest.mark.parametrize("command,line", [
+    ("regularity-scan", "truncations = ,"), ("regularity-scan", "truncations = 0,8"),
+    ("regularity-scan", "truncations = 64,8"), ("epsilon-sweep", "epsilons = ,"),
+], ids=["empty-truncations", "zero-truncation", "decreasing-truncations",
+        "empty-epsilons"])
+def test_bad_list_rejected_by_name_before_work(tmp_path, capsys, command, line):
+    cfg = _write(tmp_path, line + "\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert repr(line.split(" =")[0]) in captured.err
+    assert not captured.out  # no phase line: nothing started
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["solve", "epsilon-sweep"])
 def test_non_hermitian_coefficient_file_rejected(tmp_path, capsys, command):
     # a one-sided mode k = 1 with no conjugate k = -1 is not a real forcing

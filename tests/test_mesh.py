@@ -6,18 +6,9 @@ from hwp import mesh
 from hwp.errors import ConfigurationError, MeshError
 
 
-def test_tag_counts_5x5x5():
-    grid = hwp.build_stacked_rectangles(np.pi, 1.0, 1.0, 5, 5, 5)
-    counts = grid.tag_counts()
-    assert counts["Interface"] == 3
-    assert counts["InteriorW"] == 9
-    assert counts["InteriorH"] == 9
-
-
 def test_smallest_grid_has_one_interface_node():
     grid = hwp.build_stacked_rectangles(np.pi, 1.0, 1.0, 3, 3, 3)
     assert grid.n_interface == 1
-    assert grid.tag_counts()["Interface"] == 1
 
 
 def test_spacing_definition():
@@ -30,31 +21,6 @@ def test_interface_row_shared_and_on_axis():
     grid = hwp.build_stacked_rectangles(np.pi, 1.0, 1.0, 9, 7, 5)
     assert np.all(grid.y_w[0] == 0.0)
     assert np.all(grid.y_h[-1] == 0.0)
-    # total unique nodes: heat rows below the interface plus all wave rows
-    assert len(grid.node_table()) == grid.nx * (grid.ny_w + grid.ny_h - 1)
-
-
-def test_interface_nodes_have_both_neighbors():
-    grid = hwp.build_stacked_rectangles(np.pi, 1.0, 1.0, 7, 7, 7)
-    wt = grid.wave_tags()
-    ht = grid.heat_tags()
-    for i in grid.interface_columns:
-        assert wt[0, i].value == "Interface"
-        assert wt[1, i].value in ("InteriorW",)   # north neighbor exists
-        assert ht[-2, i].value in ("InteriorH",)  # south neighbor exists
-
-
-def test_corner_nodes_are_dirichlet():
-    grid = hwp.build_stacked_rectangles(np.pi, 1.0, 1.0, 5, 5, 5)
-    wt = grid.wave_tags()
-    assert wt[0, 0].value == "GammaW"
-    assert wt[0, -1].value == "GammaW"
-
-
-def test_tag_partition_exhaustive_and_disjoint():
-    grid = hwp.build_stacked_rectangles(np.pi, 1.0, 1.0, 6, 5, 4)
-    counts = grid.tag_counts()
-    assert sum(counts.values()) == grid.nx * (grid.ny_w + grid.ny_h - 1)
 
 
 def test_degenerate_sizes_rejected():
@@ -62,15 +28,6 @@ def test_degenerate_sizes_rejected():
         hwp.build_stacked_rectangles(np.pi, 1.0, 1.0, 2, 5, 5)
     with pytest.raises(ConfigurationError):
         hwp.build_stacked_rectangles(0.0, 1.0, 1.0, 5, 5, 5)
-
-
-def test_grid_csv_dump(tmp_path):
-    grid = hwp.build_stacked_rectangles(np.pi, 1.0, 1.0, 3, 3, 3)
-    path = tmp_path / "grid.csv"
-    grid.dump_csv(str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x,y,tag"
-    assert len(lines) == 1 + 3 * 5
 
 
 # ---------------------------------------------------------------------------

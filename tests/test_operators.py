@@ -15,6 +15,43 @@ def small_grid(n=9):
     return hwp.build_stacked_rectangles(np.pi, 1.0, 1.0, n, n, n)
 
 
+def _wave_ids(grid):
+    """Oracle layout: wave unknown ids, shape (ny_w, nx), row-major over
+    the rows below the top wall (interface first) and the inner columns;
+    -1 marks Dirichlet wall nodes."""
+    ids = -np.ones((grid.ny_w, grid.nx), dtype=int)
+    ids[:-1, 1:-1] = np.arange((grid.ny_w - 1) * (grid.nx - 2)).reshape(-1, grid.nx - 2)
+    return ids
+
+
+def _heat_ids(grid, offset):
+    """Oracle layout: heat unknown ids from offset, shape (ny_h, nx); -1 on
+    the walls and the interface row."""
+    ids = -np.ones((grid.ny_h, grid.nx), dtype=int)
+    ids[1:-1, 1:-1] = offset + np.arange((grid.ny_h - 2) * (grid.nx - 2)).reshape(-1, grid.nx - 2)
+    return ids
+
+
+@pytest.mark.parametrize("dims", [(3, 3, 3), (5, 5, 5), (6, 5, 4), (7, 7, 7), (9, 7, 5)],
+                         ids=lambda d: "-".join(map(str, d)))
+def test_unknown_layout(dims):
+    # (nx, ny_w, ny_h): one unknown per interface node and per interior node
+    # of each side; a solution vector is zero on every wall node, the two
+    # interface-row corners included, and nonzero elsewhere (the interface
+    # node has a wave neighbour above and a heat neighbour below)
+    nx, ny_w, ny_h = dims
+    grid = hwp.build_stacked_rectangles(np.pi, 1.0, 1.0, nx, ny_w, ny_h)
+    op = hwp.assemble_coupled_mode(grid, 1, T)
+    assert op.dimension == (nx - 2) * (ny_w - 1 + ny_h - 2)
+    assert grid.n_interface == nx - 2
+    x = (1.0 + np.random.default_rng(nx).random(op.dimension)) * (1 + 1j)
+    w, u = ops.split_mode_solution(op, x)
+    assert w[0, 0] == w[0, -1] == u[-1, 0] == u[-1, -1] == 0
+    np.testing.assert_array_equal(w != 0, _wave_ids(grid) >= 0)
+    np.testing.assert_array_equal(u[:-1] != 0, _heat_ids(grid, 0)[:-1] >= 0)
+    np.testing.assert_array_equal(u[-1], op.coeffs[2] * w[0])  # the derived trace
+
+
 def test_mode_dimension_5x5x5():
     grid = hwp.build_stacked_rectangles(np.pi, 1.0, 1.0, 5, 5, 5)
     op = hwp.assemble_coupled_mode(grid, 1, T)
@@ -35,7 +72,7 @@ def test_wave_diagonal_carries_squared_frequency():
     grid = small_grid()
     op = hwp.assemble_coupled_mode(grid, 2, T)
     # an interior wave row: diagonal = -(w k)^2 + 2/hx^2 + 2/hy^2 with wk = 2
-    r = ops.wave_index_map(op.grid)[2, 2]
+    r = _wave_ids(op.grid)[2, 2]
     diag = op.matrix[r, r]
     expected = -4.0 + 2 / grid.hx**2 + 2 / grid.hy_w**2
     assert diag == pytest.approx(expected, rel=1e-15)
@@ -77,9 +114,9 @@ def _entrywise_coupled_matrix(grid, c_wave, c_heat, c_trace):
     """Reference: the coupled stencil written entry by entry on the 2-D
     index maps (the Kronecker build in operators must reproduce it)."""
     dtype = np.result_type(c_wave, c_heat, c_trace, float)
-    wave_ids = ops.wave_index_map(grid)
+    wave_ids = _wave_ids(grid)
     n_wave = int((wave_ids >= 0).sum())
-    heat_ids = ops.heat_index_map(grid, n_wave)
+    heat_ids = _heat_ids(grid, n_wave)
     n = n_wave + int((heat_ids >= 0).sum())
     hx, hyw, hyh = grid.hx, grid.hy_w, grid.hy_h
     a = sp.lil_matrix((n, n), dtype=dtype)
@@ -237,7 +274,7 @@ def test_flux_row_divergence_consistency():
     rng = np.random.default_rng(8)
     x = rng.standard_normal(op.dimension) + 1j * rng.standard_normal(op.dimension)
     w, u = ops.split_mode_solution(op, x)
-    rows = ops.wave_index_map(grid)[0, grid.interface_columns]
+    rows = _wave_ids(grid)[0, grid.interface_columns]
     total = complex(np.sum((op.matrix @ x)[rows]))
     dyw = (-3 * w[0, :] + 4 * w[1, :] - w[2, :]) / (2 * grid.hy_w)
     dyu = (3 * u[-1, :] - 4 * u[-2, :] + u[-3, :]) / (2 * grid.hy_h)
@@ -344,7 +381,7 @@ def test_harmonic_extension_matches_direct_mixed_solve():
     assert np.max(np.abs(e[:, 0])) == 0.0
 
     flux = (u[-1, :] - u[-2, :]) / grid.hy_h
-    wid = ops.wave_index_map(grid)
+    wid = _wave_ids(grid)
     n = int((wid >= 0).sum())
     a = sp.lil_matrix((n, n), dtype=complex)
     b = np.zeros(n, dtype=complex)
@@ -384,22 +421,49 @@ def test_harmonic_extension_energy_estimate_reported():
     assert c < 10.0  # a modest, grid-stable constant
 
 
+def _per_hat_functional(grid, u_k, f_k, iwk, eps):
+    """Reference: the discrete harmonic extension of every interface hat
+    into the heat rectangle, one Dirichlet solve each, kept in an
+    (n_interface, ny, nx) table, then each pairing summed term by term."""
+    ny, nx = grid.ny_h, grid.nx
+    form = quad.sbp_stiffness(ny, nx, grid.hx, grid.hy_h, np.arange(1, ny - 1)).tocsr()
+    lu = spla.splu(quad.laplacian_5pt(ny, nx, grid.hx, grid.hy_h).tocsc())
+    exts = np.zeros((grid.n_interface, ny, nx))
+    for col, i in enumerate(grid.interface_columns):
+        rhs = np.zeros((ny - 2, nx - 2))
+        rhs[-1, i - 1] = 1.0 / grid.hy_h**2  # hat value 1 enters the row below
+        exts[col, 1:-1, 1:-1] = lu.solve(rhs.ravel()).reshape(ny - 2, nx - 2)
+        exts[col, -1, i] = 1.0
+    mass = quad.interior_mass(ny, nx, grid.hx, grid.hy_h)
+    form_u = form @ u_k.ravel()
+    out = np.zeros(grid.n_interface, dtype=complex)
+    for col, psi in enumerate(exts):
+        val = np.sum(mass * f_k * psi) - iwk * np.sum(mass * u_k * psi)
+        val -= eps * np.sum(mass * u_k * psi)
+        out[col] = val - psi.ravel() @ form_u
+    return out
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+@pytest.mark.parametrize("dims", [(9, 9, 9, np.pi, 1.0, 1.0), (17, 17, 17, np.pi, 1.0, 1.0),
+                                  (17, 9, 13, 2.0, 1.0, 0.7)],
+                         ids=["9^3", "17^3", "17-9-13"])
+def test_interface_functional_matches_per_hat_table(dims, eps):
+    nx, ny_w, ny_h, lx, ly_w, ly_h = dims
+    grid = hwp.build_stacked_rectangles(lx, ly_w, ly_h, nx, ny_w, ny_h)
+    rng = np.random.default_rng(nx + ny_h)
+    u, f = rng.standard_normal((2, ny_h, nx)) + 1j * rng.standard_normal((2, ny_h, nx))
+    ref = _per_hat_functional(grid, u, f, 2j, eps)
+    got = ops._interface_functional(grid, u, f, 2j, eps)
+    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
 def test_dual_norm_positive_and_scales():
     grid = small_grid(17)
     v = np.outer(np.sin(np.pi * (grid.y_h + 1)), np.sin(grid.x))
     base = ops.heat_dual_norm_sq(grid, v)
     assert base > 0
     assert ops.heat_dual_norm_sq(grid, 2 * v) == pytest.approx(4 * base, rel=1e-12)
-
-
-def test_mode_operator_coordinate_dump(tmp_path):
-    grid = small_grid(5)
-    op = hwp.assemble_coupled_mode(grid, 1, T)
-    path = tmp_path / "mode.txt"
-    op.dump_coordinate(str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("# mode k=1")
-    assert len(lines) == 1 + op.matrix.nnz
 
 
 @pytest.mark.parametrize("rows", ["interior", "all"])

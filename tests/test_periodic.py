@@ -331,7 +331,9 @@ def test_damped_solve_rejects_bad_parameters(kwargs):
 
 
 def test_epsilon_params_validation():
-    with pytest.raises(Exception):
-        hwp.EpsilonParams(eps=0.0)
-    with pytest.raises(Exception):
-        hwp.EpsilonParams(eps=0.1, n_steps=2)
+    nan, inf = float("nan"), float("inf")
+    for kwargs in ({"eps": 0.0}, {"eps": 0.1, "n_steps": 2}, {"eps": nan},
+                   {"eps": inf}, {"eps": 0.1, "period_tol": nan},
+                   {"eps": 0.1, "period_tol": inf}, {"eps": 0.1, "max_periods": 0}):
+        with pytest.raises(ConfigurationError):
+            hwp.EpsilonParams(**kwargs)
