@@ -6,6 +6,16 @@ from hwp import mesh
 from hwp.errors import ConfigurationError, MeshError
 
 
+def test_tag_counts_5x5x5():
+    # 3 interface nodes, 3x3 interior nodes on each side, counted as the
+    # unknowns of a mode operator
+    grid = hwp.build_stacked_rectangles(np.pi, 1.0, 1.0, 5, 5, 5)
+    op = hwp.assemble_coupled_mode(grid, 1, 2 * np.pi)
+    assert grid.n_interface == 3
+    assert op.n_wave - grid.n_interface == 9
+    assert op.n_heat == 9
+
+
 def test_smallest_grid_has_one_interface_node():
     grid = hwp.build_stacked_rectangles(np.pi, 1.0, 1.0, 3, 3, 3)
     assert grid.n_interface == 1
@@ -21,6 +31,17 @@ def test_interface_row_shared_and_on_axis():
     grid = hwp.build_stacked_rectangles(np.pi, 1.0, 1.0, 9, 7, 5)
     assert np.all(grid.y_w[0] == 0.0)
     assert np.all(grid.y_h[-1] == 0.0)
+
+
+def test_corner_nodes_are_dirichlet():
+    # the two interface-row corners belong to the side walls: a scattered
+    # solution vector with no zero entry is still zero there
+    grid = hwp.build_stacked_rectangles(np.pi, 1.0, 1.0, 5, 5, 5)
+    op = hwp.assemble_coupled_mode(grid, 1, 2 * np.pi)
+    w, u = hwp.operators.split_mode_solution(op, np.ones(op.dimension, dtype=complex))
+    assert w[0, 0] == w[0, -1] == 0
+    assert u[-1, 0] == u[-1, -1] == 0
+    assert np.all(w[0, 1:-1] != 0)
 
 
 def test_degenerate_sizes_rejected():
