@@ -381,18 +381,13 @@ def _run_solve(scn: Scenario) -> dict:
     report = solve_periodic_harmonic(grid, f, g, scn["modes"], tol=scn["tol"])
     elapsed = time.perf_counter() - t0
 
-    mode_rows = []
     mass_w = quadr.trap_mass(grid.ny_w, grid.nx, grid.hx, grid.hy_w)
     mass_h = quadr.trap_mass(grid.ny_h, grid.nx, grid.hx, grid.hy_h)
-    for k in range(-scn["modes"], scn["modes"] + 1):
-        u_k = report.u.mode(k)
-        w_k = report.w.mode(k)
-        mode_rows.append((k,
-                          float(np.sqrt(quadr.norm_sq(mass_h, u_k))),
-                          float(np.sqrt(quadr.norm_sq(mass_w, w_k))),
-                          report.mode_residuals.get(abs(k), 0.0)))
+    ks = list(range(-scn["modes"], scn["modes"] + 1))
     reporting.write_csv(_out(scn, "_modes.csv"), ["k", "u_norm", "w_norm", "residual"],
-                        mode_rows)
+                        [ks, [np.sqrt(quadr.norm_sq(mass_h, report.u.mode(k))) for k in ks],
+                         [np.sqrt(quadr.norm_sq(mass_w, report.w.mode(k))) for k in ks],
+                         [report.mode_residuals.get(abs(k), 0.0) for k in ks]])
 
     for j in range(8):
         t = j * report.period / 8.0
@@ -440,9 +435,7 @@ def _run_epsilon_sweep(scn: Scenario) -> dict:
     reference = solve_periodic_harmonic(grid, f, g, scn["modes"], tol=scn["tol"])
     w_ref_norm = max(analysis.sobolev_time_norm(reference.w, 0, grid, "l2"), 1e-300)
 
-    rows = []
-    gaps = []
-    ratios = []
+    dts, gaps, ratios, residuals = [], [], [], []
     for eps in scn["epsilons"]:
         # the periodic orbit of the trapezoidal march with `steps` steps
         rep = solve_periodic_harmonic(grid, f, g, scn["modes"], tol=scn["tol"],
@@ -450,13 +443,14 @@ def _run_epsilon_sweep(scn: Scenario) -> dict:
         gap = (analysis.sobolev_time_norm(rep.w - reference.w, 0, grid, "l2")
                / w_ref_norm)
         est = analysis.estimate_check(rep, f, g, "damped-energy", k=0)
-        rows.append((eps, rep.params["dt"], gap, est["ratio"], rep.max_residual()))
+        dts.append(rep.params["dt"])
         gaps.append(gap)
         ratios.append(est["ratio"])
+        residuals.append(rep.max_residual())
         _phase(f"eps={eps:g}: gap {gap:.3e}")
     reporting.write_csv(_out(scn, ".csv"),
                         ["epsilon", "dt", "gap_rel", "damped_energy_ratio",
-                         "max_residual"], rows)
+                         "max_residual"], [scn["epsilons"], dts, gaps, ratios, residuals])
     summary = {
         "epsilons": list(scn["epsilons"]),
         "gaps": gaps,
@@ -513,8 +507,9 @@ def _run_identity_check(scn: Scenario) -> dict:
     payload["field"] = spec.describe()
     if scn["equipartition"]:
         payload["equipartition_residual"] = analysis.equipartition_residual(w, g, grid)
+    names = sorted(report.terms)
     reporting.write_csv(_out(scn, "_terms.csv"), ["term", "value"],
-                        sorted(report.terms.items()))
+                        [names, [report.terms[t] for t in names]])
     reporting.write_json(_out(scn, ".json"), payload)
     _phase(f"identity residual {report.residual:.3e} "
            f"(lhs {report.lhs_value:.6e}, rhs {report.rhs_value:.6e})")
@@ -528,7 +523,7 @@ def _run_regularity_scan(scn: Scenario) -> dict:
     _phase(f"scan rule {rule.tag}, truncations {scn['truncations']}")
     result = analysis.regularity_scan(rule, scn["truncations"], grid)
     reporting.write_csv(_out(scn, ".csv"), ["n_terms", "s0", "s1", "grad_norm"],
-                        result["rows"])
+                        list(zip(*result["rows"])))
     reporting.write_json(_out(scn, ".json"),
                          {"rule": result["rule"], "verdicts": result["verdicts"],
                           "seed": scn.seed})
@@ -540,14 +535,10 @@ def _run_example_gen(scn: Scenario) -> dict:
     grid = _build_grid(scn)
     n = scn["mode"]
     g, w = closedform.analytic_mode(n, grid)
-    rows = []
-    for k in (n, -n):
-        c = g.mode(k)
-        for j in range(grid.ny_w):
-            for i in range(grid.nx):
-                if c[j, i] != 0:
-                    rows.append((k, j, i, c[j, i].real, c[j, i].imag))
-    reporting.write_csv(_out(scn, "_g_coeffs.csv"), ["k", "j", "i", "re", "im"], rows)
+    c = np.stack([g.mode(n), g.mode(-n)])
+    m, j, i = np.nonzero(c)  # row-major: the nodes of k = n, then of k = -n
+    reporting.write_csv(_out(scn, "_g_coeffs.csv"), ["k", "j", "i", "re", "im"],
+                        [np.array([n, -n])[m], j, i, c[m, j, i].real, c[m, j, i].imag])
     amp_w = np.sin(n * grid.x)[None, :] * closedform.bump_profile().phi(grid.y_w)[:, None]
     reporting.write_grid_csv(_out(scn, "_w_amplitude.csv"), amp_w)
     payload = {

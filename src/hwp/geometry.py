@@ -151,14 +151,12 @@ def check_conditions(spec: VectorFieldSpec, samples: DomainSamples,
     )
 
 
-def boundary_sign_table(report: GeometryReport, samples: DomainSamples) -> list[tuple]:
-    """Per-sample b.n rows (x, y, nx, ny, tag, b_dot_n) for CSV export, from
-    the b.n that check_conditions computed on the same samples."""
-    rows = []
-    for p, n, t, v in zip(samples.boundary_points, samples.boundary_normals,
-                          samples.boundary_tags, report.b_dot_n):
-        rows.append((float(p[0]), float(p[1]), float(n[0]), float(n[1]), str(t), float(v)))
-    return rows
+def boundary_sign_table(report: GeometryReport, samples: DomainSamples) -> tuple:
+    """The b.n CSV columns (x, y, nx, ny, tag, b_dot_n) of the boundary
+    samples, from the b.n that check_conditions computed on them."""
+    pts, nrm = samples.boundary_points, samples.boundary_normals
+    return (pts[:, 0], pts[:, 1], nrm[:, 0], nrm[:, 1], samples.boundary_tags,
+            report.b_dot_n)
 
 
 # ---------------------------------------------------------------------------

@@ -178,19 +178,20 @@ def _curve_boundary(param, t0: float, t1: float, outward, tag: str, res: int,
                     length_scale: float):
     """Midpoint samples along a parameterized curve with analytic normals.
 
-    `param(t)` returns the point, `outward(t)` the (not necessarily unit)
-    outward normal direction.
+    `param(ts)` and `outward(ts)` take an array of parameters and return the
+    (x, y) components of the points and of the (not necessarily unit) outward
+    normals; a scalar component is broadcast.
     """
     n = max(2, int(np.ceil(length_scale * res)))
     ts, ht = _midpoints(t0, t1, n)
-    pts = np.array([param(t) for t in ts])
-    # arclength weight via midpoint speed
+    xy = lambda f, t: np.stack(np.broadcast_arrays(*f(t)), axis=1)  # (n, 2)
+
+    # arclength weight via the midpoint speed, a central difference
     dt = 1e-6 * (t1 - t0)
-    speeds = np.array([np.linalg.norm((np.asarray(param(t + dt)) - np.asarray(param(t - dt))) / (2 * dt))
-                       for t in ts])
-    nrms = np.array([outward(t) for t in ts], dtype=float)
+    speeds = np.linalg.norm((xy(param, ts + dt) - xy(param, ts - dt)) / (2 * dt), axis=1)
+    nrms = xy(outward, ts)
     nrms /= np.linalg.norm(nrms, axis=1)[:, None]
-    return pts, nrms, ht * speeds, np.full(len(ts), tag)
+    return xy(param, ts), nrms, ht * speeds, np.full(n, tag)
 
 
 def _stack(parts):

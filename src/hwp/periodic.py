@@ -180,7 +180,7 @@ class EpsilonParams:
 
     eps > 0 is the damping shift; n_steps is the number of time steps per
     period (the step divides the period exactly by construction);
-    period_tol is the relative energy-norm threshold on consecutive period
+    period_tol > 0 is the relative energy-norm threshold on consecutive period
     snapshots; n_report_modes caps the Fourier content of the returned
     fields.
     """
@@ -195,8 +195,8 @@ class EpsilonParams:
         if not (np.isfinite(self.eps) and self.eps > 0):
             raise ConfigurationError(
                 f"damping shift eps must be positive and finite, got {self.eps}")
-        if not np.isfinite(self.period_tol):
-            raise ConfigurationError(f"period_tol must be finite, got {self.period_tol}")
+        if not (np.isfinite(self.period_tol) and self.period_tol > 0):
+            raise ConfigurationError(f"period_tol must be > 0 and finite, got {self.period_tol}")
         if self.n_steps < 4:
             raise ConfigurationError("need at least 4 steps per period")
         if self.max_periods < 1:

@@ -1,11 +1,11 @@
 """Deterministic CSV/JSON writers.
 
-Floats are rendered with %.17g and newlines are always '\\n', so repeated
-runs with the same inputs produce byte-identical files.
-
-Grid CSVs are formatted by an exact vectorized %.17g kernel
-(``_grid_csv_body``) that gives the bytes of ``'%.17g' % v`` for every
-value. Per value it
+CSVs are written by columns and newlines are always '\\n', so repeated runs
+with the same inputs produce byte-identical files. Float columns, grid CSVs
+included, go through one exact vectorized %.17g kernel (``_grid_csv_body``);
+int columns are written with ``str``, bool columns as ``true``/``false`` and
+str columns as they are. The kernel gives the bytes of ``'%.17g' % v`` for
+every value. Per value it
 
 * estimates the decimal exponent e = floor(log10|x|) and computes
   |x| * 10**(16 - e) as a double-double product (Dekker's TwoProduct with a
@@ -30,29 +30,41 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 
-def fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
-    if isinstance(value, complex):
-        return f"{value.real:.17g}{value.imag:+.17g}j"
-    return str(value)
-
-
-def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+def _write(path: str, header: Sequence[str], body: bytes) -> None:
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", newline="\n") as f:
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(fmt(v) for v in row) + "\n")
+    with open(path, "wb") as f:
+        f.write(",".join(header).encode() + b"\n")
+        f.write(body)
+
+
+def _column_cells(name: str, column: np.ndarray) -> list[bytes]:
+    """The CSV cells of one column of a mixed table."""
+    kind = column.dtype.kind
+    if kind == "c":
+        raise TypeError(f"CSV column {name!r} is complex; write re and im columns")
+    if kind == "f":
+        return _grid_csv_body(column[:, None]).split(b"\n")[:-1]
+    if kind == "b":
+        return np.where(column, b"true", b"false").tolist()
+    return [str(v).encode() for v in column.tolist()]
+
+
+def write_csv(path: str, header: Sequence[str], columns: Sequence) -> None:
+    """CSV of one 1-D column per header name, all columns of one length."""
+    cols = [np.asarray(c) for c in columns]
+    if len(cols) != len(header) or len({c.shape for c in cols}) > 1 or cols[0].ndim != 1:
+        raise ValueError(f"{path}: column shapes {[c.shape for c in cols]} for {header}")
+    if all(c.dtype.kind == "f" for c in cols):
+        body = _grid_csv_body(np.column_stack(cols))
+    else:
+        cells = zip(*(_column_cells(h, c) for h, c in zip(header, cols)))
+        body = b"".join(b",".join(row) + b"\n" for row in cells)
+    _write(path, header, body)
 
 
 def _jsonable(obj):
@@ -82,12 +94,8 @@ def write_json(path: str, payload: dict) -> None:
 
 def write_grid_csv(path: str, array: np.ndarray) -> None:
     """Matrix-layout CSV of one real nodal field (rows bottom-to-top), in
-    the bytes write_csv gives for the same values."""
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    header = ",".join(f"c{i}" for i in range(array.shape[1]))
-    with open(path, "wb") as f:
-        f.write(header.encode() + b"\n")
-        f.write(_grid_csv_body(array))
+    the bytes write_csv gives for its columns."""
+    _write(path, [f"c{i}" for i in range(array.shape[1])], _grid_csv_body(array))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hwp import geometry, mesh, operators
+from hwp import closedform, geometry, mesh, operators
 from hwp.cli import _forcing_spec, main, parse_scenario, smooth_heat_forcing
 from hwp.errors import ConfigurationError
 from hwp.fields import jet_batch
@@ -132,6 +132,25 @@ def test_regularity_scan_scenario(tmp_path):
     assert main(["regularity-scan", "--config", cfg, "--out", str(out)]) == 0
     payload = json.loads((out / "regularity_scan_run.json").read_text())
     assert payload["verdicts"]["s1_increasing"]
+
+
+@pytest.mark.parametrize("mode", [2, 3])
+def test_example_gen_coefficients_match_node_loop(tmp_path, mode):
+    cfg = _write(tmp_path, f"mode = {mode}\ngrid.nx = 17\ngrid.ny_w = 17\ngrid.ny_h = 17\n")
+    out = tmp_path / "out"
+    assert main(["example-gen", "--config", cfg, "--out", str(out)]) == 0
+    # reference: the per-node loop the column build replaced, row-major
+    grid = mesh.build_stacked_rectangles(np.pi, 1.0, 1.0, 17, 17, 17)
+    g, _ = closedform.analytic_mode(mode, grid)
+    lines = ["k,j,i,re,im"]
+    for k in (mode, -mode):
+        c = g.mode(k)
+        for j in range(grid.ny_w):
+            for i in range(grid.nx):
+                if c[j, i] != 0:
+                    lines.append("%d,%d,%d,%.17g,%.17g" % (k, j, i, c[j, i].real, c[j, i].imag))
+    assert len(lines) > 2
+    assert (out / "example_gen_run_g_coeffs.csv").read_text() == "\n".join(lines) + "\n"
 
 
 def test_example_gen_roundtrip_as_forcing_file(tmp_path):

@@ -73,11 +73,12 @@ def test_empty_boundary_set_rejected():
 def test_boundary_sign_table_shape():
     samples = hwp.sample_domain("triangle", 16)
     report = hwp.check_conditions(hwp.translate((0.0, 0.0)), samples)
-    rows = boundary_sign_table(report, samples)
-    assert len(rows) == len(samples.boundary_points)
+    columns = boundary_sign_table(report, samples)
+    assert len(columns) == 6
+    assert all(len(c) == len(samples.boundary_points) for c in columns)
     # slant edge rows carry ~zero b.n
-    slant = [r for r in rows if r[4] == "OnGammaW"]
-    assert max(abs(r[5]) for r in slant) < 1e-12
+    tags, b_dot_n = columns[4], columns[5]
+    assert max(abs(b_dot_n[tags == "OnGammaW"])) < 1e-12
 
 
 # ---------------------------------------------------------------------------

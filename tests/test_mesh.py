@@ -189,3 +189,43 @@ def test_sample_count_bounded_before_sampling(monkeypatch):
     assert all(part in msg for part in ("'unit-square'", "64", "4096", "1000"))
     monkeypatch.setattr(mesh, "MAX_INTERIOR_SAMPLES", 1024)
     assert len(hwp.sample_domain("unit-square", 32).interior_weights) == 1024
+
+
+# ---------------------------------------------------------------------------
+# vectorized curve sampler against the per-sample loop it replaced
+# ---------------------------------------------------------------------------
+
+def _loop_curve_boundary(param, t0, t1, outward, tag, res, length_scale):
+    """Reference: param and outward called per sample, one norm per speed."""
+    n = max(2, int(np.ceil(length_scale * res)))
+    ts, ht = _loop_midpoints(t0, t1, n)
+    pts = np.array([param(t) for t in ts])
+    dt = 1e-6 * (t1 - t0)
+    speeds = np.array([np.linalg.norm((np.asarray(param(t + dt))
+                                       - np.asarray(param(t - dt))) / (2 * dt))
+                       for t in ts])
+    nrms = np.array([outward(t) for t in ts], dtype=float)
+    nrms /= np.linalg.norm(nrms, axis=1)[:, None]
+    return pts, nrms, ht * speeds, np.full(len(ts), tag)
+
+
+@pytest.mark.parametrize("res", [16, 96])
+@pytest.mark.parametrize("name", ["spiral", "shell", "arc", "horn"])
+def test_curve_samples_match_per_sample_loop(monkeypatch, name, res):
+    calls = []
+    curve_boundary = mesh._curve_boundary
+
+    def recording(*args):
+        calls.append((curve_boundary(*args), _loop_curve_boundary(*args)))
+        return calls[-1][0]
+
+    monkeypatch.setattr(mesh, "_curve_boundary", recording)
+    hwp.sample_domain(name, res)
+    assert len(calls) == 2
+    for (pts, nrms, wts, tags), (pts0, nrms0, wts0, tags0) in calls:
+        np.testing.assert_array_equal(pts, pts0)
+        np.testing.assert_array_equal(nrms, nrms0)
+        np.testing.assert_array_equal(tags, tags0)
+        # the loop's per-sample norm is a BLAS dot, which rounds differently
+        # from the vectorized sum of squares
+        assert np.all(np.abs(wts - wts0) <= 2 * np.spacing(wts0))

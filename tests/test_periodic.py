@@ -334,6 +334,7 @@ def test_epsilon_params_validation():
     nan, inf = float("nan"), float("inf")
     for kwargs in ({"eps": 0.0}, {"eps": 0.1, "n_steps": 2}, {"eps": nan},
                    {"eps": inf}, {"eps": 0.1, "period_tol": nan},
-                   {"eps": 0.1, "period_tol": inf}, {"eps": 0.1, "max_periods": 0}):
+                   {"eps": 0.1, "period_tol": inf}, {"eps": 0.1, "period_tol": 0.0},
+                   {"eps": 0.1, "period_tol": -1.0}, {"eps": 0.1, "max_periods": 0}):
         with pytest.raises(ConfigurationError):
             hwp.EpsilonParams(**kwargs)

@@ -4,6 +4,22 @@ import pytest
 from hwp import reporting
 
 
+def _fmt(value) -> str:
+    """The per-cell formatting of the row writer that write_csv replaced."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return f"{float(value):.17g}"
+    return str(value)
+
+
+def _row_writer_bytes(header, rows) -> bytes:
+    """Reference: the row-wise writer, one _fmt call per cell."""
+    return "".join(",".join(map(_fmt, row)) + "\n" for row in [header, *rows]).encode()
+
+
 def test_grid_csv_bytes_match_row_writer(tmp_path):
     rng = np.random.default_rng(3)
     array = rng.standard_normal((5, 7))
@@ -11,7 +27,7 @@ def test_grid_csv_bytes_match_row_writer(tmp_path):
     array[4, 6] = -1e-300
     grid_path, row_path = tmp_path / "grid.csv", tmp_path / "rows.csv"
     reporting.write_grid_csv(str(grid_path), array)
-    reporting.write_csv(str(row_path), [f"c{i}" for i in range(7)], list(array))
+    reporting.write_csv(str(row_path), [f"c{i}" for i in range(7)], array.T)
     assert grid_path.read_bytes() == row_path.read_bytes()
     assert grid_path.read_bytes().startswith(
         b"c0,c1,c2,c3,c4,c5,c6\n-0,4.9406564584124654e-324,10000000000000000,"
@@ -111,3 +127,50 @@ def test_grid_csv_body_formats_in_bounded_blocks(monkeypatch):
     step = blocks[0][0]
     assert body == b"".join(reporting._grid_csv_body(array[i:i + step])
                             for i in range(0, rows, step))
+
+
+def _mixed_columns():
+    n = len(EDGE_VALUES)
+    ints = np.random.default_rng(2).integers(-2**63, 2**63 - 1, n, dtype=np.int64)
+    ints[:3] = [0, -1, np.iinfo(np.int64).min]
+    return {
+        "k": [i - n // 2 for i in range(n)],                 # Python ints
+        "j": ints,                                           # numpy int64
+        "flag": np.arange(n) % 3 == 0,                       # numpy bool
+        "tag": ["OnGamma" if i % 2 else "OnGammaW" for i in range(n)],
+        "x": EDGE_VALUES,                                    # Python floats
+        "y": -np.array(EDGE_VALUES)[::-1],                   # numpy float64
+    }
+
+
+@pytest.mark.parametrize("names", [["k", "j", "flag", "tag", "x", "y"], ["x", "y"],
+                                   ["tag", "x"], ["k", "flag"]],
+                         ids=["mixed", "all-float", "str-float", "int-bool"])
+def test_column_writer_matches_row_writer(tmp_path, names):
+    columns = [_mixed_columns()[name] for name in names]
+    path = tmp_path / "table.csv"
+    reporting.write_csv(str(path), names, columns)
+    assert path.read_bytes() == _row_writer_bytes(names, zip(*columns))
+
+
+def test_column_writer_with_no_rows(tmp_path):
+    path = tmp_path / "empty.csv"
+    reporting.write_csv(str(path), ["k", "tag", "x"],
+                        [np.zeros(0, int), np.zeros(0, str), np.zeros(0)])
+    assert path.read_bytes() == b"k,tag,x\n"
+
+
+def test_column_writer_rejects_complex_column_by_name(tmp_path):
+    path = tmp_path / "complex.csv"
+    with pytest.raises(TypeError, match="'g'"):
+        reporting.write_csv(str(path), ["k", "g"], [[1, 2], np.array([1 + 2j, 3j])])
+    with pytest.raises(TypeError, match="'g'"):
+        reporting.write_csv(str(path), ["g"], [np.array([1 + 2j, 3j])])
+    assert not path.exists()
+
+
+def test_column_writer_rejects_ragged_columns(tmp_path):
+    with pytest.raises(ValueError):
+        reporting.write_csv(str(tmp_path / "ragged.csv"), ["k", "x"], [[1, 2], [0.5]])
+    with pytest.raises(ValueError):
+        reporting.write_csv(str(tmp_path / "short.csv"), ["k", "x"], [[1, 2]])
