@@ -1,11 +1,11 @@
 """Deterministic CSV/JSON writers.
 
 CSVs are written by columns and newlines are always '\\n', so repeated runs
-with the same inputs produce byte-identical files. Float columns, grid CSVs
-included, go through one exact vectorized %.17g kernel (``_grid_csv_body``);
-int columns are written with ``str``, bool columns as ``true``/``false`` and
-str columns as they are. The kernel gives the bytes of ``'%.17g' % v`` for
-every value. Per value it
+with the same inputs produce byte-identical files. All float columns of a
+table, or a grid, go through one exact vectorized %.17g kernel as one block
+(``_grid_csv_body``); int columns are written with ``str``, bool columns as
+``true``/``false`` and str columns as they are. The kernel gives the bytes
+of ``'%.17g' % v`` for every value. Per value it
 
 * estimates the decimal exponent e = floor(log10|x|) and computes
   |x| * 10**(16 - e) as a double-double product (Dekker's TwoProduct with a
@@ -42,29 +42,30 @@ def _write(path: str, header: Sequence[str], body: bytes) -> None:
         f.write(body)
 
 
-def _column_cells(name: str, column: np.ndarray) -> list[bytes]:
-    """The CSV cells of one column of a mixed table."""
-    kind = column.dtype.kind
-    if kind == "c":
-        raise TypeError(f"CSV column {name!r} is complex; write re and im columns")
-    if kind == "f":
-        return _grid_csv_body(column[:, None]).split(b"\n")[:-1]
-    if kind == "b":
-        return np.where(column, b"true", b"false").tolist()
-    return [str(v).encode() for v in column.tolist()]
-
-
 def write_csv(path: str, header: Sequence[str], columns: Sequence) -> None:
-    """CSV of one 1-D column per header name, all columns of one length."""
+    """CSV of one 1-D column per header name, all columns of one length. The
+    float columns are formatted as one block and the other cells spliced in."""
     cols = [np.asarray(c) for c in columns]
     if len(cols) != len(header) or len({c.shape for c in cols}) > 1 or cols[0].ndim != 1:
         raise ValueError(f"{path}: column shapes {[c.shape for c in cols]} for {header}")
-    if all(c.dtype.kind == "f" for c in cols):
-        body = _grid_csv_body(np.column_stack(cols))
-    else:
-        cells = zip(*(_column_cells(h, c) for h, c in zip(header, cols)))
-        body = b"".join(b",".join(row) + b"\n" for row in cells)
-    _write(path, header, body)
+    floats = [c for c in cols if c.dtype.kind == "f"]
+    cells = (_grid_csv_body(np.column_stack(floats)).replace(b"\n", b",").split(b",")[:-1]
+             if floats else [])
+    w, rows = 2 * len(cols), len(cols[0])
+    out = [b","] * (w * rows)  # per row: cell, ',', cell, ..., cell, '\n'
+    out[w - 1::w] = [b"\n"] * rows
+    k = 0
+    for p, c in enumerate(cols):
+        if c.dtype.kind == "f":
+            out[2 * p::w] = cells[k::len(floats)]
+            k += 1
+        elif c.dtype.kind == "c":
+            raise TypeError(f"CSV column {header[p]!r} is complex; write re and im columns")
+        elif c.dtype.kind == "b":
+            out[2 * p::w] = np.where(c, b"true", b"false").tolist()
+        else:
+            out[2 * p::w] = [str(v).encode() for v in c.tolist()]
+    _write(path, header, b"".join(out))
 
 
 def _jsonable(obj):

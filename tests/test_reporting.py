@@ -29,6 +29,7 @@ def test_grid_csv_bytes_match_row_writer(tmp_path):
     reporting.write_grid_csv(str(grid_path), array)
     reporting.write_csv(str(row_path), [f"c{i}" for i in range(7)], array.T)
     assert grid_path.read_bytes() == row_path.read_bytes()
+    assert grid_path.read_bytes() == _row_writer_bytes([f"c{i}" for i in range(7)], array)
     assert grid_path.read_bytes().startswith(
         b"c0,c1,c2,c3,c4,c5,c6\n-0,4.9406564584124654e-324,10000000000000000,"
         b"0.10000000000000001,-2.5,")
@@ -144,8 +145,8 @@ def _mixed_columns():
 
 
 @pytest.mark.parametrize("names", [["k", "j", "flag", "tag", "x", "y"], ["x", "y"],
-                                   ["tag", "x"], ["k", "flag"]],
-                         ids=["mixed", "all-float", "str-float", "int-bool"])
+                                   ["tag", "x"], ["k", "flag"], ["x", "tag", "y", "j"]],
+                         ids=["mixed", "all-float", "str-float", "int-bool", "interleaved"])
 def test_column_writer_matches_row_writer(tmp_path, names):
     columns = [_mixed_columns()[name] for name in names]
     path = tmp_path / "table.csv"
