@@ -102,9 +102,9 @@ class DomainSamples:
     """Quadrature and boundary samples of one demo domain.
 
     interior_points carry positive midpoint-rule weights summing to the
-    domain area (to sampling accuracy); boundary samples carry arclength
-    weights, unit outward normals, and a tag telling whether the sample lies
-    on the interface portion or on the homogeneous wall.
+    domain area (to sampling accuracy); boundary samples carry unit outward
+    normals and a tag telling whether the sample lies on the interface
+    portion or on the homogeneous wall.
     """
 
     name: str
@@ -112,7 +112,6 @@ class DomainSamples:
     interior_weights: np.ndarray  # (n,)
     boundary_points: np.ndarray   # (m, 2)
     boundary_normals: np.ndarray  # (m, 2)
-    boundary_weights: np.ndarray  # (m,)
     boundary_tags: np.ndarray     # (m,) str, ON_GAMMA or ON_GAMMA_W
 
     @property
@@ -167,11 +166,11 @@ def _segment_boundary(p0, p1, normal, tag: str, res: int):
     p1 = np.asarray(p1, dtype=float)
     length = float(np.linalg.norm(p1 - p0))
     n = max(2, int(np.ceil(length * res)))
-    ts, ht = _midpoints(0.0, 1.0, n)
+    ts, _ = _midpoints(0.0, 1.0, n)
     pts = p0[None, :] + ts[:, None] * (p1 - p0)[None, :]
     nrm = np.asarray(normal, dtype=float)
     nrm = nrm / np.linalg.norm(nrm)
-    return pts, np.tile(nrm, (n, 1)), np.full(n, ht * length), np.full(n, tag)
+    return pts, np.tile(nrm, (n, 1)), np.full(n, tag)
 
 
 def _curve_boundary(param, t0: float, t1: float, outward, tag: str, res: int,
@@ -183,23 +182,16 @@ def _curve_boundary(param, t0: float, t1: float, outward, tag: str, res: int,
     normals; a scalar component is broadcast.
     """
     n = max(2, int(np.ceil(length_scale * res)))
-    ts, ht = _midpoints(t0, t1, n)
+    ts, _ = _midpoints(t0, t1, n)
     xy = lambda f, t: np.stack(np.broadcast_arrays(*f(t)), axis=1)  # (n, 2)
-
-    # arclength weight via the midpoint speed, a central difference
-    dt = 1e-6 * (t1 - t0)
-    speeds = np.linalg.norm((xy(param, ts + dt) - xy(param, ts - dt)) / (2 * dt), axis=1)
     nrms = xy(outward, ts)
     nrms /= np.linalg.norm(nrms, axis=1)[:, None]
-    return xy(param, ts), nrms, ht * speeds, np.full(n, tag)
+    return xy(param, ts), nrms, np.full(n, tag)
 
 
 def _stack(parts):
-    pts = np.vstack([p[0] for p in parts])
-    nrm = np.vstack([p[1] for p in parts])
-    wts = np.concatenate([p[2] for p in parts])
-    tags = np.concatenate([p[3] for p in parts])
-    return pts, nrm, wts, tags
+    pts, nrm, tags = zip(*parts)
+    return np.vstack(pts), np.vstack(nrm), np.concatenate(tags)
 
 
 def _column_samples(t0: float, t1: float, lo, hi, res: int,

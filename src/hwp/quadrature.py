@@ -49,9 +49,10 @@ def cell_average(f: np.ndarray) -> np.ndarray:
 
 
 def cell_gradient(f: np.ndarray, hx: float, hy: float) -> tuple[np.ndarray, np.ndarray]:
-    """Second-order gradient at cell centers, each of shape (ny-1, nx-1)."""
-    fx = ((f[:-1, 1:] - f[:-1, :-1]) + (f[1:, 1:] - f[1:, :-1])) / (2.0 * hx)
-    fy = ((f[1:, :-1] - f[:-1, :-1]) + (f[1:, 1:] - f[:-1, 1:])) / (2.0 * hy)
+    """Second-order gradient at cell centers, each of shape (..., ny-1, nx-1);
+    leading axes of f are a batch."""
+    fx = ((f[..., :-1, 1:] - f[..., :-1, :-1]) + (f[..., 1:, 1:] - f[..., 1:, :-1])) / (2.0 * hx)
+    fy = ((f[..., 1:, :-1] - f[..., :-1, :-1]) + (f[..., 1:, 1:] - f[..., :-1, 1:])) / (2.0 * hy)
     return fx, fy
 
 

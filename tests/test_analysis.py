@@ -1,8 +1,12 @@
+import copy
+
 import numpy as np
 import pytest
 
 import hwp
 from hwp import analysis
+from hwp import operators as ops
+from hwp.cli import smooth_heat_forcing
 from hwp.errors import AnalysisError, ConfigurationError
 from hwp.timefourier import FourierField
 from hwp import quadrature as quad
@@ -186,6 +190,130 @@ def test_equipartition_exact_for_discrete_manufactured_forcing():
 # weak residual
 # ---------------------------------------------------------------------------
 
+def _random_test_pair_oracle(grid, period, rng, n_modes=2):
+    """The per-test field construction weak_residual replaced: smooth
+    periodic test pair (psi on wave, phi on heat) with matching interface
+    traces, vanishing on the respective outer walls."""
+    psi = FourierField.zeros(period, n_modes, (grid.ny_w, grid.nx), "wave")
+    phi = FourierField.zeros(period, n_modes, (grid.ny_h, grid.nx), "heat")
+    yw = (grid.y_w / grid.ly_w)[:, None]
+    yh = (grid.y_h / grid.ly_h)[:, None]
+    for k in range(0, n_modes + 1):
+        c = rng.standard_normal() + (1j * rng.standard_normal() if k else 0)
+        m = int(rng.integers(1, 4))
+        trace_shape = np.sin(m * grid.x)[None, :]
+        psi_k = c * trace_shape * (1.0 - yw) ** 2
+        phi_k = c * trace_shape * (1.0 + yh) ** 2
+        # extra interior content with zero trace
+        cw = rng.standard_normal() + (1j * rng.standard_normal() if k else 0)
+        ch = rng.standard_normal() + (1j * rng.standard_normal() if k else 0)
+        mw = int(rng.integers(1, 4))
+        psi_k = psi_k + cw * np.sin(mw * grid.x)[None, :] * np.sin(np.pi * yw)
+        phi_k = phi_k + ch * np.sin(mw * grid.x)[None, :] * np.sin(np.pi * (1.0 + yh))
+        psi.coeffs[k + n_modes] = psi_k
+        psi.coeffs[-k + n_modes] = np.conj(psi_k)
+        phi.coeffs[k + n_modes] = phi_k
+        phi.coeffs[-k + n_modes] = np.conj(phi_k)
+    return psi, phi
+
+
+def _weak_residual_oracle(report, f, g, grid, n_tests=10, seed=2024):
+    """weak_residual as a loop over tests and modes on full test fields."""
+    rng = np.random.default_rng(seed)
+    period = report.period
+    u, w = report.u, report.w
+    omega = w.omega
+    form_w = ops._sbp_form(grid.ny_w, grid.nx, grid.hx, grid.hy_w)
+    form_h = ops._sbp_form(grid.ny_h, grid.nx, grid.hx, grid.hy_h)
+    mass_w = quad.interior_mass(grid.ny_w, grid.nx, grid.hx, grid.hy_w)
+    mass_h = quad.interior_mass(grid.ny_h, grid.nx, grid.hx, grid.hy_h)
+    wx_full = np.zeros(grid.nx)
+    wx_full[grid.interface_columns] = grid.hx
+
+    n_all = max([w.n_modes, u.n_modes]
+                + [x.n_modes for x in (f, g) if x is not None])
+    wk = w.truncated(n_all).coeffs
+    uk = u.truncated(n_all).coeffs
+    gk = g.truncated(n_all).coeffs if g is not None else None
+    fk = f.truncated(n_all).coeffs if f is not None else None
+
+    worst = 0.0
+    for _ in range(n_tests):
+        psi, phi = _random_test_pair_oracle(grid, period, rng)
+        pk = psi.truncated(n_all).coeffs
+        qk = phi.truncated(n_all).coeffs
+        total = 0.0 + 0.0j
+        for idx, k in enumerate(range(-n_all, n_all + 1)):
+            wkk, ukk = wk[idx], uk[idx]
+            p, q = np.conj(pk[idx]), np.conj(qk[idx])
+            val = np.sum(p.ravel() * (form_w @ wkk.ravel()))
+            val -= (omega * k) ** 2 * np.sum(mass_w * wkk * p)
+            val += np.sum(q.ravel() * (form_h @ ukk.ravel()))
+            val += 1j * omega * k * np.sum(mass_h * ukk * q)
+            tau = p[0, :]
+            dyw = (wkk[1, :] - wkk[0, :]) / grid.hy_w
+            dyu = (ukk[-1, :] - ukk[-2, :]) / grid.hy_h
+            val += np.sum(wx_full * tau * (dyw - dyu))
+            if gk is not None:
+                val -= np.sum(mass_w * gk[idx] * p)
+            if fk is not None:
+                val -= np.sum(mass_h * fk[idx] * q)
+            total += period * val
+        test_scale = np.sqrt(
+            analysis.sobolev_time_norm(psi, 1, grid, "l2") ** 2
+            + analysis.sobolev_time_norm(psi, 0, grid, "h1") ** 2
+            + analysis.sobolev_time_norm(phi, 1, grid, "l2") ** 2
+            + analysis.sobolev_time_norm(phi, 0, grid, "h1") ** 2)
+        worst = max(worst, abs(total) / max(test_scale, 1e-300))
+    return worst
+
+
+def _assert_matches_oracle(rep, f, g, grid, corruptions, converged=True, seed=5):
+    """Projected and looped weak residuals agree on rep and on each
+    corrupted copy; round-off level on a converged solve."""
+    new = hwp.weak_residual(rep, f, g, grid, n_tests=6, seed=seed)
+    old = _weak_residual_oracle(rep, f, g, grid, n_tests=6, seed=seed)
+    if converged:
+        assert new <= 1e-12 and old <= 1e-12
+    else:
+        assert new == pytest.approx(old, rel=1e-10)
+    for target in corruptions:
+        bad = copy.deepcopy(rep)
+        bad_g = g.scaled(1.01) if target == "g" else g
+        if target in ("w", "u"):
+            getattr(bad, target).coeffs *= 1.01
+        new = hwp.weak_residual(bad, f, bad_g, grid, n_tests=6, seed=seed)
+        old = _weak_residual_oracle(bad, f, bad_g, grid, n_tests=6, seed=seed)
+        assert old > 1e-8, target  # the corruption is seen at all
+        assert new == pytest.approx(old, rel=1e-10), target
+
+
+@pytest.mark.parametrize("dims", [(9, 9, 9), (33, 33, 33), (17, 9, 13)])
+@pytest.mark.parametrize("modes", [1, 2, 3])
+@pytest.mark.parametrize("forcing", ["wave", "heat", "both"])
+def test_weak_residual_matches_oracle(dims, modes, forcing):
+    # the heat forcing reaches mode `modes`, so the data has fewer (1), as
+    # many (2) and more (3) modes than the test pairs
+    grid = hwp.build_stacked_rectangles(np.pi, 1.0, 1.0, *dims)
+    g = hwp.analytic_mode(1, grid)[0] if forcing != "heat" else None
+    f = None
+    if forcing != "wave":
+        f = (smooth_heat_forcing(grid, T, 1).truncated(modes)
+             + smooth_heat_forcing(grid, T, modes))
+    rep = hwp.solve_periodic_harmonic(grid, f, g, modes)
+    corruptions = (["w", "g"] if g is not None else []) + (["u"] if f is not None else [])
+    _assert_matches_oracle(rep, f, g, grid, corruptions)
+
+
+def test_weak_residual_matches_oracle_damped_march():
+    grid = hwp.build_stacked_rectangles(np.pi, 1.0, 1.0, 9, 9, 9)
+    g2, _ = hwp.analytic_mode(2, grid)
+    params = hwp.EpsilonParams(eps=0.1, n_steps=64, period_tol=1e-7,
+                               max_periods=300, n_report_modes=3)
+    rep = hwp.epsilon_march(grid, None, g2, params)
+    _assert_matches_oracle(rep, None, g2, grid, ["w", "u", "g"], converged=False)
+
+
 def test_weak_residual_zero_solution():
     grid = hwp.build_stacked_rectangles(np.pi, 1.0, 1.0, 9, 9, 9)
     rep = hwp.solve_periodic_harmonic(grid, None, None, 2)
@@ -197,7 +325,7 @@ def test_weak_residual_small_and_sensitive():
     g2, _ = hwp.analytic_mode(2, grid)
     rep = hwp.solve_periodic_harmonic(grid, None, g2, 3)
     base = hwp.weak_residual(rep, None, g2, grid, n_tests=10, seed=11)
-    assert base <= 1e-3
+    assert base <= 1e-10
     rep.w.coeffs *= 1.01
     corrupted = hwp.weak_residual(rep, None, g2, grid, n_tests=10, seed=11)
     assert corrupted >= 10 * max(base, 1e-300)
@@ -211,6 +339,30 @@ def test_weak_residual_meaningful_for_damped_march():
     rep = hwp.epsilon_march(grid, None, g2, params)
     r = hwp.weak_residual(rep, None, g2, grid, n_tests=5)
     assert 0 < r < 0.2  # damping-shift defect, vanishing as eps, dt -> 0
+
+
+@pytest.mark.parametrize("target,value", [("w", np.nan), ("u", np.inf),
+                                          ("f", -np.inf), ("g", np.nan)])
+def test_weak_residual_rejects_non_finite(target, value):
+    grid = hwp.build_stacked_rectangles(np.pi, 1.0, 1.0, 9, 9, 9)
+    g2, _ = hwp.analytic_mode(2, grid)
+    f = smooth_heat_forcing(grid, T, 1)
+    rep = hwp.solve_periodic_harmonic(grid, f, g2, 2)
+    fields_ = {"w": rep.w, "u": rep.u, "f": f, "g": g2}
+    if target == "w":
+        rep.w.coeffs[:, 3, 3] = value
+    else:
+        fields_[target].coeffs[:] = value
+    with pytest.raises(AnalysisError, match=f"'{target}'"):
+        hwp.weak_residual(rep, f, g2, grid, n_tests=3)
+
+
+@pytest.mark.parametrize("n_tests", [0, -3])
+def test_weak_residual_rejects_no_tests(n_tests):
+    grid = hwp.build_stacked_rectangles(np.pi, 1.0, 1.0, 9, 9, 9)
+    rep = hwp.solve_periodic_harmonic(grid, None, None, 2)
+    with pytest.raises(AnalysisError, match="n_tests"):
+        hwp.weak_residual(rep, None, None, grid, n_tests=n_tests)
 
 
 # ---------------------------------------------------------------------------

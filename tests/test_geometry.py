@@ -63,7 +63,6 @@ def test_empty_boundary_set_rejected():
         interior_weights=samples.interior_weights,
         boundary_points=samples.boundary_points,
         boundary_normals=samples.boundary_normals,
-        boundary_weights=samples.boundary_weights,
         boundary_tags=np.full(len(samples.boundary_tags), "OnGammaW"),
     )
     with pytest.raises(GeometryCheckError):

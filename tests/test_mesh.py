@@ -85,7 +85,6 @@ def test_weights_positive_and_tags_partition():
     for name in hwp.DEMO_DOMAINS:
         s = hwp.sample_domain(name, 16)
         assert np.all(s.interior_weights > 0)
-        assert np.all(s.boundary_weights > 0)
         assert np.all(s.gamma_mask() | s.gamma_w_mask())
 
 
@@ -196,17 +195,13 @@ def test_sample_count_bounded_before_sampling(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _loop_curve_boundary(param, t0, t1, outward, tag, res, length_scale):
-    """Reference: param and outward called per sample, one norm per speed."""
+    """Reference: param and outward called per sample."""
     n = max(2, int(np.ceil(length_scale * res)))
-    ts, ht = _loop_midpoints(t0, t1, n)
+    ts, _ = _loop_midpoints(t0, t1, n)
     pts = np.array([param(t) for t in ts])
-    dt = 1e-6 * (t1 - t0)
-    speeds = np.array([np.linalg.norm((np.asarray(param(t + dt))
-                                       - np.asarray(param(t - dt))) / (2 * dt))
-                       for t in ts])
     nrms = np.array([outward(t) for t in ts], dtype=float)
     nrms /= np.linalg.norm(nrms, axis=1)[:, None]
-    return pts, nrms, ht * speeds, np.full(len(ts), tag)
+    return pts, nrms, np.full(len(ts), tag)
 
 
 @pytest.mark.parametrize("res", [16, 96])
@@ -222,10 +217,6 @@ def test_curve_samples_match_per_sample_loop(monkeypatch, name, res):
     monkeypatch.setattr(mesh, "_curve_boundary", recording)
     hwp.sample_domain(name, res)
     assert len(calls) == 2
-    for (pts, nrms, wts, tags), (pts0, nrms0, wts0, tags0) in calls:
-        np.testing.assert_array_equal(pts, pts0)
-        np.testing.assert_array_equal(nrms, nrms0)
-        np.testing.assert_array_equal(tags, tags0)
-        # the loop's per-sample norm is a BLAS dot, which rounds differently
-        # from the vectorized sum of squares
-        assert np.all(np.abs(wts - wts0) <= 2 * np.spacing(wts0))
+    for got, expected in calls:
+        for a, b in zip(got, expected):
+            np.testing.assert_array_equal(a, b)
