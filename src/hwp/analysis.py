@@ -366,15 +366,12 @@ def weak_residual(report: SolveReport, f: FourierField | None,
 # ---------------------------------------------------------------------------
 
 def _dual_time_norm_sq(f: FourierField | None, grid: Grid, s: float) -> float:
-    """sum_k (1+(wk)^2)^s ||f_k||^2_dual with the discrete Dirichlet dual."""
+    """sum_k (1+(wk)^2)^s ||f_k||^2_dual with the discrete Dirichlet dual,
+    all modes in one solve."""
     if f is None:
         return 0.0
-    total = 0.0
-    for k in f.wavenumbers():
-        c = f.mode(k)
-        weight = (1.0 + (f.omega * k) ** 2) ** s
-        total += weight * ops.heat_dual_norm_sq(grid, c)
-    return total
+    weight = (1.0 + (f.omega * f.wavenumbers()) ** 2) ** s
+    return float(weight @ ops.heat_dual_norm_sq(grid, f.coeffs))
 
 
 def _sup_time_norm(field_: FourierField, grid: Grid, flavor: str,

@@ -56,61 +56,57 @@ class _Key:
     choices: tuple | None = None
 
 
-def _k(typ, default=None, required=False, lo=None, hi=None, choices=None):
-    return _Key(typ, default, required, lo, hi, choices)
-
-
 _GRID_KEYS = {
-    "grid.nx": _k("int", 33, lo=3, hi=4097),
-    "grid.ny_w": _k("int", 33, lo=3, hi=4097),
-    "grid.ny_h": _k("int", 33, lo=3, hi=4097),
-    "grid.lx": _k("float", float(np.pi), lo=1e-8),
-    "grid.ly_w": _k("float", 1.0, lo=1e-8),
-    "grid.ly_h": _k("float", 1.0, lo=1e-8),
-    "period": _k("float", float(2 * np.pi), lo=1e-8),
+    "grid.nx": _Key("int", 33, lo=3, hi=4097),
+    "grid.ny_w": _Key("int", 33, lo=3, hi=4097),
+    "grid.ny_h": _Key("int", 33, lo=3, hi=4097),
+    "grid.lx": _Key("float", float(np.pi), lo=1e-8),
+    "grid.ly_w": _Key("float", 1.0, lo=1e-8),
+    "grid.ly_h": _Key("float", 1.0, lo=1e-8),
+    "period": _Key("float", float(2 * np.pi), lo=1e-8),
 }
 
 _COMMON_KEYS = {
-    "command": _k("str"),
-    "name": _k("str", "run"),
-    "seed": _k("int", 0, lo=0),
-    "tol": _k("float", 1e-10, lo=1e-16, hi=1e-2),
+    "command": _Key("str"),
+    "name": _Key("str", "run"),
+    "seed": _Key("int", 0, lo=0),
+    "tol": _Key("float", 1e-10, lo=1e-16, hi=1e-2),
 }
 
 _FORCING_KEYS = {
-    "forcing.wave": _k("str", "mode:2"),
-    "forcing.wave.amplitude": _k("float", 1.0),
-    "forcing.heat": _k("str", "none"),
-    "forcing.heat.amplitude": _k("float", 1.0),
+    "forcing.wave": _Key("str", "mode:2"),
+    "forcing.wave.amplitude": _Key("float", 1.0),
+    "forcing.heat": _Key("str", "none"),
+    "forcing.heat.amplitude": _Key("float", 1.0),
 }
 
 SCHEMAS: dict[str, dict[str, _Key]] = {
     "solve": {**_COMMON_KEYS, **_GRID_KEYS, **_FORCING_KEYS,
-              "modes": _k("int", 16, lo=0, hi=512),
-              "check.weak": _k("bool", False),
-              "check.weak.tests": _k("int", 5, lo=1, hi=100)},
+              "modes": _Key("int", 16, lo=0, hi=512),
+              "check.weak": _Key("bool", False),
+              "check.weak.tests": _Key("int", 5, lo=1, hi=100)},
     "epsilon-sweep": {**_COMMON_KEYS, **_GRID_KEYS, **_FORCING_KEYS,
-                      "modes": _k("int", 8, lo=1, hi=128),
-                      "epsilons": _k("floats", (0.2, 0.1, 0.05)),
-                      "steps": _k("int", 512, lo=4, hi=65536)},
+                      "modes": _Key("int", 8, lo=1, hi=128),
+                      "epsilons": _Key("floats", (0.2, 0.1, 0.05)),
+                      "steps": _Key("int", 512, lo=4, hi=65536)},
     "geometry-check": {**_COMMON_KEYS,
-                       "domain": _k("str", required=True, choices=DEMO_DOMAINS),
-                       "resolution": _k("int", 32, lo=8, hi=4096),
-                       "field": _k("str", required=True),
-                       "poincare": _k("bool", False),
-                       "poincare.nx": _k("int", 17, lo=5, hi=513),
-                       "poincare.ny": _k("int", 17, lo=5, hi=513)},
+                       "domain": _Key("str", required=True, choices=DEMO_DOMAINS),
+                       "resolution": _Key("int", 32, lo=8, hi=4096),
+                       "field": _Key("str", required=True),
+                       "poincare": _Key("bool", False),
+                       "poincare.nx": _Key("int", 17, lo=5, hi=513),
+                       "poincare.ny": _Key("int", 17, lo=5, hi=513)},
     "identity-check": {**_COMMON_KEYS, **_GRID_KEYS,
-                       "mode": _k("int", 2, lo=1, hi=64),
-                       "field": _k("str", "graph-vertical:2"),
-                       "equipartition": _k("bool", True)},
+                       "mode": _Key("int", 2, lo=1, hi=64),
+                       "field": _Key("str", "graph-vertical:2"),
+                       "equipartition": _Key("bool", True)},
     "regularity-scan": {**_COMMON_KEYS,
-                        "grid.nx": _k("int", 129, lo=3, hi=4097),
-                        "grid.ny_w": _k("int", 65, lo=3, hi=4097),
-                        "rule": _k("str", "G1", choices=("G1", "G2")),
-                        "truncations": _k("ints", (8, 64))},
+                        "grid.nx": _Key("int", 129, lo=3, hi=4097),
+                        "grid.ny_w": _Key("int", 65, lo=3, hi=4097),
+                        "rule": _Key("str", "G1", choices=("G1", "G2")),
+                        "truncations": _Key("ints", (8, 64))},
     "example-gen": {**_COMMON_KEYS, **_GRID_KEYS,
-                    "mode": _k("int", 2, lo=1, hi=256)},
+                    "mode": _Key("int", 2, lo=1, hi=256)},
 }
 
 
@@ -122,9 +118,6 @@ class Scenario:
 
     def __getitem__(self, key):
         return self.values[key]
-
-    def get(self, key, default=None):
-        return self.values.get(key, default)
 
     @property
     def name(self) -> str:
@@ -300,9 +293,8 @@ def _load_coefficient_file(path: str, period: float, shape, domain: str,
     ks = raw["k"].astype(int)
     n = int(np.max(np.abs(ks))) if len(ks) else 0
     f = FourierField.zeros(period, n, shape, domain)
-    for rec in raw:
-        k, j, i = int(rec["k"]), int(rec["j"]), int(rec["i"])
-        f.coeffs[k + n, j, i] += rec["re"] + 1j * rec["im"]
+    np.add.at(f.coeffs, (ks + n, raw["j"].astype(int), raw["i"].astype(int)),
+              raw["re"] + 1j * raw["im"])
     defect = f.hermitian_defect()
     if defect > HERMITIAN_TOL:
         raise ConfigurationError(

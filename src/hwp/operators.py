@@ -35,26 +35,31 @@ matrix is the Kronecker sum
 
 B_y the pentadiagonal column system, D_y the identity without the interface
 row and T_x the three-point x second difference (-1, 2, -1)/hx^2.
-``_column_band`` is the one place the stencil coefficients are written;
-``coupled_apply`` applies A from it matrix-free, on the (n_y, nx-2) row
-blocks, and ``coupled_matrix`` assembles A from it. The mode systems and
-the mean pair never assemble: ``ModeOperator.matrix`` is built on demand
-only, by the tests and by the march step, which factors it. These row
-blocks (``mode_rhs``, ``split_mode_solution``) are the one statement of
-which nodes are unknowns and in what order.
+``_column_band`` is the one place the stencil coefficients are written, and
+``coupled_matrix`` assembles A from it. The mode systems and the mean pair
+never assemble: ``ModeOperator.matrix`` is built on demand only, by the
+tests and by the march step, which factors it. These row blocks
+(``mode_rhs``, ``split_mode_solution``) are the one statement of which nodes
+are unknowns and in what order.
 
 Extension. ``harmonic_extension_mode`` lifts the heat interface flux of
-one mode into the wave rectangle (the extension lemma). Its heat-side
-functional takes one adjoint Dirichlet solve with the cached five-point
-factorization of ``heat_dual_norm_sq``, not one solve per interface node.
+one mode into the wave rectangle (the extension lemma); its heat-side
+functional takes one adjoint Dirichlet solve, not one per interface node.
+Both are Kronecker sums of the same form: the Dirichlet -Lap of the heat
+interior (``quadrature.laplacian_5pt``, also behind ``heat_dual_norm_sq``)
+is the heat rows of ``_column_band`` at (0, 0, 0), and the wave edge form
+on the free nodes [:-1, 1:-1] over hx*hy_w is B/hy_w^2 (x) I + D (x) T_x,
+B = tridiag(-1, (1, 2, ..., 2), -1), D the identity without the (two-point
+Neumann) interface row.
 
-Solving. ``solve_linear`` returns exact zeros for zero data without
-factorizing anything, and otherwise uses the fast direct method of Buzbee,
-Golub & Nielson (SIAM J. Numer. Anal. 7, 1970): the orthonormal sine
-transform (DST-I) in x splits A into nx-2 independent pentadiagonal
-y-systems B_y + lambda_j D_y, each solved by banded LU with partial
-pivoting. The residual is checked with ``coupled_apply``: the answer must
-satisfy ||A x - b|| / ||b|| <= tol.
+Solving. Each system is a pair (band, interior): B in LAPACK band storage
+and the rows of D. ``_separable_solve`` applies the fast direct method of
+Buzbee, Golub & Nielson (SIAM J. Numer. Anal. 7, 1970): the orthonormal
+sine transform (DST-I) in x splits the system into one banded y-system
+B + lambda_j D per x-frequency, each solved by LAPACK gbsv for all
+right-hand sides at once. Every solve checks ||A x - b|| / ||b|| through
+``coupled_apply``, against tol in ``solve_linear`` (zero data return exact
+zeros without a solve) and 1e-9 in the other two.
 """
 
 from __future__ import annotations
@@ -64,7 +69,6 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import ConfigurationError, SolverError
@@ -102,26 +106,22 @@ def coupled_matrix(grid: Grid, c_wave: complex, c_heat: complex,
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
-def coupled_apply(grid: Grid, c_wave: complex, c_heat: complex,
-                  c_trace: complex, x: np.ndarray) -> np.ndarray:
-    """coupled_matrix(grid, c_wave, c_heat, c_trace) @ x without the matrix:
-    on the row blocks in band order, the five band products of B_y plus
-    T_x on every row but the interface row."""
-    band, interior = _column_band(grid, c_wave, c_heat, c_trace)
-    blocks = _row_blocks(grid)
-    xb = x.reshape(-1, grid.nx - 2)[blocks]
-    y = band[4, :, None] * xb
+def coupled_apply(band: np.ndarray, interior: np.ndarray, hx: float,
+                  x: np.ndarray) -> np.ndarray:
+    """(B (x) I + D (x) T_x) x without the matrix, for any system of the
+    module docstring: x holds the rows in band order, shape (n, m) or
+    (n, m, nrhs); the five band products of B plus T_x on the rows of D."""
+    b = band.reshape(band.shape + (1,) * (x.ndim - 1))
+    y = b[4] * x
     for d in (1, 2):
-        y[:-d] += band[4 - d, d:, None] * xb[d:]   # entries (r, r + d)
-        y[d:] += band[4 + d, :-d, None] * xb[:-d]  # entries (r, r - d)
-    xi = xb[interior]
+        y[:-d] += b[4 - d, d:] * x[d:]   # entries (r, r + d)
+        y[d:] += b[4 + d, :-d] * x[:-d]  # entries (r, r - d)
+    xi = x[interior]
     tx = 2.0 * xi
     tx[:, 1:] -= xi[:, :-1]
     tx[:, :-1] -= xi[:, 1:]
-    y[interior] += tx / grid.hx**2
-    out = np.empty_like(y)
-    out[blocks] = y
-    return out.ravel()
+    y[interior] += tx / hx**2
+    return y
 
 
 @dataclass
@@ -238,39 +238,52 @@ def _sine_basis(m: int) -> np.ndarray:
     return basis
 
 
-def _separable_solve(op: ModeOperator, rhs: np.ndarray) -> np.ndarray:
-    """Sine transform in x, one banded y-solve per x-frequency, transform
-    back (see the module docstring)."""
-    grid = op.grid
-    m = grid.nx - 2
-    blocks = _row_blocks(grid)
-    band, interior = _column_band(grid, *op.coeffs)
+def _separable_solve(band: np.ndarray, interior: np.ndarray, hx: float,
+                     rhs: np.ndarray, what: str) -> np.ndarray:
+    """Solve (B (x) I + D (x) T_x) x = rhs by the sine transform in x and one
+    banded y-solve per x-frequency for all right-hand sides; rhs and x hold
+    the rows in band order, (n, m) or (n, m, nrhs). what names the system."""
+    m = rhs.shape[1]
     dtype = np.result_type(band, rhs)
     band = band.astype(dtype)
     sine = _sine_basis(m)
-    # row j: the y-system data of x-frequency j, in band row order
-    cols = (sine @ rhs.reshape(-1, m)[blocks].T).astype(dtype, copy=False)
+    # row j: the y-system data of x-frequency j
+    cols = (sine @ np.moveaxis(rhs, 1, 0).reshape(m, -1)).astype(dtype, copy=False)
+    cols = cols.reshape((m,) + rhs.shape[:1] + rhs.shape[2:])
     # eigenvalues of the x second difference, (2 - 2 cos theta_j) / hx^2,
     # in the form that keeps the small ones accurate
-    lam = (2.0 * np.sin(0.5 * np.pi * np.arange(1, m + 1) / (m + 1)) / grid.hx) ** 2
+    lam = (2.0 * np.sin(0.5 * np.pi * np.arange(1, m + 1) / (m + 1)) / hx) ** 2
     gbsv, = get_lapack_funcs(("gbsv",), (band, cols))
     for j in range(m):
         ab = band.copy()
         ab[4, interior] += lam[j]
         _, _, cols[j], info = gbsv(2, 2, ab, cols[j], overwrite_ab=True)
         if info != 0:
-            raise SolverError(
-                f"mode k={op.k}: banded solve of x-frequency {j + 1} failed "
-                f"(LAPACK info {info})")
-    x = np.empty((len(blocks), m), dtype=cols.dtype)
-    x[blocks] = (sine @ cols).T
-    return x.ravel()
+            raise SolverError(f"{what}: banded solve of x-frequency {j + 1} "
+                              f"failed (LAPACK info {info})")
+    x = (sine @ cols.reshape(m, -1)).reshape(cols.shape)
+    return np.ascontiguousarray(np.moveaxis(x, 0, 1))
+
+
+def _checked_solve(band: np.ndarray, interior: np.ndarray, hx: float,
+                   rhs: np.ndarray, what: str,
+                   tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+    """_separable_solve held to ||A x - b|| <= tol ||b|| per right-hand side b
+    through coupled_apply (zero b give exact zeros); returns x and A x - rhs."""
+    x = _separable_solve(band, interior, hx, rhs, what)
+    r = coupled_apply(band, interior, hx, x) - rhs
+    b = np.linalg.norm(rhs, axis=(0, 1))
+    rel = float(np.max(np.linalg.norm(r, axis=(0, 1)) / np.where(b > 0, b, 1.0)))
+    if not rel <= tol:
+        raise SolverError(f"{what} missed the residual contract: {rel:.3e} > {tol:.1e}",
+                          residual=rel)
+    return x, r
 
 
 def solve_linear(op: ModeOperator, rhs: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Separable direct solve with a mandatory relative-residual check
-    through coupled_apply, recorded on op; zero data return exact zeros
-    without a factorization."""
+    """Separable direct solve of the coupled system under the residual
+    contract, its heat-row and wave-row parts recorded on op; zero data
+    return exact zeros without a solve."""
     if rhs.shape[0] != op.dimension:
         raise ConfigurationError(
             f"rhs length {rhs.shape[0]} does not match dimension {op.dimension}")
@@ -280,16 +293,17 @@ def solve_linear(op: ModeOperator, rhs: np.ndarray, tol: float = 1e-10) -> np.nd
     bnorm = np.linalg.norm(rhs)
     if bnorm == 0.0:
         return np.zeros_like(rhs)
-    x = _separable_solve(op, rhs)
-    r = coupled_apply(op.grid, *op.coeffs, x) - rhs
-    op.residual_heat = float(np.linalg.norm(r[op.n_wave:]) / bnorm)
-    op.residual_wave = float(np.linalg.norm(r[:op.n_wave]) / bnorm)
-    res = op.residual
-    if not np.isfinite(res) or res > tol:
-        raise SolverError(
-            f"mode k={op.k} solve missed the residual contract: {res:.3e} > {tol:.1e}",
-            residual=res)
-    return x
+    grid = op.grid
+    band, interior = _column_band(grid, *op.coeffs)
+    blocks = _row_blocks(grid)
+    b = rhs.reshape(-1, grid.nx - 2)[blocks]
+    xb, r = _checked_solve(band, interior, grid.hx, b, f"mode k={op.k}", tol)
+    nh = grid.ny_h - 2  # the heat rows come first in band order
+    op.residual_heat = float(np.linalg.norm(r[:nh]) / bnorm)
+    op.residual_wave = float(np.linalg.norm(r[nh:]) / bnorm)
+    x = np.empty_like(xb)
+    x[blocks] = xb
+    return x.ravel()
 
 
 def split_mode_solution(op: ModeOperator, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -348,21 +362,28 @@ def solve_mean_pair(grid: Grid, mean_f: np.ndarray | None,
 # Discrete dual norm and the periodic harmonic extension
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=16)
-def _dirichlet_lu(ny: int, nx: int, hx: float, hy: float):
-    # complex factorization so both real and complex data can be solved
-    return spla.splu(quad.laplacian_5pt(ny, nx, hx, hy).astype(complex).tocsc())
+def _dirichlet_solve(grid: Grid, b: np.ndarray) -> np.ndarray:
+    """(-Lap)^(-1) b on the heat interior, b (ny_h-2, nx-2[, nrhs]): the heat
+    rows of _column_band at (0, 0, 0), whose interface-row entries go unread."""
+    nh = grid.ny_h - 2
+    band, interior = _column_band(grid, 0.0, 0.0, 0.0)
+    return _checked_solve(band[:, :nh], interior[:nh], grid.hx, b, "heat Dirichlet solve")[0]
 
 
-def heat_dual_norm_sq(grid: Grid, v: np.ndarray) -> float:
-    """Dual-space norm squared realized as <v, (-Lap)^(-1) v> on the heat
-    rectangle with a homogeneous Dirichlet inverse."""
-    b = v[1:-1, 1:-1].ravel()
-    if not np.any(b):
-        return 0.0
-    lu = _dirichlet_lu(grid.ny_h, grid.nx, grid.hx, grid.hy_h)
-    z = lu.solve(b.astype(complex))
-    return float(np.real(np.vdot(b, z)) * grid.hx * grid.hy_h)
+def heat_dual_norm_sq(grid: Grid, v: np.ndarray) -> float | np.ndarray:
+    """<v, (-Lap)^(-1) v> hx hy, the dual norm squared on the heat rectangle
+    (homogeneous Dirichlet inverse), of one field (ny_h, nx) or of each field
+    of a stack (K, ny_h, nx) in one solve; fields zero inside need none."""
+    if not np.all(np.isfinite(v)):
+        raise SolverError("v has non-finite values")
+    b = np.moveaxis(v[..., 1:-1, 1:-1], 0, -1) if v.ndim == 3 else v[1:-1, 1:-1, None]
+    live = np.any(b, axis=(0, 1))
+    out = np.zeros(live.shape)
+    if np.any(live):
+        z = _dirichlet_solve(grid, b[..., live])
+        out[live] = np.real(np.sum(np.conj(b[..., live]) * z, axis=(0, 1)))
+    out *= grid.hx * grid.hy_h
+    return out if v.ndim == 3 else float(out[0])
 
 
 def _interface_functional(grid: Grid, u_k: np.ndarray, f_k: np.ndarray | None,
@@ -384,17 +405,8 @@ def _interface_functional(grid: Grid, u_k: np.ndarray, f_k: np.ndarray | None,
         r = r + f_k
     r = quad.interior_mass(ny, nx, hx, hy) * r
     r -= (_sbp_form(ny, nx, hx, hy) @ u_k.ravel()).reshape(ny, nx)
-    z = _dirichlet_lu(ny, nx, hx, hy).solve(r[1:-1, 1:-1].ravel())
-    return r[-1, 1:-1] + z.reshape(ny - 2, nx - 2)[-1] / hy**2
-
-
-@lru_cache(maxsize=4)
-def _wave_free_system(ny: int, nx: int, hx: float, hy: float):
-    """The wave edge form on the free nodes [:-1, 1:-1] (interface row
-    first, outer wall and sides fixed at zero) and its factorization."""
-    free = np.arange(ny * nx).reshape(ny, nx)[:-1, 1:-1].ravel()
-    a = _sbp_form(ny, nx, hx, hy)[free][:, free].astype(complex).tocsc()
-    return a, spla.splu(a)
+    z = _dirichlet_solve(grid, r[1:-1, 1:-1])
+    return r[-1, 1:-1] + z[-1] / hy**2
 
 
 def harmonic_extension_mode(grid: Grid, u_k: np.ndarray, f_k: np.ndarray | None,
@@ -406,22 +418,24 @@ def harmonic_extension_mode(grid: Grid, u_k: np.ndarray, f_k: np.ndarray | None,
     with e = 0 on the outer wave wall, where F is the heat-side residual
     functional built from (u_k, f_k) (see _interface_functional).
     Equivalently e is discrete-harmonic with Neumann interface data equal to
-    the discrete heat flux of u_k.
+    the discrete heat flux of u_k. a_W on the free nodes is a Kronecker sum
+    (module docstring), solved separably.
     """
+    for name, a in (("u_k", u_k), ("f_k", f_k)):
+        if a is not None and not np.all(np.isfinite(a)):
+            raise SolverError(f"{name} has non-finite values")
     iwk = 1j * (2.0 * np.pi / period) * k
-    a, lu = _wave_free_system(grid.ny_w, grid.nx, grid.hx, grid.hy_w)
-    rhs = np.zeros(a.shape[0], dtype=complex)
-    rhs[:grid.nx - 2] = _interface_functional(
-        grid, np.asarray(u_k, dtype=complex), f_k, iwk, eps)
-    x = lu.solve(rhs)
-    rhs_norm = float(np.linalg.norm(rhs))
-    if rhs_norm > 0:
-        rel = float(np.linalg.norm(a @ x - rhs)) / rhs_norm
-        if rel > 1e-9:
-            raise SolverError(f"harmonic extension weak residual {rel:.3e}",
-                              residual=rel)
+    n, hy = grid.ny_w - 1, grid.hy_w
+    rhs = np.zeros((n, grid.nx - 2), dtype=complex)
+    rhs[0] = _interface_functional(grid, np.asarray(u_k, dtype=complex), f_k,
+                                   iwk, eps) / (grid.hx * hy)
+    # B / hy^2 in band storage: rows interface, then wave interior upward
+    interior = np.arange(n) > 0
+    band = np.zeros((7, n))
+    band[4] = np.where(interior, 2.0, 1.0) / hy**2
+    band[3, 1:] = band[5, :-1] = -1.0 / hy**2
     e = np.zeros((grid.ny_w, grid.nx), dtype=complex)
-    e[:-1, 1:-1] = x.reshape(grid.ny_w - 1, grid.nx - 2)
+    e[:-1, 1:-1] = _checked_solve(band, interior, grid.hx, rhs, "harmonic extension")[0]
     return e
 
 

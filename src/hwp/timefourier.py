@@ -148,11 +148,7 @@ def time_transform(data, direction: str, *, period: float | None = None,
             raise AliasingError(
                 f"{m} samples cannot resolve modes -{n}..{n}; need >= {2 * n + 1}")
         spectrum = np.fft.fft(samples, axis=0) / m
-        shape = samples.shape[1:]
-        coeffs = np.zeros((2 * n + 1,) + shape, dtype=complex)
-        for k in range(-n, n + 1):
-            coeffs[k + n] = spectrum[k % m]
-        return FourierField(float(period), coeffs, domain)
+        return FourierField(float(period), spectrum[np.arange(-n, n + 1) % m], domain)
     if direction == "inverse":
         f: FourierField = data
         m = 2 * f.n_modes + 1 if n_samples is None else int(n_samples)

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from hwp import closedform, geometry, mesh, operators
-from hwp.cli import _forcing_spec, main, parse_scenario, smooth_heat_forcing
+from hwp.cli import (_forcing_spec, _load_coefficient_file, main, parse_scenario,
+                     smooth_heat_forcing)
 from hwp.errors import ConfigurationError
 from hwp.fields import jet_batch
+from hwp.timefourier import WAVE
 
 
 MINIMAL_SOLVE = """
@@ -241,6 +243,19 @@ def test_coefficient_file_bad_column_rejected_by_name(tmp_path, capsys, column, 
     assert [p.name for p in out.iterdir()] == ["solve_run_error.json"]
 
 
+def test_coefficient_file_repeated_rows_are_summed(tmp_path):
+    # a (k, j, i) that appears twice adds up, in file order
+    coeffs = tmp_path / "g.csv"
+    coeffs.write_text("k,j,i,re,im\n1,2,3,0.5,0.25\n-1,2,3,0.5,-0.25\n"
+                      "1,2,3,0.125,-1.0\n-1,2,3,0.125,1.0\n0,4,5,1.5,0.0\n")
+    f = _load_coefficient_file(str(coeffs), 2 * np.pi, (9, 9), WAVE, 2)
+    assert f.n_modes == 1
+    assert f.mode(1)[2, 3] == 0.625 - 0.75j
+    assert f.mode(-1)[2, 3] == 0.625 + 0.75j
+    assert f.mode(0)[4, 5] == 1.5
+    assert np.count_nonzero(f.coeffs) == 3
+
+
 @pytest.mark.parametrize("k", [3, 10**12])
 @pytest.mark.parametrize("command", ["solve", "epsilon-sweep"])
 def test_coefficient_file_mode_above_modes_rejected(tmp_path, capsys, command, k):
@@ -417,7 +432,7 @@ def _perturbed_solver(monkeypatch):
     # a solution off by a relative 1e-6 fails the 1e-10 residual contract
     exact = operators._separable_solve
     monkeypatch.setattr(operators, "_separable_solve",
-                        lambda op, rhs: exact(op, rhs) * (1 + 1e-6))
+                        lambda *args: exact(*args) * (1 + 1e-6))
 
 
 def test_solver_error_record_carries_residual(tmp_path, monkeypatch):

@@ -197,26 +197,35 @@ def test_coupled_apply_matches_matrix_product(dims, coeffs, kind):
     if kind == "complex":
         x = x + 1j * rng.standard_normal(a.shape[0])
     ref = a @ x
-    y = ops.coupled_apply(grid, *coeffs, x)
+    band, interior = ops._column_band(grid, *coeffs)
+    blocks = ops._row_blocks(grid)
+    y = np.empty_like(ref).reshape(-1, nx - 2)
+    y[blocks] = ops.coupled_apply(band, interior, grid.hx, x.reshape(-1, nx - 2)[blocks])
+    y = y.ravel()
     assert y.dtype == ref.dtype
     assert np.linalg.norm(y - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
-@pytest.mark.parametrize("system", ["mode", "mean"])
+@pytest.mark.parametrize("system", ["mode", "mean", "lift", "dual"])
 def test_residual_contract_catches_a_perturbed_solution(monkeypatch, system):
-    # a solution off by a relative 1e-6 must fail the 1e-10 contract
+    # a solution off by a relative 1e-6 must fail the contract: 1e-10 for
+    # the coupled systems, 1e-9 for the lift and the heat Dirichlet inverse
     grid = small_grid(9)
     exact = ops._separable_solve
     monkeypatch.setattr(ops, "_separable_solve",
-                        lambda op, rhs: exact(op, rhs) * (1 + 1e-6))
+                        lambda *args: exact(*args) * (1 + 1e-6))
     X, Y = np.meshgrid(grid.x, grid.y_w)
     g = np.sin(X) * (1 - Y)
     with pytest.raises(SolverError) as err:
         if system == "mode":
             op = hwp.assemble_coupled_mode(grid, 1, T)
             hwp.solve_linear(op, hwp.mode_rhs(op, None, g), tol=1e-10)
-        else:
+        elif system == "mean":
             hwp.solve_mean_pair(grid, None, g, tol=1e-10)
+        elif system == "lift":
+            hwp.harmonic_extension_mode(grid, *_manufactured_heat_mode(grid, 1j), 1, T)
+        else:
+            ops.heat_dual_norm_sq(grid, g)
     assert err.value.residual > 1e-10
 
 
@@ -372,9 +381,12 @@ def _manufactured_heat_mode(grid, iwk):
     return u, f
 
 
-def test_harmonic_extension_matches_direct_mixed_solve():
+@pytest.mark.parametrize("dims", [(17, 17, 17, np.pi, 1.0, 1.0), (17, 9, 13, 2.0, 1.0, 0.7)],
+                         ids=["17^3", "17-9-13"])
+def test_harmonic_extension_matches_direct_mixed_solve(dims):
     # alternative assembly oracle: same mixed problem, assembled row by row
-    grid = small_grid(17)
+    nx, ny_w, ny_h, lx, ly_w, ly_h = dims
+    grid = hwp.build_stacked_rectangles(lx, ly_w, ly_h, nx, ny_w, ny_h)
     u, f = _manufactured_heat_mode(grid, 1j)
     e = hwp.harmonic_extension_mode(grid, u, f, 1, T)
     assert np.max(np.abs(e[-1, :])) == 0.0  # vanishes on the outer wall
@@ -398,7 +410,6 @@ def test_harmonic_extension_matches_direct_mixed_solve():
                 for jj, ii in ((j, i - 1), (j, i + 1), (j - 1, i), (j + 1, i)):
                     if wid[jj, ii] >= 0:
                         a[r, wid[jj, ii]] -= hx * hyw / (hx**2 if jj == j else hyw**2)
-    import scipy.sparse.linalg as spla
     x = spla.spsolve(a.tocsc(), b)
     oracle = np.zeros((grid.ny_w, grid.nx), dtype=complex)
     oracle[wid >= 0] = x[wid[wid >= 0]]
@@ -456,6 +467,47 @@ def test_interface_functional_matches_per_hat_table(dims, eps):
     ref = _per_hat_functional(grid, u, f, 2j, eps)
     got = ops._interface_functional(grid, u, f, 2j, eps)
     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("name", ["u_k", "f_k"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_harmonic_extension_rejects_non_finite_input(name, bad):
+    # one bad interior node used to give a NaN field and no error
+    grid = small_grid(9)
+    u, f = _manufactured_heat_mode(grid, 1j)
+    (u if name == "u_k" else f)[3, 4] = bad
+    with pytest.raises(SolverError, match=f"{name} has non-finite values"):
+        hwp.harmonic_extension_mode(grid, u, f, 1, T)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_dual_norm_rejects_non_finite_input(bad):
+    grid = small_grid(9)
+    v = np.ones((grid.ny_h, grid.nx))
+    v[4, 4] = bad
+    with pytest.raises(SolverError, match="v has non-finite values"):
+        ops.heat_dual_norm_sq(grid, v)
+    with pytest.raises(SolverError, match="v has non-finite values"):
+        ops.heat_dual_norm_sq(grid, np.stack([np.ones_like(v), v]))
+
+
+def test_dual_norm_matches_sparse_lu():
+    # oracle: a sparse LU of the five-point Dirichlet Laplacian; a stack of
+    # fields gives the same norms in one solve
+    grid = hwp.build_stacked_rectangles(2.0, 1.0, 0.7, 17, 9, 13)
+    ny, nx = grid.ny_h, grid.nx
+    lu = spla.splu(quad.laplacian_5pt(ny, nx, grid.hx, grid.hy_h).astype(complex).tocsc())
+    rng = np.random.default_rng(5)
+    v = rng.standard_normal((3, ny, nx)) + 1j * rng.standard_normal((3, ny, nx))
+    v[1] = 0.0
+    ref = np.array([np.real(np.vdot(b, lu.solve(b))) * grid.hx * grid.hy_h
+                    for b in (c[1:-1, 1:-1].ravel() for c in v)])
+    got = np.array([ops.heat_dual_norm_sq(grid, c) for c in v])
+    assert got[1] == ref[1] == 0.0
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
+    stacked = ops.heat_dual_norm_sq(grid, v)
+    assert stacked.shape == (3,)
+    assert np.all(np.abs(stacked - ref) <= 1e-12 * np.abs(ref))
 
 
 def test_dual_norm_positive_and_scales():
