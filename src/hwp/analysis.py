@@ -84,11 +84,43 @@ class IdentityReport:
                 "terms": dict(self.terms)}
 
 
-def _time_samples(*fields_: FourierField | None) -> np.ndarray:
-    n = max((f.n_modes for f in fields_ if f is not None), default=0)
-    m = 2 * n + 3  # uniform rule is exact for products of degree <= n each
-    period = next(f.period for f in fields_ if f is not None)
-    return np.arange(m) * period / m
+def _parseval_modes(period: float, fields: dict[str, FourierField | None]
+                    ) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray | None]]:
+    """Time integrals of real bilinear forms as Parseval sums.
+
+    For real periodic fields a, b with modes a_k, b_k and any real bilinear
+    form B on space,
+
+        int_0^T B(a(t), b(t)) dt = sum_{k >= 0} weight_k Re B(a_k, conj(b_k)),
+
+    weight_k = T for k = 0 and 2T for k > 0. Returns the modes k >= 0 at
+    which any given field has a non-zero coefficient, their weights, and
+    each field's coefficients at those modes, shape (K, *spatial) (None
+    stays None). A field is real only if it is Hermitian-symmetric,
+    max |c_-k - conj(c_k)| <= 1e-9 max |c|; one that is not raises
+    AnalysisError naming it.
+    """
+    given = {name: f for name, f in fields.items() if f is not None}
+    for name, f in given.items():
+        defect = f.hermitian_defect()
+        if not defect <= 1e-9:
+            raise AnalysisError(f"{name} is not a real field: relative Hermitian "
+                                f"defect {defect:.3e} > 1e-9")
+    n = max(f.n_modes for f in given.values())
+    ks = np.array([k for k in range(n + 1)
+                   if any(k <= f.n_modes and np.any(f.mode(k)) for f in given.values())],
+                  dtype=int)
+    stacks: dict[str, np.ndarray | None] = dict.fromkeys(fields)
+    for name, f in given.items():
+        own = ks <= f.n_modes
+        stacks[name] = np.zeros((len(ks),) + f.spatial_shape, dtype=complex)
+        stacks[name][own] = f.coeffs[f.n_modes + ks[own]]
+    return ks, np.where(ks == 0, period, 2.0 * period), stacks
+
+
+def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re(a conj(b)) pointwise."""
+    return a.real * b.real + a.imag * b.imag
 
 
 def multiplier_identity_residual(w: FourierField, g: FourierField,
@@ -109,8 +141,12 @@ def multiplier_identity_residual(w: FourierField, g: FourierField,
           + int int_Gamma [ 1/2 |h|^2 (b.n) - 1/4 |H|^2 (dn div b) ],
 
     all boundary terms on the left reduced through the boundary conditions.
-    Requires mean-free g, h and H.
+    Every time integral is an exact Parseval sum over the modes k >= 0 that
+    carry data (see _parseval_modes). Requires real w, g, h and H (each
+    Hermitian-symmetric, else AnalysisError naming it) and mean-free g, h
+    and H.
     """
+    _, weight, modes = _parseval_modes(w.period, {"w": w, "g": g, "h": h, "H": big_h})
     for name, f_ in (("g", g), ("h", h), ("H", big_h)):
         if f_ is None:
             continue
@@ -119,15 +155,6 @@ def multiplier_identity_residual(w: FourierField, g: FourierField,
             raise AnalysisError(f"{name} must be mean-free for the identity")
 
     ny, nx, hx, hy = grid.ny_w, grid.nx, grid.hx, grid.hy_w
-    times = _time_samples(w, g, h, big_h)
-    wt = len(times)
-    dt = w.period / wt
-
-    w_t = w.sample_real(times)
-    g_t = g.sample_real(times)
-    h_t = h.sample_real(times) if h is not None else np.zeros((wt, nx))
-    H_t = big_h.sample_real(times) if big_h is not None else np.zeros((wt, nx))
-
     xc, yc = quad.cell_centers(grid.x, grid.y_w)
     centers = np.stack([xc.ravel(), yc.ravel()], axis=1)
     jets = jet_batch(spec, centers)
@@ -153,49 +180,51 @@ def multiplier_identity_residual(w: FourierField, g: FourierField,
     left_b = jet_batch(spec, np.stack([np.zeros(ny), grid.y_w], axis=1))["b"]
     right_b = jet_batch(spec, np.stack([np.full(ny, grid.lx), grid.y_w], axis=1))["b"]
 
-    acc = {k: 0.0 for k in ("lhs_contractivity", "lhs_interface_tangential",
-                            "lhs_wall_normal", "rhs_g_flow", "rhs_g_w_div",
-                            "rhs_w2_lapdiv", "rhs_h2_sign", "rhs_H2_flux")}
-    for m in range(wt):
-        wm = w_t[m]
-        gm = g_t[m]
-        fx, fy = quad.cell_gradient(wm, hx, hy)
-        acc["lhs_contractivity"] += dt * area * float(
-            np.sum(g11 * fx**2 + 2 * g12 * fx * fy + g22 * fy**2))
-        gc = quad.cell_average(gm)
-        wc = quad.cell_average(wm)
-        acc["rhs_g_flow"] += dt * area * float(np.sum(gc * (bx * fx + by * fy)))
-        acc["rhs_g_w_div"] += dt * area * 0.5 * float(np.sum(gc * wc * divb))
-        acc["rhs_w2_lapdiv"] += dt * area * 0.25 * float(np.sum(wc**2 * lapdiv))
+    def integral(density: np.ndarray) -> float:
+        """Time integral of a per-mode density (K, ...) summed over space."""
+        return float(weight @ np.sum(density, axis=tuple(range(1, density.ndim))))
 
-        # interface terms
-        Hm = H_t[m]
-        dH = np.zeros(nx)
-        dH[1:-1] = (Hm[2:] - Hm[:-2]) / (2 * hx)
-        dH[0] = (-3 * Hm[0] + 4 * Hm[1] - Hm[2]) / (2 * hx)
-        dH[-1] = (3 * Hm[-1] - 4 * Hm[-2] + Hm[-3]) / (2 * hx)
-        acc["lhs_interface_tangential"] += dt * 0.5 * float(
-            np.sum(wx * dH**2 * iface_b_dot_n))
-        acc["rhs_h2_sign"] += dt * 0.5 * float(np.sum(wx * h_t[m]**2 * iface_b_dot_n))
-        acc["rhs_H2_flux"] += dt * (-0.25) * float(np.sum(wx * Hm**2 * iface_dn_divb))
+    wk, gk = modes["w"], modes["g"]
+    fx, fy = quad.cell_gradient(wk, hx, hy)
+    gc, wc = quad.cell_average(gk), quad.cell_average(wk)
+    # interface terms; absent h or H contribute nothing
+    h2 = dH2 = H2 = np.zeros((weight.size, nx))
+    if modes["h"] is not None:
+        h2 = _pair(modes["h"], modes["h"])
+    if modes["H"] is not None:
+        Hk = modes["H"]
+        dH = np.empty_like(Hk)
+        dH[:, 1:-1] = (Hk[:, 2:] - Hk[:, :-2]) / (2 * hx)
+        dH[:, 0] = quad.one_sided_deriv_low(Hk, hx, axis=1)
+        dH[:, -1] = quad.one_sided_deriv_high(Hk, hx, axis=1)
+        dH2, H2 = _pair(dH, dH), _pair(Hk, Hk)
+    # wall terms: -1/2 |dn w|^2 (b.n) per edge, 3-point one-sided stencils
+    dn_top = quad.one_sided_deriv_high(wk, hy, axis=1)
+    dn_left = -quad.one_sided_deriv_low(wk, hx, axis=2)
+    dn_right = quad.one_sided_deriv_high(wk, hx, axis=2)
+    terms = {
+        "lhs_contractivity": area * integral(
+            g11 * _pair(fx, fx) + 2 * g12 * _pair(fx, fy) + g22 * _pair(fy, fy)),
+        "lhs_interface_tangential": 0.5 * integral(wx * dH2 * iface_b_dot_n),
+        "lhs_wall_normal": -0.5 * (
+            integral(wx * _pair(dn_top, dn_top) * top_b[:, 1])
+            + integral(wy * _pair(dn_left, dn_left) * (-left_b[:, 0]))
+            + integral(wy * _pair(dn_right, dn_right) * right_b[:, 0])),
+        "rhs_g_flow": area * integral(_pair(gc, bx * fx + by * fy)),
+        "rhs_g_w_div": 0.5 * area * integral(_pair(gc, wc) * divb),
+        "rhs_w2_lapdiv": 0.25 * area * integral(_pair(wc, wc) * lapdiv),
+        "rhs_h2_sign": 0.5 * integral(wx * h2 * iface_b_dot_n),
+        "rhs_H2_flux": -0.25 * integral(wx * H2 * iface_dn_divb),
+    }
 
-        # wall terms: -1/2 |dn w|^2 (b.n) per edge, 3-point one-sided stencils
-        dn_top = quad.one_sided_deriv_high(wm, hy, axis=0)
-        acc["lhs_wall_normal"] += dt * (-0.5) * float(
-            np.sum(wx * dn_top**2 * top_b[:, 1]))
-        dn_left = -quad.one_sided_deriv_low(wm.T, hx, axis=0)
-        acc["lhs_wall_normal"] += dt * (-0.5) * float(
-            np.sum(wy * dn_left**2 * (-left_b[:, 0])))
-        dn_right = quad.one_sided_deriv_high(wm.T, hx, axis=0)
-        acc["lhs_wall_normal"] += dt * (-0.5) * float(
-            np.sum(wy * dn_right**2 * right_b[:, 0]))
-
-    lhs = (acc["lhs_contractivity"] + acc["lhs_interface_tangential"]
-           + acc["lhs_wall_normal"])
-    rhs = (acc["rhs_g_flow"] + acc["rhs_g_w_div"] + acc["rhs_w2_lapdiv"]
-           + acc["rhs_h2_sign"] + acc["rhs_H2_flux"])
+    # a zero term times a negative factor is -0.0; report it as 0.0
+    terms = {name: value + 0.0 for name, value in terms.items()}
+    lhs = (terms["lhs_contractivity"] + terms["lhs_interface_tangential"]
+           + terms["lhs_wall_normal"])
+    rhs = (terms["rhs_g_flow"] + terms["rhs_g_w_div"] + terms["rhs_w2_lapdiv"]
+           + terms["rhs_h2_sign"] + terms["rhs_H2_flux"])
     return IdentityReport(lhs_value=lhs, rhs_value=rhs, residual=abs(lhs - rhs),
-                          terms=acc, hx=hx, hy=hy)
+                          terms=terms, hx=hx, hy=hy)
 
 
 def equipartition_residual(w: FourierField, g: FourierField, grid: Grid) -> float:
@@ -204,21 +233,16 @@ def equipartition_residual(w: FourierField, g: FourierField, grid: Grid) -> floa
     Valid for w vanishing on the outer wall with zero discrete interface
     Neumann data; uses the edge Dirichlet form and interior mass so the
     identity is exact (to round-off) when g is manufactured from the
-    discrete operators.
+    discrete operators. The time integrals are one Parseval sum over the
+    modes that carry data (see _parseval_modes); w and g must be real.
     """
-    mass_int = quad.interior_mass(grid.ny_w, grid.nx, grid.hx, grid.hy_w)
-    omega = w.omega
-    n = max(w.n_modes, g.n_modes)
-    wc = w.truncated(n).coeffs
-    gc = g.truncated(n).coeffs
-    lhs = 0.0
-    rhs = 0.0
-    for idx, k in enumerate(range(-n, n + 1)):
-        wk = wc[idx]
-        lhs += w.period * float(np.real(ops.wave_edge_form(grid, wk, wk)))
-        lhs -= w.period * (omega * k) ** 2 * quad.norm_sq(mass_int, wk)
-        rhs += w.period * float(np.real(np.sum(mass_int * gc[idx] * np.conj(wk))))
-    return abs(lhs - rhs)
+    mass = quad.interior_mass(grid.ny_w, grid.nx, grid.hx, grid.hy_w)
+    ks, weight, modes = _parseval_modes(w.period, {"w": w, "g": g})
+    wk, gk = modes["w"], modes["g"]
+    grad = np.real(ops.wave_edge_form(grid, wk, wk))
+    lhs = grad - (w.omega * ks) ** 2 * np.sum(mass * _pair(wk, wk), axis=(1, 2))
+    rhs = np.sum(mass * _pair(gk, wk), axis=(1, 2))
+    return abs(float(weight @ (lhs - rhs)))
 
 
 # ---------------------------------------------------------------------------
@@ -324,11 +348,11 @@ def weak_residual(report: SolveReport, f: FourierField | None,
 
     # The residual functional of mode k tested against the 6 basis fields of
     # each side: the edge forms are symmetric, so a(x_k, B_j) = x_k . (A B_j)
-    # and one real sparse mat-mat per side serves every mode and test.
+    # and one batched edge-form apply per side serves every mode and test.
     basis_w, basis_h = _test_basis(grid)
     flat_w, flat_h = basis_w.reshape(6, -1), basis_h.reshape(6, -1)
-    stiff_w = ops._sbp_form(grid.ny_w, nx, hx, hy_w) @ flat_w.T
-    stiff_h = ops._sbp_form(grid.ny_h, nx, hx, hy_h) @ flat_h.T
+    stiff_w = quad.sbp_apply(basis_w, hx, hy_w).reshape(6, -1).T
+    stiff_h = quad.sbp_apply(basis_h, hx, hy_h).reshape(6, -1).T
     mass_w = (flat_w * quad.interior_mass(grid.ny_w, nx, hx, hy_w).ravel()).T
     mass_h = (flat_h * quad.interior_mass(grid.ny_h, nx, hx, hy_h).ravel()).T
     wk, uk = stacked(w), stacked(u)

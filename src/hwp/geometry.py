@@ -178,53 +178,82 @@ class PoincareReport:
 def _poincare_form(spec: VectorFieldSpec, grid: Grid) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """Assemble (A, M) of the generalized eigenproblem on the wave rectangle.
 
-    A f . f = int (grad f)^T sym(grad b) grad f + ||f||^2_{L2(interface)}
+    A f . f = int (grad f)^T S grad f + ||f||^2_{L2(interface)}
               - int_wall (b.n) |dn f|^2,
-    M = trapezoidal volume mass. The space vanishes on the wall (all of the
-    boundary except the bottom interface edge).
+    S = sym(grad b), M = trapezoidal volume mass, both on the free nodes
+    [:-1, 1:-1] (the space vanishes on the wall, all of the boundary but
+    the bottom interface edge). Per cell with corners sw, se, nw, ne the
+    gradient term is
+        (s11 hy/hx)/2 (|f_se - f_sw|^2 + |f_ne - f_nw|^2)
+      + (s22 hx/hy)/2 (|f_nw - f_sw|^2 + |f_ne - f_se|^2)
+      + (s12/2) (f_se - f_sw + f_ne - f_nw)(f_nw - f_sw + f_ne - f_se):
+    mean squared differences on opposite edges (no checkerboard kernel) and
+    the product of the averaged differences. A node couples only to its
+    eight neighbours, so A is built from its nine diagonals.
     """
     ny, nx = grid.ny_w, grid.nx
     hx, hy = grid.hx, grid.hy_w
 
     xc, yc = quad.cell_centers(grid.x, grid.y_w)
-    centers = np.stack([xc.ravel(), yc.ravel()], axis=1)
-    jets = jet_batch(spec, centers)
-    sym = 0.5 * (jets["grad"] + np.swapaxes(jets["grad"], 1, 2))
-    a_full = quad.anisotropic_gradient_form(
-        ny, nx, hx, hy,
-        sym[:, 0, 0].reshape(xc.shape), sym[:, 0, 1].reshape(xc.shape),
-        sym[:, 1, 1].reshape(xc.shape))
+    grad = jet_batch(spec, np.stack([xc.ravel(), yc.ravel()], axis=1))["grad"]
+    sx = (0.5 * hy / hx) * grad[:, 0, 0].reshape(xc.shape)
+    sy = (0.5 * hx / hy) * grad[:, 1, 1].reshape(xc.shape)
+    sxy = (0.25 * (grad[:, 0, 1] + grad[:, 1, 0])).reshape(xc.shape)
 
-    # interface L2 mass on the bottom row (corner nodes are constrained anyway)
+    # diag[j, i]: entry (n, n) at node n = (j, i); east, north, north_east
+    # and north_west: entry (n, n') with n' = (j, i+1), (j+1, i), (j+1, i+1)
+    # and (j+1, i-1)
+    diag, east, north, north_east, north_west = np.zeros((5, ny, nx))
+    diag[:-1, :-1] += sx + sy + sxy
+    diag[:-1, 1:] += sx + sy - sxy
+    diag[1:, :-1] += sx + sy - sxy
+    diag[1:, 1:] += sx + sy + sxy
+    east[:-1, :-1] -= sx
+    east[1:, :-1] -= sx
+    north[:-1, :-1] -= sy
+    north[:-1, 1:] -= sy
+    north_east[:-1, :-1] -= sxy
+    north_west[:-1, 1:] += sxy
+
+    # interface L2 mass on the bottom row
     wx = quad.trap_weights_1d(nx, hx)
-    interface = np.zeros(ny * nx)
-    interface[1:nx - 1] = wx[1:nx - 1]
+    diag[0, 1:-1] += wx[1:-1]
 
-    # -int_wall (b.n) |dn f|^2 with 3-point one-sided normal derivatives
-    # (3 f_wall - 4 f_1 + f_2) / (2h), f_wall = 0: one row of D per wall
-    # sample, weighted by -(b.n) times its trapezoid weight.
+    # one rank-one term per wall sample: -(b.n) w (dn f)^2 with its trapezoid
+    # weight w and dn f = (4 f_near - f_far) / (2h), i.e.
+    # c (2 f_near - f_far / 2)^2 with c = -(b.n) w / h^2
     wy = quad.trap_weights_1d(ny, hy)
     b_top = jet_batch(spec, np.stack([grid.x, np.full(nx, grid.ly_w)], axis=1))["b"]
     b_left = jet_batch(spec, np.stack([np.zeros(ny), grid.y_w], axis=1))["b"]
     b_right = jet_batch(spec, np.stack([np.full(ny, grid.lx), grid.y_w], axis=1))["b"]
-    i, j = np.arange(nx), np.arange(ny)
-    near = np.concatenate([(ny - 2) * nx + i, j * nx + 1, j * nx + nx - 2])
-    far = np.concatenate([(ny - 3) * nx + i, j * nx + 2, j * nx + nx - 3])
-    h = np.concatenate([np.full(nx, hy), np.full(2 * ny, hx)])
-    b_dot_n = np.concatenate([b_top[:, 1], -b_left[:, 0], b_right[:, 0]])
-    coef = -b_dot_n * np.concatenate([wx, wy, wy])
-    rows = np.arange(len(near))
-    d = sp.csr_matrix((np.concatenate([-4.0 / (2 * h), 1.0 / (2 * h)]),
-                       (np.concatenate([rows, rows]), np.concatenate([near, far]))),
-                      shape=(len(near), ny * nx))
-    a_full = a_full + sp.diags(interface) + d.T @ sp.diags(coef) @ d
+    c = -b_top[:, 1] * wx / hy**2
+    diag[-2] += 4.0 * c
+    diag[-3] += 0.25 * c
+    north[-3] -= c
+    for near, far, c in ((1, 2, b_left[:, 0] * wy / hx**2),
+                         (-2, -3, -b_right[:, 0] * wy / hx**2)):
+        diag[:, near] += 4.0 * c
+        diag[:, far] += 0.25 * c
+        east[:, min(near, far)] -= c
 
-    free = np.arange(ny * nx).reshape(ny, nx)[:-1, 1:-1].ravel()  # interface row free
-    a = a_full.tocsr()[free][:, free]
-    mass = quad.trap_mass(ny, nx, hx, hy).ravel()[free]
-    m = sp.diags(mass).tocsr()
-    a = 0.5 * (a + a.T)
-    return a.tocsr(), m
+    # restrict to the free nodes, where a coupling (n, n') is the diagonal
+    # n' - n of A; couplings to the wall columns drop out, and neighbour
+    # kinds whose offsets coincide (nx <= 4) sum into one diagonal
+    m = nx - 2
+    n = (ny - 1) * m
+    east[:, -2] = north_east[:, -2] = north_west[:, 1] = 0.0
+    bands = {0: diag}
+    for d, band in ((1, east), (m - 1, north_west), (m, north), (m + 1, north_east)):
+        bands[d] = bands.get(d, 0.0) + band
+    offsets = [d for d in sorted(bands) if d < n]
+    upper = [bands[d][:-1, 1:-1].ravel()[:n - d] for d in offsets]
+    # mirrored, so A is exactly symmetric; the conversion to CSR drops
+    # exact zeros (s11 = s12 = 0 would otherwise store three empty
+    # diagonals and slow the LU of check_poincare several-fold)
+    a = sp.diags(upper + upper[1:], offsets + [-d for d in offsets[1:]],
+                 shape=(n, n), format="csr")
+    mass = quad.trap_mass(ny, nx, hx, hy)[:-1, 1:-1].ravel()
+    return a, sp.diags(mass, format="csr")
 
 
 def check_poincare(spec: VectorFieldSpec, grid: Grid, rel_tol: float = 1e-8,

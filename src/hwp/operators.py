@@ -45,12 +45,15 @@ are unknowns and in what order.
 Extension. ``harmonic_extension_mode`` lifts the heat interface flux of
 one mode into the wave rectangle (the extension lemma); its heat-side
 functional takes one adjoint Dirichlet solve, not one per interface node.
-Both are Kronecker sums of the same form: the Dirichlet -Lap of the heat
-interior (``quadrature.laplacian_5pt``, also behind ``heat_dual_norm_sq``)
-is the heat rows of ``_column_band`` at (0, 0, 0), and the wave edge form
-on the free nodes [:-1, 1:-1] over hx*hy_w is B/hy_w^2 (x) I + D (x) T_x,
-B = tridiag(-1, (1, 2, ..., 2), -1), D the identity without the (two-point
-Neumann) interface row.
+The edge forms are applied matrix-free by ``quadrature.sbp_apply`` (the
+heat one in that functional, the wave one in ``wave_edge_form``). Both
+solves are Kronecker sums of the same form: the Dirichlet -Lap of the
+heat interior (the matrix ``quadrature.laplacian_5pt``, never assembled
+here), which ``heat_dual_norm_sq`` inverts too, is the heat rows of
+``_column_band`` at (0, 0, 0), and the wave edge form on the free nodes
+[:-1, 1:-1] over hx*hy_w is B/hy_w^2 (x) I + D (x) T_x,
+B = tridiag(-1, (1, 2, ..., 2), -1), D the identity without the
+(two-point Neumann) interface row.
 
 Solving. Each system is a pair (band, interior): B in LAPACK band storage
 and the rows of D. ``_separable_solve`` applies the fast direct method of
@@ -404,7 +407,7 @@ def _interface_functional(grid: Grid, u_k: np.ndarray, f_k: np.ndarray | None,
     if f_k is not None:
         r = r + f_k
     r = quad.interior_mass(ny, nx, hx, hy) * r
-    r -= (_sbp_form(ny, nx, hx, hy) @ u_k.ravel()).reshape(ny, nx)
+    r -= quad.sbp_apply(u_k, hx, hy)
     z = _dirichlet_solve(grid, r[1:-1, 1:-1])
     return r[-1, 1:-1] + z[-1] / hy**2
 
@@ -439,13 +442,8 @@ def harmonic_extension_mode(grid: Grid, u_k: np.ndarray, f_k: np.ndarray | None,
     return e
 
 
-@lru_cache(maxsize=16)
-def _sbp_form(ny: int, nx: int, hx: float, hy: float) -> sp.csr_matrix:
-    return quad.sbp_stiffness(ny, nx, hx, hy, np.arange(1, ny - 1))
-
-
-def wave_edge_form(grid: Grid, a: np.ndarray, b: np.ndarray) -> complex:
+def wave_edge_form(grid: Grid, a: np.ndarray, b: np.ndarray) -> complex | np.ndarray:
     """Edge Dirichlet form a_W(a, conj(b)) on the wave rectangle (exact
-    summation-by-parts partner of the five-point Laplacian there)."""
-    form = _sbp_form(grid.ny_w, grid.nx, grid.hx, grid.hy_w)
-    return complex(np.sum(np.conj(b.ravel()) * (form @ a.ravel())))
+    summation-by-parts partner of the five-point Laplacian there), of one
+    pair (ny_w, nx) or of each pair of a batch (..., ny_w, nx)."""
+    return np.sum(np.conj(b) * quad.sbp_apply(a, grid.hx, grid.hy_w), axis=(-2, -1))

@@ -244,7 +244,6 @@ class _MarchOperator:
         self.lu = spla.splu(self.op.matrix.tocsc())
 
         # energy mass: |grad w|^2 (edge form) + |v|^2 + |u|^2
-        self.energy_form = ops._sbp_form(grid.ny_w, grid.nx, hx, hyw)
         self.mass_w = quad.trap_mass(grid.ny_w, grid.nx, hx, hyw)
         self.mass_h = quad.trap_mass(grid.ny_h, grid.nx, hx, hyh)
 
@@ -261,7 +260,7 @@ class _MarchOperator:
 
     def energy(self, y: np.ndarray) -> float:
         w, v, u = self.scatter(y)
-        grad = float(np.real(w.ravel() @ (self.energy_form @ w.ravel())))
+        grad = float(np.real(ops.wave_edge_form(self.grid, w, w)))
         return grad + quad.norm_sq(self.mass_w, v) + quad.norm_sq(self.mass_h, u)
 
     def forcing_vector(self, g_t: np.ndarray | None, f_t: np.ndarray | None) -> np.ndarray:

@@ -44,8 +44,9 @@ def norm_sq(mass: np.ndarray, a: np.ndarray) -> float:
 
 
 def cell_average(f: np.ndarray) -> np.ndarray:
-    """Average of the four corner values per grid cell, shape (ny-1, nx-1)."""
-    return 0.25 * (f[:-1, :-1] + f[:-1, 1:] + f[1:, :-1] + f[1:, 1:])
+    """Average of the four corner values per grid cell, shape (..., ny-1, nx-1);
+    leading axes of f are a batch."""
+    return 0.25 * (f[..., :-1, :-1] + f[..., :-1, 1:] + f[..., 1:, :-1] + f[..., 1:, 1:])
 
 
 def cell_gradient(f: np.ndarray, hx: float, hy: float) -> tuple[np.ndarray, np.ndarray]:
@@ -66,33 +67,6 @@ def gradient_energy(f: np.ndarray, hx: float, hy: float) -> float:
     """Cell-quadrature approximation of the Dirichlet energy int |grad f|^2."""
     fx, fy = cell_gradient(f, hx, hy)
     return float(np.sum((np.abs(fx) ** 2 + np.abs(fy) ** 2)) * hx * hy)
-
-
-def anisotropic_gradient_form(ny: int, nx: int, hx: float, hy: float,
-                              s11: np.ndarray, s12: np.ndarray,
-                              s22: np.ndarray) -> sp.csr_matrix:
-    """Sparse quadratic form  f -> int (grad f)^T S grad f  with per-cell
-    symmetric coefficients S = [[s11, s12], [s12, s22]] (arrays over cells,
-    shape (ny-1, nx-1)), acting on flattened nodal values (j*nx + i).
-
-    Diagonal terms use the mean of the squared edge differences on opposite
-    cell edges (no checkerboard kernel, suitable for eigenproblems); the
-    cross term pairs the two averaged differences. The form is positive
-    semidefinite whenever every S is.
-    """
-    area = hx * hy
-    dx = sp.diags([-1.0, 1.0], [0, 1], shape=(nx - 1, nx)) / hx
-    dy = sp.diags([-1.0, 1.0], [0, 1], shape=(ny - 1, ny)) / hy
-    lo_x, hi_x = sp.eye(nx - 1, nx), sp.eye(nx - 1, nx, k=1)
-    lo_y, hi_y = sp.eye(ny - 1, ny), sp.eye(ny - 1, ny, k=1)
-    d_bottom, d_top = sp.kron(lo_y, dx), sp.kron(hi_y, dx)
-    d_left, d_right = sp.kron(dy, lo_x), sp.kron(dy, hi_x)
-    gx, gy = 0.5 * (d_bottom + d_top), 0.5 * (d_left + d_right)
-    c11, c12, c22 = (sp.diags(np.ravel(c)) for c in (s11, s12, s22))
-    form = (0.5 * area * (d_bottom.T @ c11 @ d_bottom + d_top.T @ c11 @ d_top
-                          + d_left.T @ c22 @ d_left + d_right.T @ c22 @ d_right)
-            + area * (gx.T @ c12 @ gy + gy.T @ c12 @ gx))
-    return form.tocsr()
 
 
 def sbp_stiffness(ny: int, nx: int, hx: float, hy: float,
@@ -118,6 +92,21 @@ def sbp_stiffness(ny: int, nx: int, hx: float, hy: float,
     form = ((hy / hx) * sp.kron(sp.diags(edge_rows), dx.T @ dx)
             + (hx / hy) * sp.kron(dy.T @ dy, sp.diags(interior_cols)))
     return form.tocsr()
+
+
+def sbp_apply(u: np.ndarray, hx: float, hy: float) -> np.ndarray:
+    """``sbp_stiffness(ny, nx, hx, hy, range(1, ny - 1)) @ u`` without the
+    matrix, for u of shape (..., ny, nx) (leading axes a batch): the x-edge
+    differences of the interior rows and the y-edge differences of the
+    interior columns, each scattered back onto its two end nodes."""
+    out = np.zeros_like(u)
+    d = np.diff(u[..., 1:-1, :], axis=-1) * (hy / hx)
+    out[..., 1:-1, :-1] -= d
+    out[..., 1:-1, 1:] += d
+    d = np.diff(u[..., 1:-1], axis=-2) * (hx / hy)
+    out[..., :-1, 1:-1] -= d
+    out[..., 1:, 1:-1] += d
+    return out
 
 
 def laplacian_5pt(ny: int, nx: int, hx: float, hy: float) -> sp.csr_matrix:

@@ -56,9 +56,15 @@ class FourierField:
         return np.arange(-n, n + 1)
 
     def hermitian_defect(self) -> float:
-        flipped = np.conj(self.coeffs[::-1])
-        scale = max(float(np.max(np.abs(self.coeffs))), 1e-300)
-        return float(np.max(np.abs(self.coeffs - flipped))) / scale
+        """max |c_-k - conj(c_k)| / max |c|, read pair by pair: a pair of
+        all-zero modes has no defect and sets no scale (non-finite
+        coefficients give nan)."""
+        n, c = self.n_modes, self.coeffs
+        live = [bool(np.any(x)) for x in c]
+        scale = np.max([np.max(np.abs(x)) for x, on in zip(c, live) if on], initial=0.0)
+        defect = np.max([np.max(np.abs(c[n - k] - np.conj(c[n + k])))
+                         for k in range(n + 1) if live[n - k] or live[n + k]], initial=0.0)
+        return float(defect) / max(float(scale), 1e-300)
 
     def sample(self, times: np.ndarray) -> np.ndarray:
         """Evaluate the series at arbitrary times; complex result."""

@@ -5,13 +5,19 @@ import pytest
 
 import hwp
 from hwp import analysis
-from hwp import operators as ops
 from hwp.cli import smooth_heat_forcing
 from hwp.errors import AnalysisError, ConfigurationError
 from hwp.timefourier import FourierField
 from hwp import quadrature as quad
+from hwp.fields import jet_batch
 
 T = 2 * np.pi
+
+
+def _sbp_form(ny, nx, hx, hy):
+    """The sparse edge form on the interior rows, the oracle of the
+    matrix-free apply."""
+    return quad.sbp_stiffness(ny, nx, hx, hy, np.arange(1, ny - 1))
 
 
 def wave_grid(n, ny=None):
@@ -134,6 +140,139 @@ def test_multiplier_identity_rejects_nonzero_mean():
                                          hwp.translate((0.0, 0.0)), grid)
 
 
+def _identity_terms_oracle(w, g, h, big_h, spec, grid, jet_batch=jet_batch):
+    """The identity's terms by the uniform rule on 2n+3 time samples, one
+    sample at a time (the rule is exact for products of two fields of
+    degree <= n); absent h or H are zero."""
+    ny, nx, hx, hy = grid.ny_w, grid.nx, grid.hx, grid.hy_w
+    n = max(f.n_modes for f in (w, g, h, big_h) if f is not None)
+    wt = 2 * n + 3
+    times = np.arange(wt) * w.period / wt
+    dt = w.period / wt
+    w_t, g_t = w.sample_real(times), g.sample_real(times)
+    h_t = h.sample_real(times) if h is not None else np.zeros((wt, nx))
+    H_t = big_h.sample_real(times) if big_h is not None else np.zeros((wt, nx))
+
+    xc, yc = quad.cell_centers(grid.x, grid.y_w)
+    jets = jet_batch(spec, np.stack([xc.ravel(), yc.ravel()], axis=1))
+    bx, by = (jets["b"][:, i].reshape(xc.shape) for i in (0, 1))
+    gsym = 0.5 * (jets["grad"] + np.swapaxes(jets["grad"], 1, 2))
+    g11, g12, g22 = (gsym[:, p, q].reshape(xc.shape) for p, q in ((0, 0), (0, 1), (1, 1)))
+    divb = jets["div"].reshape(xc.shape)
+    lapdiv = jets["lap_div"].reshape(xc.shape)
+    area = hx * hy
+    wx = quad.trap_weights_1d(nx, hx)
+    iface = jet_batch(spec, np.stack([grid.x, np.zeros(nx)], axis=1))
+    iface_b_dot_n, iface_dn_divb = -iface["b"][:, 1], -iface["grad_div"][:, 1]
+    wy = quad.trap_weights_1d(ny, hy)
+    top_b = jet_batch(spec, np.stack([grid.x, np.full(nx, grid.ly_w)], axis=1))["b"]
+    left_b = jet_batch(spec, np.stack([np.zeros(ny), grid.y_w], axis=1))["b"]
+    right_b = jet_batch(spec, np.stack([np.full(ny, grid.lx), grid.y_w], axis=1))["b"]
+
+    acc = dict.fromkeys(("lhs_contractivity", "lhs_interface_tangential",
+                         "lhs_wall_normal", "rhs_g_flow", "rhs_g_w_div",
+                         "rhs_w2_lapdiv", "rhs_h2_sign", "rhs_H2_flux"), 0.0)
+    for m in range(wt):
+        wm, gm, Hm = w_t[m], g_t[m], H_t[m]
+        fx, fy = quad.cell_gradient(wm, hx, hy)
+        acc["lhs_contractivity"] += dt * area * np.sum(
+            g11 * fx**2 + 2 * g12 * fx * fy + g22 * fy**2)
+        gc, wc = quad.cell_average(gm), quad.cell_average(wm)
+        acc["rhs_g_flow"] += dt * area * np.sum(gc * (bx * fx + by * fy))
+        acc["rhs_g_w_div"] += dt * area * 0.5 * np.sum(gc * wc * divb)
+        acc["rhs_w2_lapdiv"] += dt * area * 0.25 * np.sum(wc**2 * lapdiv)
+        dH = np.zeros(nx)
+        dH[1:-1] = (Hm[2:] - Hm[:-2]) / (2 * hx)
+        dH[0] = (-3 * Hm[0] + 4 * Hm[1] - Hm[2]) / (2 * hx)
+        dH[-1] = (3 * Hm[-1] - 4 * Hm[-2] + Hm[-3]) / (2 * hx)
+        acc["lhs_interface_tangential"] += dt * 0.5 * np.sum(wx * dH**2 * iface_b_dot_n)
+        acc["rhs_h2_sign"] += dt * 0.5 * np.sum(wx * h_t[m]**2 * iface_b_dot_n)
+        acc["rhs_H2_flux"] += dt * (-0.25) * np.sum(wx * Hm**2 * iface_dn_divb)
+        dn_top = quad.one_sided_deriv_high(wm, hy, axis=0)
+        dn_left = -quad.one_sided_deriv_low(wm.T, hx, axis=0)
+        dn_right = quad.one_sided_deriv_high(wm.T, hx, axis=0)
+        acc["lhs_wall_normal"] += dt * (-0.5) * (
+            np.sum(wx * dn_top**2 * top_b[:, 1]) + np.sum(wy * dn_left**2 * (-left_b[:, 0]))
+            + np.sum(wy * dn_right**2 * right_b[:, 0]))
+    return {k: float(v) for k, v in acc.items()}
+
+
+def _smooth_real_field(n_modes, live, shapes, domain, rng):
+    """A real field whose modes +-k, k in live, are random complex
+    combinations of the given smooth shapes (conjugate at -k)."""
+    f = FourierField.zeros(T, n_modes, shapes.shape[1:], domain)
+    for k in live:
+        c = rng.standard_normal(len(shapes)) + (1j * rng.standard_normal(len(shapes)) if k else 0)
+        f.coeffs[n_modes + k] = np.tensordot(c, shapes, axes=1)
+        f.coeffs[n_modes - k] = np.conj(f.coeffs[n_modes + k])
+    return f
+
+
+def _identity_data(grid, seed):
+    """w with a mean and no k = 2, mean-free g, h and H of differing
+    lengths, so padding and the skipped mode are exercised."""
+    rng = np.random.default_rng(seed)
+    area = np.stack([np.outer(np.cos(p * grid.y_w), np.sin(m * grid.x))
+                     for p in (0.5, 2.0) for m in (1, 2, 3)])
+    line = np.stack([np.sin(m * grid.x + p) for m in (1, 2, 3) for p in (0.0, 1.0)])
+    return (_smooth_real_field(3, (0, 1, 3), area, "wave", rng),
+            _smooth_real_field(2, (1,), area, "wave", rng),
+            _smooth_real_field(1, (1,), line, "interface", rng),
+            _smooth_real_field(4, (1, 3, 4), line, "interface", rng))
+
+
+def _jets_with_varying_div(spec, points):
+    """The field's jets with a non-constant grad(div b) and Lap(div b)
+    spliced in (every built-in field has a constant div b), so that every
+    term of the identity is non-zero; the terms' algebra does not need
+    the jets consistent."""
+    jets = jet_batch(spec, points)
+    x, y = points[:, 0], points[:, 1]
+    jets["grad_div"] = np.stack([np.cos(x) * (1.0 + y), 0.5 + np.sin(x) * y], axis=1)
+    jets["lap_div"] = 1.0 + np.sin(x) * np.cos(y)
+    return jets
+
+
+@pytest.mark.parametrize("field", ["graph-vertical:2", "spiral:0.2"])
+@pytest.mark.parametrize("n", [17, 33])
+def test_identity_terms_match_sampled_loop(n, field, monkeypatch):
+    # every term, the interface terms of non-zero h and H included, against
+    # the 2n+3-sample loop the Parseval sums replaced
+    monkeypatch.setattr(analysis, "jet_batch", _jets_with_varying_div)
+    grid = wave_grid(n, n)
+    spec = hwp.parse_field(field)
+    w, g, h, big_h = _identity_data(grid, n)
+    rep = hwp.multiplier_identity_residual(w, g, h, big_h, spec, grid)
+    ref = _identity_terms_oracle(w, g, h, big_h, spec, grid, _jets_with_varying_div)
+    assert list(rep.terms) == list(ref)
+    scale = max(abs(v) for v in ref.values())
+    for name, value in ref.items():
+        assert abs(value) > 1e-3 * scale, name
+        assert abs(rep.terms[name] - value) <= 1e-12 * scale, name
+    # absent h and H contribute exactly nothing
+    bare = hwp.multiplier_identity_residual(w, g, None, None, spec, grid)
+    assert bare.terms["rhs_h2_sign"] == bare.terms["rhs_H2_flux"] == 0.0
+    assert bare.terms["lhs_interface_tangential"] == 0.0
+    assert bare.terms["lhs_contractivity"] == pytest.approx(
+        rep.terms["lhs_contractivity"], rel=1e-14)
+    # the analytic mode: one live mode of seven
+    g2, w2 = hwp.analytic_mode(2, grid)
+    rep = hwp.multiplier_identity_residual(w2, g2, None, None, spec, grid)
+    ref = _identity_terms_oracle(w2, g2, None, None, spec, grid, _jets_with_varying_div)
+    scale = max(abs(v) for v in ref.values())
+    for name, value in ref.items():
+        assert abs(rep.terms[name] - value) <= 1e-12 * scale, name
+
+
+@pytest.mark.parametrize("name", ["w", "g", "h", "H"])
+def test_multiplier_identity_rejects_non_real_input_by_name(name):
+    grid = wave_grid(9)
+    fields = dict(zip(("w", "g", "h", "H"), _identity_data(grid, 3)))
+    fields[name].coeffs[fields[name].n_modes + 1] *= 1.0 + 1e-6  # c_-1 != conj(c_1)
+    with pytest.raises(AnalysisError, match=f"^{name} is not a real field"):
+        hwp.multiplier_identity_residual(*fields.values(), hwp.graph_vertical(2.0), grid)
+
+
 # ---------------------------------------------------------------------------
 # equipartition balance
 # ---------------------------------------------------------------------------
@@ -186,6 +325,45 @@ def test_equipartition_exact_for_discrete_manufactured_forcing():
     assert hwp.equipartition_residual(w, g, grid) <= 1e-9
 
 
+def _equipartition_oracle(w, g, grid):
+    """(lhs, rhs) of the equipartition balance, mode by mode over k = -n..n
+    with the sparse edge form."""
+    mass = quad.interior_mass(grid.ny_w, grid.nx, grid.hx, grid.hy_w)
+    form = _sbp_form(grid.ny_w, grid.nx, grid.hx, grid.hy_w)
+    n = max(w.n_modes, g.n_modes)
+    wc, gc = w.truncated(n).coeffs, g.truncated(n).coeffs
+    lhs = rhs = 0.0
+    for idx, k in enumerate(range(-n, n + 1)):
+        wk = wc[idx]
+        lhs += w.period * np.real(np.vdot(wk.ravel(), form @ wk.ravel()))
+        lhs -= w.period * (w.omega * k) ** 2 * quad.norm_sq(mass, wk)
+        rhs += w.period * np.real(np.sum(mass * gc[idx] * np.conj(wk)))
+    return lhs, rhs
+
+
+@pytest.mark.parametrize("n", [17, 33])
+def test_equipartition_matches_sparse_form_oracle(n):
+    grid = wave_grid(n, n)
+    w, g, _, _ = _identity_data(grid, n + 1)
+    lhs, rhs = _equipartition_oracle(w, g, grid)
+    got = hwp.equipartition_residual(w, g, grid)
+    assert abs(got - abs(lhs - rhs)) <= 1e-12 * (abs(lhs) + abs(rhs))
+    g2, w2 = hwp.analytic_mode(2, grid)
+    lhs, rhs = _equipartition_oracle(w2, g2, grid)
+    got = hwp.equipartition_residual(w2, g2, grid)
+    assert abs(got - abs(lhs - rhs)) <= 1e-12 * (abs(lhs) + abs(rhs))
+
+
+@pytest.mark.parametrize("name", ["w", "g"])
+def test_equipartition_rejects_non_real_input_by_name(name):
+    grid = wave_grid(9)
+    w, g, _, _ = _identity_data(grid, 4)
+    field_ = w if name == "w" else g
+    field_.coeffs[field_.n_modes - 1] = 0.0  # mode 1 without its partner
+    with pytest.raises(AnalysisError, match=f"^{name} is not a real field"):
+        hwp.equipartition_residual(w, g, grid)
+
+
 # ---------------------------------------------------------------------------
 # weak residual
 # ---------------------------------------------------------------------------
@@ -223,8 +401,8 @@ def _weak_residual_oracle(report, f, g, grid, n_tests=10, seed=2024):
     period = report.period
     u, w = report.u, report.w
     omega = w.omega
-    form_w = ops._sbp_form(grid.ny_w, grid.nx, grid.hx, grid.hy_w)
-    form_h = ops._sbp_form(grid.ny_h, grid.nx, grid.hx, grid.hy_h)
+    form_w = _sbp_form(grid.ny_w, grid.nx, grid.hx, grid.hy_w)
+    form_h = _sbp_form(grid.ny_h, grid.nx, grid.hx, grid.hy_h)
     mass_w = quad.interior_mass(grid.ny_w, grid.nx, grid.hx, grid.hy_w)
     mass_h = quad.interior_mass(grid.ny_h, grid.nx, grid.hx, grid.hy_h)
     wx_full = np.zeros(grid.nx)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import hwp
 from hwp.errors import GeometryCheckError
@@ -184,6 +185,58 @@ def _rel_diff(a, ref):
     return np.max(np.abs(a - ref)) / np.max(np.abs(ref))
 
 
+def _kron_gradient_form(ny, nx, hx, hy, s11, s12, s22):
+    """Reference: the gradient form of _poincare_form by sparse Kronecker
+    products on the full node set (j*nx + i); the products store no exact
+    zeros."""
+    area = hx * hy
+    dx = sp.diags([-1.0, 1.0], [0, 1], shape=(nx - 1, nx)) / hx
+    dy = sp.diags([-1.0, 1.0], [0, 1], shape=(ny - 1, ny)) / hy
+    lo_x, hi_x = sp.eye(nx - 1, nx), sp.eye(nx - 1, nx, k=1)
+    lo_y, hi_y = sp.eye(ny - 1, ny), sp.eye(ny - 1, ny, k=1)
+    d_bottom, d_top = sp.kron(lo_y, dx), sp.kron(hi_y, dx)
+    d_left, d_right = sp.kron(dy, lo_x), sp.kron(dy, hi_x)
+    gx, gy = 0.5 * (d_bottom + d_top), 0.5 * (d_left + d_right)
+    c11, c12, c22 = (sp.diags(np.ravel(c)) for c in (s11, s12, s22))
+    form = (0.5 * area * (d_bottom.T @ c11 @ d_bottom + d_top.T @ c11 @ d_top
+                          + d_left.T @ c22 @ d_left + d_right.T @ c22 @ d_right)
+            + area * (gx.T @ c12 @ gy + gy.T @ c12 @ gx))
+    return form.tocsr()
+
+
+def _kron_poincare_form(spec, grid):
+    """Reference: A of _poincare_form from the Kronecker gradient form, the
+    interface mass and the wall rank-one terms as sparse products on the
+    full node set, restricted to the free nodes and symmetrized."""
+    ny, nx, hx, hy = grid.ny_w, grid.nx, grid.hx, grid.hy_w
+    xc, yc = quad.cell_centers(grid.x, grid.y_w)
+    grad = jet_batch(spec, np.stack([xc.ravel(), yc.ravel()], axis=1))["grad"]
+    sym = 0.5 * (grad + np.swapaxes(grad, 1, 2))
+    a = _kron_gradient_form(ny, nx, hx, hy, *(sym[:, p, q].reshape(xc.shape)
+                                              for p, q in ((0, 0), (0, 1), (1, 1))))
+    wx = quad.trap_weights_1d(nx, hx)
+    interface = np.zeros(ny * nx)
+    interface[1:nx - 1] = wx[1:nx - 1]
+    wy = quad.trap_weights_1d(ny, hy)
+    b_top = jet_batch(spec, np.stack([grid.x, np.full(nx, grid.ly_w)], axis=1))["b"]
+    b_left = jet_batch(spec, np.stack([np.zeros(ny), grid.y_w], axis=1))["b"]
+    b_right = jet_batch(spec, np.stack([np.full(ny, grid.lx), grid.y_w], axis=1))["b"]
+    i, j = np.arange(nx), np.arange(ny)
+    near = np.concatenate([(ny - 2) * nx + i, j * nx + 1, j * nx + nx - 2])
+    far = np.concatenate([(ny - 3) * nx + i, j * nx + 2, j * nx + nx - 3])
+    h = np.concatenate([np.full(nx, hy), np.full(2 * ny, hx)])
+    b_dot_n = np.concatenate([b_top[:, 1], -b_left[:, 0], b_right[:, 0]])
+    coef = -b_dot_n * np.concatenate([wx, wy, wy])
+    rows = np.arange(len(near))
+    d = sp.csr_matrix((np.concatenate([-4.0 / (2 * h), 1.0 / (2 * h)]),
+                       (np.concatenate([rows, rows]), np.concatenate([near, far]))),
+                      shape=(len(near), ny * nx))
+    a = a + sp.diags(interface) + d.T @ sp.diags(coef) @ d
+    free = np.arange(ny * nx).reshape(ny, nx)[:-1, 1:-1].ravel()
+    a = a.tocsr()[free][:, free]
+    return (0.5 * (a + a.T)).tocsr()
+
+
 @pytest.mark.parametrize("ny,nx", [(7, 9), (17, 17)])
 def test_anisotropic_gradient_form_matches_cell_loop(ny, nx):
     rng = np.random.default_rng(ny * nx)
@@ -191,7 +244,7 @@ def test_anisotropic_gradient_form_matches_cell_loop(ny, nx):
     s11, s12, s22 = (np.where(rng.random((ny - 1, nx - 1)) < 0.3, 0.0,
                               rng.standard_normal((ny - 1, nx - 1)))
                      for _ in range(3))
-    form = quad.anisotropic_gradient_form(ny, nx, hx, hy, s11, s12, s22).toarray()
+    form = _kron_gradient_form(ny, nx, hx, hy, s11, s12, s22).toarray()
     assert _rel_diff(form, _loop_gradient_form(ny, nx, hx, hy, s11, s12, s22)) <= 1e-14
 
 
@@ -232,14 +285,56 @@ def _loop_poincare_form(spec, grid):
     return 0.5 * (a + a.T), quad.trap_mass(ny, nx, hx, hy).ravel()[free]
 
 
-@pytest.mark.parametrize("field", ["graph-vertical:2", "spiral:0.2", "horn:0.5"])
-def test_poincare_form_matches_loop_assembly(field):
-    spec = hwp.parse_field(field)
+def _poincare_field(name, monkeypatch):
+    """The field of name; "<field>+cross" adds a smooth non-symmetric
+    gradient at every point (no built-in field has sym(grad b) off the
+    diagonal on a rectangle), patched into geometry and into the oracles
+    of this module."""
+    base, _, cross = name.partition("+")
+    if cross:
+        plain = jet_batch
+
+        def jets(spec, points):
+            out = plain(spec, points)
+            x, y = points[:, 0], points[:, 1]
+            out["grad"] = out["grad"] + np.stack(
+                [np.stack([0.3 * np.sin(3 * x), x * np.cos(2 * y)], axis=-1),
+                 np.stack([y - x, 0.2 * np.cos(x)], axis=-1)], axis=-2)
+            return out
+
+        monkeypatch.setattr(geometry, "jet_batch", jets)
+        monkeypatch.setitem(globals(), "jet_batch", jets)
+    return hwp.parse_field(base)
+
+
+_POINCARE_FIELDS = ["graph-vertical:2", "spiral:0.2", "horn:0.5", "spiral:0.2+cross"]
+
+
+@pytest.mark.parametrize("field", _POINCARE_FIELDS)
+def test_poincare_form_matches_loop_assembly(field, monkeypatch):
+    spec = _poincare_field(field, monkeypatch)
     grid = hwp.build_stacked_rectangles(1.3, 0.8, 1.0, 11, 9, 3)
     a, m = _poincare_form(spec, grid)
     ref_a, ref_m = _loop_poincare_form(spec, grid)
     assert _rel_diff(a.toarray(), ref_a) <= 1e-14
     np.testing.assert_array_equal(m.diagonal(), ref_m)
+
+
+@pytest.mark.parametrize("field", _POINCARE_FIELDS)
+@pytest.mark.parametrize("dims", [(np.pi, 33, 33), (1.3, 11, 9), (1.0, 4, 5), (1.0, 3, 3)],
+                         ids=["33^2", "11x9", "4x5", "3^2"])
+def test_poincare_form_structure_matches_kron_builder(field, dims, monkeypatch):
+    # the diagonal build stores what the sparse products store: for
+    # graph-vertical (s11 = s12 = 0) no east or diagonal couplings at all;
+    # storing those zeros made the LU of check_poincare several-fold slower
+    lx, nx, ny = dims
+    spec = _poincare_field(field, monkeypatch)
+    grid = hwp.build_stacked_rectangles(lx, 1.0, 1.0, nx, ny, 3)
+    a, _ = _poincare_form(spec, grid)
+    ref = _kron_poincare_form(spec, grid)
+    assert a.nnz == ref.nnz
+    assert (a != a.T).nnz == 0
+    assert abs(a - ref).max() <= 1e-14 * abs(ref).max()
 
 
 def test_trapezoid_integrals_match_column_loop(monkeypatch):

@@ -534,3 +534,44 @@ def test_sbp_stiffness_matches_edge_loop(rows):
         ref[b, a] -= c
     form = quad.sbp_stiffness(ny, nx, hx, hy, x_rows).toarray()
     np.testing.assert_allclose(form, ref, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("dims", [(7, 9), (17, 33), (3, 3)])
+def test_sbp_apply_matches_sparse_form(dims, dtype):
+    # the matrix-free apply against the assembled form on the interior
+    # rows, slice by slice of a (2, 3, ny, nx) batch
+    ny, nx = dims
+    hx, hy = np.pi / (nx - 1), 0.7 / (ny - 1)
+    rng = np.random.default_rng(ny * nx)
+    u = rng.standard_normal((2, 3, ny, nx)).astype(dtype)
+    if dtype is complex:
+        u += 1j * rng.standard_normal(u.shape)
+    form = quad.sbp_stiffness(ny, nx, hx, hy, np.arange(1, ny - 1))
+    ref = (form @ u.reshape(-1, ny * nx).T).T.reshape(u.shape)
+    got = quad.sbp_apply(u, hx, hy)
+    assert got.dtype == u.dtype
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+    np.testing.assert_array_equal(quad.sbp_apply(u[1, 2], hx, hy), got[1, 2])
+
+
+def test_wave_edge_form_of_a_batch_matches_single_pairs():
+    grid = hwp.build_stacked_rectangles(2.0, 1.0, 0.7, 17, 9, 13)
+    rng = np.random.default_rng(8)
+    a, b = rng.standard_normal((2, 4, grid.ny_w, grid.nx)) * (1 + 1j)
+    form = quad.sbp_stiffness(grid.ny_w, grid.nx, grid.hx, grid.hy_w, np.arange(1, grid.ny_w - 1))
+    ref = np.array([np.vdot(q.ravel(), form @ p.ravel()) for p, q in zip(a, b)])
+    got = ops.wave_edge_form(grid, a, b)
+    assert got.shape == (4,)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert ops.wave_edge_form(grid, a[2], b[2]) == got[2]
+
+
+def test_cell_average_accepts_a_batch():
+    rng = np.random.default_rng(4)
+    f = rng.standard_normal((3, 7, 9)) + 1j * rng.standard_normal((3, 7, 9))
+    got = quad.cell_average(f)
+    assert got.shape == (3, 6, 8)
+    for k in range(3):
+        np.testing.assert_array_equal(got[k], quad.cell_average(f[k]))
+    np.testing.assert_allclose(got[1, 2, 3], f[1, 2:4, 3:5].mean(), rtol=1e-15)

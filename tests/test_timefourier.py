@@ -100,6 +100,21 @@ def test_hermitian_defect_detects_non_real_fields():
     assert f.hermitian_defect() < 1e-15
 
 
+@pytest.mark.parametrize("live", [(0, 1, 2, 3), (2,), (), (1, -3)])
+def test_hermitian_defect_matches_full_formula(live):
+    # the pair-by-pair reading against max |c - conj(c reversed)| / max |c|
+    rng = np.random.default_rng(len(live))
+    f = FourierField.zeros(T, 3, (4, 5), "wave")
+    for k in live:
+        f.coeffs[3 + k] = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
+        f.coeffs[3 - k] = np.conj(f.coeffs[3 + k]) * (1.0 + 1e-7 * (k == 1))
+    c = f.coeffs
+    ref = np.max(np.abs(c - np.conj(c[::-1]))) / max(np.max(np.abs(c)), 1e-300)
+    assert f.hermitian_defect() == ref
+    f.coeffs[3 + (live[0] if live else 0), 1, 2] = np.nan
+    assert np.isnan(f.hermitian_defect())
+
+
 def test_sample_real_rejects_complex_reconstruction():
     f = FourierField.zeros(T, 1, (), "wave")
     f.coeffs[2] = 1.0
