@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AnalysisError, ConfigurationError
-from .fields import VectorFieldSpec, graph_vertical, jet_batch
+from .fields import _JET_CHUNK, VectorFieldSpec, graph_vertical, jet_batch
 from .mesh import Grid
 from . import closedform
 from . import operators as ops
@@ -123,6 +123,31 @@ def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.real * b.real + a.imag * b.imag
 
 
+def _area_sums(spec: VectorFieldSpec, x: np.ndarray, y: np.ndarray,
+               wk: np.ndarray, gk: np.ndarray, hx: float, hy: float) -> np.ndarray:
+    """Per-mode sums over the cells between the node rows y of the four area
+    densities of the identity: (grad w)^T sym(grad b) grad w, g (grad w . b),
+    g w div b and |w|^2 Lap(div b), each paired as Re(a conj(b)); shape
+    (4, K) for w and g of shape (K, len(y), len(x))."""
+    xc, yc = quad.cell_centers(x, y)
+    jets = jet_batch(spec, np.stack([xc.ravel(), yc.ravel()], axis=1))
+    bx = jets["b"][:, 0].reshape(xc.shape)
+    by = jets["b"][:, 1].reshape(xc.shape)
+    gsym = 0.5 * (jets["grad"] + np.swapaxes(jets["grad"], 1, 2))
+    g11 = gsym[:, 0, 0].reshape(xc.shape)
+    g12 = gsym[:, 0, 1].reshape(xc.shape)
+    g22 = gsym[:, 1, 1].reshape(xc.shape)
+    divb = jets["div"].reshape(xc.shape)
+    lapdiv = jets["lap_div"].reshape(xc.shape)
+    fx, fy = quad.cell_gradient(wk, hx, hy)
+    gc, wc = quad.cell_average(gk), quad.cell_average(wk)
+    densities = (g11 * _pair(fx, fx) + 2 * g12 * _pair(fx, fy) + g22 * _pair(fy, fy),
+                 _pair(gc, bx * fx + by * fy),
+                 _pair(gc, wc) * divb,
+                 _pair(wc, wc) * lapdiv)
+    return np.stack([np.sum(d, axis=(1, 2)) for d in densities])
+
+
 def multiplier_identity_residual(w: FourierField, g: FourierField,
                                  h: FourierField | None,
                                  big_h: FourierField | None,
@@ -145,6 +170,13 @@ def multiplier_identity_residual(w: FourierField, g: FourierField,
     carry data (see _parseval_modes). Requires real w, g, h and H (each
     Hermitian-symmetric, else AnalysisError naming it) and mean-free g, h
     and H.
+
+    The four area terms are summed over strips of cell rows of about
+    ``fields._JET_CHUNK`` cells each (see _area_sums), with the field's jets
+    evaluated per strip, so the working set beyond the mode stacks is one
+    strip's arrays. Every per-cell value is that of one pass; once the box
+    takes more than one strip (more than _JET_CHUNK cells) the summation
+    order differs, and the area terms may move in their last digits.
     """
     _, weight, modes = _parseval_modes(w.period, {"w": w, "g": g, "h": h, "H": big_h})
     for name, f_ in (("g", g), ("h", h), ("H", big_h)):
@@ -155,17 +187,15 @@ def multiplier_identity_residual(w: FourierField, g: FourierField,
             raise AnalysisError(f"{name} must be mean-free for the identity")
 
     ny, nx, hx, hy = grid.ny_w, grid.nx, grid.hx, grid.hy_w
-    xc, yc = quad.cell_centers(grid.x, grid.y_w)
-    centers = np.stack([xc.ravel(), yc.ravel()], axis=1)
-    jets = jet_batch(spec, centers)
-    bx = jets["b"][:, 0].reshape(xc.shape)
-    by = jets["b"][:, 1].reshape(xc.shape)
-    gsym = 0.5 * (jets["grad"] + np.swapaxes(jets["grad"], 1, 2))
-    g11 = gsym[:, 0, 0].reshape(xc.shape)
-    g12 = gsym[:, 0, 1].reshape(xc.shape)
-    g22 = gsym[:, 1, 1].reshape(xc.shape)
-    divb = jets["div"].reshape(xc.shape)
-    lapdiv = jets["lap_div"].reshape(xc.shape)
+    wk, gk = modes["w"], modes["g"]
+    # the four area terms over strips of cell rows r0..r1-1, each reading
+    # node rows r0..r1 (per-mode sums in the order of the terms below)
+    rows = max(1, _JET_CHUNK // (nx - 1))
+    area_sums = np.zeros((4, weight.size))
+    for r0 in range(0, ny - 1, rows):
+        nodes = slice(r0, min(r0 + rows, ny - 1) + 1)
+        area_sums += _area_sums(spec, grid.x, grid.y_w[nodes], wk[:, nodes],
+                                gk[:, nodes], hx, hy)
     area = hx * hy
 
     # interface row geometry (outward normal (0, -1))
@@ -184,9 +214,6 @@ def multiplier_identity_residual(w: FourierField, g: FourierField,
         """Time integral of a per-mode density (K, ...) summed over space."""
         return float(weight @ np.sum(density, axis=tuple(range(1, density.ndim))))
 
-    wk, gk = modes["w"], modes["g"]
-    fx, fy = quad.cell_gradient(wk, hx, hy)
-    gc, wc = quad.cell_average(gk), quad.cell_average(wk)
     # interface terms; absent h or H contribute nothing
     h2 = dH2 = H2 = np.zeros((weight.size, nx))
     if modes["h"] is not None:
@@ -203,16 +230,15 @@ def multiplier_identity_residual(w: FourierField, g: FourierField,
     dn_left = -quad.one_sided_deriv_low(wk, hx, axis=2)
     dn_right = quad.one_sided_deriv_high(wk, hx, axis=2)
     terms = {
-        "lhs_contractivity": area * integral(
-            g11 * _pair(fx, fx) + 2 * g12 * _pair(fx, fy) + g22 * _pair(fy, fy)),
+        "lhs_contractivity": area * float(weight @ area_sums[0]),
         "lhs_interface_tangential": 0.5 * integral(wx * dH2 * iface_b_dot_n),
         "lhs_wall_normal": -0.5 * (
             integral(wx * _pair(dn_top, dn_top) * top_b[:, 1])
             + integral(wy * _pair(dn_left, dn_left) * (-left_b[:, 0]))
             + integral(wy * _pair(dn_right, dn_right) * right_b[:, 0])),
-        "rhs_g_flow": area * integral(_pair(gc, bx * fx + by * fy)),
-        "rhs_g_w_div": 0.5 * area * integral(_pair(gc, wc) * divb),
-        "rhs_w2_lapdiv": 0.25 * area * integral(_pair(wc, wc) * lapdiv),
+        "rhs_g_flow": area * float(weight @ area_sums[1]),
+        "rhs_g_w_div": 0.5 * area * float(weight @ area_sums[2]),
+        "rhs_w2_lapdiv": 0.25 * area * float(weight @ area_sums[3]),
         "rhs_h2_sign": 0.5 * integral(wx * h2 * iface_b_dot_n),
         "rhs_H2_flux": -0.25 * integral(wx * H2 * iface_dn_divb),
     }

@@ -233,12 +233,18 @@ def parse_scenario(text: str, command: str, out_dir: str = ".") -> Scenario:
         values.setdefault(key, spec.default)
     values["command"] = command
 
-    # forcing specs parse, and referenced files exist, before execution starts
+    # forcing and field specs parse, and referenced files exist, before
+    # execution starts
     for key in _FORCING_FORMS:
         if key in schema:
             kind, args = _forcing_spec(key, values[key])
             if kind == "file" and not Path(args[0]).is_file():
                 raise FileNotFoundError(f"forcing file not found: {args[0]}")
+    if "field" in schema:
+        try:
+            parse_field(values["field"])
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"key 'field': {exc}") from exc
     if "epsilons" in schema and not all(e > 0 for e in values["epsilons"]):
         raise ConfigurationError(
             f"key 'epsilons': damping shifts must be positive, got {values['epsilons']}")

@@ -22,7 +22,16 @@ import numpy as np
 
 from .errors import ConfigurationError, FieldDomainError
 
-_KINDS = ("translate", "horn", "spiral", "arc", "graph-vertical", "zero")
+# each field kind with the defaults of its text-form arguments, one per
+# argument it takes
+_FIELD_ARGS = {"translate": (0.0, 0.0), "horn": (1.0,), "spiral": (0.2,),
+               "arc": (), "graph-vertical": (2.0,), "zero": ()}
+_KINDS = tuple(_FIELD_ARGS)
+
+# points per jet evaluation of the chunked reductions (the interior margins
+# of geometry.check_conditions, the cell-row strips of the multiplier
+# identity): about 1.3 MB of jets, so a chunk's arrays stay in cache
+_JET_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -168,24 +177,26 @@ def sym_min_eig(grad: np.ndarray) -> np.ndarray:
 
 
 def parse_field(text: str) -> VectorFieldSpec:
-    """Parse a field description like 'translate:0,0' or 'horn:0.5'."""
+    """Parse a field description like 'translate:0,0' or 'horn:0.5'.
+
+    Missing trailing arguments take their defaults (``_FIELD_ARGS``). An
+    unknown name, an argument that is empty or not a finite number, or
+    more arguments than the field takes raises ConfigurationError naming
+    the text.
+    """
     name, _, argstr = text.partition(":")
     name = name.strip().lower()
-    args = [float(a) for a in argstr.split(",") if a.strip()] if argstr else []
+    if name not in _FIELD_ARGS:
+        raise ConfigurationError(f"unknown field {name!r} in {text!r}")
+    defaults = _FIELD_ARGS[name]
     try:
-        if name == "translate":
-            x0 = (args + [0.0, 0.0])[:2]
-            return translate((x0[0], x0[1]))
-        if name == "horn":
-            return horn(args[0] if args else 1.0)
-        if name == "spiral":
-            return spiral(args[0] if args else 0.2)
-        if name == "arc":
-            return arc_renormalized()
-        if name == "graph-vertical":
-            return graph_vertical(args[0] if args else 2.0)
-        if name == "zero":
-            return zero_field()
-    except (IndexError, ValueError) as exc:
+        args = [float(a) for a in argstr.split(",")] if argstr.strip() else []
+    except ValueError as exc:
         raise ConfigurationError(f"bad field arguments in {text!r}: {exc}") from exc
-    raise ConfigurationError(f"unknown field {name!r} in {text!r}")
+    if len(args) > len(defaults):
+        raise ConfigurationError(
+            f"bad field arguments in {text!r}: {name} takes at most "
+            f"{len(defaults)}, got {len(args)}")
+    if not np.all(np.isfinite(args)):
+        raise ConfigurationError(f"bad field arguments in {text!r}: not finite")
+    return VectorFieldSpec(name, tuple(args) + defaults[len(args):])

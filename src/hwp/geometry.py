@@ -17,6 +17,11 @@ conditions involve non-explicit constants:
   (see _quadform_margin);
 * a Rayleigh-quotient check of the interface Poincare inequality on the
   rectangular wave subgrid.
+
+The interior margins are computed in chunks of ``fields._JET_CHUNK``
+samples (jets and reductions together), so check_conditions holds the
+samples plus one chunk's arrays, whatever the sample count; the chunked
+margins are bitwise those of one batch.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import GeometryCheckError, SolverError
-from .fields import VectorFieldSpec, jet_batch, sym_min_eig
+from .fields import _JET_CHUNK, VectorFieldSpec, jet_batch, sym_min_eig
 from .mesh import DomainSamples, Grid, _ruled_midpoints, sample_domain
 from . import quadrature as quad
 
@@ -108,7 +113,14 @@ def _quadform_margin(jets: dict[str, np.ndarray], tol: float) -> float:
 
 def check_conditions(spec: VectorFieldSpec, samples: DomainSamples,
                      tol: float = 1e-10) -> GeometryReport:
-    """Evaluate all sign and contractivity margins of a field on a domain."""
+    """Evaluate all sign and contractivity margins of a field on a domain.
+
+    The interior jets and their three reductions (contractivity, bilap_max,
+    the graph quadratic-form margin) run over chunks of at most
+    ``fields._JET_CHUNK`` samples, so the working set beyond the samples is
+    one chunk's arrays; every margin and verdict is bitwise that of one
+    batch. The boundary jets are one batch.
+    """
     if samples.interior_points.size == 0:
         raise GeometryCheckError("empty interior sample set")
     gamma_w = samples.gamma_w_mask()
@@ -118,16 +130,25 @@ def check_conditions(spec: VectorFieldSpec, samples: DomainSamples,
             f"domain {samples.name!r} has empty boundary sample sets; "
             "cannot certify sign conditions")
 
-    interior = jet_batch(spec, samples.interior_points)
-    contractivity = float(np.min(sym_min_eig(interior["grad"])))
-    bilap_max = float(np.max(interior["lap_div"]))
+    # the interior reductions chunk by chunk; np.minimum / np.maximum carry
+    # a NaN through like the min / max of one batch, and any chunk's -inf
+    # margin wins, as one batch returns -inf before it takes any minimum
+    contractivity, bilap_max, margin, blocked = np.inf, -np.inf, np.inf, False
+    points = samples.interior_points
+    for start in range(0, len(points), _JET_CHUNK):
+        jets = jet_batch(spec, points[start:start + _JET_CHUNK])
+        contractivity = np.minimum(contractivity, np.min(sym_min_eig(jets["grad"])))
+        bilap_max = np.maximum(bilap_max, np.max(jets["lap_div"]))
+        chunk_margin = _quadform_margin(jets, tol)
+        margin = np.minimum(margin, chunk_margin)
+        blocked = blocked or chunk_margin == -np.inf
+    contractivity, bilap_max = float(contractivity), float(bilap_max)
+    margin = -np.inf if blocked else float(margin)
 
     bnd = jet_batch(spec, samples.boundary_points)
     b_dot_n = np.sum(bnd["b"] * samples.boundary_normals, axis=1)
     gammaW_sign_max = float(np.max(b_dot_n[gamma_w]))
     interface_sign_min = float(np.min(b_dot_n[gamma]))
-
-    margin = _quadform_margin(interior, tol)
 
     verdicts = {
         "contractive": contractivity > tol,

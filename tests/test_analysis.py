@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -271,6 +272,125 @@ def test_multiplier_identity_rejects_non_real_input_by_name(name):
     fields[name].coeffs[fields[name].n_modes + 1] *= 1.0 + 1e-6  # c_-1 != conj(c_1)
     with pytest.raises(AnalysisError, match=f"^{name} is not a real field"):
         hwp.multiplier_identity_residual(*fields.values(), hwp.graph_vertical(2.0), grid)
+
+
+def _single_pass_identity(w, g, h, big_h, spec, grid, jet_batch=jet_batch):
+    """The identity with every cell-centre jet and area density in one
+    pass, the oracle of the cell-row strips (mean-free checks left out)."""
+    _, weight, modes = analysis._parseval_modes(w.period, {"w": w, "g": g, "h": h, "H": big_h})
+    pair = analysis._pair
+    ny, nx, hx, hy = grid.ny_w, grid.nx, grid.hx, grid.hy_w
+    xc, yc = quad.cell_centers(grid.x, grid.y_w)
+    jets = jet_batch(spec, np.stack([xc.ravel(), yc.ravel()], axis=1))
+    bx, by = (jets["b"][:, i].reshape(xc.shape) for i in (0, 1))
+    gsym = 0.5 * (jets["grad"] + np.swapaxes(jets["grad"], 1, 2))
+    g11, g12, g22 = (gsym[:, p, q].reshape(xc.shape) for p, q in ((0, 0), (0, 1), (1, 1)))
+    divb = jets["div"].reshape(xc.shape)
+    lapdiv = jets["lap_div"].reshape(xc.shape)
+    area = hx * hy
+    wx = quad.trap_weights_1d(nx, hx)
+    iface = jet_batch(spec, np.stack([grid.x, np.zeros(nx)], axis=1))
+    iface_b_dot_n, iface_dn_divb = -iface["b"][:, 1], -iface["grad_div"][:, 1]
+    wy = quad.trap_weights_1d(ny, hy)
+    top_b = jet_batch(spec, np.stack([grid.x, np.full(nx, grid.ly_w)], axis=1))["b"]
+    left_b = jet_batch(spec, np.stack([np.zeros(ny), grid.y_w], axis=1))["b"]
+    right_b = jet_batch(spec, np.stack([np.full(ny, grid.lx), grid.y_w], axis=1))["b"]
+
+    def integral(density):
+        return float(weight @ np.sum(density, axis=tuple(range(1, density.ndim))))
+
+    wk, gk = modes["w"], modes["g"]
+    fx, fy = quad.cell_gradient(wk, hx, hy)
+    gc, wc = quad.cell_average(gk), quad.cell_average(wk)
+    h2 = dH2 = H2 = np.zeros((weight.size, nx))
+    if modes["h"] is not None:
+        h2 = pair(modes["h"], modes["h"])
+    if modes["H"] is not None:
+        Hk = modes["H"]
+        dH = np.empty_like(Hk)
+        dH[:, 1:-1] = (Hk[:, 2:] - Hk[:, :-2]) / (2 * hx)
+        dH[:, 0] = quad.one_sided_deriv_low(Hk, hx, axis=1)
+        dH[:, -1] = quad.one_sided_deriv_high(Hk, hx, axis=1)
+        dH2, H2 = pair(dH, dH), pair(Hk, Hk)
+    dn_top = quad.one_sided_deriv_high(wk, hy, axis=1)
+    dn_left = -quad.one_sided_deriv_low(wk, hx, axis=2)
+    dn_right = quad.one_sided_deriv_high(wk, hx, axis=2)
+    terms = {
+        "lhs_contractivity": area * integral(
+            g11 * pair(fx, fx) + 2 * g12 * pair(fx, fy) + g22 * pair(fy, fy)),
+        "lhs_interface_tangential": 0.5 * integral(wx * dH2 * iface_b_dot_n),
+        "lhs_wall_normal": -0.5 * (
+            integral(wx * pair(dn_top, dn_top) * top_b[:, 1])
+            + integral(wy * pair(dn_left, dn_left) * (-left_b[:, 0]))
+            + integral(wy * pair(dn_right, dn_right) * right_b[:, 0])),
+        "rhs_g_flow": area * integral(pair(gc, bx * fx + by * fy)),
+        "rhs_g_w_div": 0.5 * area * integral(pair(gc, wc) * divb),
+        "rhs_w2_lapdiv": 0.25 * area * integral(pair(wc, wc) * lapdiv),
+        "rhs_h2_sign": 0.5 * integral(wx * h2 * iface_b_dot_n),
+        "rhs_H2_flux": -0.25 * integral(wx * H2 * iface_dn_divb),
+    }
+    terms = {name: value + 0.0 for name, value in terms.items()}
+    lhs = (terms["lhs_contractivity"] + terms["lhs_interface_tangential"]
+           + terms["lhs_wall_normal"])
+    rhs = (terms["rhs_g_flow"] + terms["rhs_g_w_div"] + terms["rhs_w2_lapdiv"]
+           + terms["rhs_h2_sign"] + terms["rhs_H2_flux"])
+    return analysis.IdentityReport(lhs_value=lhs, rhs_value=rhs, residual=abs(lhs - rhs),
+                                   terms=terms, hx=hx, hy=hy)
+
+
+_STRIP_FIELDS = ["graph-vertical:2", "translate:0,0", "spiral:0.2"]
+
+
+def _strip_case(nx, ny, field, traces, monkeypatch):
+    """(strips, single pass) on one grid, every term non-zero (varying
+    div b jets), with or without the interface data h and H."""
+    monkeypatch.setattr(analysis, "jet_batch", _jets_with_varying_div)
+    grid = wave_grid(nx, ny)
+    spec = hwp.parse_field(field)
+    w, g, h, big_h = _identity_data(grid, nx + ny)
+    if not traces:
+        h = big_h = None
+    return (hwp.multiplier_identity_residual(w, g, h, big_h, spec, grid),
+            _single_pass_identity(w, g, h, big_h, spec, grid, _jets_with_varying_div))
+
+
+@pytest.mark.parametrize("traces", [True, False], ids=["h,H", "bare"])
+@pytest.mark.parametrize("field", _STRIP_FIELDS)
+@pytest.mark.parametrize("n", [33, 129])
+def test_identity_in_one_strip_equals_single_pass(n, field, traces, monkeypatch):
+    assert (n - 1) ** 2 <= hwp.fields._JET_CHUNK
+    got, ref = _strip_case(n, n, field, traces, monkeypatch)
+    assert repr(got.as_dict()) == repr(ref.as_dict())
+
+
+@pytest.mark.parametrize("traces", [True, False], ids=["h,H", "bare"])
+@pytest.mark.parametrize("field", _STRIP_FIELDS)
+@pytest.mark.parametrize("dims", [(385, 385), (385, 100)], ids=["385^2", "385x100"])
+def test_identity_strips_match_single_pass(dims, field, traces, monkeypatch):
+    # 385 nodes across give strips of 16384 // 384 = 42 cell rows: nine
+    # full strips and one of 6 rows at 385^2, two and one of 15 at 385x100
+    nx, ny = dims
+    rows = hwp.fields._JET_CHUNK // (nx - 1)
+    assert (ny - 1) > rows and (ny - 1) % rows
+    got, ref = _strip_case(nx, ny, field, traces, monkeypatch)
+    scale = max(abs(ref.lhs_value), abs(ref.rhs_value))
+    for name, value in ref.terms.items():
+        assert abs(got.terms[name] - value) <= 1e-13 * scale, name
+    assert abs(got.lhs_value - ref.lhs_value) <= 1e-13 * scale
+    assert abs(got.rhs_value - ref.rhs_value) <= 1e-13 * scale
+
+
+def test_identity_memory_is_bounded():
+    grid = wave_grid(385, 385)
+    g, w = hwp.analytic_mode(2, grid)
+    spec = hwp.graph_vertical(2.0)
+    tracemalloc.start()
+    try:
+        hwp.multiplier_identity_residual(w, g, None, None, spec, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 # ---------------------------------------------------------------------------

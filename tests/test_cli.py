@@ -456,3 +456,21 @@ def test_successful_run_removes_stale_error_record(tmp_path, monkeypatch):
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
     assert not (out / "solve_run_error.json").exists()
     assert (out / "solve_run.json").exists()
+
+
+_FIELD_COMMANDS = {"geometry-check": "domain = unit-square\nresolution = 16\n",
+                   "identity-check": "grid.nx = 9\ngrid.ny_w = 9\ngrid.ny_h = 9\n"}
+
+
+@pytest.mark.parametrize("text", ["spiral:nan", "horn:inf", "translate:nan,0",
+                                  "translate:1,2,3", "graph-vertical:2,5"])
+@pytest.mark.parametrize("command", sorted(_FIELD_COMMANDS))
+def test_bad_field_arguments_rejected_by_name(tmp_path, capsys, command, text):
+    # non-finite or surplus arguments used to run and write nan margins and
+    # residuals, or to be dropped
+    cfg = _write(tmp_path, _FIELD_COMMANDS[command] + f"field = {text}\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "'field'" in err and repr(text) in err
+    assert not out.exists()  # rejected before any work started

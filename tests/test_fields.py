@@ -105,3 +105,19 @@ def test_parse_field_round_trip():
     assert hwp.parse_field("zero").kind == "zero"
     with pytest.raises(ConfigurationError):
         hwp.parse_field("vortex:1")
+
+
+@pytest.mark.parametrize("text", ["horn:abc", "arc:1", "zero:0", "spiral:0.2,1",
+                                  "graph-vertical:-inf", "translate:,5", "translate:1,"])
+def test_parse_field_rejects_bad_arguments(text):
+    # a non-number used to escape as a bare ValueError, and an empty entry
+    # was skipped, so 'translate:,5' read as translate:5,0
+    with pytest.raises(ConfigurationError) as err:
+        hwp.parse_field(text)
+    assert repr(text) in str(err.value)
+
+
+def test_parse_field_pads_missing_arguments():
+    assert hwp.parse_field("translate:1").params == (1.0, 0.0)
+    assert hwp.parse_field("horn").params == (1.0,)
+    assert hwp.parse_field("spiral:").params == (0.2,)

@@ -1,11 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 import hwp
-from hwp.errors import GeometryCheckError
+from hwp.errors import FieldDomainError, GeometryCheckError
 from hwp import geometry, quadrature as quad
-from hwp.fields import jet_batch
+from hwp.fields import jet_batch, sym_min_eig
 from hwp.geometry import _poincare_form, boundary_sign_table
 from hwp.mesh import DomainSamples
 
@@ -497,3 +499,123 @@ def test_check_conditions_evaluates_interior_jets_once(monkeypatch):
     hwp.check_conditions(hwp.spiral(0.2), samples)
     assert sorted(counts) == sorted([len(samples.interior_points),
                                      len(samples.boundary_points)])
+
+
+# ---------------------------------------------------------------------------
+# chunked interior reductions against the single batch they replaced
+# ---------------------------------------------------------------------------
+
+def _single_batch_conditions(spec, samples, tol=1e-10):
+    """Reference: check_conditions with every interior jet in one batch."""
+    if samples.interior_points.size == 0:
+        raise GeometryCheckError("empty interior sample set")
+    gamma_w, gamma = samples.gamma_w_mask(), samples.gamma_mask()
+    interior = geometry.jet_batch(spec, samples.interior_points)
+    contractivity = float(np.min(sym_min_eig(interior["grad"])))
+    bilap_max = float(np.max(interior["lap_div"]))
+    bnd = geometry.jet_batch(spec, samples.boundary_points)
+    b_dot_n = np.sum(bnd["b"] * samples.boundary_normals, axis=1)
+    gammaW_sign_max = float(np.max(b_dot_n[gamma_w]))
+    interface_sign_min = float(np.min(b_dot_n[gamma]))
+    margin = geometry._quadform_margin(interior, tol)
+    verdicts = {
+        "contractive": contractivity > tol,
+        "generalized_optics": (contractivity > tol and gammaW_sign_max <= tol
+                               and bilap_max <= tol),
+        "interface_sign": interface_sign_min >= -tol,
+        "graph_quadratic_form": (margin > tol and gammaW_sign_max <= tol
+                                 and bilap_max <= tol),
+    }
+    return geometry.GeometryReport(
+        field=spec.describe(), domain=samples.name, tol=tol,
+        contractivity_margin=contractivity, gammaW_sign_max=gammaW_sign_max,
+        interface_sign_min=interface_sign_min, bilap_max=bilap_max,
+        graph_quadform_margin=margin, verdicts=verdicts, b_dot_n=b_dot_n)
+
+
+def _outcome(check, spec, samples):
+    """repr of the report dict and b.n (repr tells -0.0 from 0.0 and shows
+    NaN), or the error raised."""
+    try:
+        rep = check(spec, samples)
+    except FieldDomainError as exc:
+        return f"FieldDomainError: {exc}"
+    return repr(rep.as_dict()), rep.b_dot_n.tobytes()
+
+
+_SAMPLES = {}
+
+
+def _demo_samples(domain, resolution):
+    key = (domain, resolution)
+    if key not in _SAMPLES:
+        _SAMPLES[key] = hwp.sample_domain(domain, resolution)
+    return _SAMPLES[key]
+
+
+@pytest.mark.parametrize("resolution", [48, 96])
+@pytest.mark.parametrize("field", ["translate:0,0", "horn:0.5", "spiral:0.2", "arc",
+                                   "graph-vertical:2"])
+@pytest.mark.parametrize("domain", hwp.DEMO_DOMAINS)
+def test_chunked_conditions_equal_single_batch(domain, field, resolution):
+    spec, samples = hwp.parse_field(field), _demo_samples(domain, resolution)
+    assert (_outcome(hwp.check_conditions, spec, samples)
+            == _outcome(_single_batch_conditions, spec, samples))
+
+
+@pytest.mark.parametrize("blocked", [False, True], ids=["finite", "minus-inf"])
+def test_chunked_conditions_carry_nan_of_a_middle_chunk(blocked, monkeypatch):
+    # NaN gradients (b finite) in chunk 3 of 7 make contractivity, bilap_max
+    # and the margin NaN; a negative-definite gradient in chunk 0 makes the
+    # single batch's margin -inf, which must win over that NaN
+    samples = _demo_samples("spiral", 48)
+    chunk = hwp.fields._JET_CHUNK
+    assert len(samples.interior_points) > 6 * chunk
+    nan_at = samples.interior_points[[3 * chunk + 5, 3 * chunk + 700]]
+    neg_at = samples.interior_points[[11]] if blocked else np.empty((0, 2))
+
+    def jets(spec, points):
+        out = jet_batch(spec, points)
+        for targets, grad, lap in ((nan_at, np.nan, np.nan), (neg_at, -np.eye(2), 0.0)):
+            hit = (points[:, None, :] == targets[None]).all(axis=2).any(axis=1)
+            out["grad"][hit] = grad
+            out["lap_div"][hit] = lap
+        return out
+
+    monkeypatch.setattr(geometry, "jet_batch", jets)
+    spec = hwp.spiral(0.2)
+    got = hwp.check_conditions(spec, samples)
+    ref = _single_batch_conditions(spec, samples)
+    assert repr(got.as_dict()) == repr(ref.as_dict())
+    assert np.isnan(got.contractivity_margin) and np.isnan(got.bilap_max)
+    assert got.graph_quadform_margin == -np.inf if blocked else np.isnan(
+        got.graph_quadform_margin)
+
+
+def test_check_conditions_chunks_partition_the_interior(monkeypatch):
+    samples = _demo_samples("spiral", 48)
+    counts = []
+
+    def counting_jet_batch(spec, points):
+        counts.append(len(points))
+        return jet_batch(spec, points)
+
+    monkeypatch.setattr(geometry, "jet_batch", counting_jet_batch)
+    hwp.check_conditions(hwp.spiral(0.2), samples)
+    # the interior chunks, then the boundary in one batch
+    *chunks, boundary = counts
+    chunk = hwp.fields._JET_CHUNK
+    assert boundary == len(samples.boundary_points)
+    assert len(chunks) >= 3 and sum(chunks) == len(samples.interior_points)
+    assert max(chunks) <= chunk and 0 < chunks[-1] < chunk
+
+
+def test_check_conditions_memory_is_bounded():
+    samples = _demo_samples("spiral", 96)
+    tracemalloc.start()
+    try:
+        hwp.check_conditions(hwp.spiral(0.2), samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
