@@ -22,7 +22,7 @@ from . import closedform
 from . import operators as ops
 from . import quadrature as quad
 from .periodic import SolveReport
-from .timefourier import HEAT, INTERFACE, WAVE, FourierField
+from .timefourier import HEAT, INTERFACE, WAVE, FourierField, mean_decompose
 
 
 def _subdomain_dims(grid: Grid, domain: str) -> tuple[int, int, float, float]:
@@ -424,8 +424,8 @@ def _dual_time_norm_sq(f: FourierField | None, grid: Grid, s: float) -> float:
     return float(weight @ ops.heat_dual_norm_sq(grid, f.coeffs))
 
 
-def _sup_time_norm(field_: FourierField, grid: Grid, flavor: str,
-                   n_samples: int = 128) -> float:
+def _sup_time_norm(field_: FourierField, grid: Grid, flavor: str) -> float:
+    n_samples = 128  # uniform times per period
     times = np.arange(n_samples) * field_.period / n_samples
     samples = field_.sample_real(times, tol=1e-6)
     ny, nx, hx, hy = _subdomain_dims(grid, field_.domain)
@@ -441,8 +441,7 @@ def _sup_time_norm(field_: FourierField, grid: Grid, flavor: str,
 
 
 def estimate_check(report: SolveReport, f: FourierField | None,
-                   g: FourierField | None, variant: str, *,
-                   k: int = 0, field_spec: VectorFieldSpec | None = None) -> dict:
+                   g: FourierField | None, variant: str, *, k: int = 0) -> dict:
     """Evaluate lhs/rhs of one of the a priori estimates and report the ratio.
 
     Variants:
@@ -453,7 +452,7 @@ def estimate_check(report: SolveReport, f: FourierField | None,
                            construction, order k (requires an epsilon report);
       "interface-sign":    L2 data plus interface-primitive control of the
                            wave energy (graph case of the boundary-reduced
-                           estimate).
+                           estimate, with the field graph_vertical(2.0)).
     Ratios, not verdicts: the continuum constants are not explicit.
     """
     grid = report.grid
@@ -462,7 +461,7 @@ def estimate_check(report: SolveReport, f: FourierField | None,
     if variant in ("existence-strong", "existence-graph"):
         s_f, s_g = (3.0, 6.0) if variant == "existence-strong" else (4.0, 8.0)
         u_norm = sobolev_time_norm(u, s_f, grid, "h1")
-        _, u_free = _mean_free(u)
+        _, u_free = mean_decompose(u)
         u_norm_meanfree = sobolev_time_norm(u_free, s_f, grid, "h1")
         lhs = (u_norm
                + _sup_time_norm(w, grid, "h1")
@@ -490,8 +489,8 @@ def estimate_check(report: SolveReport, f: FourierField | None,
             rhs += float(np.sum(_spatial_norm_sq(g_k, grid, "l2"))) / eps
         out.update(lhs=lhs, rhs=rhs, eps=eps, order=k)
     elif variant == "interface-sign":
-        spec = field_spec or graph_vertical(2.0)
-        _, w_free = _mean_free(w)
+        spec = graph_vertical(2.0)
+        _, w_free = mean_decompose(w)
         dbw_sq = 0.0
         xc, yc = quad.cell_centers(grid.x, grid.y_w)
         b = jet_batch(spec, np.stack([xc.ravel(), yc.ravel()], axis=1))["b"]
@@ -502,7 +501,7 @@ def estimate_check(report: SolveReport, f: FourierField | None,
             dbw_sq += float(np.sum(np.abs(bx * fx + by * fy) ** 2)) * grid.hx * grid.hy_w
         lhs = (sobolev_time_norm(w_free, 0, grid, "l2")
                + float(np.sqrt(dbw_sq)))
-        g_free = _mean_free(g)[1] if g is not None else None
+        g_free = mean_decompose(g)[1] if g is not None else None
         rhs = sobolev_time_norm(g_free, 0, grid, "l2") if g_free is not None else 0.0
         rhs += sobolev_time_norm(report.trace_primitive, 1, grid, "l2")
         out.update(lhs=lhs, rhs=rhs, field=spec.describe())
@@ -517,35 +516,28 @@ def estimate_check(report: SolveReport, f: FourierField | None,
     return out
 
 
-def _mean_free(field_: FourierField) -> tuple[np.ndarray, FourierField]:
-    from .timefourier import mean_decompose
-
-    return mean_decompose(field_)
-
-
 # ---------------------------------------------------------------------------
 # Regularity scan over truncated forcing series
 # ---------------------------------------------------------------------------
 
-def regularity_scan(rule, truncations, grid: Grid, profile=None) -> dict:
+def regularity_scan(rule, truncations, grid: Grid) -> dict:
     """Time-Sobolev norms of the analytic solution superposition as the
     forcing series is truncated at increasing N.
 
     Each scan row holds (N, s=0 norm, s=1 norm, spatial-gradient norm) of
-    the exact solution for the truncated forcing; the verdicts summarize
-    whether the finite-energy norm stays bounded or grows with N. The
-    separated closed form is used directly: near the spatial Nyquist limit
-    a grid solve of the high modes would be dominated by dispersion error,
-    so the scan is an exact-solution diagnostic, cross-checked against the
-    solver at low N in the test suite.
+    the exact solution for the truncated forcing (closedform.series_forcing,
+    quartic bump); the verdicts summarize whether the finite-energy norm
+    stays bounded or grows with N. The separated closed form is used
+    directly: near the spatial Nyquist limit a grid solve of the high modes
+    would be dominated by dispersion error, so the scan is an exact-solution
+    diagnostic, cross-checked against the solver at low N in the test suite.
     """
     truncs = list(truncations)
     if any(b <= a for a, b in zip(truncs, truncs[1:])):
         raise ConfigurationError("truncations must be strictly increasing")
-    profile = profile or closedform.bump_profile()
     rows = []
     for n in truncs:
-        _, w_ref = closedform.series_forcing(rule, n, grid, profile)
+        _, w_ref = closedform.series_forcing(rule, n, grid)
         s0 = sobolev_time_norm(w_ref, 0.0, grid, "l2")
         s1 = sobolev_time_norm(w_ref, 1.0, grid, "l2")
         gr = sobolev_time_norm(w_ref, 0.0, grid, "h1")

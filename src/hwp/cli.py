@@ -63,17 +63,19 @@ _GRID_KEYS = {
     "grid.lx": _Key("float", float(np.pi), lo=1e-8),
     "grid.ly_w": _Key("float", 1.0, lo=1e-8),
     "grid.ly_h": _Key("float", 1.0, lo=1e-8),
-    "period": _Key("float", float(2 * np.pi), lo=1e-8),
 }
 
 _COMMON_KEYS = {
     "command": _Key("str"),
     "name": _Key("str", "run"),
     "seed": _Key("int", 0, lo=0),
-    "tol": _Key("float", 1e-10, lo=1e-16, hi=1e-2),
 }
 
+_TOL_KEY = {"tol": _Key("float", 1e-10, lo=1e-16, hi=1e-2)}
+
 _FORCING_KEYS = {
+    **_TOL_KEY,
+    "period": _Key("float", closedform.REFERENCE_PERIOD, lo=1e-8),
     "forcing.wave": _Key("str", "mode:2"),
     "forcing.wave.amplitude": _Key("float", 1.0),
     "forcing.heat": _Key("str", "none"),
@@ -89,7 +91,7 @@ SCHEMAS: dict[str, dict[str, _Key]] = {
                       "modes": _Key("int", 8, lo=1, hi=128),
                       "epsilons": _Key("floats", (0.2, 0.1, 0.05)),
                       "steps": _Key("int", 512, lo=4, hi=65536)},
-    "geometry-check": {**_COMMON_KEYS,
+    "geometry-check": {**_COMMON_KEYS, **_TOL_KEY,
                        "domain": _Key("str", required=True, choices=DEMO_DOMAINS),
                        "resolution": _Key("int", 32, lo=8, hi=4096),
                        "field": _Key("str", required=True),
@@ -139,16 +141,15 @@ def _convert(key: str, spec: _Key, raw: str):
             if low not in ("true", "false", "0", "1", "yes", "no"):
                 raise ValueError(f"not a boolean: {raw!r}")
             val = low in ("true", "1", "yes")
-        elif spec.typ == "ints":
-            val = tuple(int(p) for p in raw.split(",") if p.strip())
-        elif spec.typ == "floats":
-            val = tuple(float(p) for p in raw.split(",") if p.strip())
+        elif spec.typ in ("ints", "floats"):
+            parts = raw.split(",")
+            if not all(p.strip() for p in parts):
+                raise ValueError(f"{raw!r} has an empty entry")
+            val = tuple(map(int if spec.typ == "ints" else float, parts))
         else:
             val = raw.strip()
     except ValueError as exc:
         raise ConfigurationError(f"key {key!r}: {exc}") from exc
-    if spec.typ in ("ints", "floats") and not val:
-        raise ConfigurationError(f"key {key!r}: {raw!r} lists no value")
     if spec.typ in ("float", "floats") and not np.all(np.isfinite(val)):
         raise ConfigurationError(f"key {key!r}: {raw!r} is not a finite number")
     if spec.typ in ("int", "float"):
@@ -234,12 +235,15 @@ def parse_scenario(text: str, command: str, out_dir: str = ".") -> Scenario:
     values["command"] = command
 
     # forcing and field specs parse, and referenced files exist, before
-    # execution starts
+    # execution starts; the analytic wave families are 2 pi-periodic
     for key in _FORCING_FORMS:
         if key in schema:
             kind, args = _forcing_spec(key, values[key])
             if kind == "file" and not Path(args[0]).is_file():
                 raise FileNotFoundError(f"forcing file not found: {args[0]}")
+            if kind in ("mode", "series") and values["period"] != closedform.REFERENCE_PERIOD:
+                raise ConfigurationError(f"key 'period': {values['period']} is not 2 pi, "
+                                         f"the period of {key!r} = {values[key]!r}")
     if "field" in schema:
         try:
             parse_field(values["field"])
@@ -309,22 +313,22 @@ def _load_coefficient_file(path: str, period: float, shape, domain: str,
     return f
 
 
-def _wave_forcing(scn: Scenario, grid) -> tuple[FourierField | None, dict]:
+def _wave_forcing(scn: Scenario, grid) -> tuple[FourierField | None, FourierField | None, dict]:
     text = scn["forcing.wave"]
     amp = scn["forcing.wave.amplitude"]
     meta = {"spec": text, "amplitude": amp}
     kind, args = _forcing_spec("forcing.wave", text)
     if kind == "none":
-        return None, meta
+        return None, None, meta
     if kind == "mode":
         g, w_ref = closedform.analytic_mode(args[0], grid)
         meta["analytic_mode"] = args[0]
-        return g.scaled(amp), {**meta, "_w_ref": w_ref.scaled(amp)}
+        return g.scaled(amp), w_ref.scaled(amp), meta
     if kind == "series":
         g, _ = closedform.series_forcing(closedform.series_rule(args[0]), args[1], grid)
-        return g.scaled(amp), meta
+        return g.scaled(amp), None, meta
     return _load_coefficient_file(args[0], scn["period"], (grid.ny_w, grid.nx),
-                                  WAVE, scn["modes"]).scaled(amp), meta
+                                  WAVE, scn["modes"]).scaled(amp), None, meta
 
 
 def smooth_heat_forcing(grid, period: float, k: int = 1,
@@ -371,9 +375,8 @@ def _phase(msg: str) -> None:
 
 def _run_solve(scn: Scenario) -> dict:
     grid = _build_grid(scn)
-    g, meta_w = _wave_forcing(scn, grid)
+    g, w_ref, meta_w = _wave_forcing(scn, grid)
     f, meta_h = _heat_forcing(scn, grid)
-    w_ref = meta_w.pop("_w_ref", None)
     _phase(f"solving {scn['modes']} modes on {grid.nx}x{grid.ny_w}+{grid.ny_h} grid")
     t0 = time.perf_counter()
     report = solve_periodic_harmonic(grid, f, g, scn["modes"], tol=scn["tol"])
@@ -426,9 +429,8 @@ def _run_solve(scn: Scenario) -> dict:
 
 def _run_epsilon_sweep(scn: Scenario) -> dict:
     grid = _build_grid(scn)
-    g, meta_w = _wave_forcing(scn, grid)
+    g, _, meta_w = _wave_forcing(scn, grid)
     f, meta_h = _heat_forcing(scn, grid)
-    meta_w.pop("_w_ref", None)
     _phase("reference harmonic solve")
     reference = solve_periodic_harmonic(grid, f, g, scn["modes"], tol=scn["tol"])
     w_ref_norm = max(analysis.sobolev_time_norm(reference.w, 0, grid, "l2"), 1e-300)

@@ -73,13 +73,13 @@ def _check_reference_geometry(grid: Grid) -> None:
             f"(0, pi) x (0, 1); got Lx={grid.lx:g}, Ly_w={grid.ly_w:g}")
 
 
-def analytic_mode(n: int, grid: Grid, profile: BumpProfile | None = None,
-                  ) -> tuple[FourierField, FourierField]:
-    """Nodal samples of (g_n, w_n) as Fourier fields on the wave subgrid."""
+def analytic_mode(n: int, grid: Grid) -> tuple[FourierField, FourierField]:
+    """Nodal samples of (g_n, w_n), with the quartic bump phi of
+    bump_profile(), as Fourier fields on the wave subgrid."""
     if n < 1:
         raise ClosedFormError(f"mode index must be >= 1, got {n}")
     _check_reference_geometry(grid)
-    profile = profile or bump_profile()
+    profile = bump_profile()
     sx = np.sin(n * grid.x)[None, :]
     w_amp = sx * profile.phi(grid.y_w)[:, None]
     g_amp = -sx * profile.d2phi(grid.y_w)[:, None]
@@ -102,26 +102,21 @@ class SeriesRule:
         return np.array([self.coefficient(n) for n in range(1, n_max + 1)])
 
 
-def series_rule(tag: str, coefficient: Callable[[int], float] | None = None) -> SeriesRule:
+def series_rule(tag: str) -> SeriesRule:
     """G1: a_n = 1/n (square-summable only); G2: a_n = 1/n^2 (one extra
-    derivative summable); custom: caller-provided coefficient function."""
+    derivative summable)."""
     if tag == "G1":
         return SeriesRule("G1", lambda n: 1.0 / n)
     if tag == "G2":
         return SeriesRule("G2", lambda n: 1.0 / n**2)
-    if tag == "custom":
-        if coefficient is None:
-            raise ClosedFormError("custom series rule needs a coefficient function")
-        return SeriesRule("custom", coefficient)
     raise ClosedFormError(f"unknown series rule {tag!r}")
 
 
-def series_forcing(rule: SeriesRule, n_terms: int, grid: Grid,
-                   profile: BumpProfile | None = None,
-                   with_reference: bool = True,
-                   ) -> tuple[FourierField, FourierField | None]:
-    """Truncated superposition g = sum_{n<=N} a_n g_n (and optionally the
-    matching analytic solution superposition w_ref = sum a_n w_n)."""
+def series_forcing(rule: SeriesRule, n_terms: int,
+                   grid: Grid) -> tuple[FourierField, FourierField]:
+    """Truncated superposition g = sum_{n<=N} a_n g_n and the matching
+    analytic solution superposition w_ref = sum a_n w_n, both with the
+    quartic bump phi of bump_profile()."""
     if n_terms < 1:
         raise ClosedFormError(f"need at least one term, got {n_terms}")
     if 2 * n_terms > grid.nx - 1:
@@ -129,7 +124,7 @@ def series_forcing(rule: SeriesRule, n_terms: int, grid: Grid,
             f"grid with nx={grid.nx} cannot resolve spatial frequency "
             f"{n_terms}; need nx-1 >= {2 * n_terms}")
     _check_reference_geometry(grid)
-    profile = profile or bump_profile()
+    profile = bump_profile()
     phi_y = profile.phi(grid.y_w)[:, None]
     d2phi_y = profile.d2phi(grid.y_w)[:, None]
     g = FourierField.zeros(REFERENCE_PERIOD, n_terms, (grid.ny_w, grid.nx), WAVE)
@@ -141,4 +136,4 @@ def series_forcing(rule: SeriesRule, n_terms: int, grid: Grid,
         g.coeffs[-n + n_terms] = np.conj(g.coeffs[n + n_terms])
         w.coeffs[n + n_terms] = -0.5j * a_n * (sx * phi_y)
         w.coeffs[-n + n_terms] = np.conj(w.coeffs[n + n_terms])
-    return g, (w if with_reference else None)
+    return g, w

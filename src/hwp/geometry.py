@@ -39,6 +39,8 @@ from . import quadrature as quad
 
 # relative round-off level at which p and q of _quadform_margin count as zero
 _PQ_RTOL = 64 * np.finfo(float).eps
+# convergence tolerance (relative) and iteration limit of check_poincare
+_RAYLEIGH_RTOL, _RAYLEIGH_MAX_ITERATIONS = 1e-8, 500
 
 
 @dataclass
@@ -277,13 +279,13 @@ def _poincare_form(spec: VectorFieldSpec, grid: Grid) -> tuple[sp.csr_matrix, sp
     return a, sp.diags(mass, format="csr")
 
 
-def check_poincare(spec: VectorFieldSpec, grid: Grid, rel_tol: float = 1e-8,
-                   max_iterations: int = 500) -> PoincareReport:
+def check_poincare(spec: VectorFieldSpec, grid: Grid) -> PoincareReport:
     """Smallest generalized Rayleigh quotient of the interface Poincare form.
 
     Inverse-power iteration on (A, M) with a small mass shift; A may be
     singular (e.g. for the zero field), in which case the reported minimum
-    is zero to solver accuracy.
+    is zero to solver accuracy. Converged when two successive quotients
+    differ by 1e-8 relative; SolverError if not within 500 iterations.
     """
     a, m = _poincare_form(spec, grid)
     n = a.shape[0]
@@ -294,16 +296,16 @@ def check_poincare(spec: VectorFieldSpec, grid: Grid, rel_tol: float = 1e-8,
     v = rng.standard_normal(n)
     v /= np.sqrt(v @ (m @ v))
     lam = np.inf
-    for it in range(1, max_iterations + 1):
+    for it in range(1, _RAYLEIGH_MAX_ITERATIONS + 1):
         w = lu.solve(m @ v)
         w /= np.sqrt(w @ (m @ w))
         lam_new = (w @ (a @ w)) / (w @ (m @ w))
-        if abs(lam_new - lam) <= rel_tol * max(abs(lam_new), sigma):
+        if abs(lam_new - lam) <= _RAYLEIGH_RTOL * max(abs(lam_new), sigma):
             return PoincareReport(rayleigh_min=float(lam_new), iterations=it,
                                   converged=True)
         lam, v = lam_new, w
     raise SolverError(
-        f"Rayleigh iteration did not converge in {max_iterations} iterations "
+        f"Rayleigh iteration did not converge in {_RAYLEIGH_MAX_ITERATIONS} iterations "
         f"(last value {lam:.6e})", residual=float(lam))
 
 

@@ -232,26 +232,25 @@ def _triangle_samples(res: int) -> DomainSamples:
     return DomainSamples("triangle", pts, wts, *b)
 
 
-def _horn_samples(res: int, beta: float = 0.5, c_lo: float = 0.5,
-                  c_hi: float = 1.5) -> DomainSamples:
+def _horn_samples(res: int) -> DomainSamples:
     # cusp at the origin, opening left; walls are integral curves of the
-    # anisotropic radial flow (beta*x, y): y = c * (-x)^(1/beta), x in (-1,0)
-    p = 1.0 / beta
+    # anisotropic radial flow (x/2, y): y = c x^2, x in (-1, 0), c = 1/2, 3/2
+    c_lo, c_hi = 0.5, 1.5
 
     def wall(c):
-        return lambda t: c * (-t) ** p
+        return lambda t: c * (-t) ** 2.0
 
     pts, wts = _column_samples(-1.0, 0.0, wall(c_lo), wall(c_hi), res, "horn")
 
     def curve(c):
-        return lambda t: (t, c * (-t) ** p)
+        return lambda t: (t, c * (-t) ** 2.0)
 
     def outward_hi(t):
-        # F = y - c (-x)^p, grad F = (c p (-x)^(p-1), 1) points up/right
-        return (c_hi * p * (-t) ** (p - 1.0), 1.0)
+        # F = y - c x^2, grad F = (-2 c x, 1) points up/right
+        return (c_hi * 2.0 * -t, 1.0)
 
     def outward_lo(t):
-        return (-c_lo * p * (-t) ** (p - 1.0), -1.0)
+        return (-c_lo * 2.0 * -t, -1.0)
 
     t_in = -1e-3  # keep strictly away from the cusp where normals degenerate
     parts = [
@@ -277,15 +276,18 @@ def _trapezoid_samples(res: int) -> DomainSamples:
     return DomainSamples("trapezoid", np.stack([x, y], axis=1), hx * hy, *b)
 
 
-def _spiral_band(res: int, alpha: float, r0: float, r1_factor: float,
-                 theta_max: float, name: str) -> DomainSamples:
+_SPIRAL_ALPHA = 0.2  # growth rate of the spiral and shell arcs
+
+
+def _spiral_band(res: int, r0: float, r1_factor: float, name: str) -> DomainSamples:
     """Region between two logarithmic-spiral arcs, capped by radial segments.
 
     Arcs r = c * exp(alpha * theta) are integral curves of the rotational
     flow (-y, x) + alpha (x, y), so the flow is exactly tangent to them. The
-    cap at theta_max is the interface (the flow exits there); the start cap
-    and both arcs form the homogeneous wall.
+    cap at theta_max = 3 pi/2 is the interface (the flow exits there); the
+    start cap and both arcs form the homogeneous wall.
     """
+    alpha, theta_max = _SPIRAL_ALPHA, 1.5 * np.pi
     r_in = lambda th: r0 * np.exp(alpha * th)
     r_out = lambda th: r1_factor * r0 * np.exp(alpha * th)
     n_th = max(8, int(np.ceil(theta_max * r1_factor * r0 * np.exp(alpha * theta_max) * res)))
@@ -328,9 +330,10 @@ def _spiral_band(res: int, alpha: float, r0: float, r1_factor: float,
     return DomainSamples(name, pts, wts, *b)
 
 
-def _arc_samples(res: int, r_in: float = 1.0, r_out: float = 2.0,
-                 th0: float = np.pi / 6, th1: float = 5 * np.pi / 6) -> DomainSamples:
-    """Annular sector in the upper half plane; interface is the far radial cap."""
+def _arc_samples(res: int) -> DomainSamples:
+    """Annular sector 1 < r < 2, pi/6 < theta < 5 pi/6; interface is the far
+    radial cap."""
+    r_in, r_out, th0, th1 = 1.0, 2.0, np.pi / 6, 5 * np.pi / 6
     n_th = max(8, int(np.ceil((th1 - th0) * r_out * res)))
     ths, hth = _midpoints(th0, th1, n_th)
     pts, wts = _polar(*_ruled_midpoints(ths, np.full(n_th, r_in), np.full(n_th, r_out),
@@ -359,22 +362,23 @@ def _arc_samples(res: int, r_in: float = 1.0, r_out: float = 2.0,
 
 
 _DOMAIN_BUILDERS = {
-    "unit-square": lambda res, **kw: _rectangle_samples(1.0, 1.0, res, "unit-square"),
-    "rectangle": lambda res, **kw: _rectangle_samples(kw.get("lx", np.pi), kw.get("ly", 1.0),
-                                                      res, "rectangle"),
-    "triangle": lambda res, **kw: _triangle_samples(res),
-    "horn": lambda res, **kw: _horn_samples(res, beta=kw.get("beta", 0.5)),
-    "trapezoid": lambda res, **kw: _trapezoid_samples(res),
-    "spiral": lambda res, **kw: _spiral_band(res, kw.get("alpha", 0.2), 0.5, np.exp(2 * np.pi * kw.get("alpha", 0.2)), 1.5 * np.pi, "spiral"),
-    "shell": lambda res, **kw: _spiral_band(res, kw.get("alpha", 0.2), 0.6, 5.0 / 3.0, 1.5 * np.pi, "shell"),
-    "arc": lambda res, **kw: _arc_samples(res),
+    "unit-square": lambda res: _rectangle_samples(1.0, 1.0, res, "unit-square"),
+    "rectangle": lambda res: _rectangle_samples(np.pi, 1.0, res, "rectangle"),
+    "triangle": _triangle_samples,
+    "horn": _horn_samples,
+    "trapezoid": _trapezoid_samples,
+    # the spiral's outer arc is its inner arc one turn on
+    "spiral": lambda res: _spiral_band(res, 0.5, np.exp(2 * np.pi * _SPIRAL_ALPHA), "spiral"),
+    "shell": lambda res: _spiral_band(res, 0.6, 5.0 / 3.0, "shell"),
+    "arc": _arc_samples,
 }
 
 DEMO_DOMAINS = tuple(sorted(_DOMAIN_BUILDERS))
 
 
-def sample_domain(descriptor: str, resolution: int, **params) -> DomainSamples:
-    """Sample one of the built-in demo domains.
+def sample_domain(descriptor: str, resolution: int) -> DomainSamples:
+    """Sample one of the built-in demo domains, each of one fixed shape
+    (e.g. the rectangle is (0, pi) x (0, 1)).
 
     resolution is the approximate number of sample points per unit length;
     values below 8 are rejected as too coarse to certify anything.
@@ -384,7 +388,7 @@ def sample_domain(descriptor: str, resolution: int, **params) -> DomainSamples:
                         f"available: {', '.join(DEMO_DOMAINS)}")
     if resolution < 8:
         raise ConfigurationError(f"resolution must be >= 8, got {resolution}")
-    samples = _DOMAIN_BUILDERS[descriptor](resolution, **params)
+    samples = _DOMAIN_BUILDERS[descriptor](resolution)
     if np.any(samples.interior_weights <= 0):
         raise MeshError(f"non-positive quadrature weight in domain {descriptor!r}")
     return samples

@@ -413,8 +413,9 @@ def _interface_functional(grid: Grid, u_k: np.ndarray, f_k: np.ndarray | None,
 
 
 def harmonic_extension_mode(grid: Grid, u_k: np.ndarray, f_k: np.ndarray | None,
-                            k: int, period: float, eps: float = 0.0) -> np.ndarray:
-    """Wave-side lift of the heat interface flux for one temporal mode.
+                            k: int, period: float) -> np.ndarray:
+    """Wave-side lift of the heat interface flux for one temporal mode of
+    the undamped problem (the heat functional at eps = 0).
 
     Solves, in the discrete weak sense, the stationary problem
         a_W(e, phi) = <F, phi|_interface>   for all wave test functions phi
@@ -431,7 +432,7 @@ def harmonic_extension_mode(grid: Grid, u_k: np.ndarray, f_k: np.ndarray | None,
     n, hy = grid.ny_w - 1, grid.hy_w
     rhs = np.zeros((n, grid.nx - 2), dtype=complex)
     rhs[0] = _interface_functional(grid, np.asarray(u_k, dtype=complex), f_k,
-                                   iwk, eps) / (grid.hx * hy)
+                                   iwk) / (grid.hx * hy)
     # B / hy^2 in band storage: rows interface, then wave interior upward
     interior = np.arange(n) > 0
     band = np.zeros((7, n))

@@ -120,14 +120,14 @@ class FourierField:
 
     @classmethod
     def from_mode_dict(cls, period: float, n_modes: int, modes: dict[int, np.ndarray],
-                       domain: str, hermitian: bool = True) -> "FourierField":
-        """Build a field from {k: coefficient array}; negative modes are
-        filled by conjugation when `hermitian` and not given explicitly."""
+                       domain: str) -> "FourierField":
+        """Build a field from {k: coefficient array}; a mode -k not given
+        explicitly is filled with the conjugate of mode k."""
         shape = next(iter(modes.values())).shape if modes else ()
         f = cls.zeros(period, n_modes, shape, domain)
         for k, c in modes.items():
             f.coeffs[k + n_modes] = c
-            if hermitian and -k + n_modes < f.coeffs.shape[0] and (-k) not in modes:
+            if -k + n_modes < f.coeffs.shape[0] and (-k) not in modes:
                 f.coeffs[-k + n_modes] = np.conj(c)
         return f
 

@@ -1,12 +1,14 @@
+import itertools
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hwp import closedform, geometry, mesh, operators
-from hwp.cli import (_forcing_spec, _load_coefficient_file, main, parse_scenario,
-                     smooth_heat_forcing)
+from hwp.cli import (COMMANDS, SCHEMAS, _forcing_spec, _load_coefficient_file, main,
+                     parse_scenario, smooth_heat_forcing)
 from hwp.errors import ConfigurationError
 from hwp.fields import jet_batch
 from hwp.timefourier import WAVE
@@ -378,8 +380,9 @@ def test_epsilon_sweep_non_positive_shift_rejected_by_name(value):
 @pytest.mark.parametrize("command,line", [
     ("regularity-scan", "truncations = ,"), ("regularity-scan", "truncations = 0,8"),
     ("regularity-scan", "truncations = 64,8"), ("epsilon-sweep", "epsilons = ,"),
+    ("epsilon-sweep", "epsilons = 0.2,,0.1"), ("regularity-scan", "truncations = 8,,64,"),
 ], ids=["empty-truncations", "zero-truncation", "decreasing-truncations",
-        "empty-epsilons"])
+        "empty-epsilons", "blank-epsilon-entry", "blank-truncation-entries"])
 def test_bad_list_rejected_by_name_before_work(tmp_path, capsys, command, line):
     cfg = _write(tmp_path, line + "\n")
     out = tmp_path / "out"
@@ -387,6 +390,39 @@ def test_bad_list_rejected_by_name_before_work(tmp_path, capsys, command, line):
     captured = capsys.readouterr()
     assert repr(line.split(" =")[0]) in captured.err
     assert not captured.out  # no phase line: nothing started
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,line", [
+    ("identity-check", "tol = 1e-8"), ("regularity-scan", "tol = 1e-8"),
+    ("example-gen", "tol = 1e-8"), ("identity-check", "period = 3.0"),
+    ("example-gen", "period = 3.0"),
+])
+def test_keys_a_command_never_reads_rejected_by_name(tmp_path, capsys, command, line):
+    # these commands take no tolerance, and their analytic family is 2 pi-periodic
+    cfg = _write(tmp_path, line + "\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert repr(line.split(" =")[0]) in captured.err
+    assert not captured.out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", ["", "forcing.heat = smooth:1\n",
+                                   "forcing.wave = series:G1:2\n"],
+                         ids=["mode", "mode-with-heat", "series"])
+@pytest.mark.parametrize("command", ["solve", "epsilon-sweep"])
+def test_period_other_than_two_pi_rejected_with_analytic_wave_forcing(
+        tmp_path, capsys, command, extra):
+    # mode:<n> and series: forcings are 2 pi-periodic; another period was
+    # ignored, or failed only after the run had started
+    cfg = _write(tmp_path, SMALL_SOLVE + "period = 3.0\n" + extra)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "'period'" in captured.err and "'forcing.wave'" in captured.err
+    assert not captured.out
     assert not out.exists()
 
 
@@ -474,3 +510,26 @@ def test_bad_field_arguments_rejected_by_name(tmp_path, capsys, command, text):
     err = capsys.readouterr().err
     assert "'field'" in err and repr(text) in err
     assert not out.exists()  # rejected before any work started
+
+
+def _readme_key_table() -> dict[str, list[str]]:
+    """{command: the keys the README's key table lists for it, in row order}."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = readme.read_text().splitlines()
+    start = lines.index("| key | commands | default | accepted values |") + 2
+    listed: dict[str, list[str]] = {}
+    for line in itertools.takewhile(lambda s: s.startswith("|"), lines[start:]):
+        keys_cell, commands_cell = line.split("|")[1:3]
+        commands = (COMMANDS if commands_cell.strip() == "all"
+                    else [c.strip() for c in commands_cell.split(",")])
+        for command in commands:
+            listed.setdefault(command, []).extend(re.findall(r"`([^`]+)`", keys_cell))
+    return listed
+
+
+def test_readme_key_table_matches_schemas():
+    listed = _readme_key_table()
+    assert sorted(listed) == sorted(COMMANDS)
+    for command, keys in listed.items():
+        assert len(keys) == len(set(keys)), f"{command}: a key is listed twice"
+        assert set(keys) == set(SCHEMAS[command]), command
