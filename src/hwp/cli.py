@@ -235,7 +235,8 @@ def parse_scenario(text: str, command: str, out_dir: str = ".") -> Scenario:
     values["command"] = command
 
     # forcing and field specs parse, and referenced files exist, before
-    # execution starts; the analytic wave families are 2 pi-periodic
+    # execution starts; the analytic wave families are 2 pi-periodic and
+    # their modes are solved for
     for key in _FORCING_FORMS:
         if key in schema:
             kind, args = _forcing_spec(key, values[key])
@@ -244,6 +245,9 @@ def parse_scenario(text: str, command: str, out_dir: str = ".") -> Scenario:
             if kind in ("mode", "series") and values["period"] != closedform.REFERENCE_PERIOD:
                 raise ConfigurationError(f"key 'period': {values['period']} is not 2 pi, "
                                          f"the period of {key!r} = {values[key]!r}")
+            if kind in ("mode", "series") and args[-1] > values["modes"]:
+                raise ConfigurationError(f"key {key!r}: {values[key]!r} forces mode {args[-1]}, "
+                                         f"above 'modes' = {values['modes']}")
     if "field" in schema:
         try:
             parse_field(values["field"])

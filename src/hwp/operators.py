@@ -36,11 +36,11 @@ matrix is the Kronecker sum
 B_y the pentadiagonal column system, D_y the identity without the interface
 row and T_x the three-point x second difference (-1, 2, -1)/hx^2.
 ``_column_band`` is the one place the stencil coefficients are written, and
-``coupled_matrix`` assembles A from it. The mode systems and the mean pair
-never assemble: ``ModeOperator.matrix`` is built on demand only, by the
-tests and by the march step, which factors it. These row blocks
-(``mode_rhs``, ``split_mode_solution``) are the one statement of which nodes
-are unknowns and in what order.
+``coupled_matrix`` assembles A from it. No solve assembles:
+``ModeOperator.matrix`` is built on demand only, by the tests and to count
+nonzeros. These row blocks (``mode_rhs``, ``split_mode_solution``) are the
+one statement of which nodes are unknowns and in what order; the march
+(periodic) keeps its state in band order.
 
 Extension. ``harmonic_extension_mode`` lifts the heat interface flux of
 one mode into the wave rectangle (the extension lemma); its heat-side
@@ -60,9 +60,10 @@ and the rows of D. ``_separable_solve`` applies the fast direct method of
 Buzbee, Golub & Nielson (SIAM J. Numer. Anal. 7, 1970): the orthonormal
 sine transform (DST-I) in x splits the system into one banded y-system
 B + lambda_j D per x-frequency, each solved by LAPACK gbsv for all
-right-hand sides at once. Every solve checks ||A x - b|| / ||b|| through
-``coupled_apply``, against tol in ``solve_linear`` (zero data return exact
-zeros without a solve) and 1e-9 in the other two.
+right-hand sides at once (``_frequency_solves``, called directly by the
+march in the sine basis). This module's solves check ||A x - b|| / ||b||
+by ``coupled_apply``, against tol in ``solve_linear`` (zero data return
+exact zeros without a solve) and 1e-9 in the other two.
 """
 
 from __future__ import annotations
@@ -129,9 +130,8 @@ def coupled_apply(band: np.ndarray, interior: np.ndarray, hx: float,
 
 @dataclass
 class ModeOperator:
-    """The coupled system for one temporal frequency (k = 0: a real system,
-    the mean pair or the march step), kept matrix-free: solve_linear works
-    from the coefficients."""
+    """The coupled system for one temporal frequency (k = 0: the real mean
+    pair), kept matrix-free: solve_linear works from the coefficients."""
 
     k: int
     omega: float
@@ -241,6 +241,27 @@ def _sine_basis(m: int) -> np.ndarray:
     return basis
 
 
+def _x_eigenvalues(m: int, hx: float) -> np.ndarray:
+    """Eigenvalues (2 - 2 cos theta_j) / hx^2 of the x second difference in
+    the order of _sine_basis, in the form that keeps the small ones accurate."""
+    return (2.0 * np.sin(0.5 * np.pi * np.arange(1, m + 1) / (m + 1)) / hx) ** 2
+
+
+def _frequency_solves(band: np.ndarray, interior: np.ndarray, hx: float,
+                      cols: np.ndarray, what: str) -> None:
+    """Solve (B + lambda_j D) x = cols[j] in place for every x-frequency j,
+    one LAPACK gbsv each; cols (m, n[, nrhs]) has the dtype of band."""
+    lam = _x_eigenvalues(cols.shape[0], hx)
+    gbsv, = get_lapack_funcs(("gbsv",), (band, cols))
+    for j in range(cols.shape[0]):
+        ab = band.copy()
+        ab[4, interior] += lam[j]
+        _, _, cols[j], info = gbsv(2, 2, ab, cols[j], overwrite_ab=True)
+        if info != 0:
+            raise SolverError(f"{what}: banded solve of x-frequency {j + 1} "
+                              f"failed (LAPACK info {info})")
+
+
 def _separable_solve(band: np.ndarray, interior: np.ndarray, hx: float,
                      rhs: np.ndarray, what: str) -> np.ndarray:
     """Solve (B (x) I + D (x) T_x) x = rhs by the sine transform in x and one
@@ -248,22 +269,11 @@ def _separable_solve(band: np.ndarray, interior: np.ndarray, hx: float,
     the rows in band order, (n, m) or (n, m, nrhs). what names the system."""
     m = rhs.shape[1]
     dtype = np.result_type(band, rhs)
-    band = band.astype(dtype)
     sine = _sine_basis(m)
     # row j: the y-system data of x-frequency j
     cols = (sine @ np.moveaxis(rhs, 1, 0).reshape(m, -1)).astype(dtype, copy=False)
     cols = cols.reshape((m,) + rhs.shape[:1] + rhs.shape[2:])
-    # eigenvalues of the x second difference, (2 - 2 cos theta_j) / hx^2,
-    # in the form that keeps the small ones accurate
-    lam = (2.0 * np.sin(0.5 * np.pi * np.arange(1, m + 1) / (m + 1)) / hx) ** 2
-    gbsv, = get_lapack_funcs(("gbsv",), (band, cols))
-    for j in range(m):
-        ab = band.copy()
-        ab[4, interior] += lam[j]
-        _, _, cols[j], info = gbsv(2, 2, ab, cols[j], overwrite_ab=True)
-        if info != 0:
-            raise SolverError(f"{what}: banded solve of x-frequency {j + 1} "
-                              f"failed (LAPACK info {info})")
+    _frequency_solves(band.astype(dtype), interior, hx, cols, what)
     x = (sine @ cols.reshape(m, -1)).reshape(cols.shape)
     return np.ascontiguousarray(np.moveaxis(x, 0, 1))
 

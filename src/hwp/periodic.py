@@ -13,9 +13,10 @@ Two routes to T-periodic solutions of the coupled system:
   heat equation, which makes the period map a contraction; a one-step
   implicit scheme (trapezoidal / Crank-Nicolson) marches the first-order
   system from rest until successive period snapshots agree, then the last
-  period is transformed back to Fourier coefficients. The state lives in
-  the row blocks of the new-level step's ModeOperator. It is kept as an
-  independent check of the frequency route.
+  period is transformed back to Fourier coefficients. In the sine basis
+  in x the step splits into one dense map per x-frequency, formed once by
+  banded solves of the coupled stencil. It is kept as an independent
+  check of the frequency route.
 
 The march has an exact discrete periodic orbit. On a uniform period grid
 with m steps of size dt, a periodic sequence y_n = sum_k Y_k z^n with
@@ -47,8 +48,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError, SolverError
 from .mesh import Grid
@@ -203,12 +202,16 @@ class EpsilonParams:
             raise ConfigurationError(f"max_periods must be >= 1, got {self.max_periods}")
 
 
-class _MarchOperator:
+# Bound on the march's step, S plus the step forcings: 8 (nx-2) N (N + n_steps)
+# bytes, N = (ny_h-2) + 2 (ny_w-1); 129^2 at 256 steps (~250 MB) fits, 257^2 not.
+MAX_MARCH_BYTES = 2**28
+
+
+class _SineMarch:
     """Trapezoidal step for the damped first-order system.
 
-    State y = (w, v, u) with w, v on wave unknowns (interface included) and
-    u on heat interior unknowns, each in the row blocks of self.op, the
-    new-level step. ODE rows:
+    State (w, v, u) with w, v on wave unknowns (interface included) and u
+    on heat interior unknowns. ODE rows:
         w' = v
         v' = Lap w - 2 eps v - eps^2 w + g     (wave interior)
         u' = Lap u - eps u + f                 (heat interior)
@@ -218,60 +221,68 @@ class _MarchOperator:
     at ((s+eps)^2, s+eps, s) for (w_new, u_new). The old level enters as
     minus the interior rows of the stencil at (-(s^2 + 2 eps s - eps^2),
     -(s - eps), -s), plus 2 s v on wave interior rows and
-    -3 (s w + v) / (2 hy_h) on interface rows.
+    -3 (s w + v) / (2 hy_h) on interface rows, the forcing as its sum at
+    both step ends. In the sine basis in x the step splits by x-frequency j:
+    row j of the state holds the column in band order (_column_band), then
+    v on its wave rows, and step i is y[j] <- S[j] y[j] + c[j, :, i].
     """
 
-    def __init__(self, grid: Grid, eps: float, dt: float):
-        self.grid = grid
-        self.eps = eps
-        self.dt = dt
-        self.s = s = 2.0 / dt
-        # the new-level step; its row blocks are the layout of w, v and u
-        self.op = ops.ModeOperator(0, 0.0, grid, ((s + eps) ** 2, s + eps, s))
-        nw, nh = self.op.n_wave, self.op.n_heat
-        self.nw, self.n = nw, 2 * nw + nh
-        hx, hyw, hyh = grid.hx, grid.hy_w, grid.hy_h
-
-        iface = np.arange(nw) < grid.nx - 2  # the first row block
-        interior_rows = sp.diags(np.concatenate((~iface, np.ones(nh, bool))).astype(float))
-        old = -(interior_rows @ ops.coupled_matrix(
-            grid, -(s * s + 2 * eps * s - eps**2), -(s - eps), -s)).tocsc()
-        c = 3.0 / (2 * hyh)
-        self.rhs_mat = sp.hstack([
-            old[:, :nw] + sp.diags(np.where(iface, -c * s, 0.0), shape=(nw + nh, nw)),
-            sp.diags(np.where(iface, -c, 2 * s), shape=(nw + nh, nw)),
-            old[:, nw:]]).tocsr()
-        self.lu = spla.splu(self.op.matrix.tocsc())
+    def __init__(self, grid: Grid, eps: float, dt: float, n_steps: int,
+                 g: FourierField | None, f: FourierField | None):
+        m, nh, n = grid.nx - 2, grid.ny_h - 2, grid.ny_h - 2 + 2 * (grid.ny_w - 1)
+        need = 8 * m * n * (n + n_steps)
+        if need > MAX_MARCH_BYTES:
+            raise ConfigurationError(
+                f"damped march: {grid.nx}x{grid.ny_w}+{grid.ny_h} grid, {n_steps} steps "
+                f"need {need} bytes for the step, above MAX_MARCH_BYTES = {MAX_MARCH_BYTES}")
+        self.grid, self.shape = grid, (m, n)  # the shape of the state
+        s = 2.0 / dt
+        band, interior = ops._column_band(grid, (s + eps) ** 2, s + eps, s)
+        old, _ = ops._column_band(grid, -(s * s + 2 * eps * s - eps**2), -(s - eps), -s)
+        self.nb = nb = band.shape[1]
+        wr, vr = np.arange(nh, nb), np.arange(nb, n)  # w rows and their v rows
+        # stored transposed: S[j] and every c[j, :, i] then lie in contiguous rows
+        z = np.zeros((m, n + n_steps, n)).transpose(0, 2, 1)
+        for d in range(-2, 3):  # old-level entries (r, r + d)
+            r = np.arange(max(0, -d), nb - max(0, d))
+            z[:, r, r + d] = -old[4 - d, r + d]
+        r = np.flatnonzero(interior)
+        z[:, r, r] -= ops._x_eigenvalues(m, grid.hx)[:, None]
+        z[:, nh, :nb] = 0.0
+        z[:, nh, [nh, nb]] = -3.0 / (2 * grid.hy_h) * np.array([s, 1.0])
+        z[:, wr[1:], vr[1:]] = 2 * s
+        force = np.zeros((n_steps, nb, m))
+        for rows, x in ((slice(0, nh), f), (slice(nh + 1, nb), g)):
+            if x is not None:
+                x = x.sample_real(np.arange(n_steps + 1) * dt)[:, 1:-1, 1:-1]
+                force[:, rows] = x[:-1] + x[1:]
+        z[:, :nb, n:] = np.transpose(force @ ops._sine_basis(m))
+        ops._frequency_solves(band, interior, grid.hx, z[:, :nb], "march step")
+        z[:, nb:] = s * z[:, nh:nb]
+        z[:, vr, wr] -= s
+        z[:, vr, vr] -= 1.0
+        self.S, self.c = z[:, :, :n], z[:, :, n:]
 
         # energy mass: |grad w|^2 (edge form) + |v|^2 + |u|^2
-        self.mass_w = quad.trap_mass(grid.ny_w, grid.nx, hx, hyw)
-        self.mass_h = quad.trap_mass(grid.ny_h, grid.nx, hx, hyh)
+        self.mass_w = quad.trap_mass(grid.ny_w, grid.nx, grid.hx, grid.hy_w)
+        self.mass_h = quad.trap_mass(grid.ny_h, grid.nx, grid.hx, grid.hy_h)
 
-    def scatter(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        grid, nw, m = self.grid, self.nw, self.grid.nx - 2
-        w = np.zeros((grid.ny_w, grid.nx))
-        v = np.zeros((grid.ny_w, grid.nx))
+    def fields(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        grid, nh, nb = self.grid, self.grid.ny_h - 2, self.nb
+        x = (ops._sine_basis(grid.nx - 2) @ y).T
+        w, v = np.zeros((2, grid.ny_w, grid.nx))
         u = np.zeros((grid.ny_h, grid.nx))
-        w[:-1, 1:-1] = y[:nw].reshape(-1, m)
-        v[:-1, 1:-1] = y[nw:2 * nw].reshape(-1, m)
-        u[1:-1, 1:-1] = y[2 * nw:].reshape(-1, m)
+        u[1:-1, 1:-1], w[:-1, 1:-1], v[:-1, 1:-1] = x[:nh], x[nh:nb], x[nb:]
         u[-1, :] = v[0, :]  # heat interface trace is the wave velocity
         return w, v, u
 
     def energy(self, y: np.ndarray) -> float:
-        w, v, u = self.scatter(y)
+        w, v, u = self.fields(y)
         grad = float(np.real(ops.wave_edge_form(self.grid, w, w)))
         return grad + quad.norm_sq(self.mass_w, v) + quad.norm_sq(self.mass_h, u)
 
-    def forcing_vector(self, g_t: np.ndarray | None, f_t: np.ndarray | None) -> np.ndarray:
-        """Step forcing: 2 g on wave interior rows, 2 f on heat rows."""
-        return 2.0 * ops.mode_rhs(self.op, f_t, g_t)
-
-    def step(self, y: np.ndarray, force_mid: np.ndarray) -> np.ndarray:
-        x = self.lu.solve(self.rhs_mat @ y + force_mid)
-        w_new = x[:self.nw]
-        v_new = self.s * (w_new - y[:self.nw]) - y[self.nw:2 * self.nw]
-        return np.concatenate((w_new, v_new, x[self.nw:]))
+    def step(self, y: np.ndarray, i: int) -> np.ndarray:
+        return np.matmul(self.S, y[:, :, None])[:, :, 0] + self.c[:, :, i]
 
 
 def epsilon_march(grid: Grid, f: FourierField | None, g: FourierField | None,
@@ -292,30 +303,16 @@ def epsilon_march(grid: Grid, f: FourierField | None, g: FourierField | None,
     t0 = time.perf_counter()
     m = params.n_steps
     dt = period / m
-    march = _MarchOperator(grid, params.eps, dt)
-
-    times = np.arange(m + 1) * dt
-    g_samp = g.sample_real(times) if g is not None else None
-    f_samp = f.sample_real(times) if f is not None else None
-
-    def force_mid(step_index: int) -> np.ndarray:
-        # trapezoidal average of the forcing at both step ends
-        g_t = None if g_samp is None else 0.5 * (g_samp[step_index] + g_samp[step_index + 1])
-        f_t = None if f_samp is None else 0.5 * (f_samp[step_index] + f_samp[step_index + 1])
-        return march.forcing_vector(g_t, f_t)
-
-    forces = [force_mid(i) for i in range(m)]
+    march = _SineMarch(grid, params.eps, dt, m, g, f)
     t_setup = time.perf_counter()
 
-    y = np.zeros(march.n)
+    y = np.zeros(march.shape)
     snapshot = y.copy()
     contraction: list[float] = []
     diffs: list[float] = []
-    converged = False
-    n_periods = 0
     for n_periods in range(1, params.max_periods + 1):
         for i in range(m):
-            y = march.step(y, forces[i])
+            y = march.step(y, i)
         diff = np.sqrt(march.energy(y - snapshot))
         scale = max(np.sqrt(march.energy(y)), 1e-300)
         diffs.append(diff / scale)
@@ -323,9 +320,8 @@ def epsilon_march(grid: Grid, f: FourierField | None, g: FourierField | None,
             contraction.append(diffs[-1] / diffs[-2])
         snapshot = y.copy()
         if diffs[-1] <= params.period_tol:
-            converged = True
             break
-    if not converged:
+    else:
         raise SolverError(
             f"period map did not contract below {params.period_tol:.1e} within "
             f"{params.max_periods} periods (last diff {diffs[-1]:.3e})",
@@ -337,10 +333,8 @@ def epsilon_march(grid: Grid, f: FourierField | None, g: FourierField | None,
     w_hist = np.empty((m, grid.ny_w, grid.nx))
     u_hist = np.empty((m, grid.ny_h, grid.nx))
     for i in range(m):
-        w_arr, v_arr, u_arr = march.scatter(y)
-        w_hist[i] = w_arr
-        u_hist[i] = u_arr
-        y = march.step(y, forces[i])
+        w_hist[i], _, u_hist[i] = march.fields(y)
+        y = march.step(y, i)
     w_field = time_transform(w_hist, "forward", period=period, n_modes=n_rep,
                              domain=WAVE)
     u_field = time_transform(u_hist, "forward", period=period, n_modes=n_rep,
@@ -348,10 +342,9 @@ def epsilon_march(grid: Grid, f: FourierField | None, g: FourierField | None,
     t_record = time.perf_counter()
 
     h, big_h = _trace_fields(grid, w_field)
-    residuals = {0: diffs[-1]}
     return SolveReport(
         grid=grid, u=u_field, w=w_field, trace_h=h, trace_primitive=big_h,
-        mode_residuals=residuals,
+        mode_residuals={0: diffs[-1]},
         timings={"setup": t_setup - t0, "march": t_march - t_setup,
                  "record": t_record - t_march},
         method="epsilon",

@@ -274,6 +274,20 @@ def test_coefficient_file_mode_above_modes_rejected(tmp_path, capsys, command, k
     assert "solving" not in captured.out and "reference" not in captured.out
 
 
+@pytest.mark.parametrize("spec,top", [("mode:3", 3), ("series:G1:4", 4), ("series:G2", 8)])
+@pytest.mark.parametrize("command", ["solve", "epsilon-sweep"])
+def test_analytic_wave_forcing_above_modes_rejected(tmp_path, capsys, command, spec, top):
+    # modes = 2: mode:3 used to give w = 0 with exit 0, and series terms
+    # above 2 were dropped without a word
+    cfg = _write(tmp_path, SMALL_SOLVE + f"forcing.wave = {spec}\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "'forcing.wave'" in captured.err and f"mode {top}," in captured.err
+    assert "'modes' = 2" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 def test_negative_seed_override_rejected_by_name(tmp_path, capsys):
     cfg = _write(tmp_path, SMALL_SOLVE + "check.weak = true\n")
     out = tmp_path / "out"

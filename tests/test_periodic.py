@@ -1,10 +1,18 @@
+import ast
+import inspect
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import hwp
 from hwp import analysis
+from hwp import operators as ops
+from hwp import quadrature as quad
 from hwp.errors import ConfigurationError, SolverError
-from hwp.timefourier import FourierField
+from hwp.timefourier import HEAT, WAVE, FourierField
 
 T = 2 * np.pi
 
@@ -212,19 +220,179 @@ def _dense_first_order_step(grid, eps, dt, y, g, f):
     return np.linalg.solve(lhs, rhs @ y + dt * force)
 
 
+class _SparseMarch:
+    """The sparse trapezoidal step the march used before the sine basis,
+    kept as its oracle, with the interface of periodic._SineMarch. The
+    state (w, v, u) is one vector in the row blocks of operators.mode_rhs;
+    the new level is factored by splu, the old level is a sparse matrix and
+    c[:, i] is the data of step i before the solve."""
+
+    def __init__(self, grid, eps, dt, n_steps, g, f):
+        self.grid = grid
+        self.s = s = 2.0 / dt
+        op = ops.ModeOperator(0, 0.0, grid, ((s + eps) ** 2, s + eps, s))
+        nw, nh = op.n_wave, op.n_heat
+        self.nw, self.shape = nw, (2 * nw + nh,)
+        iface = np.arange(nw) < grid.nx - 2  # the first row block
+        interior_rows = sp.diags(np.concatenate((~iface, np.ones(nh, bool))).astype(float))
+        old = -(interior_rows @ ops.coupled_matrix(
+            grid, -(s * s + 2 * eps * s - eps**2), -(s - eps), -s)).tocsc()
+        c = 3.0 / (2 * grid.hy_h)
+        self.rhs_mat = sp.hstack([
+            old[:, :nw] + sp.diags(np.where(iface, -c * s, 0.0), shape=(nw + nh, nw)),
+            sp.diags(np.where(iface, -c, 2 * s), shape=(nw + nh, nw)),
+            old[:, nw:]]).tocsr()
+        self.lu = spla.splu(op.matrix.tocsc())
+        times = np.arange(n_steps + 1) * dt
+        gs = None if g is None else g.sample_real(times)
+        fs = None if f is None else f.sample_real(times)
+        # trapezoidal average of the forcing at both step ends, twice
+        self.c = np.stack([2.0 * ops.mode_rhs(
+            op, None if fs is None else 0.5 * (fs[i] + fs[i + 1]),
+            None if gs is None else 0.5 * (gs[i] + gs[i + 1])) for i in range(n_steps)], -1)
+        self.mass_w = quad.trap_mass(grid.ny_w, grid.nx, grid.hx, grid.hy_w)
+        self.mass_h = quad.trap_mass(grid.ny_h, grid.nx, grid.hx, grid.hy_h)
+
+    def fields(self, y):
+        grid, nw, m = self.grid, self.nw, self.grid.nx - 2
+        w = np.zeros((grid.ny_w, grid.nx))
+        v = np.zeros((grid.ny_w, grid.nx))
+        u = np.zeros((grid.ny_h, grid.nx))
+        w[:-1, 1:-1] = y[:nw].reshape(-1, m)
+        v[:-1, 1:-1] = y[nw:2 * nw].reshape(-1, m)
+        u[1:-1, 1:-1] = y[2 * nw:].reshape(-1, m)
+        u[-1, :] = v[0, :]
+        return w, v, u
+
+    def energy(self, y):
+        w, v, u = self.fields(y)
+        grad = float(np.real(ops.wave_edge_form(self.grid, w, w)))
+        return grad + quad.norm_sq(self.mass_w, v) + quad.norm_sq(self.mass_h, u)
+
+    def step(self, y, i):
+        x = self.lu.solve(self.rhs_mat @ y + self.c[:, i])
+        w_new = x[:self.nw]
+        v_new = self.s * (w_new - y[:self.nw]) - y[self.nw:2 * self.nw]
+        return np.concatenate((w_new, v_new, x[self.nw:]))
+
+
+def _block_state(w, v, u):
+    """(w, v, u) as one vector in the row blocks: interface and wave
+    interior rows of w, the same of v, then the heat interior of u."""
+    return np.concatenate((w[:-1, 1:-1].ravel(), v[:-1, 1:-1].ravel(), u[1:-1, 1:-1].ravel()))
+
+
+def _sine_state(grid, y):
+    """A row-block state vector as the state of _SineMarch: per x-frequency
+    the rows of u, w, then v, in the sine basis."""
+    m, nw = grid.nx - 2, (grid.ny_w - 1) * (grid.nx - 2)
+    rows = np.concatenate([part.reshape(-1, m) for part in (y[2 * nw:], y[:nw], y[nw:2 * nw])])
+    return ops._sine_basis(m) @ rows.T
+
+
+def _constant_forcing(dt, g, f):
+    """g and f as time-constant fields of period dt: one step of size dt
+    sees each at both ends."""
+    return (FourierField.from_mode_dict(dt, 0, {0: g}, WAVE),
+            FourierField.from_mode_dict(dt, 0, {0: f}, HEAT))
+
+
 @pytest.mark.parametrize("n", [5, 7])
 def test_march_step_matches_dense_first_order_step(n):
-    from hwp.periodic import _MarchOperator
+    from hwp.periodic import _SineMarch
     grid = grid_n(n)
     eps, dt = 0.2, T / 16
-    march = _MarchOperator(grid, eps, dt)
     rng = np.random.default_rng(n)
-    y = rng.standard_normal(march.n)
+    y = rng.standard_normal((2 * (grid.ny_w - 1) + grid.ny_h - 2) * (grid.nx - 2))
     g = rng.standard_normal((grid.ny_w, grid.nx))
     f = rng.standard_normal((grid.ny_h, grid.nx))
-    got = march.step(y, march.forcing_vector(g, f))
+    march = _SineMarch(grid, eps, dt, 1, *_constant_forcing(dt, g, f))
+    got = _block_state(*march.fields(march.step(_sine_state(grid, y), 0)))
     ref = _dense_first_order_step(grid, eps, dt, y, g, f)
     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("n", [5, 9])
+def test_sine_step_matches_sparse_step(n):
+    from hwp.periodic import _SineMarch
+    grid = hwp.build_stacked_rectangles(np.pi, 1.0, 1.0, n, n - 2, n + 2)
+    eps, dt = 0.2, T / 16
+    rng = np.random.default_rng(n)
+    y = rng.standard_normal((2 * (grid.ny_w - 1) + grid.ny_h - 2) * (grid.nx - 2))
+    forcing = _constant_forcing(dt, rng.standard_normal((grid.ny_w, grid.nx)),
+                                rng.standard_normal((grid.ny_h, grid.nx)))
+    march = _SineMarch(grid, eps, dt, 1, *forcing)
+    got = _block_state(*march.fields(march.step(_sine_state(grid, y), 0)))
+    ref = _SparseMarch(grid, eps, dt, 1, *forcing).step(y, 0)
+    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("case", ["mode2", "aliased", "smooth1-17"])
+def test_sine_march_matches_sparse_march(monkeypatch, case):
+    # the same period loop over the sparse step: equal period counts, and
+    # period_diffs compared absolutely, as round-off bounds the late ones
+    from hwp import periodic
+    from hwp.cli import smooth_heat_forcing
+    f = None
+    if case == "mode2":
+        grid = grid_n(9)
+        g, _ = hwp.analytic_mode(2, grid)
+        steps, eps = 64, 0.2
+    elif case == "aliased":
+        grid = hwp.build_stacked_rectangles(np.pi, 1.0, 1.0, 17, 5, 5)
+        g, _ = hwp.series_forcing(hwp.series_rule("G1"), 8, grid)
+        steps, eps = 8, 0.5
+    else:
+        grid, g = grid_n(17), None
+        f = smooth_heat_forcing(grid, T, 1)
+        steps, eps = 512, 0.2
+    params = hwp.EpsilonParams(eps=eps, n_steps=steps, period_tol=1e-9,
+                               max_periods=1000, n_report_modes=6)
+    rep = hwp.epsilon_march(grid, f, g, params)
+    monkeypatch.setattr(periodic, "_SineMarch", _SparseMarch)
+    ref = hwp.epsilon_march(grid, f, g, params)
+    assert rep.params["periods"] == ref.params["periods"]
+    np.testing.assert_allclose(rep.params["period_diffs"], ref.params["period_diffs"],
+                               rtol=0, atol=1e-12)
+    assert _max_rel(rep.w, ref.w) <= 1e-12
+    assert _max_rel(rep.u, ref.u) <= 1e-12
+
+
+def test_epsilon_march_assembles_no_matrix(monkeypatch):
+    from hwp import periodic
+
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("the march must not assemble a matrix or row-block data")
+
+    monkeypatch.setattr(ops, "coupled_matrix", no_assembly)
+    monkeypatch.setattr(ops, "mode_rhs", no_assembly)
+    grid = grid_n(9)
+    g2, _ = hwp.analytic_mode(2, grid)
+    params = hwp.EpsilonParams(eps=0.2, n_steps=64, period_tol=1e-9, max_periods=100)
+    rep = hwp.epsilon_march(grid, None, g2, params)
+    assert rep.mode_residuals[0] <= 1e-9 and np.any(rep.w.coeffs)
+    tree = ast.parse(inspect.getsource(periodic))
+    imported = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for a in node.names]
+    imported += [node.module or "" for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)]
+    assert not [name for name in imported if name.startswith("scipy.sparse")]
+
+
+def test_epsilon_march_refuses_a_step_above_the_memory_bound():
+    # 257^2 at 256 steps needs about 1.6 GB for S and the step forcings
+    grid = grid_n(257)
+    params = hwp.EpsilonParams(eps=0.1, n_steps=256)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigurationError) as err:
+            hwp.epsilon_march(grid, None, None, params, period=T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    msg = str(err.value)
+    assert "257x257+257 grid" in msg and "256 steps" in msg and "MAX_MARCH_BYTES" in msg
+    assert peak < 2**20
 
 
 def test_mode_solve_failure_names_the_mode_once():
