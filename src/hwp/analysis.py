@@ -34,7 +34,7 @@ def _subdomain_dims(grid: Grid, domain: str) -> tuple[int, int, float, float]:
 
 
 def _spatial_norm_sq(field_: FourierField, grid: Grid, flavor: str) -> np.ndarray:
-    """Per-mode squared spatial norms ||c_k||^2, k = -N..N."""
+    """Per-mode squared spatial norms ||c_k||^2, k = -N..N, one mode at a time."""
     if field_.domain == INTERFACE:
         if flavor != "l2":
             raise AnalysisError("interface fields only carry the L2 flavor")
@@ -43,12 +43,9 @@ def _spatial_norm_sq(field_: FourierField, grid: Grid, flavor: str) -> np.ndarra
     ny, nx, hx, hy = _subdomain_dims(grid, field_.domain)
     if flavor == "l2":
         mass = quad.trap_mass(ny, nx, hx, hy)
-        return np.sum(mass[None, ...] * np.abs(field_.coeffs) ** 2, axis=(1, 2))
+        return np.array([np.sum(mass * np.abs(c) ** 2) for c in field_.coeffs])
     if flavor == "h1":
-        out = np.empty(field_.coeffs.shape[0])
-        for idx in range(field_.coeffs.shape[0]):
-            out[idx] = quad.gradient_energy(field_.coeffs[idx], hx, hy)
-        return out
+        return np.array([quad.gradient_energy(c, hx, hy) for c in field_.coeffs])
     raise AnalysisError(f"unknown spatial flavor {flavor!r}; use 'l2' or 'h1'")
 
 
@@ -60,6 +57,8 @@ def sobolev_time_norm(field_: FourierField, s: float, grid: Grid,
     """
     if not -8.0 <= s <= 8.0:
         raise AnalysisError(f"time exponent s={s} outside [-8, 8]")
+    if not np.all(np.isfinite(field_.coeffs)):
+        raise AnalysisError("sobolev_time_norm: field has non-finite coefficients")
     ks = field_.wavenumbers().astype(float)
     weights = (1.0 + (field_.omega * ks) ** 2) ** s
     return float(np.sqrt(np.sum(weights * _spatial_norm_sq(field_, grid, spatial_flavor))))
@@ -278,22 +277,26 @@ def equipartition_residual(w: FourierField, g: FourierField, grid: Grid) -> floa
 _TEST_MODES = 2  # temporal modes k = 0..2 of every random test pair
 
 
-def _test_basis(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """The 6 real fields of each side that span every random test mode,
-    shape (6, ny, nx): on the wave box sin(m x)(1-y)^2 (the trace part),
-    then sin(m x) sin(pi y) (zero trace); on the heat box sin(m x)(1+y)^2,
-    then sin(m x) sin(pi (1+y)); m = 1, 2, 3 and y scaled to the box height."""
-    sines = np.sin(np.arange(1, 4)[:, None] * grid.x)[:, None, :]
-    yw = (grid.y_w / grid.ly_w)[:, None]
-    yh = (grid.y_h / grid.ly_h)[:, None]
-    return (np.concatenate([sines * (1.0 - yw) ** 2, sines * np.sin(np.pi * yw)]),
-            np.concatenate([sines * (1.0 + yh) ** 2, sines * np.sin(np.pi * (1.0 + yh))]))
+def _edge_scatter(v: np.ndarray) -> np.ndarray:
+    """D^T D v along the last axis, D the edge difference (sbp_apply in 1-D)."""
+    return -np.diff(np.diff(v, prepend=v[..., :1], append=v[..., -1:]))
+
+
+def _test_factors(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sin(m x), m = 1, 2, 3, and the wave and heat Y_t(y): field 3 t + m - 1
+    of a side, Y_t sin(m x), spans the random test modes with the trace part
+    Y_0 = (1-y)^2 | (1+y)^2 and Y_1 = sin(pi y) | sin(pi (1+y)), zero on the
+    interface (wave | heat box, y scaled to the box height)."""
+    yw, yh = grid.y_w / grid.ly_w, grid.y_h / grid.ly_h
+    return (np.sin(np.arange(1, 4)[:, None] * grid.x),
+            np.stack([(1.0 - yw) ** 2, np.sin(np.pi * yw)]),
+            np.stack([(1.0 + yh) ** 2, np.sin(np.pi * (1.0 + yh))]))
 
 
 def _test_coefficients(rng: np.random.Generator,
                        n_tests: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients of n_tests random test pairs in the bases of
-    ``_test_basis``, shape (n_tests, 2*_TEST_MODES+1, 6), rows k = -2..2.
+    """Coefficients of n_tests random test pairs in the fields of
+    ``_test_factors``, shape (n_tests, 2*_TEST_MODES+1, 6), rows k = -2..2.
 
     Per mode k >= 0 the draws are c, m, cw, ch, mw: psi_k = c sin(m x)(1-y)^2
     + cw sin(mw x) sin(pi y) and phi_k = c sin(m x)(1+y)^2 + ch sin(mw x)
@@ -317,13 +320,17 @@ def _test_coefficients(rng: np.random.Generator,
     return a, b
 
 
-def _gram(basis: np.ndarray, hx: float, hy: float) -> tuple[np.ndarray, np.ndarray]:
-    """L2 (trapezoid mass) and H1 (cell-gradient energy) Gram matrices."""
-    n, ny, nx = basis.shape
-    flat = basis.reshape(n, -1)
-    l2 = (flat * quad.trap_mass(ny, nx, hx, hy).ravel()) @ flat.T
-    fx, fy = (d.reshape(n, -1) for d in quad.cell_gradient(basis, hx, hy))
-    return l2, (fx @ fx.T + fy @ fy.T) * (hx * hy)
+def _gram(sines: np.ndarray, profiles: np.ndarray, hx: float,
+          hy: float) -> tuple[np.ndarray, np.ndarray]:
+    """L2 (trapezoid mass) and H1 (cell-gradient energy) Gram matrices of the
+    fields Y_t(y) sin(m x) from 1-D sums: the trapezoid mass is a product,
+    and the cell gradient of Y X is (mean_y Y d_x X, d_y Y mean_x X)."""
+    wx = quad.trap_weights_1d(sines.shape[1], hx)
+    wy = quad.trap_weights_1d(profiles.shape[1], hy)
+    (dx, mx), (dy, my) = ((np.diff(v) / h, 0.5 * (v[:, :-1] + v[:, 1:]))
+                          for v, h in ((sines, hx), (profiles, hy)))
+    l2 = np.kron((profiles * wy) @ profiles.T, (sines * wx) @ sines.T)
+    return l2, (np.kron(my @ my.T, dx @ dx.T) + np.kron(dy @ dy.T, mx @ mx.T)) * (hx * hy)
 
 
 def weak_residual(report: SolveReport, f: FourierField | None,
@@ -348,14 +355,16 @@ def weak_residual(report: SolveReport, f: FourierField | None,
     continuum coupling condition annihilates. Normalized by the test norm
     sqrt(|psi|^2_{H1(L2)} + |psi|^2_{L2(H1)} + the same for phi).
 
-    Every test mode is a combination of the 6 fixed fields of
-    ``_test_basis`` per side, so the defect is linear and the squared norm
-    quadratic in its coefficients: the residual of each solution mode is
-    formed and projected onto the basis once, and each test costs a
-    6-coefficient dot product and a 6x6 Gram quadratic form per mode. Only
-    the modes the test and the solution share enter the defect; all test
-    modes enter the norm. Non-finite coefficients in w, u, f or g and
-    n_tests < 1 raise AnalysisError.
+    Every test mode is a combination of the 6 fixed fields Y_t(y) sin(m x)
+    of ``_test_factors`` per side, so the defect is linear and the squared
+    norm quadratic in its coefficients. The forms factor: each solution mode
+    is summed over x against sin(m x) and its edge-scatter second difference
+    (real products on its real and imaginary parts), then over y against Y_t
+    and its scatter, and the Grams are 1-D sums: O(modes * grid) time, O(grid
+    lines) extra memory. Each test costs a 6-coefficient dot product and a
+    6x6 Gram form per mode. Only the modes the test and the solution share
+    enter the defect; all enter the norm. Non-finite coefficients in w, u, f
+    or g and n_tests < 1 raise AnalysisError.
     """
     if n_tests < 1:
         raise AnalysisError(f"weak residual needs n_tests >= 1, got {n_tests}")
@@ -367,36 +376,41 @@ def weak_residual(report: SolveReport, f: FourierField | None,
     period, omega = report.period, w.omega
     n_shared = min(_TEST_MODES, max(x.n_modes for x in fields_.values() if x is not None))
     ks = np.arange(-n_shared, n_shared + 1)[:, None]
-    nx, hx, hy_w, hy_h = grid.nx, grid.hx, grid.hy_w, grid.hy_h
+    hx = grid.hx
+    sines, y_w, y_h = _test_factors(grid)
+    x_factors = np.concatenate([sines, _edge_scatter(sines)]).T
+    x_factors[[0, -1], :3] = 0.0  # the masses weigh interior nodes only
 
-    def stacked(field_):
-        return field_.truncated(n_shared).coeffs.reshape(2 * n_shared + 1, -1)
+    def pairings(field_, y, hy):
+        """The interior-mass and sbp_apply pairings of modes -n_shared..n_shared
+        of field_ (zero past its own) with the 6 fields, each (K, 6), and the
+        real and imaginary parts of their x sums against sin(m x)."""
+        n, c = min(n_shared, field_.n_modes), field_.coeffs
+        live = c[field_.n_modes - n:field_.n_modes + n + 1]
+        xs = np.zeros((2, 2 * n_shared + 1, c.shape[1], 6))
+        xs[:, n_shared - n:n_shared + n + 1] = live.real @ x_factors, live.imag @ x_factors
+        inner = np.einsum("ty,rkym->rktm", y[:, 1:-1], xs[..., 1:-1, :])
+        edge = np.einsum("ty,rkym->rktm", _edge_scatter(y), xs[..., :3])
+        mass = hx * hy * inner[..., :3]
+        stiff = hy / hx * inner[..., 3:] + hx / hy * edge
+        return ((mass[0] + 1j * mass[1]).reshape(-1, 6),
+                (stiff[0] + 1j * stiff[1]).reshape(-1, 6), xs[..., :3])
 
-    # The residual functional of mode k tested against the 6 basis fields of
-    # each side: the edge forms are symmetric, so a(x_k, B_j) = x_k . (A B_j)
-    # and one batched edge-form apply per side serves every mode and test.
-    basis_w, basis_h = _test_basis(grid)
-    flat_w, flat_h = basis_w.reshape(6, -1), basis_h.reshape(6, -1)
-    stiff_w = quad.sbp_apply(basis_w, hx, hy_w).reshape(6, -1).T
-    stiff_h = quad.sbp_apply(basis_h, hx, hy_h).reshape(6, -1).T
-    mass_w = (flat_w * quad.interior_mass(grid.ny_w, nx, hx, hy_w).ravel()).T
-    mass_h = (flat_h * quad.interior_mass(grid.ny_h, nx, hx, hy_h).ravel()).T
-    wk, uk = stacked(w), stacked(u)
-    proj_w = wk @ stiff_w - (omega * ks) ** 2 * (wk @ mass_w)
-    proj_h = uk @ stiff_h + 1j * omega * ks * (uk @ mass_h)
+    mass_w, stiff_w, sums_w = pairings(w, y_w, grid.hy_w)
+    mass_h, stiff_h, sums_h = pairings(u, y_h, grid.hy_h)
+    proj_w = stiff_w - (omega * ks) ** 2 * mass_w
+    proj_h = stiff_h + 1j * omega * ks * mass_h
     if g is not None:
-        proj_w -= stacked(g) @ mass_w
+        proj_w -= pairings(g, y_w, grid.hy_w)[0]
     if f is not None:
-        proj_h -= stacked(f) @ mass_h
-    # interface flux defect on the interface row (row 0 of the wave box)
-    cols = grid.interface_columns
-    top = uk.shape[1] - nx + cols
-    flux = ((wk[:, nx + cols] - wk[:, cols]) / hy_w
-            - (uk[:, top] - uk[:, top - nx]) / hy_h)
-    proj_w += hx * flux @ flat_w[:, cols].T
+        proj_h -= pairings(f, y_h, grid.hy_h)[0]
+    # interface flux defect on row 0 of the wave box (the x sums skip the walls)
+    flux = ((sums_w[:, :, 1] - sums_w[:, :, 0]) / grid.hy_w
+            - (sums_h[:, :, -1] - sums_h[:, :, -2]) / grid.hy_h)
+    proj_w += hx * np.kron(y_w[:, 0], flux[0] + 1j * flux[1])
 
-    l2_w, h1_w = _gram(basis_w, hx, hy_w)
-    l2_h, h1_h = _gram(basis_h, hx, hy_h)
+    l2_w, h1_w = _gram(sines, y_w, hx, grid.hy_w)
+    l2_h, h1_h = _gram(sines, y_h, hx, grid.hy_h)
     a, b = _test_coefficients(np.random.default_rng(seed), n_tests)
     shared = slice(_TEST_MODES - n_shared, _TEST_MODES + n_shared + 1)
     defect = period * (np.einsum("tkj,kj->t", np.conj(a[:, shared]), proj_w)

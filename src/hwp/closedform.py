@@ -45,8 +45,8 @@ def _poly_eval(coeffs: np.ndarray, deriv: int) -> Callable[[np.ndarray], np.ndar
 def bump_profile(kind: str = "poly", coeffs=None) -> BumpProfile:
     """Built-in quartic bump y^2 (1-y)^2, or a custom polynomial.
 
-    Custom coefficients are in increasing-power order and must satisfy the
-    endpoint conditions exactly (checked to 1e-12).
+    Custom coefficients are in increasing-power order, finite, and must
+    satisfy the endpoint conditions exactly (checked to 1e-12).
     """
     if kind == "poly":
         coeffs = np.array([0.0, 0.0, 1.0, -2.0, 1.0])  # y^2 - 2 y^3 + y^4
@@ -54,12 +54,14 @@ def bump_profile(kind: str = "poly", coeffs=None) -> BumpProfile:
         if coeffs is None:
             raise ClosedFormError("custom bump needs polynomial coefficients")
         coeffs = np.asarray(coeffs, dtype=float)
+        if not np.all(np.isfinite(coeffs)):
+            raise ClosedFormError(f"custom bump coefficients must be finite, got {coeffs}")
     else:
         raise ClosedFormError(f"unknown bump kind {kind!r}")
     phi = _poly_eval(coeffs, 0)
     dphi = _poly_eval(coeffs, 1)
     for point in (0.0, 1.0):
-        if abs(phi(point)) > 1e-12 or abs(dphi(point)) > 1e-12:
+        if not (abs(phi(point)) <= 1e-12 and abs(dphi(point)) <= 1e-12):
             raise ClosedFormError(
                 f"bump must vanish to first order at y={point:g}; got "
                 f"phi={phi(point):.3e}, phi'={dphi(point):.3e}")

@@ -114,17 +114,24 @@ def coupled_apply(band: np.ndarray, interior: np.ndarray, hx: float,
                   x: np.ndarray) -> np.ndarray:
     """(B (x) I + D (x) T_x) x without the matrix, for any system of the
     module docstring: x holds the rows in band order, shape (n, m) or
-    (n, m, nrhs); the five band products of B plus T_x on the rows of D."""
+    (n, m, nrhs); the five band products of B plus T_x on the rows of D.
+    Each band product, and T_x on each run of rows of D, is formed in one
+    buffer and added in place: the plain expressions' operations in their
+    order, bitwise theirs when x has the result's dtype (every solve here)."""
     b = band.reshape(band.shape + (1,) * (x.ndim - 1))
     y = b[4] * x
+    buf = np.empty_like(y)
     for d in (1, 2):
-        y[:-d] += b[4 - d, d:] * x[d:]   # entries (r, r + d)
-        y[d:] += b[4 + d, :-d] * x[:-d]  # entries (r, r - d)
-    xi = x[interior]
-    tx = 2.0 * xi
-    tx[:, 1:] -= xi[:, :-1]
-    tx[:, :-1] -= xi[:, 1:]
-    y[interior] += tx / hx**2
+        y[:-d] += np.multiply(b[4 - d, d:], x[d:], out=buf[:-d])  # entries (r, r + d)
+        y[d:] += np.multiply(b[4 + d, :-d], x[:-d], out=buf[d:])  # entries (r, r - d)
+    runs = np.flatnonzero(np.diff(interior, prepend=False, append=False))
+    for r0, r1 in runs.reshape(-1, 2):
+        xi, tx = x[r0:r1], buf[r0:r1]
+        np.multiply(xi, 2.0, out=tx)
+        tx[:, 1:] -= xi[:, :-1]
+        tx[:, :-1] -= xi[:, 1:]
+        tx /= hx**2
+        y[r0:r1] += tx
     return y
 
 
@@ -284,7 +291,8 @@ def _checked_solve(band: np.ndarray, interior: np.ndarray, hx: float,
     """_separable_solve held to ||A x - b|| <= tol ||b|| per right-hand side b
     through coupled_apply (zero b give exact zeros); returns x and A x - rhs."""
     x = _separable_solve(band, interior, hx, rhs, what)
-    r = coupled_apply(band, interior, hx, x) - rhs
+    r = coupled_apply(band, interior, hx, x)
+    r -= rhs
     b = np.linalg.norm(rhs, axis=(0, 1))
     rel = float(np.max(np.linalg.norm(r, axis=(0, 1)) / np.where(b > 0, b, 1.0)))
     if not rel <= tol:

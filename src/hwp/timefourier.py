@@ -76,10 +76,14 @@ class FourierField:
         return out.reshape((len(t),) + self.spatial_shape)
 
     def sample_real(self, times: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+        """Real samples; non-finite coefficients, or an imaginary part above
+        tol relative to the largest sample, raise AnalysisError."""
+        if not np.all(np.isfinite(self.coeffs)):
+            raise AnalysisError("sample_real: field has non-finite coefficients")
         s = self.sample(times)
         scale = max(float(np.max(np.abs(s))), 1e-300)
         imag = float(np.max(np.abs(s.imag))) / scale
-        if imag > tol:
+        if not imag <= tol:
             raise AnalysisError(
                 f"reconstruction is not real: relative imaginary part {imag:.3e}")
         return s.real
@@ -101,16 +105,26 @@ class FourierField:
     def scaled(self, factor: complex) -> "FourierField":
         return FourierField(self.period, factor * self.coeffs, self.domain)
 
-    def __add__(self, other: "FourierField") -> "FourierField":
-        if other.period != self.period or other.domain != self.domain:
-            raise AnalysisError("cannot add fields with mismatched period/domain")
+    def _combine(self, other: "FourierField", op, what: str) -> "FourierField":
+        """op(self, other), op np.add or np.subtract, into one new array padded
+        with zero modes; a mismatch raises AnalysisError before allocating."""
+        for name in ("period", "domain", "spatial_shape"):
+            mine, theirs = getattr(self, name), getattr(other, name)
+            if mine != theirs:
+                raise AnalysisError(f"cannot {what} fields of mismatched {name}: "
+                                    f"{mine!r} and {theirs!r}")
         n = max(self.n_modes, other.n_modes)
-        a = self.truncated(n)
-        b = other.truncated(n)
-        return FourierField(self.period, a.coeffs + b.coeffs, self.domain)
+        out = np.zeros((2 * n + 1,) + self.spatial_shape, dtype=complex)
+        out[n - self.n_modes:n + self.n_modes + 1] = self.coeffs
+        part = out[n - other.n_modes:n + other.n_modes + 1]
+        op(part, other.coeffs, out=part)
+        return FourierField(self.period, out, self.domain)
+
+    def __add__(self, other: "FourierField") -> "FourierField":
+        return self._combine(other, np.add, "add")
 
     def __sub__(self, other: "FourierField") -> "FourierField":
-        return self + other.scaled(-1.0)
+        return self._combine(other, np.subtract, "subtract")
 
     @classmethod
     def zeros(cls, period: float, n_modes: int, spatial_shape: tuple[int, ...],
@@ -178,11 +192,13 @@ def periodic_antiderivative(field: FourierField, order: int = 1) -> FourierField
     """Mean-free m-th primitive: c_k -> c_k / (i w k)^m for k != 0.
 
     Only mean-free fields have periodic primitives; a nonzero mean is
-    rejected rather than silently subtracted.
+    rejected rather than silently subtracted, and so is a non-finite field.
     """
+    if not np.all(np.isfinite(field.coeffs)):
+        raise AnalysisError("periodic primitive: field has non-finite coefficients")
     scale = max(float(np.max(np.abs(field.coeffs))), 1e-300)
     mean_size = float(np.max(np.abs(field.mode(0))))
-    if mean_size > 1e-12 * scale:
+    if not mean_size <= 1e-12 * scale:
         raise AnalysisError(
             f"periodic primitive requires a mean-free field; relative mean "
             f"{mean_size / scale:.3e}")

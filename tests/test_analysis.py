@@ -1,5 +1,6 @@
 import copy
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -55,6 +56,30 @@ def test_sobolev_s0_matches_direct_quadrature():
     mass = quad.trap_mass(grid.ny_w, grid.nx, grid.hx, grid.hy_w)
     direct = np.sqrt(np.mean([quad.norm_sq(mass, s) for s in samples]))
     assert val == pytest.approx(direct, rel=1e-10)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("flavor", ["l2", "h1"])
+def test_sobolev_time_norm_rejects_non_finite_coefficients(bad, flavor):
+    # a NaN coefficient used to give a NaN norm
+    grid = wave_grid(9)
+    f = FourierField.zeros(T, 1, (grid.ny_w, grid.nx), "wave")
+    f.coeffs[1, 4, 4] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AnalysisError, match="^sobolev_time_norm: .*non-finite"):
+            analysis.sobolev_time_norm(f, 0, grid, flavor)
+
+
+@pytest.mark.parametrize("n_modes, n", [(2, 161), (16, 81), (2, 385)])
+def test_spatial_norm_sq_is_bitwise_the_stacked_reduction(n_modes, n):
+    grid = wave_grid(n)
+    rng = np.random.default_rng(n)
+    shape = (2 * n_modes + 1, grid.ny_w, grid.nx)
+    f = FourierField(T, rng.standard_normal(shape) + 1j * rng.standard_normal(shape), "wave")
+    mass = quad.trap_mass(grid.ny_w, grid.nx, grid.hx, grid.hy_w)
+    stacked = np.sum(mass[None, ...] * np.abs(f.coeffs) ** 2, axis=(1, 2))
+    assert np.array_equal(analysis._spatial_norm_sq(f, grid, "l2"), stacked)
 
 
 def test_norm_profile_monotone_in_s():
@@ -637,6 +662,46 @@ def test_weak_residual_meaningful_for_damped_march():
     rep = hwp.epsilon_march(grid, None, g2, params)
     r = hwp.weak_residual(rep, None, g2, grid, n_tests=5)
     assert 0 < r < 0.2  # damping-shift defect, vanishing as eps, dt -> 0
+
+
+def _full_test_basis(grid):
+    """The 6 test fields of each side as grid arrays (6, ny, nx), in the
+    order of analysis._test_factors."""
+    sines, y_w, y_h = analysis._test_factors(grid)
+    return (np.einsum("ty,mx->tmyx", y_w, sines).reshape(6, grid.ny_w, grid.nx),
+            np.einsum("ty,mx->tmyx", y_h, sines).reshape(6, grid.ny_h, grid.nx))
+
+
+@pytest.mark.parametrize("dims", [(9, 9, 9), (17, 9, 13), (33, 65, 17)])
+def test_weak_residual_grams_match_full_fields(dims):
+    # the Grams from 1-D sums against trapezoid-mass and cell-gradient sums
+    # over the full test fields
+    grid = hwp.build_stacked_rectangles(np.pi, 1.0, 1.0, *dims)
+    sines, y_w, y_h = analysis._test_factors(grid)
+    for basis, profiles, hy in zip(_full_test_basis(grid), (y_w, y_h),
+                                   (grid.hy_w, grid.hy_h)):
+        flat = basis.reshape(6, -1)
+        mass = quad.trap_mass(basis.shape[1], grid.nx, grid.hx, hy).ravel()
+        fx, fy = (d.reshape(6, -1) for d in quad.cell_gradient(basis, grid.hx, hy))
+        refs = ((flat * mass) @ flat.T, (fx @ fx.T + fy @ fy.T) * (grid.hx * hy))
+        for got, ref in zip(analysis._gram(sines, profiles, grid.hx, hy), refs):
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_weak_residual_memory_is_bounded():
+    # at 161^2 the check holds a few grid lines per mode, not the 6 test
+    # fields per side and their complex products (15 MB before)
+    grid = hwp.build_stacked_rectangles(np.pi, 1.0, 1.0, 161, 161, 161)
+    g2, _ = hwp.analytic_mode(2, grid)
+    f = smooth_heat_forcing(grid, T, 1)
+    rep = hwp.solve_periodic_harmonic(grid, f, g2, 2)
+    tracemalloc.start()
+    try:
+        hwp.weak_residual(rep, f, g2, grid, n_tests=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("target,value", [("w", np.nan), ("u", np.inf),

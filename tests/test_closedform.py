@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,15 @@ def test_custom_bump_endpoint_violation_rejected():
     coeffs = np.polynomial.Polynomial([0, 0, 0, 1]) * np.polynomial.Polynomial([1, -1]) ** 3
     prof = hwp.bump_profile("custom", coeffs=coeffs.coef)
     assert prof.phi(0.5) == pytest.approx(1.0 / 64.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_custom_bump_rejects_non_finite_coefficients(bad):
+    # a NaN coefficient used to pass the endpoint checks (NaN > 1e-12 is False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ClosedFormError, match="must be finite"):
+            hwp.bump_profile("custom", coeffs=[0.0, 0.0, bad, 0.0, 0.0])
 
 
 def test_analytic_mode_point_values():

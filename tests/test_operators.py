@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -204,6 +206,68 @@ def test_coupled_apply_matches_matrix_product(dims, coeffs, kind):
     y = y.ravel()
     assert y.dtype == ref.dtype
     assert np.linalg.norm(y - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+def _coupled_apply_plain(band, interior, hx, x):
+    """coupled_apply with temporaries and fancy-index copies, the oracle of
+    the in-place version."""
+    b = band.reshape(band.shape + (1,) * (x.ndim - 1))
+    y = b[4] * x
+    for d in (1, 2):
+        y[:-d] += b[4 - d, d:] * x[d:]
+        y[d:] += b[4 + d, :-d] * x[:-d]
+    xi = x[interior]
+    tx = 2.0 * xi
+    tx[:, 1:] -= xi[:, :-1]
+    tx[:, :-1] -= xi[:, 1:]
+    y[interior] += tx / hx**2
+    return y
+
+
+@pytest.mark.parametrize("system", ["mode", "mean", "dirichlet", "lift"])
+@pytest.mark.parametrize("nrhs", [None, 3])
+def test_coupled_apply_is_bitwise_the_plain_expressions(system, nrhs):
+    # each system as its solve passes it: x has the dtype of band and data
+    grid = hwp.build_stacked_rectangles(np.pi, 1.0, 1.0, 17, 9, 13)
+    nh, nw = grid.ny_h - 2, grid.ny_w - 1
+    if system == "lift":
+        interior = np.arange(nw) > 0
+        band = np.zeros((7, nw))
+        band[4] = np.where(interior, 2.0, 1.0) / grid.hy_w**2
+        band[3, 1:] = band[5, :-1] = -1.0 / grid.hy_w**2
+    else:
+        coeffs = {"mode": ((0.1 + 2j) ** 2, 0.1 + 2j, 2j), "mean": (0.04, 0.2, 0.0),
+                  "dirichlet": (0.0, 0.0, 0.0)}[system]
+        band, interior = ops._column_band(grid, *coeffs)
+        if system == "dirichlet":
+            band, interior = band[:, :nh], interior[:nh]
+    rng = np.random.default_rng(7)
+    shape = (band.shape[1], grid.nx - 2) + ((nrhs,) if nrhs else ())
+    x = rng.standard_normal(shape)
+    if system != "mean":
+        x = x + 1j * rng.standard_normal(shape)
+    got = ops.coupled_apply(band, interior, grid.hx, x)
+    ref = _coupled_apply_plain(band, interior, grid.hx, x)
+    assert got.dtype == ref.dtype
+    assert np.array_equal(got, ref)
+
+
+def test_solve_linear_memory_is_bounded():
+    # one live 161^2 mode: the solve and its in-place residual check hold at
+    # most 6 arrays of the column system's size (7 before)
+    grid = hwp.build_stacked_rectangles(np.pi, 1.0, 1.0, 161, 161, 161)
+    g2, _ = hwp.analytic_mode(2, grid)
+    op = ops.assemble_coupled_mode(grid, 2, T)
+    rhs = ops.mode_rhs(op, None, g2.mode(2))
+    column_system = rhs.nbytes
+    tracemalloc.start()
+    try:
+        ops.solve_linear(op, rhs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert op.residual <= 1e-10
+    assert peak <= 6 * column_system
 
 
 @pytest.mark.parametrize("system", ["mode", "mean", "lift", "dual"])

@@ -1,3 +1,7 @@
+import operator
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -120,6 +124,93 @@ def test_sample_real_rejects_complex_reconstruction():
     f.coeffs[2] = 1.0
     with pytest.raises(AnalysisError):
         f.sample_real(np.array([0.1, 0.7]))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_sample_real_rejects_non_finite_coefficients(bad):
+    # an infinite coefficient used to reach the matrix product (a warning and
+    # NaN snapshots); it is now refused by name before any arithmetic
+    f = FourierField.zeros(T, 1, (3,), "wave")
+    f.coeffs[0, 1], f.coeffs[2, 1] = 1.0, bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AnalysisError, match="^sample_real: .*non-finite"):
+            f.sample_real(np.array([0.1, 0.7]))
+
+
+def test_periodic_antiderivative_rejects_a_non_finite_mean():
+    # a NaN mean used to pass the mean-free test, be zeroed and leave a
+    # finite primitive
+    f = FourierField.zeros(T, 1, (2,), "wave")
+    f.coeffs[0] = f.coeffs[2] = 1.0
+    f.coeffs[1, 0] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AnalysisError, match="^periodic primitive: .*non-finite"):
+            hwp.periodic_antiderivative(f, 1)
+
+
+def _arithmetic_operands(n_a, n_b, shape=(3, 4)):
+    rng = np.random.default_rng(n_a + 4 * n_b)
+
+    def field(n):
+        size = (2 * n + 1,) + shape
+        return FourierField(T, rng.standard_normal(size) + 1j * rng.standard_normal(size),
+                            "wave")
+    return field(n_a), field(n_b)
+
+
+@pytest.mark.parametrize("modes", [(2, 2), (1, 3), (3, 0)])
+def test_field_arithmetic_matches_padded_sums(modes):
+    # bitwise the sums of the zero-padded stacks, a - b being a + (-1) b
+    a, b = _arithmetic_operands(*modes)
+    n = max(modes)
+    pa, pb = a.truncated(n).coeffs, b.truncated(n).coeffs
+    assert np.array_equal((a + b).coeffs, pa + pb)
+    assert np.array_equal((a - b).coeffs, pa + (-1.0) * pb)
+    assert (a - b).n_modes == n and (a - b).domain == "wave"
+
+
+@pytest.mark.parametrize("op, word", [(operator.add, "add"), (operator.sub, "subtract")])
+@pytest.mark.parametrize("change, what", [
+    ({"coeffs": np.zeros((5, 1, 4))}, r"spatial_shape: \(3, 4\) and \(1, 4\)"),
+    ({"coeffs": np.zeros((5, 3, 5))}, r"spatial_shape: \(3, 4\) and \(3, 5\)"),
+    ({"period": 2 * T}, "period"),
+    ({"domain": "heat"}, "domain: 'wave' and 'heat'")],
+    ids=["broadcastable", "other-grid", "period", "domain"])
+def test_field_arithmetic_rejects_mismatched_operands(op, word, change, what):
+    a = _arithmetic_operands(2, 2)[0]
+    b = FourierField(**{"period": T, "coeffs": np.zeros((5, 3, 4)), "domain": "wave",
+                        **change})
+    with pytest.raises(AnalysisError, match=f"^cannot {word} fields of mismatched {what}"):
+        op(a, b)
+
+
+def test_field_arithmetic_refuses_before_allocating():
+    a = FourierField.zeros(T, 2, (200, 200), "wave")
+    b = FourierField.zeros(T, 2, (1, 200), "wave")
+    tracemalloc.start()
+    try:
+        with pytest.raises(AnalysisError):
+            a - b
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024  # the result would be 3.2 MB
+
+
+def test_field_difference_allocates_only_its_result():
+    # the difference of two 5 x 161^2 stacks holds one stack, not the
+    # padded and negated copies (about four stacks)
+    a, b = _arithmetic_operands(2, 2, (161, 161))
+    stack = a.coeffs.nbytes
+    tracemalloc.start()
+    try:
+        a - b
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * stack
 
 
 def time_product_integral(a, b, weights):
