@@ -9,7 +9,7 @@ The solver geometry is two axis-aligned rectangles,
 
 glued along the interface row y = 0. The grid holds only node positions
 and spacings. Which nodes are unknowns, and in what order, is stated once,
-by the row blocks of the coupled operator (``operators``): interface nodes
+by the column band of the coupled operator (``operators``): interface nodes
 carry a single unknown (the wave value), and the heat trace is derived from
 it by the per-mode velocity relation. Demo domains are carried as
 closed-form region tests plus parameterized boundaries; they are sampled,

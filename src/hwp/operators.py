@@ -24,23 +24,22 @@ the damping shift, 0 for the undamped problem):
 The matrix dtype follows the coefficients: the mean pair and the march step
 are real, the mode systems complex.
 
-Layout. The unknowns run in row blocks of nx-2 nodes along x (row-major):
-the interface row (one wave unknown per node), the wave interior rows
-bottom to top, then the heat interior rows bottom to top. Interface and
-heat-top rows couple only within one column, so with the y-rows ordered
-heat, interface, wave (``_column_band``; a cyclic shift of the blocks) the
-matrix is the Kronecker sum
+Layout. Every system here has one unknown order, that of ``_column_band``:
+the y-rows heat interior (bottom to top), the interface row (one wave
+unknown per node), then the wave interior rows (bottom to top), each row
+the nx-2 inner nodes along x. In that order the matrix is the Kronecker sum
 
     A = B_y (x) I_x + D_y (x) T_x,
 
 B_y the pentadiagonal column system, D_y the identity without the interface
 row and T_x the three-point x second difference (-1, 2, -1)/hx^2.
-``_column_band`` is the one place the stencil coefficients are written, and
-``coupled_matrix`` assembles A from it. No solve assembles:
+``_column_band`` is the one place the stencil coefficients are written and
+the one statement of which nodes are unknowns and in what order:
+``mode_rhs`` and ``split_mode_solution`` move fields in and out of it, the
+solves and residual checks work in it, and the march (periodic) keeps its
+state in it. ``coupled_matrix`` writes A from it; no solve assembles:
 ``ModeOperator.matrix`` is built on demand only, by the tests and to count
-nonzeros. These row blocks (``mode_rhs``, ``split_mode_solution``) are the
-one statement of which nodes are unknowns and in what order; the march
-(periodic) keeps its state in band order.
+nonzeros.
 
 Extension. ``harmonic_extension_mode`` lifts the heat interface flux of
 one mode into the wave rectangle (the extension lemma); its heat-side
@@ -80,34 +79,19 @@ from .mesh import Grid
 from . import quadrature as quad
 
 
-def _row_blocks(grid: Grid) -> np.ndarray:
-    """Unknown row block of each _column_band row: the band runs heat,
-    interface, wave, the blocks interface, wave, heat (module docstring),
-    so band row r is block (r - nh) mod n_y."""
-    nh = grid.ny_h - 2
-    return np.roll(np.arange(nh + grid.ny_w - 1, dtype=np.int32), nh)
-
-
 def coupled_matrix(grid: Grid, c_wave: complex, c_heat: complex,
                    c_trace: complex) -> sp.csr_matrix:
     """The coupled stencil with shifts c_wave, c_heat and heat trace
-    u = c_trace * w on the interface (see the module docstring): every
-    x-column carries the band B_y, every row but the interface row the
-    x second difference T_x."""
+    u = c_trace * w on the interface (see the module docstring): the
+    Kronecker sum B_y (x) I_x + D_y (x) T_x of _column_band."""
     band, interior = _column_band(grid, c_wave, c_heat, c_trace)
-    m = grid.nx - 2
-    n = band.shape[1] * m
-    diags = band[2:].copy()  # diags[q, c] is entry (c + q - 2, c) of B_y
-    diags[2, interior] += 2.0 / grid.hx**2
-    q, c = np.nonzero(diags)
-    x = np.arange(m, dtype=np.int32)
-    start = _row_blocks(grid) * np.int32(m)
-    t = (start[interior][:, None] + x[:-1]).ravel()  # x-neighbor pairs (t, t+1)
-    rows = np.concatenate(((start[c + q - 2][:, None] + x).ravel(), t, t + 1))
-    cols = np.concatenate(((start[c][:, None] + x).ravel(), t + 1, t))
-    vals = np.concatenate((np.repeat(diags[q, c], m),
-                           np.full(2 * t.size, -1.0 / grid.hx**2, dtype=band.dtype)))
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    n, m = band.shape[1], grid.nx - 2
+    b_y = sp.dia_matrix((band[2:], [2, 1, 0, -1, -2]), shape=(n, n))
+    t_x = sp.diags(np.array([-1.0, 2.0, -1.0]) / grid.hx**2, [-1, 0, 1], shape=(m, m))
+    a = (sp.kron(b_y, sp.identity(m), format="csr")
+         + sp.kron(sp.diags(interior.astype(float)), t_x, format="csr"))
+    a.eliminate_zeros()
+    return a
 
 
 def coupled_apply(band: np.ndarray, interior: np.ndarray, hx: float,
@@ -188,17 +172,17 @@ def assemble_coupled_mode(grid: Grid, k: int, period: float, eps: float = 0.0,
 
 def mode_rhs(op: ModeOperator, f_k: np.ndarray | None,
              g_k: np.ndarray | None) -> np.ndarray:
-    """Right-hand side vector from nodal mode coefficients of (f, g): the
-    interior nodes of each, row by row, in the unknown row blocks (module
-    docstring); the interface rows carry no data."""
+    """Right-hand side vector from nodal mode coefficients of (f, g) in the
+    unknown order (module docstring): the interior nodes of f, row by row,
+    a zero interface row, then the interior nodes of g."""
     grid = op.grid
-    nw = grid.ny_w - 1
-    rhs = np.zeros((nw + grid.ny_h - 2, grid.nx - 2),
+    nh = grid.ny_h - 2
+    rhs = np.zeros((nh + grid.ny_w - 1, grid.nx - 2),
                    dtype=np.result_type(*op.coeffs, float))
-    if g_k is not None:
-        rhs[1:nw] = g_k[1:nw, 1:-1]
     if f_k is not None:
-        rhs[nw:] = f_k[1:-1, 1:-1]
+        rhs[:nh] = f_k[1:-1, 1:-1]
+    if g_k is not None:
+        rhs[nh + 1:] = g_k[1:-1, 1:-1]
     return rhs.ravel()
 
 
@@ -316,31 +300,29 @@ def solve_linear(op: ModeOperator, rhs: np.ndarray, tol: float = 1e-10) -> np.nd
         return np.zeros_like(rhs)
     grid = op.grid
     band, interior = _column_band(grid, *op.coeffs)
-    blocks = _row_blocks(grid)
-    b = rhs.reshape(-1, grid.nx - 2)[blocks]
-    xb, r = _checked_solve(band, interior, grid.hx, b, f"mode k={op.k}", tol)
-    nh = grid.ny_h - 2  # the heat rows come first in band order
+    x, r = _checked_solve(band, interior, grid.hx, rhs.reshape(-1, grid.nx - 2),
+                          f"mode k={op.k}", tol)
+    nh = grid.ny_h - 2  # the heat rows come first
     op.residual_heat = float(np.linalg.norm(r[:nh]) / bnorm)
     op.residual_wave = float(np.linalg.norm(r[nh:]) / bnorm)
-    x = np.empty_like(xb)
-    x[blocks] = xb
     return x.ravel()
 
 
 def split_mode_solution(op: ModeOperator, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Scatter a solution vector into wave and heat nodal arrays.
+    """Scatter a solution vector (unknown order of the module docstring)
+    into wave and heat nodal arrays.
 
     The heat array includes the derived interface trace u = c_trace * w in
     its last row (zero for the mean pair).
     """
     grid = op.grid
-    nw = grid.ny_w - 1
+    nh = grid.ny_h - 2
     xb = x.reshape(-1, grid.nx - 2)
     w = np.zeros((grid.ny_w, grid.nx), dtype=x.dtype)
-    w[:nw, 1:-1] = xb[:nw]
+    w[:-1, 1:-1] = xb[nh:]
     u = np.zeros((grid.ny_h, grid.nx), dtype=x.dtype)
-    u[1:-1, 1:-1] = xb[nw:]
-    if op.k:
+    u[1:-1, 1:-1] = xb[:nh]
+    if op.k:  # at k = 0 the product would write -0 where w is negative
         u[-1, :] = op.coeffs[2] * w[0, :]
     return w, u
 
@@ -359,6 +341,10 @@ class MeanPair:
     residual_heat: float
     residual_wave: float
 
+    @property
+    def residual(self) -> float:
+        return float(np.hypot(self.residual_heat, self.residual_wave))
+
 
 def solve_mean_pair(grid: Grid, mean_f: np.ndarray | None,
                     mean_g: np.ndarray | None, tol: float = 1e-10,
@@ -370,7 +356,8 @@ def solve_mean_pair(grid: Grid, mean_f: np.ndarray | None,
     heat average solves a Dirichlet problem and its one-sided interface
     flux is the Neumann data of the wave average. residual_heat and
     residual_wave are the heat-row and wave-row (interface included) parts
-    of ||Ax - b|| / ||b||; solve_linear holds the whole against tol.
+    of ||Ax - b|| / ||b||; residual is the whole, which solve_linear holds
+    against tol.
     """
     op = ModeOperator(0, 0.0, grid, (eps * eps, eps, 0.0))
     x = solve_linear(op, mode_rhs(op, mean_f, mean_g), tol=tol)

@@ -141,7 +141,7 @@ def solve_periodic_harmonic(grid: Grid, f: FourierField | None,
     pair = ops.solve_mean_pair(grid, mean_f, mean_g, tol=tol, eps=eps)
     u_out.coeffs[n_modes] = pair.mean_u
     w_out.coeffs[n_modes] = pair.mean_w
-    residuals[0] = max(pair.residual_heat, pair.residual_wave)
+    residuals[0] = pair.residual
     t_mean = time.perf_counter()
 
     for k in range(1, n_modes + 1):

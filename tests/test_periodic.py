@@ -93,6 +93,24 @@ def test_mean_invariance():
     assert np.max(np.abs(rep.w.mode(0) - pair.mean_w)) == 0.0
 
 
+def test_mode_zero_reports_the_whole_residual():
+    # mode 0 records ||A x - b|| / ||b||, the hypot of its heat-row and
+    # wave-row parts, as every other mode does (not the larger part)
+    grid = grid_n(17)
+    X, Y = np.meshgrid(grid.x, grid.y_h)
+    mean_f = np.sin(X) * Y * (Y + 1)
+    X, Y = np.meshgrid(grid.x, grid.y_w)
+    mean_g = np.sin(X) * (1 - Y)
+    f = FourierField.from_mode_dict(T, 1, {0: mean_f}, HEAT)
+    g = FourierField.from_mode_dict(T, 1, {0: mean_g}, WAVE)
+    rep = hwp.solve_periodic_harmonic(grid, f, g, 1)
+    pair = hwp.solve_mean_pair(grid, mean_f, mean_g)
+    assert pair.residual_heat > 0 and pair.residual_wave > 0
+    assert pair.residual == np.hypot(pair.residual_heat, pair.residual_wave)
+    assert rep.mode_residuals[0] == pair.residual
+    assert rep.mode_residuals[0] > max(pair.residual_heat, pair.residual_wave)
+
+
 def test_trace_primitive_is_interface_trace():
     grid = grid_n(9)
     from hwp.cli import smooth_heat_forcing
@@ -167,15 +185,16 @@ def test_contraction_strengthens_with_damping():
 
 def _dense_first_order_step(grid, eps, dt, y, g, f):
     """Reference trapezoidal step of the first-order (w, v, u) system,
-    assembled densely with plain loops. The interface v slot carries the
-    flux-balance row at the new level; the heat interface trace is v."""
+    assembled densely with plain loops, the state in the order of
+    _band_state. The interface v slot carries the flux-balance row at the
+    new level; the heat interface trace is v."""
     wid, hid = {}, {}
-    for j in range(grid.ny_w - 1):
-        for i in range(1, grid.nx - 1):
-            wid[j, i] = len(wid)
     for j in range(1, grid.ny_h - 1):
         for i in range(1, grid.nx - 1):
             hid[j, i] = len(hid)
+    for j in range(grid.ny_w - 1):
+        for i in range(1, grid.nx - 1):
+            wid[j, i] = len(hid) + len(wid)
     nw = len(wid)
     n = 2 * nw + len(hid)
     hx, hyw, hyh = grid.hx, grid.hy_w, grid.hy_h
@@ -193,9 +212,9 @@ def _dense_first_order_step(grid, eps, dt, y, g, f):
             if (2, i) in wid:
                 alg[r, wid[2, i]] -= 1 / (2 * hyw)
             alg[r, nw + p] -= 3 / (2 * hyh)
-            alg[r, 2 * nw + hid[grid.ny_h - 2, i]] += 4 / (2 * hyh)
+            alg[r, hid[grid.ny_h - 2, i]] += 4 / (2 * hyh)
             if (grid.ny_h - 3, i) in hid:
-                alg[r, 2 * nw + hid[grid.ny_h - 3, i]] -= 1 / (2 * hyh)
+                alg[r, hid[grid.ny_h - 3, i]] -= 1 / (2 * hyh)
             continue
         k[r, p] = -2 / hx**2 - 2 / hyw**2 - eps**2
         k[r, r] = -2 * eps
@@ -203,14 +222,13 @@ def _dense_first_order_step(grid, eps, dt, y, g, f):
             if (jj, ii) in wid:
                 k[r, wid[jj, ii]] += 1 / h**2
         force[r] = g[j, i]
-    for (j, i), q in hid.items():
-        r = 2 * nw + q
+    for (j, i), r in hid.items():
         k[r, r] = -2 / hx**2 - 2 / hyh**2 - eps
         for jj, ii, h in ((j, i - 1, hx), (j, i + 1, hx), (j - 1, i, hyh), (j + 1, i, hyh)):
             if jj == grid.ny_h - 1 and 0 < ii < grid.nx - 1:
                 k[r, nw + wid[0, ii]] += 1 / h**2  # heat trace = v
             elif (jj, ii) in hid:
-                k[r, 2 * nw + hid[jj, ii]] += 1 / h**2
+                k[r, hid[jj, ii]] += 1 / h**2
         force[r] = f[j, i]
     lhs = np.diag(ode) - 0.5 * dt * k
     rhs = np.diag(ode) + 0.5 * dt * k
@@ -223,7 +241,7 @@ def _dense_first_order_step(grid, eps, dt, y, g, f):
 class _SparseMarch:
     """The sparse trapezoidal step the march used before the sine basis,
     kept as its oracle, with the interface of periodic._SineMarch. The
-    state (w, v, u) is one vector in the row blocks of operators.mode_rhs;
+    state is one vector in the unknown order of operators (_band_state);
     the new level is factored by splu, the old level is a sparse matrix and
     c[:, i] is the data of step i before the solve."""
 
@@ -232,16 +250,16 @@ class _SparseMarch:
         self.s = s = 2.0 / dt
         op = ops.ModeOperator(0, 0.0, grid, ((s + eps) ** 2, s + eps, s))
         nw, nh = op.n_wave, op.n_heat
-        self.nw, self.shape = nw, (2 * nw + nh,)
-        iface = np.arange(nw) < grid.nx - 2  # the first row block
-        interior_rows = sp.diags(np.concatenate((~iface, np.ones(nh, bool))).astype(float))
+        self.nh, self.nw, self.shape = nh, nw, (nh + 2 * nw,)
+        iface = np.arange(nw) < grid.nx - 2  # the first wave row
+        interior_rows = sp.diags(np.concatenate((np.ones(nh, bool), ~iface)).astype(float))
         old = -(interior_rows @ ops.coupled_matrix(
             grid, -(s * s + 2 * eps * s - eps**2), -(s - eps), -s)).tocsc()
         c = 3.0 / (2 * grid.hy_h)
-        self.rhs_mat = sp.hstack([
-            old[:, :nw] + sp.diags(np.where(iface, -c * s, 0.0), shape=(nw + nh, nw)),
-            sp.diags(np.where(iface, -c, 2 * s), shape=(nw + nh, nw)),
-            old[:, nw:]]).tocsr()
+        self.rhs_mat = sp.hstack([  # columns u, w, v; v enters the w rows only
+            old[:, :nh],
+            old[:, nh:] + sp.diags(np.where(iface, -c * s, 0.0), -nh, shape=(nh + nw, nw)),
+            sp.diags(np.where(iface, -c, 2 * s), -nh, shape=(nh + nw, nw))]).tocsr()
         self.lu = spla.splu(op.matrix.tocsc())
         times = np.arange(n_steps + 1) * dt
         gs = None if g is None else g.sample_real(times)
@@ -254,13 +272,13 @@ class _SparseMarch:
         self.mass_h = quad.trap_mass(grid.ny_h, grid.nx, grid.hx, grid.hy_h)
 
     def fields(self, y):
-        grid, nw, m = self.grid, self.nw, self.grid.nx - 2
+        grid, nh, nw, m = self.grid, self.nh, self.nw, self.grid.nx - 2
         w = np.zeros((grid.ny_w, grid.nx))
         v = np.zeros((grid.ny_w, grid.nx))
         u = np.zeros((grid.ny_h, grid.nx))
-        w[:-1, 1:-1] = y[:nw].reshape(-1, m)
-        v[:-1, 1:-1] = y[nw:2 * nw].reshape(-1, m)
-        u[1:-1, 1:-1] = y[2 * nw:].reshape(-1, m)
+        u[1:-1, 1:-1] = y[:nh].reshape(-1, m)
+        w[:-1, 1:-1] = y[nh:nh + nw].reshape(-1, m)
+        v[:-1, 1:-1] = y[nh + nw:].reshape(-1, m)
         u[-1, :] = v[0, :]
         return w, v, u
 
@@ -270,24 +288,24 @@ class _SparseMarch:
         return grad + quad.norm_sq(self.mass_w, v) + quad.norm_sq(self.mass_h, u)
 
     def step(self, y, i):
-        x = self.lu.solve(self.rhs_mat @ y + self.c[:, i])
-        w_new = x[:self.nw]
-        v_new = self.s * (w_new - y[:self.nw]) - y[self.nw:2 * self.nw]
-        return np.concatenate((w_new, v_new, x[self.nw:]))
+        nh, nw = self.nh, self.nw
+        x = self.lu.solve(self.rhs_mat @ y + self.c[:, i])  # the new u and w
+        v_new = self.s * (x[nh:] - y[nh:nh + nw]) - y[nh + nw:]
+        return np.concatenate((x, v_new))
 
 
-def _block_state(w, v, u):
-    """(w, v, u) as one vector in the row blocks: interface and wave
-    interior rows of w, the same of v, then the heat interior of u."""
-    return np.concatenate((w[:-1, 1:-1].ravel(), v[:-1, 1:-1].ravel(), u[1:-1, 1:-1].ravel()))
+def _band_state(w, v, u):
+    """(w, v, u) as one vector in the unknown order of operators: the heat
+    interior rows of u, then the interface and wave interior rows of w,
+    then the same of v."""
+    return np.concatenate((u[1:-1, 1:-1].ravel(), w[:-1, 1:-1].ravel(), v[:-1, 1:-1].ravel()))
 
 
 def _sine_state(grid, y):
-    """A row-block state vector as the state of _SineMarch: per x-frequency
-    the rows of u, w, then v, in the sine basis."""
-    m, nw = grid.nx - 2, (grid.ny_w - 1) * (grid.nx - 2)
-    rows = np.concatenate([part.reshape(-1, m) for part in (y[2 * nw:], y[:nw], y[nw:2 * nw])])
-    return ops._sine_basis(m) @ rows.T
+    """A _band_state vector as the state of _SineMarch: per x-frequency the
+    same rows (u, w, then v) in the sine basis."""
+    m = grid.nx - 2
+    return ops._sine_basis(m) @ y.reshape(-1, m).T
 
 
 def _constant_forcing(dt, g, f):
@@ -307,7 +325,7 @@ def test_march_step_matches_dense_first_order_step(n):
     g = rng.standard_normal((grid.ny_w, grid.nx))
     f = rng.standard_normal((grid.ny_h, grid.nx))
     march = _SineMarch(grid, eps, dt, 1, *_constant_forcing(dt, g, f))
-    got = _block_state(*march.fields(march.step(_sine_state(grid, y), 0)))
+    got = _band_state(*march.fields(march.step(_sine_state(grid, y), 0)))
     ref = _dense_first_order_step(grid, eps, dt, y, g, f)
     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -322,7 +340,7 @@ def test_sine_step_matches_sparse_step(n):
     forcing = _constant_forcing(dt, rng.standard_normal((grid.ny_w, grid.nx)),
                                 rng.standard_normal((grid.ny_h, grid.nx)))
     march = _SineMarch(grid, eps, dt, 1, *forcing)
-    got = _block_state(*march.fields(march.step(_sine_state(grid, y), 0)))
+    got = _band_state(*march.fields(march.step(_sine_state(grid, y), 0)))
     ref = _SparseMarch(grid, eps, dt, 1, *forcing).step(y, 0)
     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -362,7 +380,7 @@ def test_epsilon_march_assembles_no_matrix(monkeypatch):
     from hwp import periodic
 
     def no_assembly(*args, **kwargs):
-        raise AssertionError("the march must not assemble a matrix or row-block data")
+        raise AssertionError("the march must not assemble a matrix or mode_rhs data")
 
     monkeypatch.setattr(ops, "coupled_matrix", no_assembly)
     monkeypatch.setattr(ops, "mode_rhs", no_assembly)
