@@ -34,7 +34,7 @@ def _subdomain_dims(grid: Grid, domain: str) -> tuple[int, int, float, float]:
 
 
 def _spatial_norm_sq(field_: FourierField, grid: Grid, flavor: str) -> np.ndarray:
-    """Per-mode squared spatial norms ||c_k||^2, k = -N..N, one mode at a time."""
+    """Per-mode squared spatial norms ||c_k||^2, k = 0..N, one mode at a time."""
     if field_.domain == INTERFACE:
         if flavor != "l2":
             raise AnalysisError("interface fields only carry the L2 flavor")
@@ -53,14 +53,16 @@ def sobolev_time_norm(field_: FourierField, s: float, grid: Grid,
                       spatial_flavor: str = "l2") -> float:
     """Sobolev-in-time norm by Plancherel weighting:
 
-        value^2 = sum_k (1 + (w k)^2)^s ||c_k||^2_flavor.
+        value^2 = sum_{k=-N..N} (1 + (w k)^2)^s ||c_k||^2_flavor,
+
+    summed over the stored modes k >= 0 with the weights 1 and 2.
     """
     if not -8.0 <= s <= 8.0:
         raise AnalysisError(f"time exponent s={s} outside [-8, 8]")
     if not np.all(np.isfinite(field_.coeffs)):
         raise AnalysisError("sobolev_time_norm: field has non-finite coefficients")
     ks = field_.wavenumbers().astype(float)
-    weights = (1.0 + (field_.omega * ks) ** 2) ** s
+    weights = field_.mode_weights() * (1.0 + (field_.omega * ks) ** 2) ** s
     return float(np.sqrt(np.sum(weights * _spatial_norm_sq(field_, grid, spatial_flavor))))
 
 
@@ -95,16 +97,9 @@ def _parseval_modes(period: float, fields: dict[str, FourierField | None]
     weight_k = T for k = 0 and 2T for k > 0. Returns the modes k >= 0 at
     which any given field has a non-zero coefficient, their weights, and
     each field's coefficients at those modes, shape (K, *spatial) (None
-    stays None). A field is real only if it is Hermitian-symmetric,
-    max |c_-k - conj(c_k)| <= 1e-9 max |c|; one that is not raises
-    AnalysisError naming it.
+    stays None). Every FourierField is real by construction.
     """
     given = {name: f for name, f in fields.items() if f is not None}
-    for name, f in given.items():
-        defect = f.hermitian_defect()
-        if not defect <= 1e-9:
-            raise AnalysisError(f"{name} is not a real field: relative Hermitian "
-                                f"defect {defect:.3e} > 1e-9")
     n = max(f.n_modes for f in given.values())
     ks = np.array([k for k in range(n + 1)
                    if any(k <= f.n_modes and np.any(f.mode(k)) for f in given.values())],
@@ -113,7 +108,7 @@ def _parseval_modes(period: float, fields: dict[str, FourierField | None]
     for name, f in given.items():
         own = ks <= f.n_modes
         stacks[name] = np.zeros((len(ks),) + f.spatial_shape, dtype=complex)
-        stacks[name][own] = f.coeffs[f.n_modes + ks[own]]
+        stacks[name][own] = f.coeffs[ks[own]]
     return ks, np.where(ks == 0, period, 2.0 * period), stacks
 
 
@@ -166,9 +161,7 @@ def multiplier_identity_residual(w: FourierField, g: FourierField,
 
     all boundary terms on the left reduced through the boundary conditions.
     Every time integral is an exact Parseval sum over the modes k >= 0 that
-    carry data (see _parseval_modes). Requires real w, g, h and H (each
-    Hermitian-symmetric, else AnalysisError naming it) and mean-free g, h
-    and H.
+    carry data (see _parseval_modes). Requires mean-free g, h and H.
 
     The four area terms are summed over strips of cell rows of about
     ``fields._JET_CHUNK`` cells each (see _area_sums), with the field's jets
@@ -259,7 +252,7 @@ def equipartition_residual(w: FourierField, g: FourierField, grid: Grid) -> floa
     Neumann data; uses the edge Dirichlet form and interior mass so the
     identity is exact (to round-off) when g is manufactured from the
     discrete operators. The time integrals are one Parseval sum over the
-    modes that carry data (see _parseval_modes); w and g must be real.
+    modes that carry data (see _parseval_modes).
     """
     mass = quad.interior_mass(grid.ny_w, grid.nx, grid.hx, grid.hy_w)
     ks, weight, modes = _parseval_modes(w.period, {"w": w, "g": g})
@@ -296,27 +289,24 @@ def _test_factors(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _test_coefficients(rng: np.random.Generator,
                        n_tests: int) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients of n_tests random test pairs in the fields of
-    ``_test_factors``, shape (n_tests, 2*_TEST_MODES+1, 6), rows k = -2..2.
+    ``_test_factors``, shape (n_tests, _TEST_MODES+1, 6), rows k = 0..2.
 
     Per mode k >= 0 the draws are c, m, cw, ch, mw: psi_k = c sin(m x)(1-y)^2
     + cw sin(mw x) sin(pi y) and phi_k = c sin(m x)(1+y)^2 + ch sin(mw x)
     sin(pi (1+y)), so psi and phi share their interface trace; the
-    coefficients are real at k = 0 and mode -k is the conjugate of mode k.
+    coefficients are real at k = 0 (mode -k is the conjugate of mode k).
     """
     def draw(k):
         return rng.standard_normal() + (1j * rng.standard_normal() if k else 0)
 
-    n = _TEST_MODES
-    a = np.zeros((n_tests, 2 * n + 1, 6), dtype=complex)
+    a = np.zeros((n_tests, _TEST_MODES + 1, 6), dtype=complex)
     b = np.zeros_like(a)
     for t in range(n_tests):
-        for k in range(n + 1):
+        for k in range(_TEST_MODES + 1):
             c, m = draw(k), rng.integers(1, 4)
             cw, ch, mw = draw(k), draw(k), rng.integers(1, 4)
-            a[t, n + k, [m - 1, mw + 2]] = c, cw
-            b[t, n + k, [m - 1, mw + 2]] = c, ch
-    a[:, :n] = np.conj(a[:, :n:-1])
-    b[:, :n] = np.conj(b[:, :n:-1])
+            a[t, k, [m - 1, mw + 2]] = c, cw
+            b[t, k, [m - 1, mw + 2]] = c, ch
     return a, b
 
 
@@ -346,8 +336,10 @@ def weak_residual(report: SolveReport, f: FourierField | None,
       + sum_interface hx tau * [dy w_k - dy u_k]    (one-sided differences)
       - (g_k, psi_k) - (f_k, phi_k),
 
-    summed over modes with the Parseval weight. The bilinear forms are the
-    edge Dirichlet forms paired exactly (summation by parts) with the
+    summed over modes with the Parseval weight (mode -k is the conjugate of
+    mode k, so this is the real part of the sum over k >= 0 with the weights
+    1 and 2). The bilinear forms are the edge Dirichlet forms paired exactly
+    (summation by parts) with the
     five-point interior equations, so the defect measures genuine equation
     violation rather than quadrature disagreement: it sits at round-off for
     a converged harmonic solve and grows immediately under perturbation.
@@ -375,20 +367,19 @@ def weak_residual(report: SolveReport, f: FourierField | None,
             raise AnalysisError(f"weak residual: field {name!r} has non-finite coefficients")
     period, omega = report.period, w.omega
     n_shared = min(_TEST_MODES, max(x.n_modes for x in fields_.values() if x is not None))
-    ks = np.arange(-n_shared, n_shared + 1)[:, None]
+    ks = np.arange(n_shared + 1)[:, None]
     hx = grid.hx
     sines, y_w, y_h = _test_factors(grid)
     x_factors = np.concatenate([sines, _edge_scatter(sines)]).T
     x_factors[[0, -1], :3] = 0.0  # the masses weigh interior nodes only
 
     def pairings(field_, y, hy):
-        """The interior-mass and sbp_apply pairings of modes -n_shared..n_shared
-        of field_ (zero past its own) with the 6 fields, each (K, 6), and the
+        """The interior-mass and sbp_apply pairings of modes 0..n_shared of
+        field_ (zero past its own) with the 6 fields, each (K, 6), and the
         real and imaginary parts of their x sums against sin(m x)."""
-        n, c = min(n_shared, field_.n_modes), field_.coeffs
-        live = c[field_.n_modes - n:field_.n_modes + n + 1]
-        xs = np.zeros((2, 2 * n_shared + 1, c.shape[1], 6))
-        xs[:, n_shared - n:n_shared + n + 1] = live.real @ x_factors, live.imag @ x_factors
+        live = field_.coeffs[:n_shared + 1]
+        xs = np.zeros((2, n_shared + 1, live.shape[1], 6))
+        xs[:, :len(live)] = live.real @ x_factors, live.imag @ x_factors
         inner = np.einsum("ty,rkym->rktm", y[:, 1:-1], xs[..., 1:-1, :])
         edge = np.einsum("ty,rkym->rktm", _edge_scatter(y), xs[..., :3])
         mass = hx * hy * inner[..., :3]
@@ -412,17 +403,18 @@ def weak_residual(report: SolveReport, f: FourierField | None,
     l2_w, h1_w = _gram(sines, y_w, hx, grid.hy_w)
     l2_h, h1_h = _gram(sines, y_h, hx, grid.hy_h)
     a, b = _test_coefficients(np.random.default_rng(seed), n_tests)
-    shared = slice(_TEST_MODES - n_shared, _TEST_MODES + n_shared + 1)
-    defect = period * (np.einsum("tkj,kj->t", np.conj(a[:, shared]), proj_w)
-                       + np.einsum("tkj,kj->t", np.conj(b[:, shared]), proj_h))
-    time_weight = 1.0 + (omega * np.arange(-_TEST_MODES, _TEST_MODES + 1)) ** 2
+    weight = np.where(np.arange(_TEST_MODES + 1) == 0, 1.0, 2.0)
+    shared = weight[:n_shared + 1, None]
+    defect = period * (np.einsum("tkj,kj->t", np.conj(a[:, :n_shared + 1]), shared * proj_w)
+                       + np.einsum("tkj,kj->t", np.conj(b[:, :n_shared + 1]), shared * proj_h))
+    time_weight = 1.0 + (omega * np.arange(_TEST_MODES + 1)) ** 2
 
     def quad_form(c, gram):
         return np.einsum("tki,ij,tkj->tk", np.conj(c), gram, c).real
 
-    scale_sq = (time_weight * (quad_form(a, l2_w) + quad_form(b, l2_h))
-                + quad_form(a, h1_w) + quad_form(b, h1_h)).sum(axis=1)
-    return float(np.max(np.abs(defect) / np.maximum(np.sqrt(scale_sq), 1e-300)))
+    scale_sq = (weight * (time_weight * (quad_form(a, l2_w) + quad_form(b, l2_h))
+                          + quad_form(a, h1_w) + quad_form(b, h1_h))).sum(axis=1)
+    return float(np.max(np.abs(defect.real) / np.maximum(np.sqrt(scale_sq), 1e-300)))
 
 
 # ---------------------------------------------------------------------------
@@ -430,27 +422,29 @@ def weak_residual(report: SolveReport, f: FourierField | None,
 # ---------------------------------------------------------------------------
 
 def _dual_time_norm_sq(f: FourierField | None, grid: Grid, s: float) -> float:
-    """sum_k (1+(wk)^2)^s ||f_k||^2_dual with the discrete Dirichlet dual,
-    all modes in one solve."""
+    """sum_{k=-N..N} (1+(wk)^2)^s ||f_k||^2_dual with the discrete Dirichlet
+    dual, the modes k >= 0 in one solve."""
     if f is None:
         return 0.0
-    weight = (1.0 + (f.omega * f.wavenumbers()) ** 2) ** s
+    weight = f.mode_weights() * (1.0 + (f.omega * f.wavenumbers()) ** 2) ** s
     return float(weight @ ops.heat_dual_norm_sq(grid, f.coeffs))
 
 
 def _sup_time_norm(field_: FourierField, grid: Grid, flavor: str) -> float:
-    n_samples = 128  # uniform times per period
-    times = np.arange(n_samples) * field_.period / n_samples
-    samples = field_.sample_real(times, tol=1e-6)
+    """Max over 128 uniform times of the spatial norm, sampled N+1 times at
+    a time, so the samples never outgrow one mode stack."""
+    n_samples, chunk = 128, field_.n_modes + 1
     ny, nx, hx, hy = _subdomain_dims(grid, field_.domain)
     mass = quad.trap_mass(ny, nx, hx, hy)
     best = 0.0
-    for m in range(n_samples):
-        if flavor == "l2":
-            val = quad.norm_sq(mass, samples[m])
-        else:
-            val = quad.gradient_energy(samples[m], hx, hy)
-        best = max(best, val)
+    for start in range(0, n_samples, chunk):
+        times = np.arange(start, min(start + chunk, n_samples)) * field_.period / n_samples
+        for sample in field_.sample_real(times):
+            if flavor == "l2":
+                val = quad.norm_sq(mass, sample)
+            else:
+                val = quad.gradient_energy(sample, hx, hy)
+            best = max(best, val)
     return float(np.sqrt(best))
 
 
@@ -491,16 +485,16 @@ def estimate_check(report: SolveReport, f: FourierField | None,
                                 "with a positive damping shift")
         eps = float(report.params["eps"])
         omega = u.omega
-        wk_u = np.array([(omega * kk) ** (2 * k) for kk in u.wavenumbers()])
+        wk_u = u.mode_weights() * (omega * u.wavenumbers()) ** (2 * k)
         u_h1 = float(np.sum(wk_u * _spatial_norm_sq(u, grid, "h1")))
         u_l2 = float(np.sum(wk_u * _spatial_norm_sq(u, grid, "l2")))
-        wk_w = np.array([(omega * kk) ** (2 * (k + 1)) for kk in w.wavenumbers()])
+        wk_w = w.mode_weights() * (omega * w.wavenumbers()) ** (2 * (k + 1))
         w_l2 = float(np.sum(wk_w * _spatial_norm_sq(w, grid, "l2")))
         lhs = u_h1 + eps * u_l2 + eps * w_l2
         rhs = _dual_time_norm_sq(f.derivative(k) if f is not None else None, grid, 0.0)
         if g is not None:
             g_k = g.derivative(k)
-            rhs += float(np.sum(_spatial_norm_sq(g_k, grid, "l2"))) / eps
+            rhs += float(g_k.mode_weights() @ _spatial_norm_sq(g_k, grid, "l2")) / eps
         out.update(lhs=lhs, rhs=rhs, eps=eps, order=k)
     elif variant == "interface-sign":
         spec = graph_vertical(2.0)
@@ -510,9 +504,9 @@ def estimate_check(report: SolveReport, f: FourierField | None,
         b = jet_batch(spec, np.stack([xc.ravel(), yc.ravel()], axis=1))["b"]
         bx = b[:, 0].reshape(xc.shape)
         by = b[:, 1].reshape(xc.shape)
-        for idx in range(w_free.coeffs.shape[0]):
-            fx, fy = quad.cell_gradient(w_free.coeffs[idx], grid.hx, grid.hy_w)
-            dbw_sq += float(np.sum(np.abs(bx * fx + by * fy) ** 2)) * grid.hx * grid.hy_w
+        for weight, c in zip(w_free.mode_weights(), w_free.coeffs):
+            fx, fy = quad.cell_gradient(c, grid.hx, grid.hy_w)
+            dbw_sq += weight * float(np.sum(np.abs(bx * fx + by * fy) ** 2)) * grid.hx * grid.hy_w
         lhs = (sobolev_time_norm(w_free, 0, grid, "l2")
                + float(np.sqrt(dbw_sq)))
         g_free = mean_decompose(g)[1] if g is not None else None

@@ -28,7 +28,7 @@ from .errors import (AliasingError, AnalysisError, ClosedFormError,
 from .fields import parse_field
 from .mesh import DEMO_DOMAINS, build_stacked_rectangles, sample_domain
 from .periodic import solve_periodic_harmonic
-from .timefourier import HEAT, WAVE, FourierField
+from .timefourier import HEAT, WAVE, FourierField, hermitian_defect
 
 COMMANDS = ("solve", "epsilon-sweep", "geometry-check", "identity-check",
             "regularity-scan", "example-gen")
@@ -272,9 +272,9 @@ def parse_scenario(text: str, command: str, out_dir: str = ".") -> Scenario:
 # ---------------------------------------------------------------------------
 
 # A coefficient file describes a real forcing, so c_{-k} = conj(c_k). Files
-# written with %.17g round-trip exactly; the tolerance on
-# FourierField.hermitian_defect (relative to the largest coefficient) only
-# forgives round-off from other writers.
+# written with %.17g round-trip exactly; the tolerance on the file's
+# hermitian_defect (relative to the largest coefficient) only forgives
+# round-off from other writers. The field then keeps the modes k >= 0.
 HERMITIAN_TOL = 1e-12
 
 
@@ -306,15 +306,15 @@ def _load_coefficient_file(path: str, period: float, shape, domain: str,
             f"modes = {modes}")
     ks = raw["k"].astype(int)
     n = int(np.max(np.abs(ks))) if len(ks) else 0
-    f = FourierField.zeros(period, n, shape, domain)
-    np.add.at(f.coeffs, (ks + n, raw["j"].astype(int), raw["i"].astype(int)),
+    coeffs = np.zeros((2 * n + 1,) + tuple(shape), dtype=complex)
+    np.add.at(coeffs, (ks + n, raw["j"].astype(int), raw["i"].astype(int)),
               raw["re"] + 1j * raw["im"])
-    defect = f.hermitian_defect()
+    defect = hermitian_defect(coeffs)
     if defect > HERMITIAN_TOL:
         raise ConfigurationError(
             f"coefficient file {path}: not a real forcing, c(-k) != conj(c(k)) "
             f"(relative defect {defect:.3e} > {HERMITIAN_TOL:.0e})")
-    return f
+    return FourierField(period, coeffs[n:].copy(), domain)
 
 
 def _wave_forcing(scn: Scenario, grid) -> tuple[FourierField | None, FourierField | None, dict]:
@@ -341,8 +341,7 @@ def smooth_heat_forcing(grid, period: float, k: int = 1,
     shape = np.sin(np.pi * grid.x / grid.lx)[None, :] * (1.0 + grid.y_h / grid.ly_h)[:, None]
     if k < 1:
         raise ConfigurationError(f"smooth heat forcing needs k >= 1, got {k}")
-    c = 0.5 * amplitude * shape
-    return FourierField.from_mode_dict(period, k, {k: c, -k: c}, HEAT)
+    return FourierField.from_mode_dict(period, k, {k: 0.5 * amplitude * shape}, HEAT)
 
 
 def _heat_forcing(scn: Scenario, grid) -> tuple[FourierField | None, dict]:
@@ -388,18 +387,19 @@ def _run_solve(scn: Scenario) -> dict:
 
     mass_w = quadr.trap_mass(grid.ny_w, grid.nx, grid.hx, grid.hy_w)
     mass_h = quadr.trap_mass(grid.ny_h, grid.nx, grid.hx, grid.hy_h)
-    ks = list(range(-scn["modes"], scn["modes"] + 1))
+    # rows k = -N..N from the modes k >= 0: mode -k, the conjugate of mode k,
+    # has its norms
+    ks = np.arange(-scn["modes"], scn["modes"] + 1)
+    u_norm = np.sqrt([quadr.norm_sq(mass_h, c) for c in report.u.coeffs])
+    w_norm = np.sqrt([quadr.norm_sq(mass_w, c) for c in report.w.coeffs])
+    residual = np.array([report.mode_residuals.get(k, 0.0) for k in range(scn["modes"] + 1)])
     reporting.write_csv(_out(scn, "_modes.csv"), ["k", "u_norm", "w_norm", "residual"],
-                        [ks, [np.sqrt(quadr.norm_sq(mass_h, report.u.mode(k))) for k in ks],
-                         [np.sqrt(quadr.norm_sq(mass_w, report.w.mode(k))) for k in ks],
-                         [report.mode_residuals.get(abs(k), 0.0) for k in ks]])
+                        [ks, u_norm[abs(ks)], w_norm[abs(ks)], residual[abs(ks)]])
 
-    for j in range(8):
-        t = j * report.period / 8.0
-        w_snap = report.w.sample_real(np.array([t]))[0]
-        u_snap = report.u.sample_real(np.array([t]))[0]
-        reporting.write_grid_csv(_out(scn, f"_w_t{j}.csv"), w_snap)
-        reporting.write_grid_csv(_out(scn, f"_u_t{j}.csv"), u_snap)
+    times = np.arange(8) * report.period / 8.0
+    for name, field_ in (("w", report.w), ("u", report.u)):
+        for j, snap in enumerate(field_.sample_real(times)):
+            reporting.write_grid_csv(_out(scn, f"_{name}_t{j}.csv"), snap)
 
     summary = {
         "grid": {"nx": grid.nx, "ny_w": grid.ny_w, "ny_h": grid.ny_h,
@@ -539,11 +539,11 @@ def _run_example_gen(scn: Scenario) -> dict:
     grid = _build_grid(scn)
     n = scn["mode"]
     g, w = closedform.analytic_mode(n, grid)
-    c = np.stack([g.mode(n), g.mode(-n)])
+    amp_g, amp_w = closedform.mode_amplitudes(n, grid)
+    c = np.stack([-0.5j * amp_g, 0.5j * amp_g])  # the modes k = +-n of sin(n t) A_g
     m, j, i = np.nonzero(c)  # row-major: the nodes of k = n, then of k = -n
     reporting.write_csv(_out(scn, "_g_coeffs.csv"), ["k", "j", "i", "re", "im"],
                         [np.array([n, -n])[m], j, i, c[m, j, i].real, c[m, j, i].imag])
-    amp_w = np.sin(n * grid.x)[None, :] * closedform.bump_profile().phi(grid.y_w)[:, None]
     reporting.write_grid_csv(_out(scn, "_w_amplitude.csv"), amp_w)
     payload = {
         "mode": n,

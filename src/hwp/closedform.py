@@ -75,21 +75,22 @@ def _check_reference_geometry(grid: Grid) -> None:
             f"(0, pi) x (0, 1); got Lx={grid.lx:g}, Ly_w={grid.ly_w:g}")
 
 
-def analytic_mode(n: int, grid: Grid) -> tuple[FourierField, FourierField]:
-    """Nodal samples of (g_n, w_n), with the quartic bump phi of
-    bump_profile(), as Fourier fields on the wave subgrid."""
+def mode_amplitudes(n: int, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Nodal amplitudes (A_g, A_w) on the wave subgrid of g_n = sin(n t) A_g
+    and w_n = sin(n t) A_w, with the quartic bump phi of bump_profile()."""
     if n < 1:
         raise ClosedFormError(f"mode index must be >= 1, got {n}")
     _check_reference_geometry(grid)
     profile = bump_profile()
     sx = np.sin(n * grid.x)[None, :]
-    w_amp = sx * profile.phi(grid.y_w)[:, None]
-    g_amp = -sx * profile.d2phi(grid.y_w)[:, None]
+    return -sx * profile.d2phi(grid.y_w)[:, None], sx * profile.phi(grid.y_w)[:, None]
+
+
+def analytic_mode(n: int, grid: Grid) -> tuple[FourierField, FourierField]:
+    """(g_n, w_n) of mode_amplitudes as Fourier fields on the wave subgrid."""
     # sin(n t) A = -(i/2) A e^{i n t} + (i/2) A e^{-i n t}
-    w = FourierField.from_mode_dict(REFERENCE_PERIOD, n,
-                                    {n: -0.5j * w_amp, -n: 0.5j * w_amp}, WAVE)
-    g = FourierField.from_mode_dict(REFERENCE_PERIOD, n,
-                                    {n: -0.5j * g_amp, -n: 0.5j * g_amp}, WAVE)
+    g, w = (FourierField.from_mode_dict(REFERENCE_PERIOD, n, {n: -0.5j * amp}, WAVE)
+            for amp in mode_amplitudes(n, grid))
     return g, w
 
 
@@ -134,8 +135,6 @@ def series_forcing(rule: SeriesRule, n_terms: int,
     for n in range(1, n_terms + 1):
         a_n = rule.coefficient(n)
         sx = np.sin(n * grid.x)[None, :]
-        g.coeffs[n + n_terms] = -0.5j * a_n * (-sx * d2phi_y)
-        g.coeffs[-n + n_terms] = np.conj(g.coeffs[n + n_terms])
-        w.coeffs[n + n_terms] = -0.5j * a_n * (sx * phi_y)
-        w.coeffs[-n + n_terms] = np.conj(w.coeffs[n + n_terms])
+        g.coeffs[n] = -0.5j * a_n * (-sx * d2phi_y)
+        w.coeffs[n] = -0.5j * a_n * (sx * phi_y)
     return g, w

@@ -3,8 +3,8 @@
 Two routes to T-periodic solutions of the coupled system:
 
 * solve_periodic_harmonic: spectral in time. Mode 0 is the stationary
-  mean-value pair; every mode k >= 1 is one complex coupled solve; negative
-  modes follow by conjugation, so reconstructions are real to round-off.
+  mean-value pair; every mode k >= 1 is one complex coupled solve, and
+  the fields store modes k >= 0 only, so they are real by construction.
   With a damping shift eps and a step count n_steps it computes the damped
   construction below directly, one frequency solve per mode.
 
@@ -81,22 +81,22 @@ class SolveReport:
 def _trace_fields(grid: Grid, w: FourierField) -> tuple[FourierField, FourierField]:
     """Interface velocity trace h = i w k * (w on the interface row) and its
     mean-free primitive (which is the interface trace of w itself)."""
-    n = w.n_modes
     ks = w.wavenumbers().reshape(-1, 1)
     w_trace = w.coeffs[:, 0, :]
     h = FourierField(w.period, 1j * w.omega * ks * w_trace, INTERFACE)
     big_h = FourierField(w.period, w_trace.copy(), INTERFACE)
-    big_h.coeffs[n] = 0.0  # primitive is mean-free by construction
+    big_h.coeffs[0] = 0.0  # primitive is mean-free by construction
     return h, big_h
 
 
 def _aliased_mode(x: FourierField, k: int, n_steps: int | None) -> np.ndarray:
     """Mode k of x as n_steps uniform samples per period see it: the sum of
-    the coefficients k + j n_steps (the plain coefficient when n_steps is
-    None)."""
+    the coefficients k + j n_steps, j in order, over the modes -N..N of x
+    (the plain coefficient when n_steps is None)."""
     if n_steps is None:
         return x.mode(k)
-    return x.coeffs[(x.wavenumbers() - k) % n_steps == 0].sum(axis=0)
+    return sum((x.mode(j) for j in range(-x.n_modes, x.n_modes + 1)
+                if (j - k) % n_steps == 0), np.zeros(x.spatial_shape, dtype=complex))
 
 
 def solve_periodic_harmonic(grid: Grid, f: FourierField | None,
@@ -139,8 +139,8 @@ def solve_periodic_harmonic(grid: Grid, f: FourierField | None,
     mean_f = _aliased_mode(f, 0, n_steps).real if f is not None else None
     mean_g = _aliased_mode(g, 0, n_steps).real if g is not None else None
     pair = ops.solve_mean_pair(grid, mean_f, mean_g, tol=tol, eps=eps)
-    u_out.coeffs[n_modes] = pair.mean_u
-    w_out.coeffs[n_modes] = pair.mean_w
+    u_out.coeffs[0] = pair.mean_u
+    w_out.coeffs[0] = pair.mean_w
     residuals[0] = pair.residual
     t_mean = time.perf_counter()
 
@@ -150,10 +150,7 @@ def solve_periodic_harmonic(grid: Grid, f: FourierField | None,
         op = ops.assemble_coupled_mode(grid, k, period, eps=eps, dt=dt)
         x = ops.solve_linear(op, ops.mode_rhs(op, f_k, g_k), tol=tol)
         w_k, u_k = ops.split_mode_solution(op, x)
-        w_out.coeffs[k + n_modes] = w_k
-        w_out.coeffs[-k + n_modes] = np.conj(w_k)
-        u_out.coeffs[k + n_modes] = u_k
-        u_out.coeffs[-k + n_modes] = np.conj(u_k)
+        w_out.coeffs[k], u_out.coeffs[k] = w_k, u_k
         residuals[k] = op.residual
     t_modes = time.perf_counter()
 

@@ -1,12 +1,15 @@
 """Periodic fields as truncated Fourier series in time.
 
-A FourierField stores per-node complex coefficients c_k for k = -N..N with
-the normalization
+A FourierField is a real field. It stores per-node complex coefficients
+c_k for k = 0..N only, as numpy's rfft does, with the normalization
 
-    c_k = (1/T) int_0^T f(t) e^{-i w k t} dt,   w = 2 pi / T,
+    c_k = (1/T) int_0^T f(t) e^{-i w k t} dt,   w = 2 pi / T.
 
-so that sum_k ||c_k||^2 equals the time average of ||f(t)||^2 (Parseval).
-Real fields are Hermitian-symmetric: c_{-k} = conj(c_k).
+The modes k = -N..-1 are implied, c_{-k} = conj(c_k), so the mean c_0 is
+real and f(t) = Re(c_0 + 2 sum_{k>=1} c_k e^{i w k t}). Sums over all modes
+-N..N become sums over k >= 0 with the weights of ``mode_weights`` (1 for
+k = 0, 2 for k > 0); in particular sum_k weight_k ||c_k||^2 equals the time
+average of ||f(t)||^2 (Parseval).
 """
 
 from __future__ import annotations
@@ -21,21 +24,32 @@ WAVE = "wave"
 HEAT = "heat"
 INTERFACE = "interface"
 
+# Bound on the imaginary part of a mean c_0, relative to the largest
+# coefficient: 2 max |Im c_0| / max |c| is the Hermitian defect of mode 0.
+MEAN_IMAG_TOL = 1e-9
+
 
 @dataclass
 class FourierField:
     period: float
-    coeffs: np.ndarray  # complex, shape (2N+1, *spatial), index k+N
+    coeffs: np.ndarray  # complex, shape (N+1, *spatial), index k = 0..N
     domain: str
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        if self.coeffs.shape[0] % 2 != 1:
-            raise AnalysisError("coefficient array must cover modes -N..N")
+        if self.coeffs.ndim == 0 or len(self.coeffs) == 0:
+            raise AnalysisError("coefficient array must cover modes 0..N")
+        imag = self.coeffs[0].imag
+        if np.any(imag):  # NaN passes here; the consumers reject it by name
+            defect = (2 * float(np.max(np.abs(imag)))
+                      / max(float(np.max(np.abs(self.coeffs))), 1e-300))
+            if defect > MEAN_IMAG_TOL:
+                raise AnalysisError(f"the mean c_0 of a real field must be real: relative "
+                                    f"Hermitian defect {defect:.3e} > {MEAN_IMAG_TOL:.0e}")
 
     @property
     def n_modes(self) -> int:
-        return (self.coeffs.shape[0] - 1) // 2
+        return len(self.coeffs) - 1
 
     @property
     def omega(self) -> float:
@@ -46,63 +60,40 @@ class FourierField:
         return self.coeffs.shape[1:]
 
     def mode(self, k: int) -> np.ndarray:
-        n = self.n_modes
-        if abs(k) > n:
+        """c_k for any integer k: conj(c_-k) for k < 0, zero past N."""
+        if abs(k) > self.n_modes:
             return np.zeros(self.spatial_shape, dtype=complex)
-        return self.coeffs[k + n]
+        return self.coeffs[k] if k >= 0 else np.conj(self.coeffs[-k])
 
     def wavenumbers(self) -> np.ndarray:
-        n = self.n_modes
-        return np.arange(-n, n + 1)
+        return np.arange(self.n_modes + 1)
 
-    def hermitian_defect(self) -> float:
-        """max |c_-k - conj(c_k)| / max |c|, read pair by pair: a pair of
-        all-zero modes has no defect and sets no scale (non-finite
-        coefficients give nan)."""
-        n, c = self.n_modes, self.coeffs
-        live = [bool(np.any(x)) for x in c]
-        scale = np.max([np.max(np.abs(x)) for x, on in zip(c, live) if on], initial=0.0)
-        defect = np.max([np.max(np.abs(c[n - k] - np.conj(c[n + k])))
-                         for k in range(n + 1) if live[n - k] or live[n + k]], initial=0.0)
-        return float(defect) / max(float(scale), 1e-300)
+    def mode_weights(self) -> np.ndarray:
+        """How often each stored mode counts in a sum over k = -N..N: 1 for
+        k = 0, 2 for k > 0."""
+        return np.where(self.wavenumbers() == 0, 1.0, 2.0)
 
-    def sample(self, times: np.ndarray) -> np.ndarray:
-        """Evaluate the series at arbitrary times; complex result."""
-        t = np.atleast_1d(np.asarray(times, dtype=float))
-        ks = self.wavenumbers()
-        phases = np.exp(1j * self.omega * np.outer(t, ks))  # (nt, 2N+1)
-        flat = self.coeffs.reshape(self.coeffs.shape[0], -1)
-        out = phases @ flat
-        return out.reshape((len(t),) + self.spatial_shape)
-
-    def sample_real(self, times: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-        """Real samples; non-finite coefficients, or an imaginary part above
-        tol relative to the largest sample, raise AnalysisError."""
+    def sample_real(self, times: np.ndarray) -> np.ndarray:
+        """Samples Re(c_0 + 2 sum_{k>=1} c_k e^{i w k t}) at the given times,
+        shape (len(times), *spatial), in one matrix product; non-finite
+        coefficients raise AnalysisError."""
         if not np.all(np.isfinite(self.coeffs)):
             raise AnalysisError("sample_real: field has non-finite coefficients")
-        s = self.sample(times)
-        scale = max(float(np.max(np.abs(s))), 1e-300)
-        imag = float(np.max(np.abs(s.imag))) / scale
-        if not imag <= tol:
-            raise AnalysisError(
-                f"reconstruction is not real: relative imaginary part {imag:.3e}")
-        return s.real
+        t = np.atleast_1d(np.asarray(times, dtype=float))
+        phases = self.mode_weights() * np.exp(1j * self.omega * np.outer(t, self.wavenumbers()))
+        out = phases @ self.coeffs.reshape(len(self.coeffs), -1)
+        return out.real.reshape((len(t),) + self.spatial_shape)
 
     def derivative(self, order: int = 1) -> "FourierField":
         ks = self.wavenumbers().reshape((-1,) + (1,) * len(self.spatial_shape))
         factor = (1j * self.omega * ks) ** order
         return FourierField(self.period, factor * self.coeffs, self.domain)
 
-    def truncated(self, n_modes: int) -> "FourierField":
-        n = self.n_modes
-        if n_modes >= n:
-            pad = n_modes - n
-            coeffs = np.pad(self.coeffs, [(pad, pad)] + [(0, 0)] * len(self.spatial_shape))
-            return FourierField(self.period, coeffs, self.domain)
-        sl = slice(n - n_modes, n + n_modes + 1)
-        return FourierField(self.period, self.coeffs[sl].copy(), self.domain)
-
-    def scaled(self, factor: complex) -> "FourierField":
+    def scaled(self, factor: float) -> "FourierField":
+        """factor times the field; a non-real factor would make it complex
+        and raises AnalysisError."""
+        if np.imag(factor) != 0:
+            raise AnalysisError(f"cannot scale a real field by the non-real factor {factor!r}")
         return FourierField(self.period, factor * self.coeffs, self.domain)
 
     def _combine(self, other: "FourierField", op, what: str) -> "FourierField":
@@ -113,10 +104,10 @@ class FourierField:
             if mine != theirs:
                 raise AnalysisError(f"cannot {what} fields of mismatched {name}: "
                                     f"{mine!r} and {theirs!r}")
-        n = max(self.n_modes, other.n_modes)
-        out = np.zeros((2 * n + 1,) + self.spatial_shape, dtype=complex)
-        out[n - self.n_modes:n + self.n_modes + 1] = self.coeffs
-        part = out[n - other.n_modes:n + other.n_modes + 1]
+        out = np.zeros((max(self.n_modes, other.n_modes) + 1,) + self.spatial_shape,
+                       dtype=complex)
+        out[:len(self.coeffs)] = self.coeffs
+        part = out[:len(other.coeffs)]
         op(part, other.coeffs, out=part)
         return FourierField(self.period, out, self.domain)
 
@@ -129,21 +120,33 @@ class FourierField:
     @classmethod
     def zeros(cls, period: float, n_modes: int, spatial_shape: tuple[int, ...],
               domain: str) -> "FourierField":
-        return cls(period, np.zeros((2 * n_modes + 1,) + spatial_shape, dtype=complex),
-                   domain)
+        return cls(period, np.zeros((n_modes + 1,) + spatial_shape, dtype=complex), domain)
 
     @classmethod
     def from_mode_dict(cls, period: float, n_modes: int, modes: dict[int, np.ndarray],
                        domain: str) -> "FourierField":
-        """Build a field from {k: coefficient array}; a mode -k not given
-        explicitly is filled with the conjugate of mode k."""
+        """Build a field from {k: coefficient array}, k = 0..n_modes; mode
+        -k is the conjugate of mode k, and a k outside 0..n_modes raises
+        AnalysisError."""
         shape = next(iter(modes.values())).shape if modes else ()
-        f = cls.zeros(period, n_modes, shape, domain)
+        coeffs = np.zeros((n_modes + 1,) + shape, dtype=complex)
         for k, c in modes.items():
-            f.coeffs[k + n_modes] = c
-            if -k + n_modes < f.coeffs.shape[0] and (-k) not in modes:
-                f.coeffs[-k + n_modes] = np.conj(c)
-        return f
+            if not 0 <= k <= n_modes:
+                raise AnalysisError(f"mode {k} is outside 0..{n_modes}; a real field "
+                                    f"stores k >= 0 only")
+            coeffs[k] = c
+        return cls(period, coeffs, domain)
+
+
+def hermitian_defect(coeffs: np.ndarray) -> float:
+    """max |c_-k - conj(c_k)| / max |c| of a two-sided stack c_-N..c_N
+    (index k + N), as coefficient files list it, read pair by pair: 0 when
+    every pair is conjugate, nan for non-finite coefficients."""
+    n = (len(coeffs) - 1) // 2
+    scale = np.max([np.max(np.abs(c)) for c in coeffs], initial=0.0)
+    defect = np.max([np.max(np.abs(coeffs[n - k] - np.conj(coeffs[n + k])))
+                     for k in range(n + 1)], initial=0.0)
+    return float(defect) / max(float(scale), 1e-300)
 
 
 def time_transform(data, direction: str, *, period: float | None = None,
@@ -151,9 +154,10 @@ def time_transform(data, direction: str, *, period: float | None = None,
                    n_samples: int | None = None):
     """Discrete Fourier series on a uniform period grid.
 
-    direction="forward": `data` holds M samples on t_m = m T / M (axis 0);
-    returns a FourierField with N = n_modes (default (M-1)//2). Requires
-    M >= 2N+1, otherwise the high modes alias and an error is raised.
+    direction="forward": `data` holds M real samples on t_m = m T / M
+    (axis 0); returns a FourierField with N = n_modes (default (M-1)//2),
+    from numpy's rfft. Requires M >= 2N+1, otherwise the high modes alias
+    and an error is raised; complex samples raise AnalysisError.
 
     direction="inverse": `data` is a FourierField; returns M real samples
     (M = n_samples, default 2N+1).
@@ -162,21 +166,21 @@ def time_transform(data, direction: str, *, period: float | None = None,
         samples = np.asarray(data)
         if period is None:
             raise AnalysisError("forward transform needs the period")
+        if np.iscomplexobj(samples):
+            raise AnalysisError("forward transform: samples of a real field must be real")
         m = samples.shape[0]
         n = (m - 1) // 2 if n_modes is None else int(n_modes)
         if m < 2 * n + 1:
             raise AliasingError(
                 f"{m} samples cannot resolve modes -{n}..{n}; need >= {2 * n + 1}")
-        spectrum = np.fft.fft(samples, axis=0) / m
-        return FourierField(float(period), spectrum[np.arange(-n, n + 1) % m], domain)
+        return FourierField(float(period), np.fft.rfft(samples, axis=0)[:n + 1] / m, domain)
     if direction == "inverse":
         f: FourierField = data
         m = 2 * f.n_modes + 1 if n_samples is None else int(n_samples)
         if m < 2 * f.n_modes + 1:
             raise AliasingError(
                 f"{m} samples cannot represent modes up to {f.n_modes}")
-        t = np.arange(m) * f.period / m
-        return f.sample_real(t, tol=1e-8)
+        return f.sample_real(np.arange(m) * f.period / m)
     raise AnalysisError(f"unknown transform direction {direction!r}")
 
 
@@ -184,7 +188,7 @@ def mean_decompose(field: FourierField) -> tuple[np.ndarray, FourierField]:
     """Split into the time average (a spatial array) and the mean-free part."""
     mean = field.mode(0).copy()
     rest = FourierField(field.period, field.coeffs.copy(), field.domain)
-    rest.coeffs[field.n_modes] = 0.0
+    rest.coeffs[0] = 0.0
     return mean, rest
 
 
@@ -203,9 +207,9 @@ def periodic_antiderivative(field: FourierField, order: int = 1) -> FourierField
             f"periodic primitive requires a mean-free field; relative mean "
             f"{mean_size / scale:.3e}")
     ks = field.wavenumbers().astype(float)
-    ks[field.n_modes] = 1.0  # avoid 0/0; the mean slot is zeroed below
+    ks[0] = 1.0  # avoid 0/0; the mean slot is zeroed below
     factor = (1j * field.omega * ks) ** (-order)
     shaped = factor.reshape((-1,) + (1,) * len(field.spatial_shape))
     coeffs = field.coeffs * shaped
-    coeffs[field.n_modes] = 0.0
+    coeffs[0] = 0.0
     return FourierField(field.period, coeffs, field.domain)

@@ -13,6 +13,8 @@ from hwp.timefourier import FourierField
 from hwp import quadrature as quad
 from hwp.fields import jet_batch
 
+import fourier_oracle as oracle
+
 T = 2 * np.pi
 
 
@@ -36,7 +38,7 @@ def _unit_spatial_shape(grid):
 def test_sobolev_norm_closed_form():
     grid = wave_grid(17)
     psi = _unit_spatial_shape(grid)
-    f = FourierField.from_mode_dict(T, 3, {3: -0.5j * psi, -3: 0.5j * psi}, "wave")
+    f = FourierField.from_mode_dict(T, 3, {3: -0.5j * psi}, "wave")
     # value^2 = (1 + 9)^s * (1/4 + 1/4)
     assert analysis.sobolev_time_norm(f, 1, grid) ** 2 == pytest.approx(5.0, rel=1e-12)
     assert analysis.sobolev_time_norm(f, -1, grid) ** 2 == pytest.approx(0.05, rel=1e-12)
@@ -48,8 +50,7 @@ def test_sobolev_s0_matches_direct_quadrature():
     f = FourierField.zeros(T, 3, (grid.ny_w, grid.nx), "wave")
     for k in range(0, 4):
         c = rng.standard_normal() + (1j * rng.standard_normal() if k else 0)
-        f.coeffs[k + 3] = c * np.outer(np.cos(grid.y_w), np.sin(2 * grid.x))
-        f.coeffs[-k + 3] = np.conj(f.coeffs[k + 3])
+        f.coeffs[k] = c * np.outer(np.cos(grid.y_w), np.sin(2 * grid.x))
     val = analysis.sobolev_time_norm(f, 0, grid)
     ts = np.arange(64) * T / 64
     samples = f.sample_real(ts)
@@ -75,10 +76,10 @@ def test_sobolev_time_norm_rejects_non_finite_coefficients(bad, flavor):
 def test_spatial_norm_sq_is_bitwise_the_stacked_reduction(n_modes, n):
     grid = wave_grid(n)
     rng = np.random.default_rng(n)
-    shape = (2 * n_modes + 1, grid.ny_w, grid.nx)
-    f = FourierField(T, rng.standard_normal(shape) + 1j * rng.standard_normal(shape), "wave")
+    f = oracle.random_real_field(rng, T, n_modes, (grid.ny_w, grid.nx))
     mass = quad.trap_mass(grid.ny_w, grid.nx, grid.hx, grid.hy_w)
-    stacked = np.sum(mass[None, ...] * np.abs(f.coeffs) ** 2, axis=(1, 2))
+    modes = np.stack([f.mode(k) for k in range(n_modes + 1)])
+    stacked = np.sum(mass[None, ...] * np.abs(modes) ** 2, axis=(1, 2))
     assert np.array_equal(analysis._spatial_norm_sq(f, grid, "l2"), stacked)
 
 
@@ -88,8 +89,7 @@ def test_norm_profile_monotone_in_s():
     f = FourierField.zeros(T, 4, (grid.ny_w, grid.nx), "wave")
     for k in range(1, 5):
         c = rng.standard_normal() + 1j * rng.standard_normal()
-        f.coeffs[k + 4] = c * np.outer(grid.y_w, np.sin(grid.x))
-        f.coeffs[-k + 4] = np.conj(f.coeffs[k + 4])
+        f.coeffs[k] = c * np.outer(grid.y_w, np.sin(grid.x))
     norms = [analysis.sobolev_time_norm(f, s, grid) for s in (-2, -1, 0, 0.5, 1, 2)]
     for a, b in zip(norms, norms[1:]):
         assert a <= b * (1 + 1e-12)
@@ -160,7 +160,7 @@ def test_multiplier_identity_rejects_nonzero_mean():
     grid = wave_grid(9)
     g2, w2 = hwp.analytic_mode(2, grid)
     bad = FourierField(T, g2.coeffs.copy(), "wave")
-    bad.coeffs[bad.n_modes] = 1.0
+    bad.coeffs[0] = 1.0
     with pytest.raises(AnalysisError):
         hwp.multiplier_identity_residual(w2, bad, None, None,
                                          hwp.translate((0.0, 0.0)), grid)
@@ -229,8 +229,7 @@ def _smooth_real_field(n_modes, live, shapes, domain, rng):
     f = FourierField.zeros(T, n_modes, shapes.shape[1:], domain)
     for k in live:
         c = rng.standard_normal(len(shapes)) + (1j * rng.standard_normal(len(shapes)) if k else 0)
-        f.coeffs[n_modes + k] = np.tensordot(c, shapes, axes=1)
-        f.coeffs[n_modes - k] = np.conj(f.coeffs[n_modes + k])
+        f.coeffs[k] = np.tensordot(c, shapes, axes=1)
     return f
 
 
@@ -292,11 +291,15 @@ def test_identity_terms_match_sampled_loop(n, field, monkeypatch):
 
 @pytest.mark.parametrize("name", ["w", "g", "h", "H"])
 def test_multiplier_identity_rejects_non_real_input_by_name(name):
+    # a field stores modes k >= 0, so c_-1 != conj(c_1) cannot be given;
+    # the one non-real input left, a complex mean, is refused when the
+    # field is built, before it reaches the identity
     grid = wave_grid(9)
     fields = dict(zip(("w", "g", "h", "H"), _identity_data(grid, 3)))
-    fields[name].coeffs[fields[name].n_modes + 1] *= 1.0 + 1e-6  # c_-1 != conj(c_1)
-    with pytest.raises(AnalysisError, match=f"^{name} is not a real field"):
-        hwp.multiplier_identity_residual(*fields.values(), hwp.graph_vertical(2.0), grid)
+    coeffs = fields[name].coeffs.copy()
+    coeffs[0] += 1e-6j * np.max(np.abs(coeffs))
+    with pytest.raises(AnalysisError, match="^the mean c_0 of a real field must be real"):
+        fields[name] = FourierField(T, coeffs, fields[name].domain)
 
 
 def _single_pass_identity(w, g, h, big_h, spec, grid, jet_batch=jet_batch):
@@ -435,7 +438,7 @@ def test_equipartition_closed_form_second_order():
     g1, w1 = hwp.analytic_mode(1, grid)
     mass = quad.interior_mass(grid.ny_w, grid.nx, grid.hx, grid.hy_w)
     # int_0^T sum_nodes mass g w dt by Parseval: T sum_k <g_k, conj(w_k)>
-    rhs = T * np.sum(mass * g1.coeffs * np.conj(w1.coeffs)).real
+    rhs = T * np.sum(mass * oracle.two_sided(g1) * np.conj(oracle.two_sided(w1))).real
     assert rhs == pytest.approx((T / 2) * (np.pi / 2) * (2.0 / 105.0), rel=1e-3)
 
 
@@ -456,17 +459,15 @@ def test_equipartition_exact_for_discrete_manufactured_forcing():
     for k in range(1, n + 1):
         c = rng.standard_normal() + 1j * rng.standard_normal()
         shape = np.outer(prof, np.sin(int(rng.integers(1, 4)) * grid.x))
-        w.coeffs[k + n] = c * shape
-        w.coeffs[-k + n] = np.conj(c * shape)
+        w.coeffs[k] = c * shape
     g = FourierField.zeros(T, n, (grid.ny_w, grid.nx), "wave")
     hx, hy = grid.hx, grid.hy_w
-    for idx, k in enumerate(range(-n, n + 1)):
-        wk = w.coeffs[idx]
+    for k in range(1, n + 1):
+        wk = w.mode(k)
         lap = np.zeros_like(wk)
         lap[1:-1, 1:-1] = ((wk[1:-1, 2:] - 2 * wk[1:-1, 1:-1] + wk[1:-1, :-2]) / hx**2
                            + (wk[2:, 1:-1] - 2 * wk[1:-1, 1:-1] + wk[:-2, 1:-1]) / hy**2)
-        g.coeffs[idx] = -(k ** 2) * wk - lap
-    g.coeffs[n] = 0.0
+        g.coeffs[k] = -(k ** 2) * wk - lap
     assert hwp.equipartition_residual(w, g, grid) <= 1e-9
 
 
@@ -476,7 +477,7 @@ def _equipartition_oracle(w, g, grid):
     mass = quad.interior_mass(grid.ny_w, grid.nx, grid.hx, grid.hy_w)
     form = _sbp_form(grid.ny_w, grid.nx, grid.hx, grid.hy_w)
     n = max(w.n_modes, g.n_modes)
-    wc, gc = w.truncated(n).coeffs, g.truncated(n).coeffs
+    wc, gc = oracle.two_sided(w, n), oracle.two_sided(g, n)
     lhs = rhs = 0.0
     for idx, k in enumerate(range(-n, n + 1)):
         wk = wc[idx]
@@ -501,12 +502,16 @@ def test_equipartition_matches_sparse_form_oracle(n):
 
 @pytest.mark.parametrize("name", ["w", "g"])
 def test_equipartition_rejects_non_real_input_by_name(name):
+    # mode 1 without its partner cannot be stored; a complex mean, the one
+    # non-real input left, is refused when the field is built, and so is
+    # a non-real scale factor
     grid = wave_grid(9)
     w, g, _, _ = _identity_data(grid, 4)
     field_ = w if name == "w" else g
-    field_.coeffs[field_.n_modes - 1] = 0.0  # mode 1 without its partner
-    with pytest.raises(AnalysisError, match=f"^{name} is not a real field"):
-        hwp.equipartition_residual(w, g, grid)
+    with pytest.raises(AnalysisError, match="^the mean c_0 of a real field must be real"):
+        FourierField(T, field_.coeffs + 1e-3j, field_.domain)
+    with pytest.raises(AnalysisError, match="^cannot scale a real field by the non-real"):
+        field_.scaled(1.0 + 1e-6j)
 
 
 # ---------------------------------------------------------------------------
@@ -533,10 +538,7 @@ def _random_test_pair_oracle(grid, period, rng, n_modes=2):
         mw = int(rng.integers(1, 4))
         psi_k = psi_k + cw * np.sin(mw * grid.x)[None, :] * np.sin(np.pi * yw)
         phi_k = phi_k + ch * np.sin(mw * grid.x)[None, :] * np.sin(np.pi * (1.0 + yh))
-        psi.coeffs[k + n_modes] = psi_k
-        psi.coeffs[-k + n_modes] = np.conj(psi_k)
-        phi.coeffs[k + n_modes] = phi_k
-        phi.coeffs[-k + n_modes] = np.conj(phi_k)
+        psi.coeffs[k], phi.coeffs[k] = psi_k, phi_k
     return psi, phi
 
 
@@ -555,16 +557,16 @@ def _weak_residual_oracle(report, f, g, grid, n_tests=10, seed=2024):
 
     n_all = max([w.n_modes, u.n_modes]
                 + [x.n_modes for x in (f, g) if x is not None])
-    wk = w.truncated(n_all).coeffs
-    uk = u.truncated(n_all).coeffs
-    gk = g.truncated(n_all).coeffs if g is not None else None
-    fk = f.truncated(n_all).coeffs if f is not None else None
+    wk = oracle.two_sided(w, n_all)
+    uk = oracle.two_sided(u, n_all)
+    gk = oracle.two_sided(g, n_all) if g is not None else None
+    fk = oracle.two_sided(f, n_all) if f is not None else None
 
     worst = 0.0
     for _ in range(n_tests):
         psi, phi = _random_test_pair_oracle(grid, period, rng)
-        pk = psi.truncated(n_all).coeffs
-        qk = phi.truncated(n_all).coeffs
+        pk = oracle.two_sided(psi, n_all)
+        qk = oracle.two_sided(phi, n_all)
         total = 0.0 + 0.0j
         for idx, k in enumerate(range(-n_all, n_all + 1)):
             wkk, ukk = wk[idx], uk[idx]
@@ -621,7 +623,7 @@ def test_weak_residual_matches_oracle(dims, modes, forcing):
     g = hwp.analytic_mode(1, grid)[0] if forcing != "heat" else None
     f = None
     if forcing != "wave":
-        f = (smooth_heat_forcing(grid, T, 1).truncated(modes)
+        f = (oracle.truncated(smooth_heat_forcing(grid, T, 1), modes)
              + smooth_heat_forcing(grid, T, modes))
     rep = hwp.solve_periodic_harmonic(grid, f, g, modes)
     corruptions = (["w", "g"] if g is not None else []) + (["u"] if f is not None else [])
@@ -704,6 +706,28 @@ def test_weak_residual_memory_is_bounded():
     assert peak < 2**20
 
 
+
+@pytest.mark.parametrize("flavor", ["l2", "h1"])
+def test_sup_time_norm_samples_in_chunks(flavor):
+    # the 128 times are sampled N+1 at a time: the peak stays within a few
+    # mode stacks (all 128 at once peaked at 79.6 MB at 161^2, 2 modes),
+    # and the maximum is the one over all 128 samples
+    grid = wave_grid(161)
+    w = oracle.random_real_field(np.random.default_rng(1), T, 2, (grid.ny_w, grid.nx))
+    stack = w.coeffs.nbytes
+    tracemalloc.start()
+    try:
+        got = analysis._sup_time_norm(w, grid, flavor)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * stack
+    mass = quad.trap_mass(grid.ny_w, grid.nx, grid.hx, grid.hy_w)
+    samples = w.sample_real(np.arange(128) * T / 128)
+    ref = max(quad.norm_sq(mass, x) if flavor == "l2" else
+              quad.gradient_energy(x, grid.hx, grid.hy_w) for x in samples)
+    assert got == pytest.approx(np.sqrt(ref), rel=1e-14, abs=0)
+
 @pytest.mark.parametrize("target,value", [("w", np.nan), ("u", np.inf),
                                           ("f", -np.inf), ("g", np.nan)])
 def test_weak_residual_rejects_non_finite(target, value):
@@ -771,8 +795,7 @@ def test_estimate_graph_variant_and_interface_sign():
 def test_estimate_violation_flag():
     grid = hwp.build_stacked_rectangles(np.pi, 1.0, 1.0, 9, 9, 9)
     rep = hwp.solve_periodic_harmonic(grid, None, None, 2)
-    rep.w.coeffs[rep.w.n_modes + 1] = 1.0  # nonzero solution, zero data
-    rep.w.coeffs[rep.w.n_modes - 1] = 1.0
+    rep.w.coeffs[1] = 1.0  # nonzero solution, zero data
     out = analysis.estimate_check(rep, None, None, "existence-strong")
     assert out["violation"]
     assert out["ratio"] == np.inf

@@ -6,12 +6,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hwp import closedform, geometry, mesh, operators
+from hwp import closedform, geometry, mesh, operators, reporting
+from hwp import quadrature as quad
 from hwp.cli import (COMMANDS, SCHEMAS, _forcing_spec, _load_coefficient_file, main,
                      parse_scenario, smooth_heat_forcing)
 from hwp.errors import ConfigurationError
 from hwp.fields import jet_batch
+from hwp.periodic import solve_periodic_harmonic
 from hwp.timefourier import WAVE
+
+import fourier_oracle as oracle
 
 
 MINIMAL_SOLVE = """
@@ -90,6 +94,45 @@ def test_solve_determinism_byte_identical(tmp_path):
         assert p1.read_bytes() == p2.read_bytes()
 
 
+
+def test_mode_tables_are_the_two_sided_bytes(tmp_path):
+    # the fields store modes k >= 0; solve's _modes.csv and example-gen's
+    # _g_coeffs.csv still list k = -N..N, byte for byte what the two-sided
+    # arithmetic writes: |conj c| == |c| bitwise, and the rows of k = -n
+    # keep the signed zeros of (i/2) A
+    grid_keys = MINIMAL_SOLVE.replace("forcing.wave = mode:2\n", "")
+    cfg = _write(tmp_path, grid_keys + "name = pin\nmodes = 5\n"
+                 "forcing.wave = series:G1:4\nforcing.heat = smooth:2\n")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    grid = mesh.build_stacked_rectangles(np.pi, 1.0, 1.0, 17, 17, 17)
+    g, _ = closedform.series_forcing(closedform.series_rule("G1"), 4, grid)
+    rep = solve_periodic_harmonic(grid, smooth_heat_forcing(grid, 2 * np.pi, 2), g, 5)
+    ks = list(range(-5, 6))
+    u, w = oracle.two_sided(rep.u), oracle.two_sided(rep.w)
+    mass_w, mass_h = (quad.trap_mass(ny, 17, grid.hx, hy)
+                      for ny, hy in ((17, grid.hy_w), (17, grid.hy_h)))
+    ref = tmp_path / "ref_modes.csv"
+    reporting.write_csv(str(ref), ["k", "u_norm", "w_norm", "residual"],
+                        [ks, [np.sqrt(quad.norm_sq(mass_h, c)) for c in u],
+                         [np.sqrt(quad.norm_sq(mass_w, c)) for c in w],
+                         [rep.mode_residuals.get(abs(k), 0.0) for k in ks]])
+    assert (out / "solve_pin_modes.csv").read_bytes() == ref.read_bytes()
+
+    cfg = _write(tmp_path, grid_keys + "name = pin\nmode = 3\n")
+    assert main(["example-gen", "--config", cfg, "--out", str(out)]) == 0
+    amp = closedform.mode_amplitudes(3, grid)[0]
+    c = np.stack([-0.5j * amp, 0.5j * amp])  # sin(3t) A as two-sided modes +-3
+    m, j, i = np.nonzero(c)
+    ref = tmp_path / "ref_g_coeffs.csv"
+    reporting.write_csv(str(ref), ["k", "j", "i", "re", "im"],
+                        [np.array([3, -3])[m], j, i, c[m, j, i].real, c[m, j, i].imag])
+    written = (out / "example_gen_pin_g_coeffs.csv").read_bytes()
+    assert written == ref.read_bytes() and b",-0," in written
+    back = _load_coefficient_file(str(out / "example_gen_pin_g_coeffs.csv"), 2 * np.pi,
+                                  (17, 17), WAVE, 3)
+    assert np.array_equal(oracle.two_sided(back), oracle.two_sided(closedform.analytic_mode(3, grid)[0]))
+
 def test_geometry_check_spiral_on_shell(tmp_path):
     cfg = _write(tmp_path, """
 domain = shell
@@ -143,12 +186,15 @@ def test_example_gen_coefficients_match_node_loop(tmp_path, mode):
     cfg = _write(tmp_path, f"mode = {mode}\ngrid.nx = 17\ngrid.ny_w = 17\ngrid.ny_h = 17\n")
     out = tmp_path / "out"
     assert main(["example-gen", "--config", cfg, "--out", str(out)]) == 0
-    # reference: the per-node loop the column build replaced, row-major
+    # reference: the per-node loop the column build replaced, row-major,
+    # over the modes +-n of sin(n t) A_g as (-+i/2) A_g; they equal the
+    # field's modes (the signed zeros of their real parts aside)
     grid = mesh.build_stacked_rectangles(np.pi, 1.0, 1.0, 17, 17, 17)
     g, _ = closedform.analytic_mode(mode, grid)
+    amp = closedform.mode_amplitudes(mode, grid)[0]
     lines = ["k,j,i,re,im"]
-    for k in (mode, -mode):
-        c = g.mode(k)
+    for k, c in ((mode, -0.5j * amp), (-mode, 0.5j * amp)):
+        assert np.array_equal(c, g.mode(k))
         for j in range(grid.ny_w):
             for i in range(grid.nx):
                 if c[j, i] != 0:
@@ -255,7 +301,7 @@ def test_coefficient_file_repeated_rows_are_summed(tmp_path):
     assert f.mode(1)[2, 3] == 0.625 - 0.75j
     assert f.mode(-1)[2, 3] == 0.625 + 0.75j
     assert f.mode(0)[4, 5] == 1.5
-    assert np.count_nonzero(f.coeffs) == 3
+    assert sum(np.count_nonzero(f.mode(k)) for k in (-1, 0, 1)) == 3
 
 
 @pytest.mark.parametrize("k", [3, 10**12])
