@@ -15,9 +15,8 @@ from .analysis import (IdentityReport, equipartition_residual, estimate_check,
                        sobolev_time_norm, weak_residual)
 from .closedform import (BumpProfile, SeriesRule, analytic_mode, bump_profile,
                          series_forcing, series_rule)
-from .fields import (FieldJet, VectorFieldSpec, arc_renormalized, field_jet,
-                     graph_vertical, horn, parse_field, spiral, translate,
-                     zero_field)
+from .fields import (VectorFieldSpec, arc_renormalized, graph_vertical, horn,
+                     parse_field, spiral, translate)
 from .geometry import (GeometryReport, PoincareReport, check_conditions,
                        check_poincare, trapezoid_obstruction)
 from .mesh import (DEMO_DOMAINS, DomainSamples, Grid, build_stacked_rectangles,
@@ -34,17 +33,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BumpProfile", "DEMO_DOMAINS", "DomainSamples", "EpsilonParams",
-    "FieldJet", "FourierField", "GeometryReport", "Grid", "IdentityReport",
+    "FourierField", "GeometryReport", "Grid", "IdentityReport",
     "MeanPair", "ModeOperator", "PoincareReport",
     "SeriesRule", "SolveReport", "VectorFieldSpec", "analytic_mode",
     "arc_renormalized", "assemble_coupled_mode", "build_stacked_rectangles",
     "bump_profile", "check_conditions", "check_poincare", "epsilon_march",
-    "equipartition_residual", "estimate_check", "field_jet", "graph_vertical",
+    "equipartition_residual", "estimate_check", "graph_vertical",
     "harmonic_extension_mode", "horn", "mean_decompose",
     "mode_rhs", "multiplier_identity_residual", "parse_field",
     "periodic_antiderivative", "regularity_scan", "sample_domain",
     "series_forcing", "series_rule", "sobolev_time_norm", "solve_linear",
     "solve_mean_pair", "solve_periodic_harmonic", "spiral",
     "split_mode_solution", "time_transform", "translate",
-    "trapezoid_obstruction", "weak_residual", "zero_field",
+    "trapezoid_obstruction", "weak_residual",
 ]

@@ -280,8 +280,16 @@ HERMITIAN_TOL = 1e-12
 
 def _load_coefficient_file(path: str, period: float, shape, domain: str,
                            modes: int) -> FourierField:
-    raw = np.genfromtxt(path, delimiter=",", names=True)
-    raw = np.atleast_1d(raw)
+    with open(path) as fh:
+        lines = fh.readlines()
+    if not any(line.strip() for line in lines):
+        raise ConfigurationError(f"coefficient file {path} is empty; expected the "
+                                 f"header k,j,i,re,im")
+    try:
+        raw = np.atleast_1d(np.genfromtxt(lines, delimiter=",", names=True))
+    except ValueError as exc:  # a row whose cell count differs from the header's
+        raise ConfigurationError(f"coefficient file {path}: rows do not match the "
+                                 f"header ({' '.join(str(exc).split())})") from exc
     for key in ("k", "j", "i", "re", "im"):
         if key not in (raw.dtype.names or ()):
             raise ConfigurationError(f"coefficient file {path}: column {key} is missing")

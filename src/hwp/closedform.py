@@ -29,43 +29,20 @@ REFERENCE_PERIOD = 2.0 * np.pi
 class BumpProfile:
     """C^2 bump on [0, 1] with phi(0)=phi(1)=phi'(0)=phi'(1)=0."""
 
-    kind: str
     phi: Callable[[np.ndarray], np.ndarray]
     dphi: Callable[[np.ndarray], np.ndarray]
     d2phi: Callable[[np.ndarray], np.ndarray]
 
 
-def _poly_eval(coeffs: np.ndarray, deriv: int) -> Callable[[np.ndarray], np.ndarray]:
-    p = np.polynomial.Polynomial(coeffs)
-    if deriv:
-        p = p.deriv(deriv)
+def _poly_eval(p: np.polynomial.Polynomial) -> Callable[[np.ndarray], np.ndarray]:
     return lambda y: p(np.asarray(y, dtype=float))
 
 
-def bump_profile(kind: str = "poly", coeffs=None) -> BumpProfile:
-    """Built-in quartic bump y^2 (1-y)^2, or a custom polynomial.
-
-    Custom coefficients are in increasing-power order, finite, and must
-    satisfy the endpoint conditions exactly (checked to 1e-12).
-    """
-    if kind == "poly":
-        coeffs = np.array([0.0, 0.0, 1.0, -2.0, 1.0])  # y^2 - 2 y^3 + y^4
-    elif kind == "custom":
-        if coeffs is None:
-            raise ClosedFormError("custom bump needs polynomial coefficients")
-        coeffs = np.asarray(coeffs, dtype=float)
-        if not np.all(np.isfinite(coeffs)):
-            raise ClosedFormError(f"custom bump coefficients must be finite, got {coeffs}")
-    else:
-        raise ClosedFormError(f"unknown bump kind {kind!r}")
-    phi = _poly_eval(coeffs, 0)
-    dphi = _poly_eval(coeffs, 1)
-    for point in (0.0, 1.0):
-        if not (abs(phi(point)) <= 1e-12 and abs(dphi(point)) <= 1e-12):
-            raise ClosedFormError(
-                f"bump must vanish to first order at y={point:g}; got "
-                f"phi={phi(point):.3e}, phi'={dphi(point):.3e}")
-    return BumpProfile(kind=kind, phi=phi, dphi=dphi, d2phi=_poly_eval(coeffs, 2))
+def bump_profile() -> BumpProfile:
+    """The quartic bump y^2 (1-y)^2 and its first two derivatives."""
+    p = np.polynomial.Polynomial([0.0, 0.0, 1.0, -2.0, 1.0])  # y^2 - 2 y^3 + y^4
+    return BumpProfile(phi=_poly_eval(p), dphi=_poly_eval(p.deriv(1)),
+                       d2phi=_poly_eval(p.deriv(2)))
 
 
 def _check_reference_geometry(grid: Grid) -> None:
@@ -100,9 +77,6 @@ class SeriesRule:
 
     tag: str
     coefficient: Callable[[int], float]
-
-    def coefficients(self, n_max: int) -> np.ndarray:
-        return np.array([self.coefficient(n) for n in range(1, n_max + 1)])
 
 
 def series_rule(tag: str) -> SeriesRule:

@@ -1,9 +1,11 @@
 """Multiplier vector fields with closed-form derivatives.
 
 Each built-in field carries exact expressions for its gradient, divergence,
-the gradient of the divergence, and the Laplacian of the divergence; these
-feed the geometric condition checks and the flow-multiplier identity. The
-available variants:
+the gradient of the divergence, and the Laplacian of the divergence, all
+evaluated at once on an array of points by ``jet_batch``; these feed the
+geometric condition checks and the flow-multiplier identity. The available
+variants, built by the constructors below or parsed from text by
+``parse_field``:
 
 * translate(x0):      b = x - x0
 * horn(beta):         b = (beta*x, y)
@@ -11,7 +13,7 @@ available variants:
 * arc_renormalized(): b = Phi * (-y, x),  Phi = arccos(x / sqrt(x^2+y^2)),
                       only evaluable for y > 0
 * graph_vertical(c0): b = (0, y - c0)
-* zero():             b = 0 (testing aid for the Rayleigh-quotient check)
+* "zero" (text only): b = 0 (the trivial case of the Rayleigh-quotient check)
 """
 
 from __future__ import annotations
@@ -68,21 +70,6 @@ def arc_renormalized() -> VectorFieldSpec:
 
 def graph_vertical(c0: float) -> VectorFieldSpec:
     return VectorFieldSpec("graph-vertical", (float(c0),))
-
-
-def zero_field() -> VectorFieldSpec:
-    return VectorFieldSpec("zero")
-
-
-@dataclass(frozen=True)
-class FieldJet:
-    """Pointwise derivatives of a multiplier field up to Lap(div b)."""
-
-    b: np.ndarray           # (2,)
-    grad_b: np.ndarray      # (2,2), grad_b[i, j] = d b_i / d x_j
-    div_b: float
-    grad_div_b: np.ndarray  # (2,)
-    lap_div_b: float
 
 
 def jet_batch(spec: VectorFieldSpec, points: np.ndarray) -> dict[str, np.ndarray]:
@@ -148,22 +135,6 @@ def jet_batch(spec: VectorFieldSpec, points: np.ndarray) -> dict[str, np.ndarray
         pass
     return {"b": b, "grad": grad, "div": div, "grad_div": grad_div,
             "lap_div": lap_div}
-
-
-def field_jet(spec: VectorFieldSpec, point: tuple[float, float]) -> FieldJet:
-    """Exact closed-form jet of the field at one point."""
-    out = jet_batch(spec, np.asarray(point, dtype=float)[None, :])
-    return FieldJet(
-        b=out["b"][0],
-        grad_b=out["grad"][0],
-        div_b=float(out["div"][0]),
-        grad_div_b=out["grad_div"][0],
-        lap_div_b=float(out["lap_div"][0]),
-    )
-
-
-def eval_b(spec: VectorFieldSpec, points: np.ndarray) -> np.ndarray:
-    return jet_batch(spec, points)["b"]
 
 
 def sym_min_eig(grad: np.ndarray) -> np.ndarray:

@@ -57,15 +57,6 @@ class Grid:
     y_w: np.ndarray = field(repr=False)
     y_h: np.ndarray = field(repr=False)
 
-    @property
-    def interface_columns(self) -> np.ndarray:
-        """Column indices of interface nodes (endpoints are Dirichlet)."""
-        return np.arange(1, self.nx - 1)
-
-    @property
-    def n_interface(self) -> int:
-        return self.nx - 2
-
 
 def build_stacked_rectangles(lx: float, ly_w: float, ly_h: float,
                              nx: int, ny_w: int, ny_h: int) -> Grid:

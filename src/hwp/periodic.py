@@ -332,10 +332,8 @@ def epsilon_march(grid: Grid, f: FourierField | None, g: FourierField | None,
     for i in range(m):
         w_hist[i], _, u_hist[i] = march.fields(y)
         y = march.step(y, i)
-    w_field = time_transform(w_hist, "forward", period=period, n_modes=n_rep,
-                             domain=WAVE)
-    u_field = time_transform(u_hist, "forward", period=period, n_modes=n_rep,
-                             domain=HEAT)
+    w_field = time_transform(w_hist, period=period, n_modes=n_rep, domain=WAVE)
+    u_field = time_transform(u_hist, period=period, n_modes=n_rep, domain=HEAT)
     t_record = time.perf_counter()
 
     h, big_h = _trace_fields(grid, w_field)

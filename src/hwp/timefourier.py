@@ -10,6 +10,11 @@ real and f(t) = Re(c_0 + 2 sum_{k>=1} c_k e^{i w k t}). Sums over all modes
 -N..N become sums over k >= 0 with the weights of ``mode_weights`` (1 for
 k = 0, 2 for k > 0); in particular sum_k weight_k ||c_k||^2 equals the time
 average of ||f(t)||^2 (Parseval).
+
+Samples become coefficients one way only, by ``time_transform`` (uniform
+samples over a period, through rfft); coefficients become samples by
+``FourierField.sample_real`` at any times. A mean c_0 that is not real is
+rejected when the field is built and again when it is sampled.
 """
 
 from __future__ import annotations
@@ -39,6 +44,11 @@ class FourierField:
         self.coeffs = np.asarray(self.coeffs, dtype=complex)
         if self.coeffs.ndim == 0 or len(self.coeffs) == 0:
             raise AnalysisError("coefficient array must cover modes 0..N")
+        self._check_real_mean()
+
+    def _check_real_mean(self) -> None:
+        """Reject a mean c_0 whose Hermitian defect exceeds MEAN_IMAG_TOL; O(grid)
+        unless c_0 has an imaginary part."""
         imag = self.coeffs[0].imag
         if np.any(imag):  # NaN passes here; the consumers reject it by name
             defect = (2 * float(np.max(np.abs(imag)))
@@ -76,9 +86,11 @@ class FourierField:
     def sample_real(self, times: np.ndarray) -> np.ndarray:
         """Samples Re(c_0 + 2 sum_{k>=1} c_k e^{i w k t}) at the given times,
         shape (len(times), *spatial), in one matrix product; non-finite
-        coefficients raise AnalysisError."""
+        coefficients, or a mean c_0 made non-real after construction, raise
+        AnalysisError."""
         if not np.all(np.isfinite(self.coeffs)):
             raise AnalysisError("sample_real: field has non-finite coefficients")
+        self._check_real_mean()
         t = np.atleast_1d(np.asarray(times, dtype=float))
         phases = self.mode_weights() * np.exp(1j * self.omega * np.outer(t, self.wavenumbers()))
         out = phases @ self.coeffs.reshape(len(self.coeffs), -1)
@@ -149,39 +161,25 @@ def hermitian_defect(coeffs: np.ndarray) -> float:
     return float(defect) / max(float(scale), 1e-300)
 
 
-def time_transform(data, direction: str, *, period: float | None = None,
-                   n_modes: int | None = None, domain: str = WAVE,
-                   n_samples: int | None = None):
-    """Discrete Fourier series on a uniform period grid.
+def time_transform(samples, *, period: float, n_modes: int | None = None,
+                   domain: str = WAVE) -> FourierField:
+    """Forward discrete Fourier series on a uniform period grid.
 
-    direction="forward": `data` holds M real samples on t_m = m T / M
-    (axis 0); returns a FourierField with N = n_modes (default (M-1)//2),
-    from numpy's rfft. Requires M >= 2N+1, otherwise the high modes alias
-    and an error is raised; complex samples raise AnalysisError.
-
-    direction="inverse": `data` is a FourierField; returns M real samples
-    (M = n_samples, default 2N+1).
+    `samples` holds M real samples on t_m = m T / M (axis 0); returns a
+    FourierField with N = n_modes (default (M-1)//2), from numpy's rfft.
+    Requires M >= 2N+1, otherwise the high modes alias and AliasingError is
+    raised; complex samples raise AnalysisError. The way back is
+    ``FourierField.sample_real`` at the same times.
     """
-    if direction == "forward":
-        samples = np.asarray(data)
-        if period is None:
-            raise AnalysisError("forward transform needs the period")
-        if np.iscomplexobj(samples):
-            raise AnalysisError("forward transform: samples of a real field must be real")
-        m = samples.shape[0]
-        n = (m - 1) // 2 if n_modes is None else int(n_modes)
-        if m < 2 * n + 1:
-            raise AliasingError(
-                f"{m} samples cannot resolve modes -{n}..{n}; need >= {2 * n + 1}")
-        return FourierField(float(period), np.fft.rfft(samples, axis=0)[:n + 1] / m, domain)
-    if direction == "inverse":
-        f: FourierField = data
-        m = 2 * f.n_modes + 1 if n_samples is None else int(n_samples)
-        if m < 2 * f.n_modes + 1:
-            raise AliasingError(
-                f"{m} samples cannot represent modes up to {f.n_modes}")
-        return f.sample_real(np.arange(m) * f.period / m)
-    raise AnalysisError(f"unknown transform direction {direction!r}")
+    samples = np.asarray(samples)
+    if np.iscomplexobj(samples):
+        raise AnalysisError("forward transform: samples of a real field must be real")
+    m = samples.shape[0]
+    n = (m - 1) // 2 if n_modes is None else int(n_modes)
+    if m < 2 * n + 1:
+        raise AliasingError(
+            f"{m} samples cannot resolve modes -{n}..{n}; need >= {2 * n + 1}")
+    return FourierField(float(period), np.fft.rfft(samples, axis=0)[:n + 1] / m, domain)
 
 
 def mean_decompose(field: FourierField) -> tuple[np.ndarray, FourierField]:

@@ -553,7 +553,7 @@ def _weak_residual_oracle(report, f, g, grid, n_tests=10, seed=2024):
     mass_w = quad.interior_mass(grid.ny_w, grid.nx, grid.hx, grid.hy_w)
     mass_h = quad.interior_mass(grid.ny_h, grid.nx, grid.hx, grid.hy_h)
     wx_full = np.zeros(grid.nx)
-    wx_full[grid.interface_columns] = grid.hx
+    wx_full[1:-1] = grid.hx
 
     n_all = max([w.n_modes, u.n_modes]
                 + [x.n_modes for x in (f, g) if x is not None])

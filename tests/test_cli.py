@@ -291,6 +291,31 @@ def test_coefficient_file_bad_column_rejected_by_name(tmp_path, capsys, column, 
     assert [p.name for p in out.iterdir()] == ["solve_run_error.json"]
 
 
+@pytest.mark.parametrize("text,what", [
+    ("", "is empty"),
+    ("k,j,i,re,im\n1,3,3,1.0\n", "got 4 columns instead of 5"),
+], ids=["empty", "ragged-row"])
+def test_coefficient_file_unreadable_rejected_by_name(tmp_path, capsys, text, what):
+    # numpy's IndexError (empty) and ValueError (ragged) used to escape as
+    # exit 1 with a traceback
+    coeffs = tmp_path / "g.csv"
+    coeffs.write_text(text)
+    cfg = _write(tmp_path, SMALL_SOLVE + f"forcing.wave = file:{coeffs}\n")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert str(coeffs) in captured.err and what in captured.err
+    assert "solving" not in captured.out  # rejected before any work started
+    assert [p.name for p in out.iterdir()] == ["solve_run_error.json"]
+
+
+def test_coefficient_file_header_only_is_zero_forcing(tmp_path):
+    coeffs = tmp_path / "g.csv"
+    coeffs.write_text("k,j,i,re,im\n")
+    f = _load_coefficient_file(str(coeffs), 2 * np.pi, (9, 9), WAVE, 2)
+    assert f.n_modes == 0 and not np.any(f.coeffs)
+
+
 def test_coefficient_file_repeated_rows_are_summed(tmp_path):
     # a (k, j, i) that appears twice adds up, in file order
     coeffs = tmp_path / "g.csv"

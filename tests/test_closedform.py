@@ -1,4 +1,3 @@
-import warnings
 
 import numpy as np
 import pytest
@@ -31,24 +30,6 @@ def test_bump_derivative_matches_finite_differences():
     d = 1e-5
     fd = (prof.phi(ys + d) - prof.phi(ys - d)) / (2 * d)
     assert np.max(np.abs(fd - prof.dphi(ys))) < 1e-9
-
-
-def test_custom_bump_endpoint_violation_rejected():
-    with pytest.raises(ClosedFormError):
-        hwp.bump_profile("custom", coeffs=[0.0, 1.0])  # phi = y
-    # a valid custom bump: y^3 (1-y)^3 expanded
-    coeffs = np.polynomial.Polynomial([0, 0, 0, 1]) * np.polynomial.Polynomial([1, -1]) ** 3
-    prof = hwp.bump_profile("custom", coeffs=coeffs.coef)
-    assert prof.phi(0.5) == pytest.approx(1.0 / 64.0)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_custom_bump_rejects_non_finite_coefficients(bad):
-    # a NaN coefficient used to pass the endpoint checks (NaN > 1e-12 is False)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ClosedFormError, match="must be finite"):
-            hwp.bump_profile("custom", coeffs=[0.0, 0.0, bad, 0.0, 0.0])
 
 
 def test_analytic_mode_point_values():
@@ -120,8 +101,8 @@ def test_series_truncation_consistency():
 def test_series_rules_summability():
     # G1 coefficients are square-summable; G2 remain so with an n^2 weight
     n = np.arange(1, 10001, dtype=float)
-    a = hwp.series_rule("G1").coefficients(10000)
-    b = hwp.series_rule("G2").coefficients(10000)
+    a = np.array([hwp.series_rule("G1").coefficient(k) for k in range(1, 10001)])
+    b = np.array([hwp.series_rule("G2").coefficient(k) for k in range(1, 10001)])
     assert np.sum(a**2) < np.pi**2 / 6 + 1e-6
     assert np.sum(n**2 * b**2) < np.pi**2 / 6 + 1e-6
 

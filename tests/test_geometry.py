@@ -97,7 +97,7 @@ def test_poincare_graph_vertical_positive():
 
 def test_poincare_zero_field_reports_zero():
     grid = hwp.build_stacked_rectangles(1.0, 1.0, 1.0, 17, 17, 3)
-    rep = hwp.check_poincare(hwp.zero_field(), grid)
+    rep = hwp.check_poincare(hwp.VectorFieldSpec("zero"), grid)
     assert abs(rep.rayleigh_min) < 1e-6
 
 

@@ -46,10 +46,10 @@ def test_unknown_layout(dims):
     grid = hwp.build_stacked_rectangles(np.pi, 1.0, 1.0, nx, ny_w, ny_h)
     op = hwp.assemble_coupled_mode(grid, 1, T)
     assert op.dimension == (nx - 2) * (ny_w - 1 + ny_h - 2)
-    assert grid.n_interface == nx - 2
     rng = np.random.default_rng(nx)
     x = (1.0 + rng.random(op.dimension)) * (1 + 1j)
     w, u = ops.split_mode_solution(op, x)
+    assert np.count_nonzero(w[0]) == nx - 2  # the interface unknowns
     assert w[0, 0] == w[0, -1] == u[-1, 0] == u[-1, -1] == 0
     np.testing.assert_array_equal(w != 0, _wave_ids(grid, op.n_heat) >= 0)
     np.testing.assert_array_equal(u[:-1] != 0, _heat_ids(grid)[:-1] >= 0)
@@ -157,7 +157,7 @@ def _entrywise_coupled_matrix(grid, c_wave, c_heat, c_trace):
     top = jj == grid.ny_h - 2
     add(r[top], wave_ids[0, ii[top]], -c_trace / hyh**2)
     # interface rows: d_y w (wave side, upward) - d_y u (heat side, downward)
-    icols = grid.interface_columns
+    icols = np.arange(1, grid.nx - 1)  # the row's end nodes are Dirichlet
     r = wave_ids[0, icols]
     for nb, coef in ((r, -3.0 / (2 * hyw) - 3.0 * c_trace / (2 * hyh)),
                      (wave_ids[1, icols], 4.0 / (2 * hyw)),
@@ -356,11 +356,11 @@ def test_flux_row_divergence_consistency():
     rng = np.random.default_rng(8)
     x = rng.standard_normal(op.dimension) + 1j * rng.standard_normal(op.dimension)
     w, u = ops.split_mode_solution(op, x)
-    rows = _wave_ids(grid, op.n_heat)[0, grid.interface_columns]
+    rows = _wave_ids(grid, op.n_heat)[0, 1:-1]
     total = complex(np.sum((op.matrix @ x)[rows]))
     dyw = (-3 * w[0, :] + 4 * w[1, :] - w[2, :]) / (2 * grid.hy_w)
     dyu = (3 * u[-1, :] - 4 * u[-2, :] + u[-3, :]) / (2 * grid.hy_h)
-    direct = complex(np.sum((dyw - dyu)[grid.interface_columns]))
+    direct = complex(np.sum((dyw - dyu)[1:-1]))
     assert abs(total - direct) < 1e-12 * max(1.0, abs(direct))
 
 
@@ -428,8 +428,7 @@ def test_mean_pair_flux_compatibility_first_order():
         pair = hwp.solve_mean_pair(grid, np.sin(X) * (1 + Y) * Y, None)
         flux_heat = quad.one_sided_deriv_high(pair.mean_u, grid.hy_h, axis=0)
         dyw_2pt = (pair.mean_w[1, :] - pair.mean_w[0, :]) / grid.hy_w
-        cols = grid.interface_columns
-        gaps[n] = np.max(np.abs((dyw_2pt - flux_heat)[cols]))
+        gaps[n] = np.max(np.abs((dyw_2pt - flux_heat)[1:-1]))
     assert gaps[33] < gaps[17]
     assert gaps[17] / gaps[33] == pytest.approx(2.0, abs=1.0)
 
@@ -508,19 +507,19 @@ def test_harmonic_extension_energy_estimate_reported():
 def _per_hat_functional(grid, u_k, f_k, iwk, eps):
     """Reference: the discrete harmonic extension of every interface hat
     into the heat rectangle, one Dirichlet solve each, kept in an
-    (n_interface, ny, nx) table, then each pairing summed term by term."""
+    (nx - 2, ny, nx) table, then each pairing summed term by term."""
     ny, nx = grid.ny_h, grid.nx
     form = quad.sbp_stiffness(ny, nx, grid.hx, grid.hy_h, np.arange(1, ny - 1)).tocsr()
     lu = spla.splu(quad.laplacian_5pt(ny, nx, grid.hx, grid.hy_h).tocsc())
-    exts = np.zeros((grid.n_interface, ny, nx))
-    for col, i in enumerate(grid.interface_columns):
+    exts = np.zeros((nx - 2, ny, nx))
+    for col, i in enumerate(range(1, nx - 1)):
         rhs = np.zeros((ny - 2, nx - 2))
         rhs[-1, i - 1] = 1.0 / grid.hy_h**2  # hat value 1 enters the row below
         exts[col, 1:-1, 1:-1] = lu.solve(rhs.ravel()).reshape(ny - 2, nx - 2)
         exts[col, -1, i] = 1.0
     mass = quad.interior_mass(ny, nx, grid.hx, grid.hy_h)
     form_u = form @ u_k.ravel()
-    out = np.zeros(grid.n_interface, dtype=complex)
+    out = np.zeros(nx - 2, dtype=complex)
     for col, psi in enumerate(exts):
         val = np.sum(mass * f_k * psi) - iwk * np.sum(mass * u_k * psi)
         val -= eps * np.sum(mass * u_k * psi)

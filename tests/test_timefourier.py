@@ -18,14 +18,14 @@ T = 2 * np.pi
 def test_round_trip_identity():
     rng = np.random.default_rng(0)
     samples = rng.standard_normal((11, 3, 2))
-    field = hwp.time_transform(samples, "forward", period=T)
-    back = hwp.time_transform(field, "inverse", n_samples=11)
+    field = hwp.time_transform(samples, period=T)
+    back = field.sample_real(np.arange(11) * T / 11)
     assert np.max(np.abs(back - samples)) < 1e-12
 
 
 def test_sin3t_coefficients():
     ts = np.arange(32) * T / 32
-    field = hwp.time_transform(np.sin(3 * ts), "forward", period=T, n_modes=5)
+    field = hwp.time_transform(np.sin(3 * ts), period=T, n_modes=5)
     assert field.mode(3) == pytest.approx(-0.5j, abs=1e-14)
     assert field.mode(-3) == pytest.approx(0.5j, abs=1e-14)
     others = [field.mode(k) for k in range(-5, 6) if abs(k) != 3]
@@ -34,7 +34,7 @@ def test_sin3t_coefficients():
 
 def test_parseval_normalization():
     ts = np.arange(32) * T / 32
-    field = hwp.time_transform(np.sin(3 * ts), "forward", period=T, n_modes=5)
+    field = hwp.time_transform(np.sin(3 * ts), period=T, n_modes=5)
     # sum |c_k|^2 over k = -N..N equals the time average of f^2, which is 1/2
     total = sum(np.abs(field.mode(k)) ** 2 for k in range(-5, 6))
     assert total == pytest.approx(0.5, abs=1e-14)
@@ -43,10 +43,7 @@ def test_parseval_normalization():
 def test_aliasing_guard():
     samples = np.zeros(6)
     with pytest.raises(AliasingError):
-        hwp.time_transform(samples, "forward", period=T, n_modes=4)
-    field = FourierField.zeros(T, 4, (), "wave")
-    with pytest.raises(AliasingError):
-        hwp.time_transform(field, "inverse", n_samples=5)
+        hwp.time_transform(samples, period=T, n_modes=4)
 
 
 def test_mean_decompose_cases():
@@ -130,6 +127,15 @@ def test_sample_real_rejects_complex_reconstruction():
     assert f.sample_real(np.array([0.0]))[0] == pytest.approx(2.0, rel=1e-15)
     with pytest.raises(AnalysisError, match="^cannot scale a real field by the non-real"):
         f.scaled(1j)
+
+
+def test_sample_real_rejects_a_mean_made_non_real_after_construction():
+    # the coefficients stay writable after the check at construction; a
+    # non-real mean written then used to be dropped by the real part
+    f = FourierField(T, np.array([1.0, 0.5]), "wave")
+    f.coeffs[0] = 1j
+    with pytest.raises(AnalysisError, match="^the mean c_0 of a real field must be real"):
+        f.sample_real(np.array([0.0]))
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -275,10 +281,9 @@ def test_one_sided_fields_match_two_sided_oracle(n):
 
     m = 2 * n + 3
     samples = a.sample_real(np.arange(m) * T / m)
-    close(oracle.two_sided(hwp.time_transform(samples, "forward", period=T, n_modes=n)),
+    close(oracle.two_sided(hwp.time_transform(samples, period=T, n_modes=n)),
           oracle.forward(samples, n))
-    close(hwp.time_transform(a, "inverse", n_samples=m),
-          oracle.sample(sa, T, np.arange(m) * T / m).real)
+    close(samples, oracle.sample(sa, T, np.arange(m) * T / m).real)
 
     # Parseval: int_0^T sum_nodes mass a(t) b(t) dt = T sum_{k=-N..N} <a_k, conj(b_k)>
     ks, weight, modes = analysis._parseval_modes(T, {"a": a, "b": b})
@@ -300,4 +305,4 @@ def test_from_mode_dict_refuses_negative_or_out_of_range_modes():
 
 def test_forward_transform_refuses_complex_samples():
     with pytest.raises(AnalysisError, match="samples of a real field must be real"):
-        hwp.time_transform(np.ones(5, dtype=complex), "forward", period=T)
+        hwp.time_transform(np.ones(5, dtype=complex), period=T)
