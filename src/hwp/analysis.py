@@ -61,9 +61,16 @@ def sobolev_time_norm(field_: FourierField, s: float, grid: Grid,
         raise AnalysisError(f"time exponent s={s} outside [-8, 8]")
     if not np.all(np.isfinite(field_.coeffs)):
         raise AnalysisError("sobolev_time_norm: field has non-finite coefficients")
-    ks = field_.wavenumbers().astype(float)
-    weights = field_.mode_weights() * (1.0 + (field_.omega * ks) ** 2) ** s
-    return float(np.sqrt(np.sum(weights * _spatial_norm_sq(field_, grid, spatial_flavor))))
+    return plancherel_norm(_spatial_norm_sq(field_, grid, spatial_flavor), s, field_.omega)
+
+
+def plancherel_norm(norm_sq: np.ndarray, s: float, omega: float) -> float:
+    """The value of sobolev_time_norm from the squared spatial norms
+    ||c_k||^2 of the modes k = 0..N, in the same arithmetic, so a caller
+    that gathers them one mode at a time gets the same bits."""
+    ks = np.arange(len(norm_sq)).astype(float)
+    weights = np.where(ks == 0, 1.0, 2.0) * (1.0 + (omega * ks) ** 2) ** s
+    return float(np.sqrt(np.sum(weights * norm_sq)))
 
 
 # ---------------------------------------------------------------------------

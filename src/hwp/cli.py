@@ -27,8 +27,9 @@ from .errors import (AliasingError, AnalysisError, ClosedFormError,
                      HwpError, MeshError, SolverError)
 from .fields import parse_field
 from .mesh import DEMO_DOMAINS, build_stacked_rectangles, sample_domain
-from .periodic import solve_periodic_harmonic
-from .timefourier import HEAT, WAVE, FourierField, hermitian_defect
+from .periodic import ModeStream, solve_periodic_harmonic
+from .timefourier import (HEAT, WAVE, FourierField, ModeSource, add_mode_samples,
+                          hermitian_defect)
 
 COMMANDS = ("solve", "epsilon-sweep", "geometry-check", "identity-check",
             "regularity-scan", "example-gen")
@@ -325,7 +326,10 @@ def _load_coefficient_file(path: str, period: float, shape, domain: str,
     return FourierField(period, coeffs[n:].copy(), domain)
 
 
-def _wave_forcing(scn: Scenario, grid) -> tuple[FourierField | None, FourierField | None, dict]:
+def _wave_forcing(scn: Scenario, grid) -> tuple[ModeSource | FourierField | None,
+                                                ModeSource | None, dict]:
+    """The wave forcing g and, for mode:<n>, its closed-form solution;
+    analytic forcing builds each mode when a solve asks for it."""
     text = scn["forcing.wave"]
     amp = scn["forcing.wave.amplitude"]
     meta = {"spec": text, "amplitude": amp}
@@ -333,26 +337,31 @@ def _wave_forcing(scn: Scenario, grid) -> tuple[FourierField | None, FourierFiel
     if kind == "none":
         return None, None, meta
     if kind == "mode":
-        g, w_ref = closedform.analytic_mode(args[0], grid)
+        g, w_ref = closedform.analytic_sources(args[0], grid)
         meta["analytic_mode"] = args[0]
         return g.scaled(amp), w_ref.scaled(amp), meta
     if kind == "series":
-        g, _ = closedform.series_forcing(closedform.series_rule(args[0]), args[1], grid)
+        g, _ = closedform.series_sources(closedform.series_rule(args[0]), args[1], grid)
         return g.scaled(amp), None, meta
     return _load_coefficient_file(args[0], scn["period"], (grid.ny_w, grid.nx),
                                   WAVE, scn["modes"]).scaled(amp), None, meta
 
 
-def smooth_heat_forcing(grid, period: float, k: int = 1,
-                        amplitude: float = 1.0) -> FourierField:
-    """cos(k w t) * sin(pi x / Lx) * (1 + y / Ly_h) on the heat subdomain."""
+def _smooth_heat_modes(grid, k: int, amplitude: float) -> dict[int, np.ndarray]:
+    """{k: mode k} of amplitude cos(k w t) * sin(pi x / Lx) * (1 + y / Ly_h)."""
     shape = np.sin(np.pi * grid.x / grid.lx)[None, :] * (1.0 + grid.y_h / grid.ly_h)[:, None]
     if k < 1:
         raise ConfigurationError(f"smooth heat forcing needs k >= 1, got {k}")
-    return FourierField.from_mode_dict(period, k, {k: 0.5 * amplitude * shape}, HEAT)
+    return {k: 0.5 * amplitude * shape}
 
 
-def _heat_forcing(scn: Scenario, grid) -> tuple[FourierField | None, dict]:
+def smooth_heat_forcing(grid, period: float, k: int = 1,
+                        amplitude: float = 1.0) -> FourierField:
+    """cos(k w t) * sin(pi x / Lx) * (1 + y / Ly_h) on the heat subdomain."""
+    return FourierField.from_mode_dict(period, k, _smooth_heat_modes(grid, k, amplitude), HEAT)
+
+
+def _heat_forcing(scn: Scenario, grid) -> tuple[ModeSource | FourierField | None, dict]:
     text = scn["forcing.heat"]
     amp = scn["forcing.heat.amplitude"]
     meta = {"spec": text, "amplitude": amp}
@@ -360,9 +369,17 @@ def _heat_forcing(scn: Scenario, grid) -> tuple[FourierField | None, dict]:
     if kind == "none":
         return None, meta
     if kind == "smooth":
-        return smooth_heat_forcing(grid, scn["period"], args[0], amp), meta
+        modes = _smooth_heat_modes(grid, args[0], amp)
+        return ModeSource(scn["period"], args[0], (grid.ny_h, grid.nx), HEAT, modes.get), meta
     return _load_coefficient_file(args[0], scn["period"], (grid.ny_h, grid.nx),
                                   HEAT, scn["modes"]).scaled(amp), meta
+
+
+def _stored(x: ModeSource | FourierField | None,
+            n_modes: int | None = None) -> FourierField | None:
+    """A forcing as a FourierField holding at least its modes 0..n_modes (all
+    by default): a ModeSource builds them, a coefficient file's field is one."""
+    return x.stored(n_modes) if isinstance(x, ModeSource) else x
 
 
 def _build_grid(scn: Scenario):
@@ -390,52 +407,70 @@ def _run_solve(scn: Scenario) -> dict:
     f, meta_h = _heat_forcing(scn, grid)
     _phase(f"solving {scn['modes']} modes on {grid.nx}x{grid.ny_w}+{grid.ny_h} grid")
     t0 = time.perf_counter()
-    report = solve_periodic_harmonic(grid, f, g, scn["modes"], tol=scn["tol"])
-    elapsed = time.perf_counter() - t0
-
+    stream = ModeStream(grid, f, g, scn["modes"], tol=scn["tol"])
+    n, period = stream.n_modes, stream.period
+    error = w_ref is not None and f is None
     mass_w = quadr.trap_mass(grid.ny_w, grid.nx, grid.hx, grid.hy_w)
     mass_h = quadr.trap_mass(grid.ny_h, grid.nx, grid.hx, grid.hy_h)
+    # squared norms of each mode as it arrives: u l2, w l2, w h1, then
+    # w - w_ref and w_ref in l2 when the error is reported
+    sq = np.zeros((5 if error else 3, n + 1))
+    times = np.arange(8) * period / 8.0
+    snaps = {"w": np.zeros((8, grid.ny_w, grid.nx)), "u": np.zeros((8, grid.ny_h, grid.nx))}
+    low: list[tuple[np.ndarray, np.ndarray]] = []  # the modes the weak check reads
+    residuals: dict[int, float] = {}
+    for k, w_k, u_k, residual in stream:
+        residuals[k] = residual
+        sq[:3, k] = (quadr.norm_sq(mass_h, u_k), quadr.norm_sq(mass_w, w_k),
+                     quadr.gradient_energy(w_k, grid.hx, grid.hy_w))
+        if error:
+            ref_k = w_ref.mode(k)
+            sq[3:, k] = quadr.norm_sq(mass_w, w_k - ref_k), quadr.norm_sq(mass_w, ref_k)
+        add_mode_samples(snaps["w"], times, period, k, w_k)
+        add_mode_samples(snaps["u"], times, period, k, u_k)
+        if scn["check.weak"] and k <= analysis._TEST_MODES:
+            low.append((w_k, u_k))
+    elapsed = time.perf_counter() - t0
+
     # rows k = -N..N from the modes k >= 0: mode -k, the conjugate of mode k,
     # has its norms
-    ks = np.arange(-scn["modes"], scn["modes"] + 1)
-    u_norm = np.sqrt([quadr.norm_sq(mass_h, c) for c in report.u.coeffs])
-    w_norm = np.sqrt([quadr.norm_sq(mass_w, c) for c in report.w.coeffs])
-    residual = np.array([report.mode_residuals.get(k, 0.0) for k in range(scn["modes"] + 1)])
+    ks = np.arange(-n, n + 1)
+    u_norm, w_norm = np.sqrt(sq[0]), np.sqrt(sq[1])
+    residual = np.array([residuals[k] for k in range(n + 1)])
     reporting.write_csv(_out(scn, "_modes.csv"), ["k", "u_norm", "w_norm", "residual"],
                         [ks, u_norm[abs(ks)], w_norm[abs(ks)], residual[abs(ks)]])
-
-    times = np.arange(8) * report.period / 8.0
-    for name, field_ in (("w", report.w), ("u", report.u)):
-        for j, snap in enumerate(field_.sample_real(times)):
+    for name in ("w", "u"):
+        for j, snap in enumerate(snaps.pop(name)):  # freed once written
             reporting.write_grid_csv(_out(scn, f"_{name}_t{j}.csv"), snap)
 
+    omega = 2.0 * np.pi / period
+    max_residual = max(residuals.values())
     summary = {
         "grid": {"nx": grid.nx, "ny_w": grid.ny_w, "ny_h": grid.ny_h,
                  "lx": grid.lx, "ly_w": grid.ly_w, "ly_h": grid.ly_h},
-        "period": report.period,
+        "period": period,
         "modes": scn["modes"],
         "forcing": {"wave": meta_w, "heat": meta_h},
-        "max_residual": report.max_residual(),
-        "norms": {
-            "u_l2": analysis.sobolev_time_norm(report.u, 0, grid, "l2"),
-            "w_l2": analysis.sobolev_time_norm(report.w, 0, grid, "l2"),
-            "w_h1": analysis.sobolev_time_norm(report.w, 0, grid, "h1"),
-        },
-        "timings": report.timings,
+        "max_residual": max_residual,
+        "norms": {name: analysis.plancherel_norm(row, 0, omega)
+                  for name, row in zip(("u_l2", "w_l2", "w_h1"), sq)},
+        "timings": stream.timings,
         "wall_seconds": elapsed,
         "seed": scn.seed,
     }
-    if w_ref is not None and f is None:
-        diff = report.w - w_ref
-        rel = (analysis.sobolev_time_norm(diff, 0, grid, "l2")
-               / max(analysis.sobolev_time_norm(w_ref, 0, grid, "l2"), 1e-300))
+    if error:
+        ref_norm = analysis.plancherel_norm(sq[4, :w_ref.n_modes + 1], 0, omega)
+        rel = analysis.plancherel_norm(sq[3], 0, omega) / max(ref_norm, 1e-300)
         summary["relative_error_vs_analytic"] = rel
         _phase(f"relative error vs analytic solution: {rel:.3e}")
     if scn["check.weak"]:
+        w_low, u_low = (np.stack(modes) for modes in zip(*low))
         summary["weak_residual"] = analysis.weak_residual(
-            report, f, g, grid, n_tests=scn["check.weak.tests"], seed=scn.seed)
+            stream.report(w_low, u_low, residuals), _stored(f, analysis._TEST_MODES),
+            _stored(g, analysis._TEST_MODES), grid, n_tests=scn["check.weak.tests"],
+            seed=scn.seed)
     reporting.write_json(_out(scn, ".json"), summary)
-    _phase(f"max mode residual {report.max_residual():.3e}, wrote {_out(scn, '.json')}")
+    _phase(f"max mode residual {max_residual:.3e}, wrote {_out(scn, '.json')}")
     return summary
 
 
@@ -443,6 +478,7 @@ def _run_epsilon_sweep(scn: Scenario) -> dict:
     grid = _build_grid(scn)
     g, _, meta_w = _wave_forcing(scn, grid)
     f, meta_h = _heat_forcing(scn, grid)
+    f, g = _stored(f), _stored(g)
     _phase("reference harmonic solve")
     reference = solve_periodic_harmonic(grid, f, g, scn["modes"], tol=scn["tol"])
     w_ref_norm = max(analysis.sobolev_time_norm(reference.w, 0, grid, "l2"), 1e-300)

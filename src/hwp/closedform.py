@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ClosedFormError
 from .mesh import Grid
-from .timefourier import WAVE, FourierField
+from .timefourier import WAVE, FourierField, ModeSource
 
 REFERENCE_PERIOD = 2.0 * np.pi
 
@@ -63,11 +63,32 @@ def mode_amplitudes(n: int, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     return -sx * profile.d2phi(grid.y_w)[:, None], sx * profile.phi(grid.y_w)[:, None]
 
 
+def _family_sources(n_modes: int, grid: Grid,
+                    weight: Callable[[int], complex | None]) -> tuple[ModeSource, ModeSource]:
+    """The sources g and w_ref whose mode n is weight(n) times the amplitudes
+    (A_g, A_w) of mode_amplitudes(n, grid), built when asked for (weight
+    None: a zero mode); nothing is held between requests."""
+    _check_reference_geometry(grid)
+
+    def part(i: int) -> ModeSource:
+        return ModeSource(REFERENCE_PERIOD, n_modes, (grid.ny_w, grid.nx), WAVE,
+                          lambda n: None if (a := weight(n)) is None
+                          else a * mode_amplitudes(n, grid)[i])
+
+    return part(0), part(1)
+
+
+def analytic_sources(n: int, grid: Grid) -> tuple[ModeSource, ModeSource]:
+    """(g_n, w_n) of mode_amplitudes as mode sources on the wave subgrid."""
+    if n < 1:
+        raise ClosedFormError(f"mode index must be >= 1, got {n}")
+    # sin(n t) A = -(i/2) A e^{i n t} + (i/2) A e^{-i n t}
+    return _family_sources(n, grid, {n: -0.5j}.get)
+
+
 def analytic_mode(n: int, grid: Grid) -> tuple[FourierField, FourierField]:
     """(g_n, w_n) of mode_amplitudes as Fourier fields on the wave subgrid."""
-    # sin(n t) A = -(i/2) A e^{i n t} + (i/2) A e^{-i n t}
-    g, w = (FourierField.from_mode_dict(REFERENCE_PERIOD, n, {n: -0.5j * amp}, WAVE)
-            for amp in mode_amplitudes(n, grid))
+    g, w = (source.stored() for source in analytic_sources(n, grid))
     return g, w
 
 
@@ -89,26 +110,24 @@ def series_rule(tag: str) -> SeriesRule:
     raise ClosedFormError(f"unknown series rule {tag!r}")
 
 
-def series_forcing(rule: SeriesRule, n_terms: int,
-                   grid: Grid) -> tuple[FourierField, FourierField]:
+def series_sources(rule: SeriesRule, n_terms: int,
+                   grid: Grid) -> tuple[ModeSource, ModeSource]:
     """Truncated superposition g = sum_{n<=N} a_n g_n and the matching
     analytic solution superposition w_ref = sum a_n w_n, both with the
-    quartic bump phi of bump_profile()."""
+    quartic bump phi of bump_profile(), as mode sources: mode n is
+    -(i/2) a_n times the amplitudes of mode_amplitudes(n, grid), built when
+    asked for."""
     if n_terms < 1:
         raise ClosedFormError(f"need at least one term, got {n_terms}")
     if 2 * n_terms > grid.nx - 1:
         raise ClosedFormError(
             f"grid with nx={grid.nx} cannot resolve spatial frequency "
             f"{n_terms}; need nx-1 >= {2 * n_terms}")
-    _check_reference_geometry(grid)
-    profile = bump_profile()
-    phi_y = profile.phi(grid.y_w)[:, None]
-    d2phi_y = profile.d2phi(grid.y_w)[:, None]
-    g = FourierField.zeros(REFERENCE_PERIOD, n_terms, (grid.ny_w, grid.nx), WAVE)
-    w = FourierField.zeros(REFERENCE_PERIOD, n_terms, (grid.ny_w, grid.nx), WAVE)
-    for n in range(1, n_terms + 1):
-        a_n = rule.coefficient(n)
-        sx = np.sin(n * grid.x)[None, :]
-        g.coeffs[n] = -0.5j * a_n * (-sx * d2phi_y)
-        w.coeffs[n] = -0.5j * a_n * (sx * phi_y)
+    return _family_sources(n_terms, grid, lambda n: -0.5j * rule.coefficient(n) if n else None)
+
+
+def series_forcing(rule: SeriesRule, n_terms: int,
+                   grid: Grid) -> tuple[FourierField, FourierField]:
+    """series_sources with every mode built into a Fourier field."""
+    g, w = (source.stored() for source in series_sources(rule, n_terms, grid))
     return g, w

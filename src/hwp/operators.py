@@ -313,14 +313,15 @@ def split_mode_solution(op: ModeOperator, x: np.ndarray) -> tuple[np.ndarray, np
     into wave and heat nodal arrays.
 
     The heat array includes the derived interface trace u = c_trace * w in
-    its last row (zero for the mean pair).
+    its last row (zero for the mean pair), so it is complex on a k != 0
+    operator even for a real x.
     """
     grid = op.grid
     nh = grid.ny_h - 2
     xb = x.reshape(-1, grid.nx - 2)
     w = np.zeros((grid.ny_w, grid.nx), dtype=x.dtype)
     w[:-1, 1:-1] = xb[nh:]
-    u = np.zeros((grid.ny_h, grid.nx), dtype=x.dtype)
+    u = np.zeros((grid.ny_h, grid.nx), dtype=np.result_type(x, op.coeffs[2]))
     u[1:-1, 1:-1] = xb[:nh]
     if op.k:  # at k = 0 the product would write -0 where w is negative
         u[-1, :] = op.coeffs[2] * w[0, :]

@@ -2,9 +2,14 @@
 
 Two routes to T-periodic solutions of the coupled system:
 
-* solve_periodic_harmonic: spectral in time. Mode 0 is the stationary
-  mean-value pair; every mode k >= 1 is one complex coupled solve, and
-  the fields store modes k >= 0 only, so they are real by construction.
+* ModeStream: spectral in time, one mode at a time. Mode 0 is the
+  stationary mean-value pair; every mode k >= 1 is one complex coupled
+  solve. The stream yields (k, w_k, u_k, residual) for k = 0..N in order
+  and asks the forcing for its mode k only when mode k's solve starts, so
+  what a consumer holds is up to it: solve_periodic_harmonic collects the
+  stream into a SolveReport (fields storing modes k >= 0 only, real by
+  construction), while the solve command keeps per-mode norms, snapshot
+  sums and the modes its weak check reads, and drops each mode after use.
   With a damping shift eps and a step count n_steps it computes the damped
   construction below directly, one frequency solve per mode.
 
@@ -45,6 +50,7 @@ measured median contraction is 0.619, against exp(-eps T) = 0.285.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,7 +59,7 @@ from .errors import ConfigurationError, SolverError
 from .mesh import Grid
 from . import operators as ops
 from . import quadrature as quad
-from .timefourier import HEAT, INTERFACE, WAVE, FourierField, time_transform
+from .timefourier import HEAT, INTERFACE, WAVE, FourierField, ModeSource, time_transform
 
 
 @dataclass
@@ -89,7 +95,7 @@ def _trace_fields(grid: Grid, w: FourierField) -> tuple[FourierField, FourierFie
     return h, big_h
 
 
-def _aliased_mode(x: FourierField, k: int, n_steps: int | None) -> np.ndarray:
+def _aliased_mode(x: FourierField | ModeSource, k: int, n_steps: int | None) -> np.ndarray:
     """Mode k of x as n_steps uniform samples per period see it: the sum of
     the coefficients k + j n_steps, j in order, over the modes -N..N of x
     (the plain coefficient when n_steps is None)."""
@@ -99,71 +105,100 @@ def _aliased_mode(x: FourierField, k: int, n_steps: int | None) -> np.ndarray:
                 if (j - k) % n_steps == 0), np.zeros(x.spatial_shape, dtype=complex))
 
 
-def solve_periodic_harmonic(grid: Grid, f: FourierField | None,
-                            g: FourierField | None, n_modes: int,
-                            tol: float = 1e-10, eps: float = 0.0,
-                            n_steps: int | None = None) -> SolveReport:
-    """Mode-by-mode periodic solve with n_modes temporal frequencies.
+class ModeStream:
+    """The mode-by-mode periodic solve as a stream of per-mode results.
+
+    Iterating yields (k, w_k, u_k, residual) for k = 0..n_modes in order:
+    the complex wave and heat coefficients of mode k (u_k with its derived
+    interface trace) and the relative residual of its solve. Mode 0 is the
+    stationary mean-value pair; every mode k >= 1 is one complex coupled
+    solve that reads mode k of the forcing f (heat) and g (wave), each a
+    FourierField or a ModeSource, only when it starts. So a consumer that
+    keeps what it needs of each mode and drops the rest holds one mode of
+    the solution at a time. Every input is checked when the stream is built.
 
     eps > 0 adds the damping shift of the damped construction. With
-    n_steps set, the result is the discrete periodic orbit of the
+    n_steps set, the stream is the discrete periodic orbit of the
     trapezoidal march with n_steps steps per period (see the module
     docstring): the trapezoidal symbol replaces i w k, the forcing is folded
     onto its aliases mod n_steps, and the mode count is capped at
-    (n_steps - 1) // 2. A damped or stepped solve reports method "epsilon"
-    with params eps, dt and n_steps (dt and n_steps None when continuous in
-    time); the plain one reports method "harmonic".
+    (n_steps - 1) // 2. ``timings`` adds up the time spent in the solves.
     """
-    if n_modes < 0:
-        raise ConfigurationError("mode count must be non-negative")
-    if not (np.isfinite(eps) and eps >= 0):
-        raise ConfigurationError(f"damping shift eps must be non-negative, got {eps}")
-    if n_steps is not None and n_steps < 4:
-        raise ConfigurationError("need at least 4 steps per period")
-    periods = {x.period for x in (f, g) if x is not None}
-    if len(periods) > 1:
-        raise ConfigurationError("forcing fields disagree on the period")
-    period = periods.pop() if periods else 2.0 * np.pi
-    dt = None
-    if n_steps is not None:
-        dt = period / n_steps
-        n_modes = min(n_modes, (n_steps - 1) // 2)
 
-    t0 = time.perf_counter()
-    shape_w = (grid.ny_w, grid.nx)
-    shape_h = (grid.ny_h, grid.nx)
-    u_out = FourierField.zeros(period, n_modes, shape_h, HEAT)
-    w_out = FourierField.zeros(period, n_modes, shape_w, WAVE)
+    def __init__(self, grid: Grid, f: FourierField | ModeSource | None,
+                 g: FourierField | ModeSource | None, n_modes: int,
+                 tol: float = 1e-10, eps: float = 0.0, n_steps: int | None = None):
+        if n_modes < 0:
+            raise ConfigurationError("mode count must be non-negative")
+        if not (np.isfinite(eps) and eps >= 0):
+            raise ConfigurationError(f"damping shift eps must be non-negative, got {eps}")
+        if n_steps is not None and n_steps < 4:
+            raise ConfigurationError("need at least 4 steps per period")
+        periods = {x.period for x in (f, g) if x is not None}
+        if len(periods) > 1:
+            raise ConfigurationError("forcing fields disagree on the period")
+        self.period = periods.pop() if periods else 2.0 * np.pi
+        self.dt = None if n_steps is None else self.period / n_steps
+        self.n_modes = n_modes if n_steps is None else min(n_modes, (n_steps - 1) // 2)
+        self.grid, self.f, self.g = grid, f, g
+        self.tol, self.eps, self.n_steps = tol, eps, n_steps
+        self.timings = {"mean": 0.0, "modes": 0.0}
+
+    def __iter__(self) -> Iterator[tuple[int, np.ndarray, np.ndarray, float]]:
+        for k in range(self.n_modes + 1):
+            yield (k, *self._solve(k))  # keeps no reference to the mode once yielded
+
+    def _solve(self, k: int) -> tuple[np.ndarray, np.ndarray, float]:
+        """w_k, u_k and the residual of mode k; its time is added to timings."""
+        t0 = time.perf_counter()
+        f_k, g_k = (None if x is None else _aliased_mode(x, k, self.n_steps)
+                    for x in (self.f, self.g))
+        if k == 0:
+            pair = ops.solve_mean_pair(self.grid, *(None if c is None else c.real
+                                                    for c in (f_k, g_k)),
+                                       tol=self.tol, eps=self.eps)
+            out = pair.mean_w.astype(complex), pair.mean_u.astype(complex), pair.residual
+        else:
+            op = ops.assemble_coupled_mode(self.grid, k, self.period, eps=self.eps,
+                                           dt=self.dt)
+            x = ops.solve_linear(op, ops.mode_rhs(op, f_k, g_k), tol=self.tol)
+            out = (*ops.split_mode_solution(op, x), op.residual)
+        self.timings["mean" if k == 0 else "modes"] += time.perf_counter() - t0
+        return out
+
+    def report(self, w: np.ndarray, u: np.ndarray,
+               residuals: dict[int, float]) -> SolveReport:
+        """The SolveReport of the stacks w and u of modes 0..K collected from
+        this stream (K = n_modes for the whole solution). A damped or stepped
+        stream reports method "epsilon" with params eps, dt and n_steps (dt
+        and n_steps None when continuous in time); the plain one reports
+        method "harmonic"."""
+        w_field = FourierField(self.period, w, WAVE)
+        h, big_h = _trace_fields(self.grid, w_field)
+        if self.n_steps is None and self.eps == 0:
+            method, params = "harmonic", {"n_modes": self.n_modes, "tol": self.tol}
+        else:
+            method, params = "epsilon", {"eps": self.eps, "dt": self.dt,
+                                         "n_steps": self.n_steps}
+        return SolveReport(
+            grid=self.grid, u=FourierField(self.period, u, HEAT), w=w_field, trace_h=h,
+            trace_primitive=big_h, mode_residuals=dict(residuals),
+            timings=dict(self.timings), method=method, params=params)
+
+
+def solve_periodic_harmonic(grid: Grid, f: FourierField | ModeSource | None,
+                            g: FourierField | ModeSource | None, n_modes: int,
+                            tol: float = 1e-10, eps: float = 0.0,
+                            n_steps: int | None = None) -> SolveReport:
+    """Mode-by-mode periodic solve with n_modes temporal frequencies: the
+    ModeStream of these arguments, collected into one SolveReport."""
+    stream = ModeStream(grid, f, g, n_modes, tol=tol, eps=eps, n_steps=n_steps)
+    w = np.zeros((stream.n_modes + 1, grid.ny_w, grid.nx), dtype=complex)
+    u = np.zeros((stream.n_modes + 1, grid.ny_h, grid.nx), dtype=complex)
     residuals: dict[int, float] = {}
-
-    mean_f = _aliased_mode(f, 0, n_steps).real if f is not None else None
-    mean_g = _aliased_mode(g, 0, n_steps).real if g is not None else None
-    pair = ops.solve_mean_pair(grid, mean_f, mean_g, tol=tol, eps=eps)
-    u_out.coeffs[0] = pair.mean_u
-    w_out.coeffs[0] = pair.mean_w
-    residuals[0] = pair.residual
-    t_mean = time.perf_counter()
-
-    for k in range(1, n_modes + 1):
-        f_k = _aliased_mode(f, k, n_steps) if f is not None else None
-        g_k = _aliased_mode(g, k, n_steps) if g is not None else None
-        op = ops.assemble_coupled_mode(grid, k, period, eps=eps, dt=dt)
-        x = ops.solve_linear(op, ops.mode_rhs(op, f_k, g_k), tol=tol)
-        w_k, u_k = ops.split_mode_solution(op, x)
-        w_out.coeffs[k], u_out.coeffs[k] = w_k, u_k
-        residuals[k] = op.residual
-    t_modes = time.perf_counter()
-
-    h, big_h = _trace_fields(grid, w_out)
-    if n_steps is None and eps == 0:
-        method, params = "harmonic", {"n_modes": n_modes, "tol": tol}
-    else:
-        method, params = "epsilon", {"eps": eps, "dt": dt, "n_steps": n_steps}
-    return SolveReport(
-        grid=grid, u=u_out, w=w_out, trace_h=h, trace_primitive=big_h,
-        mode_residuals=residuals,
-        timings={"mean": t_mean - t0, "modes": t_modes - t_mean},
-        method=method, params=params)
+    for k, w_k, u_k, residual in stream:
+        w[k], u[k], residuals[k] = w_k, u_k, residual
+    return stream.report(w, u, residuals)
 
 
 # ---------------------------------------------------------------------------

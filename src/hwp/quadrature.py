@@ -64,9 +64,21 @@ def cell_centers(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gradient_energy(f: np.ndarray, hx: float, hy: float) -> float:
-    """Cell-quadrature approximation of the Dirichlet energy int |grad f|^2."""
-    fx, fy = cell_gradient(f, hx, hy)
-    return float(np.sum((np.abs(fx) ** 2 + np.abs(fy) ** 2)) * hx * hy)
+    """Cell-quadrature approximation of the Dirichlet energy int |grad f|^2
+    of one nodal field f (ny, nx).
+
+    The stencil is cell_gradient's, applied in real arithmetic: a complex f
+    is read as its float view (ny, 2 nx), real and imaginary parts
+    interleaved, so x neighbours lie two columns apart and the energy is
+    the sum of the squares of both parts (no complex abs). A real f gives
+    the bits of summing |cell_gradient|^2."""
+    s = 2 if np.iscomplexobj(f) else 1
+    v = np.ascontiguousarray(f).view(float) if s == 2 else f
+    dx = v[:, s:] - v[:, :-s]
+    dy = v[1:] - v[:-1]
+    fx = (dx[:-1] + dx[1:]) / (2.0 * hx)
+    fy = (dy[:, :-s] + dy[:, s:]) / (2.0 * hy)
+    return float(np.sum(fx * fx + fy * fy) * hx * hy)
 
 
 def sbp_stiffness(ny: int, nx: int, hx: float, hy: float,

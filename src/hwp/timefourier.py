@@ -13,15 +13,22 @@ average of ||f(t)||^2 (Parseval).
 
 Samples become coefficients one way only, by ``time_transform`` (uniform
 samples over a period, through rfft); coefficients become samples by
-``FourierField.sample_real`` at any times. A mean c_0 that is not real is
-rejected when the field is built and again when it is sampled.
+``FourierField.sample_real`` at any times, or one mode at a time by
+``add_mode_samples``. A mean c_0 that is not real is rejected when the field
+is built and again when it is sampled.
+
+A ``ModeSource`` is a real field that stores no modes: it builds mode k when
+asked for it. A solve reads its forcing through ``period``, ``n_modes``,
+``spatial_shape`` and ``mode(k)`` only, which both classes provide.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 from .errors import AliasingError, AnalysisError
 
@@ -104,8 +111,7 @@ class FourierField:
     def scaled(self, factor: float) -> "FourierField":
         """factor times the field; a non-real factor would make it complex
         and raises AnalysisError."""
-        if np.imag(factor) != 0:
-            raise AnalysisError(f"cannot scale a real field by the non-real factor {factor!r}")
+        _check_real_factor(factor)
         return FourierField(self.period, factor * self.coeffs, self.domain)
 
     def _combine(self, other: "FourierField", op, what: str) -> "FourierField":
@@ -148,6 +154,75 @@ class FourierField:
                                     f"stores k >= 0 only")
             coeffs[k] = c
         return cls(period, coeffs, domain)
+
+
+def _check_real_factor(factor: float) -> None:
+    if np.imag(factor) != 0:
+        raise AnalysisError(f"cannot scale a real field by the non-real factor {factor!r}")
+
+
+@dataclass(frozen=True)
+class ModeSource:
+    """A real field whose modes are built on demand, none stored.
+
+    build(k) returns c_k for 0 <= k <= n_modes, or None for a zero mode;
+    ``mode(k)`` reads like ``FourierField.mode``. A consumer that asks for
+    one mode at a time holds one mode of the field, whatever n_modes is.
+    """
+
+    period: float
+    n_modes: int
+    spatial_shape: tuple[int, ...]
+    domain: str
+    build: Callable[[int], np.ndarray | None]
+
+    def mode(self, k: int) -> np.ndarray:
+        """c_k for any integer k: conj(c_-k) for k < 0, zero past N; the bits
+        of FourierField.mode on the stored field, signed zeros included."""
+        if abs(k) > self.n_modes:
+            return np.zeros(self.spatial_shape, dtype=complex)
+        c = self.build(abs(k))
+        c = np.zeros(self.spatial_shape, dtype=complex) if c is None else np.asarray(c, complex)
+        return c if k >= 0 else np.conj(c)
+
+    def scaled(self, factor: float) -> "ModeSource":
+        """factor times the field, applied to each mode (zero modes too, as
+        FourierField.scaled does) as it is built; a non-real factor raises
+        AnalysisError."""
+        _check_real_factor(factor)
+        build, shape = self.build, self.spatial_shape
+        return replace(self, build=lambda k: factor * (np.zeros(shape, dtype=complex)
+                                                       if (c := build(k)) is None else c))
+
+    def stored(self, n_modes: int | None = None) -> FourierField:
+        """Modes 0..min(n_modes, N) (all by default) built into a FourierField."""
+        n = self.n_modes if n_modes is None else min(n_modes, self.n_modes)
+        out = FourierField.zeros(self.period, n, self.spatial_shape, self.domain)
+        for k in range(n + 1):
+            c = self.build(k)
+            if c is not None:
+                out.coeffs[k] = c
+        out._check_real_mean()
+        return out
+
+
+def add_mode_samples(samples: np.ndarray, times: np.ndarray, period: float, k: int,
+                     c_k: np.ndarray) -> None:
+    """Add mode k's share weight_k Re(c_k e^{i w k t}) of
+    ``FourierField.sample_real`` at the given times to samples, shape
+    (len(times), *spatial) C-contiguous, in place.
+
+    One BLAS product over the real and imaginary parts of c_k (a view, no
+    copy) accumulates into samples; summed over k = 0..N this is
+    sample_real up to the order of summation.
+    """
+    c_k = np.ascontiguousarray(c_k, dtype=complex).reshape(-1)
+    phase = (1.0 if k == 0 else 2.0) * np.exp(1j * (2.0 * np.pi / period) * (times * k))
+    # samples^T (points x times) += [Re c, Im c] (points x 2) @ [Re p; -Im p] (2 x times)
+    out = dgemm(1.0, c_k.view(float).reshape(-1, 2).T, np.stack([phase.real, -phase.imag]),
+                beta=1.0, c=samples.reshape(len(times), -1).T, trans_a=1, overwrite_c=1)
+    if not np.shares_memory(out, samples):
+        raise AnalysisError("add_mode_samples: samples must be a C-contiguous float array")
 
 
 def hermitian_defect(coeffs: np.ndarray) -> float:

@@ -1,19 +1,20 @@
 import itertools
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hwp import closedform, geometry, mesh, operators, reporting
+from hwp import analysis, cli, closedform, geometry, mesh, operators, reporting
 from hwp import quadrature as quad
 from hwp.cli import (COMMANDS, SCHEMAS, _forcing_spec, _load_coefficient_file, main,
-                     parse_scenario, smooth_heat_forcing)
+                     parse_scenario, run_scenario, smooth_heat_forcing)
 from hwp.errors import ConfigurationError
 from hwp.fields import jet_batch
-from hwp.periodic import solve_periodic_harmonic
-from hwp.timefourier import WAVE
+from hwp.periodic import ModeStream, solve_periodic_harmonic
+from hwp.timefourier import HEAT, WAVE, FourierField
 
 import fourier_oracle as oracle
 
@@ -93,6 +94,126 @@ def test_solve_determinism_byte_identical(tmp_path):
         p2 = out2 / p1.name
         assert p1.read_bytes() == p2.read_bytes()
 
+
+
+def _stored_forcing(spec: str, amp: float, grid, period=2 * np.pi) -> FourierField:
+    """A forcing spec's whole mode stack, built as the solve built it before
+    forcing came one mode at a time: the reference for the mode sources."""
+    kind, args = _forcing_spec("forcing.heat" if spec.startswith("smooth") else
+                               "forcing.wave", spec)
+    if kind == "smooth":
+        return smooth_heat_forcing(grid, period, args[0], amp)
+    if kind == "mode":
+        n = args[0]
+        return tuple(FourierField.from_mode_dict(period, n, {n: -0.5j * a}, WAVE).scaled(amp)
+                     for a in closedform.mode_amplitudes(n, grid))
+    rule, n_terms = closedform.series_rule(args[0]), args[1]
+    g = FourierField.zeros(period, n_terms, (grid.ny_w, grid.nx), WAVE)
+    phi = closedform.bump_profile()
+    for n in range(1, n_terms + 1):
+        sx = np.sin(n * grid.x)[None, :]
+        g.coeffs[n] = -0.5j * rule.coefficient(n) * (-sx * phi.d2phi(grid.y_w)[:, None])
+    return g.scaled(amp)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=complex).view(np.uint64)
+
+
+@pytest.mark.parametrize("spec,amp", [("mode:2", 1.0), ("mode:3", -1.5), ("series:G1:5", 1.0),
+                                      ("series:G2:4", -0.25), ("smooth:1", 1.0),
+                                      ("smooth:3", -0.7)])
+def test_on_demand_forcing_modes_are_the_stored_stack(spec, amp):
+    # every mode, signed zeros included, is the bits of the whole stack
+    grid = mesh.build_stacked_rectangles(np.pi, 1.0, 1.0, 17, 13, 9)
+    key = "forcing.heat" if spec.startswith("smooth") else "forcing.wave"
+    scn = parse_scenario(f"grid.nx = 17\ngrid.ny_w = 13\ngrid.ny_h = 9\nmodes = 6\n"
+                         f"{key} = {spec}\n{key}.amplitude = {amp}\n", "solve")
+    if key == "forcing.heat":
+        sources, stacks = [cli._heat_forcing(scn, grid)[0]], [_stored_forcing(spec, amp, grid)]
+    else:
+        g, w_ref, _ = cli._wave_forcing(scn, grid)
+        sources = [g] if w_ref is None else [g, w_ref]
+        stacks = _stored_forcing(spec, amp, grid)
+        stacks = [stacks] if isinstance(stacks, FourierField) else list(stacks)
+    for source, stack in zip(sources, stacks):
+        assert source.n_modes == stack.n_modes
+        for k in range(-stack.n_modes - 1, stack.n_modes + 2):
+            assert np.array_equal(_bits(source.mode(k)), _bits(stack.mode(k))), k
+        assert np.array_equal(_bits(source.stored().coeffs), _bits(stack.coeffs))
+
+
+@pytest.mark.parametrize("keys", [
+    "forcing.wave = mode:2\nforcing.wave.amplitude = -1.5\ncheck.weak = true\n",
+    "forcing.wave = series:G1:4\nforcing.heat = smooth:2\nforcing.heat.amplitude = 0.7\n"
+    "check.weak = true\ncheck.weak.tests = 3\n",
+    "forcing.wave = mode:3\nmodes = 6\n"])
+def test_streamed_solve_is_the_collected_report(tmp_path, monkeypatch, keys):
+    # the solve command consumes the mode stream one mode at a time; the modes
+    # it sees, and the norms, error and weak residual it writes, are those of
+    # the collected report on the stored forcing, bit for bit; the snapshots
+    # are its sample_real up to the order of summation
+    seen = []
+
+    class Recording(ModeStream):
+        def __iter__(self):
+            for k, w_k, u_k, residual in super().__iter__():
+                seen.append((k, w_k.copy(), u_k.copy(), residual))
+                yield k, w_k, u_k, residual
+
+    monkeypatch.setattr(cli, "ModeStream", Recording)
+    text = "grid.nx = 17\ngrid.ny_w = 13\ngrid.ny_h = 9\nname = s\nseed = 3\n" + keys
+    scn = parse_scenario(text, "solve", out_dir=str(tmp_path))
+    assert run_scenario(scn) == 0
+    summary = json.loads((tmp_path / "solve_s.json").read_text())
+
+    grid = mesh.build_stacked_rectangles(np.pi, 1.0, 1.0, 17, 13, 9)
+    wave, heat = scn["forcing.wave"], scn["forcing.heat"]
+    g = _stored_forcing(wave, scn["forcing.wave.amplitude"], grid)
+    g, w_ref = g if isinstance(g, tuple) else (g, None)
+    f = None if heat == "none" else _stored_forcing(heat, scn["forcing.heat.amplitude"], grid)
+    report = solve_periodic_harmonic(grid, f, g, scn["modes"])
+    assert [k for k, *_ in seen] == list(range(scn["modes"] + 1))
+    for k, w_k, u_k, residual in seen:
+        assert np.array_equal(_bits(w_k), _bits(report.w.coeffs[k]))
+        assert np.array_equal(_bits(u_k), _bits(report.u.coeffs[k]))
+        assert residual == report.mode_residuals[k]
+    for name, field_, flavor in (("u_l2", report.u, "l2"), ("w_l2", report.w, "l2"),
+                                 ("w_h1", report.w, "h1")):
+        assert summary["norms"][name] == analysis.sobolev_time_norm(field_, 0, grid, flavor)
+    if w_ref is not None and f is None:
+        rel = (analysis.sobolev_time_norm(report.w - w_ref, 0, grid, "l2")
+               / analysis.sobolev_time_norm(w_ref, 0, grid, "l2"))
+        assert summary["relative_error_vs_analytic"] == rel
+    if scn["check.weak"]:
+        assert summary["weak_residual"] == analysis.weak_residual(
+            report, f, g, grid, n_tests=scn["check.weak.tests"], seed=3)
+    times = np.arange(8) * report.period / 8.0
+    for name, field_ in (("w", report.w), ("u", report.u)):
+        want = field_.sample_real(times)
+        for j in range(8):
+            got = np.loadtxt(tmp_path / f"solve_s_{name}_t{j}.csv", delimiter=",", skiprows=1)
+            assert np.max(np.abs(got - want[j])) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_solve_memory_does_not_grow_with_modes(tmp_path):
+    # at 129^2 with series:G1:<modes> forcing, the traced peak of a whole
+    # solve run for modes = 4, 16 and 64 differs by less than one wave mode
+    # stack of modes = 4 (5 * 129^2 complex values); holding the stacks of
+    # w, u and w - w_ref took 8.8, 18.0 and 54.8 MiB
+    peaks = []
+    for modes in (4, 16, 64):
+        scn = parse_scenario(f"grid.nx = 129\ngrid.ny_w = 129\ngrid.ny_h = 129\n"
+                             f"modes = {modes}\nforcing.wave = series:G1:{modes}\n",
+                             "solve", out_dir=str(tmp_path))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert run_scenario(scn) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) - min(peaks) < 5 * 129 * 129 * 16, peaks
 
 
 def test_mode_tables_are_the_two_sided_bytes(tmp_path):

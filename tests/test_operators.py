@@ -65,6 +65,20 @@ def test_unknown_layout(dims):
     np.testing.assert_array_equal(u, interior_h)
 
 
+def test_split_keeps_the_trace_of_a_real_vector():
+    # a real solution vector on a k != 0 operator: the derived interface
+    # trace c_trace * w is complex and must not be cast to the real dtype of x
+    grid = hwp.build_stacked_rectangles(np.pi, 1.0, 1.0, 5, 5, 5)
+    op = hwp.assemble_coupled_mode(grid, 1, T)
+    w, u = ops.split_mode_solution(op, np.ones(op.dimension))
+    assert op.coeffs[2] == 1j
+    np.testing.assert_array_equal(u[-1], op.coeffs[2] * w[0])
+    assert u[-1, 1] == 1j
+    # the real mean pair keeps real arrays
+    pair_op = hwp.ModeOperator(0, 0.0, grid, (0.0, 0.0, 0.0))
+    assert ops.split_mode_solution(pair_op, np.ones(op.dimension))[1].dtype == float
+
+
 def test_mode_dimension_5x5x5():
     grid = hwp.build_stacked_rectangles(np.pi, 1.0, 1.0, 5, 5, 5)
     op = hwp.assemble_coupled_mode(grid, 1, T)

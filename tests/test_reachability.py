@@ -7,14 +7,22 @@ domain, the Poincare and trapezoid checks, ``file:`` forcing) and the demos
 in-process, and writes out each code object that ran. The test compares
 that set with every ``def`` in src/hwp, found by ``ast``. A function that no
 command or demo reaches is deleted, or gets an ``ALLOWLIST`` entry that
-says why it stays; an entry that names no function, or whose function ran,
+says why it stays; an entry that names nothing, or whose function ran,
 fails the test too.
 
+Two kinds of class have no ``def`` of their own to see run:
+
+* a dataclass: the run also writes out each dataclass of src/hwp whose
+  generated ``__init__`` code ran, so one that nothing builds fails;
+* an exception class: ``ast`` checks that src/hwp raises it, or raises a
+  class derived from it, somewhere.
+
 Run by hand: ``python tests/test_reachability.py <dir>`` writes the code
-objects that ran to ``<dir>/ran.json``.
+objects that ran, and the dataclasses built, to ``<dir>/ran.json``.
 """
 
 import ast
+import importlib
 import json
 import os
 import runpy
@@ -71,8 +79,8 @@ SCENARIOS = (
 )
 
 
-def _trace(workdir: Path) -> set[tuple[str, int, str]]:
-    """(file, first line, name) of each code object that ran."""
+def _trace(workdir: Path) -> set:
+    """The code objects that ran."""
     ran = set()
 
     def hook(frame, event, arg):
@@ -92,8 +100,12 @@ def _trace(workdir: Path) -> set[tuple[str, int, str]]:
             runpy.run_path(str(demo), run_name="__main__")
     finally:
         sys.setprofile(None)
-    return {(str(Path(c.co_filename).resolve()), c.co_firstlineno, c.co_name)
-            for c in ran}
+    return ran
+
+
+def _parsed():
+    for path in sorted(SRC.glob("*.py")):
+        yield path.stem, path.resolve(), ast.parse(path.read_text())
 
 
 def _defs() -> dict[str, tuple[str, int, str]]:
@@ -115,9 +127,42 @@ def _defs() -> dict[str, tuple[str, int, str]]:
             else:
                 visit(child, prefix, path)
 
-    for path in sorted(SRC.glob("*.py")):
-        visit(ast.parse(path.read_text()), path.stem, path.resolve())
+    for module, path, tree in _parsed():
+        visit(tree, module, path)
     return out
+
+
+def _dataclasses() -> list[str]:
+    """Every module-level class of src/hwp decorated with @dataclass or
+    @dataclass(...), as "<module>.<class>"."""
+    def is_dataclass(decorator):
+        name = decorator.func if isinstance(decorator, ast.Call) else decorator
+        return isinstance(name, ast.Name) and name.id == "dataclass"
+
+    return [f"{module}.{node.name}" for module, _, tree in _parsed() for node in tree.body
+            if isinstance(node, ast.ClassDef) and any(map(is_dataclass, node.decorator_list))]
+
+
+def _exceptions_never_raised() -> list[str]:
+    """Exception classes of src/hwp (derived from Exception, directly or
+    through another of them) that no raise statement in src/hwp names,
+    neither they nor a class derived from them."""
+    bases, raised = {}, set()
+    for _, _, tree in _parsed():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = {b.id for b in node.bases if isinstance(b, ast.Name)}
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+
+    def ancestors(name):
+        return {name}.union(*(ancestors(b) for b in bases.get(name, ())))
+
+    errors = {name for name in bases if "Exception" in ancestors(name)}
+    covered = set().union(*(ancestors(name) for name in raised))
+    return sorted(errors - covered)
 
 
 def test_every_function_runs_from_a_command_or_a_demo(tmp_path):
@@ -125,17 +170,36 @@ def test_every_function_runs_from_a_command_or_a_demo(tmp_path):
     proc = subprocess.run([sys.executable, __file__, str(tmp_path)], cwd=tmp_path,
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    ran = {tuple(row) for row in json.loads((tmp_path / "ran.json").read_text())}
+    record = json.loads((tmp_path / "ran.json").read_text())
+    ran = {tuple(row) for row in record["ran"]}
     defs = _defs()
     never = sorted(n for n, key in defs.items() if key not in ran and n not in ALLOWLIST)
-    unknown = sorted(n for n in ALLOWLIST if n not in defs)
-    stale = sorted(n for n in ALLOWLIST if n in defs and defs[n] in ran)
+    never += sorted(n for n in _dataclasses()
+                    if n not in record["built"] and n not in ALLOWLIST)
+    known = set(defs) | set(_dataclasses())
+    unknown = sorted(n for n in ALLOWLIST if n not in known)
+    stale = sorted(n for n in ALLOWLIST
+                   if (n in defs and defs[n] in ran) or n in record["built"])
     assert not never, ("no command or demo runs these; delete them, or give each "
                        f"an ALLOWLIST entry with its reason: {never}")
-    assert not unknown, f"ALLOWLIST entries that name no def in src/hwp: {unknown}"
+    assert not unknown, f"ALLOWLIST entries that name no def or dataclass in src/hwp: {unknown}"
     assert not stale, f"ALLOWLIST entries whose function ran; drop them: {stale}"
+
+
+def test_every_exception_class_is_raised():
+    assert _exceptions_never_raised() == [], \
+        "exception classes that src/hwp never raises, nor any class derived from them"
 
 
 if __name__ == "__main__":
     workdir = Path(sys.argv[1])
-    (workdir / "ran.json").write_text(json.dumps(sorted(_trace(workdir))))
+    ran = _trace(workdir)
+
+    def built(name):
+        module, cls = name.split(".")
+        return getattr(importlib.import_module(f"hwp.{module}"), cls).__init__.__code__ in ran
+
+    (workdir / "ran.json").write_text(json.dumps({
+        "ran": sorted((str(Path(c.co_filename).resolve()), c.co_firstlineno, c.co_name)
+                      for c in ran),
+        "built": [name for name in _dataclasses() if built(name)]}))
