@@ -442,6 +442,7 @@ def _run_solve(scn: Scenario) -> dict:
     for name in ("w", "u"):
         for j, snap in enumerate(snaps.pop(name)):  # freed once written
             reporting.write_grid_csv(_out(scn, f"_{name}_t{j}.csv"), snap)
+    reporting._workspace.cache_clear()  # not held through the weak check
 
     omega = 2.0 * np.pi / period
     max_residual = max(residuals.values())
@@ -638,6 +639,8 @@ def run_scenario(scn: Scenario) -> int:
         if not isinstance(exc, (HwpError, FileNotFoundError)):
             raise
         return code
+    finally:  # the CSV formatter's workspace lives for one command
+        reporting._workspace.cache_clear()
 
 
 def main(argv: list[str] | None = None) -> int:

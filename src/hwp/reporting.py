@@ -24,22 +24,42 @@ non-finite values, |x| outside [1e-280, 1e280] (subnormals included),
 products outside [1e16, 1e17) (where log10 missed by one), a rounding that
 carries to 1e17, and products within 1e-6 of a rounding tie (exact ties
 included).
+
+The kernel formats a grid in blocks of whole rows, about 8,192 values each,
+and writes every intermediate array into one workspace of about 800 KiB
+(eight 64-KiB word arrays, the block's 32-byte value slots and five byte
+arrays) that is built on first use and reused across blocks and calls, so
+formatting allocates almost nothing and the same pages serve every grid.
+``_workspace.cache_clear()`` releases it (the CLI does so after each
+command). The NUL padding is stripped from at most 2,048 slots at a time,
+and ``write_grid_csv`` writes each such piece to the file as it is made,
+so the memory a grid write uses does not grow with the grid.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import os
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 
-def _write(path: str, header: Sequence[str], body: bytes) -> None:
+def _write(path: str, header: Sequence[str], pieces: Iterable[bytes]) -> None:
+    """The header line, then the pieces; a write that fails partway leaves
+    no file at ``path``."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "wb") as f:
-        f.write(",".join(header).encode() + b"\n")
-        f.write(body)
+        try:
+            f.write(",".join(header).encode() + b"\n")
+            for piece in pieces:
+                f.write(piece)
+        except BaseException:
+            f.close()
+            os.unlink(path)
+            raise
 
 
 def write_csv(path: str, header: Sequence[str], columns: Sequence) -> None:
@@ -65,7 +85,7 @@ def write_csv(path: str, header: Sequence[str], columns: Sequence) -> None:
             out[2 * p::w] = np.where(c, b"true", b"false").tolist()
         else:
             out[2 * p::w] = [str(v).encode() for v in c.tolist()]
-    _write(path, header, b"".join(out))
+    _write(path, header, [b"".join(out)])
 
 
 def _jsonable(obj):
@@ -75,28 +95,30 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (np.integer,)):
         return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
-    if isinstance(obj, float) and not np.isfinite(obj):
-        return repr(obj)
+    if isinstance(obj, (float, np.floating)):  # non-finite as "nan", "inf", "-inf"
+        value = float(obj)
+        return value if math.isfinite(value) else repr(value)
     return obj
 
 
 def write_json(path: str, payload: dict) -> None:
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", newline="\n") as f:
-        json.dump(_jsonable(payload), f, indent=2, sort_keys=True)
+        json.dump(_jsonable(payload), f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")
 
 
 def write_grid_csv(path: str, array: np.ndarray) -> None:
     """Matrix-layout CSV of one real nodal field (rows bottom-to-top), in
-    the bytes write_csv gives for its columns."""
-    _write(path, [f"c{i}" for i in range(array.shape[1])], _grid_csv_body(array))
+    the bytes write_csv gives for its columns, written block by block."""
+    a = np.asarray(array, dtype=np.float64)
+    if a.ndim != 2 or a.shape[1] == 0:
+        raise ValueError(f"{path}: grid of shape {a.shape}; a grid is 2-D with columns")
+    _write(path, [f"c{i}" for i in range(a.shape[1])], _grid_csv_pieces(a))
 
 
 # ---------------------------------------------------------------------------
@@ -104,17 +126,20 @@ def write_grid_csv(path: str, array: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 
 # Values per formatting pass (whole rows; a longer row is a pass of its
-# own). 2**13 keeps every float64/int64 temporary at 64 KiB,
-# under glibc's default 128 KiB mmap threshold, so temporaries are reused
-# from the heap instead of being page-faulted in afresh; passes of 2**16
-# values measured 1.3-1.9x slower per value on 161^2 grids.
+# own, with a workspace of its own). 2**13 keeps each workspace row at
+# 64 KiB and the whole workspace under 1 MiB; on 161^2 grids (2-core x86-64
+# VM) passes of 4,096 values measured 12% slower per value, passes of
+# 2**14 values 6% faster at twice the memory.
 _BLOCK_VALUES = 1 << 13
+# Slots per NUL strip and file write: 64 KiB of slots, and the bytes object
+# made from them, stay under glibc's 128-KiB mmap threshold.
+_PIECE_VALUES = 1 << 11
 _FAST_MIN, _FAST_MAX = 1e-280, 1e280  # |x| range of the fast path
 _TIE_BAND = 1e-6    # fractional parts this close to 1/2 go to Python
 _S_MIN, _S_MAX = -264, 297   # 10**(16 - e) for floor(log10|x|) of the fast range
 _E_MIN, _E_MAX = -300, 300   # exponents the layout tables cover
 _SPLIT = 134217729.0         # 2**27 + 1: Veltkamp splitting constant
-_TEN16, _TEN17 = 10 ** 16, 10 ** 17
+_TEN8, _TEN16, _TEN17 = 10 ** 8, 10 ** 16, 10 ** 17
 
 
 def _words(texts) -> np.ndarray:
@@ -143,9 +168,10 @@ def _layout_tables() -> tuple[np.ndarray, ...]:
 
     Indexed by 18 * (e - _E_MIN) + nd (nd = significant digits of D):
     the number of digits before the point (all of them for 0.000ddd) and the
-    length of digits plus point. Indexed by 2 * (e - _E_MIN) + negative: the
-    sign and ``0.000`` prefix. Indexed by e - _E_MIN: the exponent suffix
-    and separator, for ``,`` and for ``\\n``.
+    length of digits plus point, as intp so they index the word tables with
+    no conversion. Indexed by 2 * (e - _E_MIN) + negative: the sign and
+    ``0.000`` prefix. Indexed by e - _E_MIN: the exponent suffix and
+    separator, for ``,`` and for ``\\n``.
     """
     e = np.arange(_E_MIN, _E_MAX + 1)
     nd = np.arange(18)
@@ -157,7 +183,7 @@ def _layout_tables() -> tuple[np.ndarray, ...]:
     prefix = [sign + (b"0." + b"0" * (-k - 1) if s else b"")
               for k, s in zip(e.tolist(), small) for sign in (b"", b"-")]
     suffix = [b"" if f else b"e%+03d" % k for k, f in zip(e.tolist(), fixed)]
-    return (head.ravel().astype(np.int8), core.ravel().astype(np.int8), _words(prefix),
+    return (head.ravel().astype(np.intp), core.ravel().astype(np.intp), _words(prefix),
             _words([s + b"," for s in suffix]), _words([s + b"\n" for s in suffix]))
 
 
@@ -182,85 +208,203 @@ _ZERO = _words([b"0"])[0]
 _B8, _B16, _B24, _B40, _B56 = (np.uint64(k) for k in (8, 16, 24, 40, 56))
 
 
-def _scaled(y: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """y * 10**(16 - e) as its integer floor and fractional part, from the
-    exact product y * hi (TwoProduct) plus y * lo. Exact in the floor where
-    it lies in [1e16, 1e17), where y * hi is an integer double."""
-    i = 16 - e - _S_MIN
-    hi, hh, hl = _P_HI.take(i), _P_HH.take(i), _P_HL.take(i)
-    p = y * hi
-    c = _SPLIT * y
-    yh = c - (c - y)
-    yl = y - yh
-    r = (((yh * hh - p) + yh * hl + yl * hh) + yl * hl) + y * _P_LO.take(i)
-    fl = np.floor(r)
-    return p.astype(np.int64) + fl.astype(np.int64), r - fl
+def _new_workspace(n: int) -> tuple[np.ndarray, ...]:
+    """The kernel's arrays for blocks of up to n values: eight rows of n
+    words, the (n, 4) words of the 32-byte value slots, three bool rows and
+    two int8 rows (101 bytes per value)."""
+    return (np.empty((8, n), "<u8"), np.empty((n, 4), "<u8"),
+            np.empty((3, n), np.bool_), np.empty((2, n), np.int8))
 
 
-def _format_block(block: np.ndarray) -> bytes:
-    """%.17g of a 2-D float64 block, ``,`` between values, ``\\n`` after rows."""
+@functools.cache
+def _workspace() -> tuple[np.ndarray, ...]:
+    """The workspace of _BLOCK_VALUES-value blocks, shared by every call."""
+    return _new_workspace(_BLOCK_VALUES)
+
+
+def _take(table: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # mode="wrap" writes straight into out ("raise" fills a copy of it
+    # first); every index is in range by construction
+    return np.take(table, index, out=out, mode="wrap")
+
+
+def _format_block(block: np.ndarray) -> np.ndarray:
+    """The %.17g slots of a 2-D float64 block as an (n, 32) uint8 array: per
+    value its text, then ``,`` (``\\n`` after a row's last value), then NUL
+    padding. The slots live in the workspace: they hold until the next
+    block is formatted."""
     cols = block.shape[1]
     x = block.ravel()
-    mag = np.abs(x)
-    fast = (mag >= _FAST_MIN) & (mag <= _FAST_MAX)
-    y = np.where(fast, mag, 1.0)
-    e = np.floor(np.log10(y)).astype(np.int64)
-    whole, frac = _scaled(y, e)
-    d = whole + (frac > 0.5)
+    n = x.size
+    words, slots, masks, counts = (_workspace() if n <= _BLOCK_VALUES
+                                   else _new_workspace(n))
+    uw, slots = words[:, :n], slots[:n]
+    fw, iw = uw.view(np.float64), uw.view(np.int64)
+    spare = slots.reshape(-1)[:n]  # slot memory, unused until the slots are written
+    flag, slow, zero = masks[:, :n]
+    nd, sig = counts[:, :n]
+
+    # y = |x| on the fast path, 1 for zeros (which take the suffix of e = 0),
+    # |x| clamped to [_FAST_MIN, _FAST_MAX] for the rest (NaN to _FAST_MIN),
+    # which go to Python; ei = e - _E_MIN for e = floor(log10 y), and
+    # ix = 16 - e - _S_MIN indexes 10**(16 - e)
+    y, ei, ix = fw[0], iw[1], iw[2]
+    np.abs(x, out=y)
+    np.equal(y, 0.0, out=zero)
+    np.greater_equal(y, _FAST_MIN, out=flag)
+    np.less_equal(y, _FAST_MAX, out=slow)
+    flag &= slow
+    np.logical_or(flag, zero, out=slow)
+    np.logical_not(slow, out=slow)
+    np.fmax(y, _FAST_MIN, out=y)
+    np.fmin(y, _FAST_MAX, out=y)
+    y += zero                       # _FAST_MIN + 1 is 1
+    e = np.log10(y)
+    np.floor(e, out=e)
+    np.copyto(ei, e, casting="unsafe")
+    ei -= _E_MIN
+    np.subtract(16 - _S_MIN - _E_MIN, ei, out=ix)
+
+    # y * 10**(16 - e) = p + r with p = y * hi rounded, r the rest: the
+    # exact product y * hi (TwoProduct, hi = hh + hl) plus y * lo, summed
+    # as ((((yh*hh - p) + yh*hl) + yl*hh) + yl*hl) + y*lo. Exact in the
+    # floor where it lies in [1e16, 1e17), where p is an integer double.
+    p, yh, yl, r, t, t2 = fw[3], fw[4], fw[5], fw[6], fw[7], spare.view(np.float64)
+    _take(_P_HI, ix, p)
+    p *= y
+    np.multiply(y, _SPLIT, out=yh)  # c
+    np.subtract(yh, y, out=yl)
+    np.subtract(yh, yl, out=yh)     # yh = c - (c - y)
+    np.subtract(y, yh, out=yl)      # yl = y - yh
+    _take(_P_HH, ix, r)
+    np.multiply(yl, r, out=t)       # yl * hh
+    r *= yh
+    r -= p
+    _take(_P_HL, ix, t2)
+    yh *= t2                        # yh * hl
+    r += yh
+    r += t
+    t2 *= yl                        # yl * hl
+    r += t2
+    _take(_P_LO, ix, t2)
+    t2 *= y
+    r += t2
+
+    # D = whole + (frac > 1/2) from whole = p + floor(r), frac = r - floor(r);
     # a log10 that missed by one, or a carry to 1e17, puts D outside
-    # [1e16, 1e17): Python formats those
-    slow = (~fast & (mag != 0) | (np.abs(frac - 0.5) < _TIE_BAND)
-            | (whole < _TEN16) | (d >= _TEN17))
+    # [1e16, 1e17): Python formats those, and near-ties
+    fl, whole, d = yh, iw[5], iw[2]
+    np.floor(r, out=fl)
+    np.copyto(whole, p, casting="unsafe")
+    np.copyto(iw[7], fl, casting="unsafe")
+    whole += iw[7]
+    r -= fl                         # frac
+    np.greater(r, 0.5, out=flag)
+    np.add(whole, flag, out=d)
+    np.subtract(r, 0.5, out=fl)
+    np.abs(fl, out=fl)
+    np.less(fl, _TIE_BAND, out=flag)
+    slow |= flag
+    np.less(whole, _TEN16, out=flag)
+    slow |= flag
+    np.greater_equal(d, _TEN17, out=flag)
+    slow |= flag
 
-    # D = lead, then four 4-digit chunks; digit p of D is byte p of d0|d1|d2
-    lead = d // _TEN16
-    hi8 = d // 10 ** 8 - lead * 10 ** 8
-    lo8 = d - d // 10 ** 8 * 10 ** 8
-    c0 = hi8 // 10000
-    c1 = hi8 - c0 * 10000
-    c2 = lo8 // 10000
-    c3 = lo8 - c2 * 10000
-    nd = np.maximum(np.maximum(_SIG_END[0].take(c0), _SIG_END[1].take(c1)),
-                    np.maximum(_SIG_END[2].take(c2), _SIG_END[3].take(c3)))
-    t1, t3 = _DIGITS4.take(c1), _DIGITS4.take(c3)
-    d0 = (lead + 48).astype("<u8") | _DIGITS4.take(c0) << _B8 | t1 << _B40
-    d1 = t1 >> _B24 | _DIGITS4.take(c2) << _B8 | t3 << _B40
-    d2 = t3 >> _B24
+    # D = lead, then four 4-digit chunks c0..c3 of hi8 = c0 c1, lo8 = c2 c3;
+    # digit p of D is byte p of d0|d1|d2
+    lead, lo8, hi8, c0, c1 = iw[3], iw[4], iw[5], iw[6], iw[7]
+    np.floor_divide(d, _TEN16, out=lead)
+    np.floor_divide(d, _TEN8, out=lo8)  # d // 10**8 first
+    np.multiply(lead, _TEN8, out=hi8)
+    np.subtract(lo8, hi8, out=hi8)
+    lo8 *= _TEN8
+    np.subtract(d, lo8, out=lo8)
+    np.floor_divide(hi8, 10000, out=c0)
+    np.multiply(c0, 10000, out=c1)
+    np.subtract(hi8, c1, out=c1)
+    c2, c3 = hi8, lo8
+    np.floor_divide(lo8, 10000, out=c2)
+    np.multiply(c2, 10000, out=d)
+    np.subtract(lo8, d, out=c3)
+    _take(_SIG_END[0], c0, nd)
+    for table, chunk in zip(_SIG_END[1:], (c1, c2, c3)):
+        _take(table, chunk, sig)
+        np.maximum(nd, sig, out=nd)
+    d0, d1, d2, t = uw[3], uw[0], uw[2], spare
+    lead += 48
+    _take(_DIGITS4, c1, d1)         # t1
+    _take(_DIGITS4, c3, d2)         # t3
+    _take(_DIGITS4, c0, t)
+    t <<= _B8
+    d0 |= t
+    np.left_shift(d1, _B40, out=t)
+    d0 |= t                         # d0 = lead + 48 | t0 << 8 | t1 << 40
+    d1 >>= _B24
+    _take(_DIGITS4, c2, t)
+    t <<= _B8
+    d1 |= t
+    np.left_shift(d2, _B40, out=t)
+    d1 |= t                         # d1 = t1 >> 24 | t2 << 8 | t3 << 40
+    d2 >>= _B24                     # d2 = t3 >> 24
 
-    # core = the digits before the point, '.', the digits after it (the
-    # upper bytes moved up by one), cut after the last digit kept
-    ei = e - _E_MIN
-    k = 18 * ei + nd
-    head, core = _HEAD.take(k), _CORE.take(k)
-    lo0, lo1, lo2 = (d0 & _KEEP[0].take(head), d1 & _KEEP[1].take(head),
-                     d2 & _KEEP[2].take(head))
-    up0, up1, up2 = d0 ^ lo0, d1 ^ lo1, d2 ^ lo2
     # a value's 32-byte slot: prefix, core bytes 0-7, 8-15, 16-17 and the
-    # suffix from byte 2 of the last word (the core is at most 18 bytes)
-    suffix = _SUFFIX.take(ei)
-    suffix[cols - 1::cols] = _SUFFIX_NL.take(ei[cols - 1::cols])
-    out = np.empty((x.size, 4), "<u8")
-    out[:, 0] = _PREFIX.take(2 * ei + np.signbit(x))
-    out[:, 1] = (lo0 | up0 << _B8 | _DOT[0].take(head)) & _KEEP[0].take(core)
-    out[:, 2] = (lo1 | up1 << _B8 | up0 >> _B56 | _DOT[1].take(head)) & _KEEP[1].take(core)
-    out[:, 3] = ((lo2 | up2 << _B8 | up1 >> _B56 | _DOT[2].take(head)) & _KEEP[2].take(core)
-                 | suffix << _B16)
-    zero = np.flatnonzero(mag == 0)
-    out[zero, 1] = _ZERO
-    out[zero, 2] = 0
-    out[zero, 3] = suffix[zero] << _B16
-    slots = out.view(np.uint8)
+    # suffix from byte 2 of the last word (the core is at most 18 bytes).
+    # The core is the digits before the point, '.', the digits after it
+    # (the upper bytes moved up by one), cut after the last digit kept.
+    k, head, core, lo, t = iw[4], iw[5], iw[6], uw[7], uw[4]
+    np.multiply(ei, 18, out=k)
+    k += nd
+    _take(_HEAD, k, head)
+    _take(_CORE, k, core)
+    np.signbit(x, out=flag)
+    np.multiply(ei, 2, out=k)
+    k += flag
+    slots[:, 0] = _take(_PREFIX, k, lo)
+    up = [d0, d1, d2]
+    for j in range(3):
+        _take(_KEEP[j], head, lo)
+        lo &= up[j]                 # lo_j: the bytes before the point
+        up[j] ^= lo                 # up_j: the bytes after it
+        np.left_shift(up[j], _B8, out=t)
+        lo |= t
+        if j:
+            up[j - 1] >>= _B56
+            lo |= up[j - 1]
+        _take(_DOT[j], head, t)
+        lo |= t
+        _take(_KEEP[j], core, t)
+        if j < 2:
+            np.bitwise_and(lo, t, out=slots[:, 1 + j])
+    lo &= t                         # the last word also holds the suffix
+    _take(_SUFFIX, ei, t)
+    t[cols - 1::cols] = _SUFFIX_NL.take(ei[cols - 1::cols])
+    t <<= _B16
+    np.bitwise_or(lo, t, out=slots[:, 3])
+    zero = np.flatnonzero(zero)
+    slots[zero, 1] = _ZERO
+    slots[zero, 2] = 0
+    slots[zero, 3] = t[zero]
+    slots = slots.view(np.uint8)
     for i in np.flatnonzero(slow):
         text = b"%.17g" % x[i] + (b"\n" if i % cols == cols - 1 else b",")
         slots[i] = 0
         slots[i, :len(text)] = np.frombuffer(text, np.uint8)
-    return slots.tobytes().translate(None, b"\0")
+    return slots
+
+
+def _grid_csv_pieces(a: np.ndarray) -> Iterator[bytes]:
+    """The rows of a 2-D float64 array as %.17g CSV lines, in pieces of at
+    most _PIECE_VALUES values. Rows are formatted in blocks of about
+    _BLOCK_VALUES values; the pieces of a block are cut from the shared
+    workspace as they are yielded, so one generator runs at a time."""
+    rows = max(1, _BLOCK_VALUES // a.shape[1])
+    for i in range(0, a.shape[0], rows):
+        with np.errstate(all="raise"):  # the fast path must raise no FP flag
+            slots = _format_block(a[i:i + rows])
+        for j in range(0, len(slots), _PIECE_VALUES):
+            yield slots[j:j + _PIECE_VALUES].tobytes().translate(None, b"\0")
 
 
 def _grid_csv_body(array: np.ndarray) -> bytes:
-    """The rows of a 2-D array as %.17g CSV lines, formatted in row blocks of
-    about _BLOCK_VALUES values, so temporaries do not grow with the grid."""
-    a = np.asarray(array, dtype=np.float64)
-    rows = max(1, _BLOCK_VALUES // a.shape[1])
-    with np.errstate(all="raise"):  # the fast path must raise no FP flag
-        return b"".join(_format_block(a[i:i + rows]) for i in range(0, a.shape[0], rows))
+    """The rows of a 2-D array as %.17g CSV lines (the pieces joined)."""
+    return b"".join(_grid_csv_pieces(np.asarray(array, dtype=np.float64)))

@@ -739,3 +739,12 @@ def test_readme_key_table_matches_schemas():
     for command, keys in listed.items():
         assert len(keys) == len(set(keys)), f"{command}: a key is listed twice"
         assert set(keys) == set(SCHEMAS[command]), command
+
+
+def test_the_csv_workspace_lives_for_one_command(tmp_path):
+    # held past its command, the formatter's 800-KiB workspace would add to
+    # a later command's (or the weak check's) peak memory
+    reporting.write_grid_csv(str(tmp_path / "grid.csv"), np.ones((3, 3)))
+    assert reporting._workspace.cache_info().currsize == 1
+    assert run_scenario(parse_scenario(MINIMAL_SOLVE, "solve", str(tmp_path))) == 0
+    assert reporting._workspace.cache_info().currsize == 0

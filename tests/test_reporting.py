@@ -1,7 +1,18 @@
+import json
+import os
+import re
+import subprocess
+import sys
+import textwrap
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from hwp import reporting
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _fmt(value) -> str:
@@ -175,3 +186,102 @@ def test_column_writer_rejects_ragged_columns(tmp_path):
         reporting.write_csv(str(tmp_path / "ragged.csv"), ["k", "x"], [[1, 2], [0.5]])
     with pytest.raises(ValueError):
         reporting.write_csv(str(tmp_path / "short.csv"), ["k", "x"], [[1, 2]])
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2), (3, 0), (5,)])
+def test_grid_csv_rejects_a_shape_that_is_no_grid(tmp_path, shape):
+    # (2, 2, 2) used to write a 4-row CSV, (3, 0) to divide by zero
+    path = tmp_path / "grid.csv"
+    with pytest.raises(ValueError, match=re.escape(f"{path}: grid of shape {shape}")):
+        reporting.write_grid_csv(str(path), np.zeros(shape))
+    assert not path.exists()
+
+
+def test_grid_csv_write_failing_partway_leaves_no_file(tmp_path, monkeypatch):
+    array = np.random.default_rng(4).standard_normal((3 * reporting._BLOCK_VALUES // 7, 7))
+    calls = []
+    format_block = reporting._format_block
+
+    def failing_on_the_second_block(block):
+        calls.append(block.shape)
+        if len(calls) == 2:
+            raise RuntimeError("second block")
+        return format_block(block)
+
+    monkeypatch.setattr(reporting, "_format_block", failing_on_the_second_block)
+    path = tmp_path / "grid.csv"
+    path.write_bytes(b"an older file\n")
+    with pytest.raises(RuntimeError, match="second block"):
+        reporting.write_grid_csv(str(path), array)
+    assert len(calls) == 2
+    assert not path.exists()
+
+
+def test_grid_csv_pieces_keep_the_fp_traps_inside_the_kernel():
+    array = np.random.default_rng(6).standard_normal((2 * reporting._BLOCK_VALUES // 9, 9))
+    outside = np.geterr()
+    pieces = []
+    for piece in reporting._grid_csv_pieces(array):
+        assert np.geterr() == outside
+        pieces.append(piece)
+    assert len(pieces) > 2
+    assert b"".join(pieces) == _percent_g(array)
+
+
+def test_json_writes_non_finite_numbers_as_strings_at_any_depth(tmp_path):
+    # numpy non-finite scalars used to reach json.dump and come out as bare
+    # NaN / Infinity, which is not JSON
+    payload = {"a": np.float64("nan"),
+               "b": [np.float32("inf"), {"c": -np.inf, "d": np.float16("-inf")}],
+               "e": (float("nan"), 1.5, np.float32(0.25), np.int64(3)),
+               "f": np.array([np.nan, 2.0]), "g": {"h": [[np.float64(np.inf)]]}}
+    path = tmp_path / "payload.json"
+    reporting.write_json(str(path), payload)
+
+    def no_constant(name):
+        raise ValueError(f"bare {name} in the JSON")
+
+    assert json.loads(path.read_text(), parse_constant=no_constant) == {
+        "a": "nan", "b": ["inf", {"c": "-inf", "d": "-inf"}], "e": ["nan", 1.5, 0.25, 3],
+        "f": ["nan", 2.0], "g": {"h": [["inf"]]}}
+
+
+def test_grid_csv_working_set_does_not_grow_with_the_grid(tmp_path):
+    # the tracemalloc peak, workspace included; the whole-body writer read
+    # 2.0, 2.8 and 4.1 MiB
+    peaks = []
+    for n in (81, 161, 321):
+        array = np.random.default_rng(n).standard_normal((n, n))
+        reporting._workspace.cache_clear()
+        tracemalloc.start()
+        try:
+            reporting.write_grid_csv(str(tmp_path / f"grid{n}.csv"), array)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / f"grid{n}.csv").read_bytes().endswith(_percent_g(array[-1:]))
+    assert max(peaks) - min(peaks) <= 64 * 1024, peaks
+    assert max(peaks) <= 1.25 * 2**20, peaks
+
+
+def test_grid_csv_steady_state_does_not_page_fault(tmp_path):
+    # a writer that allocates and frees large temporaries makes glibc hand
+    # pages back and fault them in again: about 360 faults per 81^2 grid
+    pytest.importorskip("resource")
+    script = textwrap.dedent(f"""
+        import resource
+        import numpy as np
+        from hwp import reporting
+        array = np.random.default_rng(81).standard_normal((81, 81))
+        for _ in range(5):
+            reporting.write_grid_csv({str(tmp_path / "grid.csv")!r}, array)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(20):
+            reporting.write_grid_csv({str(tmp_path / "grid.csv")!r}, array)
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 40
