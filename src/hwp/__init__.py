@@ -14,7 +14,7 @@ from .analysis import (IdentityReport, equipartition_residual, estimate_check,
                        multiplier_identity_residual, regularity_scan,
                        sobolev_time_norm, weak_residual)
 from .closedform import (BumpProfile, SeriesRule, analytic_mode, bump_profile,
-                         series_forcing, series_rule)
+                         series_rule)
 from .fields import (VectorFieldSpec, arc_renormalized, graph_vertical, horn,
                      parse_field, spiral, translate)
 from .geometry import (GeometryReport, PoincareReport, check_conditions,
@@ -42,7 +42,7 @@ __all__ = [
     "harmonic_extension_mode", "horn", "mean_decompose",
     "mode_rhs", "multiplier_identity_residual", "parse_field",
     "periodic_antiderivative", "regularity_scan", "sample_domain",
-    "series_forcing", "series_rule", "sobolev_time_norm", "solve_linear",
+    "series_rule", "sobolev_time_norm", "solve_linear",
     "solve_mean_pair", "solve_periodic_harmonic", "spiral",
     "split_mode_solution", "time_transform", "translate",
     "trapezoid_obstruction", "weak_residual",

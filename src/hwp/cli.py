@@ -99,16 +99,17 @@ SCHEMAS: dict[str, dict[str, _Key]] = {
                        "poincare": _Key("bool", False),
                        "poincare.nx": _Key("int", 17, lo=5, hi=513),
                        "poincare.ny": _Key("int", 17, lo=5, hi=513)},
-    "identity-check": {**_COMMON_KEYS, **_GRID_KEYS,
+    # the closed-form commands fix the box (0, pi) x (0, 1): node counts only
+    "identity-check": {**_COMMON_KEYS,
+                       **{k: _GRID_KEYS[k] for k in ("grid.nx", "grid.ny_w", "grid.ny_h")},
                        "mode": _Key("int", 2, lo=1, hi=64),
-                       "field": _Key("str", "graph-vertical:2"),
-                       "equipartition": _Key("bool", True)},
+                       "field": _Key("str", "graph-vertical:2")},
     "regularity-scan": {**_COMMON_KEYS,
                         "grid.nx": _Key("int", 129, lo=3, hi=4097),
                         "grid.ny_w": _Key("int", 65, lo=3, hi=4097),
                         "rule": _Key("str", "G1", choices=("G1", "G2")),
                         "truncations": _Key("ints", (8, 64))},
-    "example-gen": {**_COMMON_KEYS, **_GRID_KEYS,
+    "example-gen": {**_COMMON_KEYS, **{k: _GRID_KEYS[k] for k in ("grid.nx", "grid.ny_w")},
                     "mode": _Key("int", 2, lo=1, hi=256)},
 }
 
@@ -236,8 +237,8 @@ def parse_scenario(text: str, command: str, out_dir: str = ".") -> Scenario:
     values["command"] = command
 
     # forcing and field specs parse, and referenced files exist, before
-    # execution starts; the analytic wave families are 2 pi-periodic and
-    # their modes are solved for
+    # execution starts; the analytic wave families are 2 pi-periodic, live
+    # on the reference box, and their modes are solved for and resolved
     for key in _FORCING_FORMS:
         if key in schema:
             kind, args = _forcing_spec(key, values[key])
@@ -246,9 +247,18 @@ def parse_scenario(text: str, command: str, out_dir: str = ".") -> Scenario:
             if kind in ("mode", "series") and values["period"] != closedform.REFERENCE_PERIOD:
                 raise ConfigurationError(f"key 'period': {values['period']} is not 2 pi, "
                                          f"the period of {key!r} = {values[key]!r}")
+            if kind in ("mode", "series") and not closedform.on_reference_geometry(
+                    values["grid.lx"], values["grid.ly_w"]):
+                raise ConfigurationError(
+                    f"keys 'grid.lx', 'grid.ly_w': {values['grid.lx']:g} x "
+                    f"{values['grid.ly_w']:g} is not the box pi x 1 of {key!r} = {values[key]!r}")
             if kind in ("mode", "series") and args[-1] > values["modes"]:
                 raise ConfigurationError(f"key {key!r}: {values[key]!r} forces mode {args[-1]}, "
                                          f"above 'modes' = {values['modes']}")
+            if kind == "series" and args[1] > closedform.max_terms(values["grid.nx"]):
+                raise ConfigurationError(
+                    f"key {key!r}: {values[key]!r} needs 'grid.nx' >= {2 * args[1] + 1}, "
+                    f"got {values['grid.nx']}")
     if "field" in schema:
         try:
             parse_field(values["field"])
@@ -261,6 +271,10 @@ def parse_scenario(text: str, command: str, out_dir: str = ".") -> Scenario:
     if any(n < 1 for n in truncs) or any(b <= a for a, b in zip(truncs, truncs[1:])):
         raise ConfigurationError(
             f"key 'truncations': need strictly increasing values >= 1, got {truncs}")
+    if truncs and truncs[-1] > closedform.max_terms(values["grid.nx"]):
+        raise ConfigurationError(
+            f"key 'truncations': {truncs[-1]} terms need 'grid.nx' >= {2 * truncs[-1] + 1}, "
+            f"got {values['grid.nx']}")
     if "steps" in schema and values["modes"] > (values["steps"] - 1) // 2:
         raise ConfigurationError(
             f"key 'modes': {values['modes']} modes need at least "
@@ -275,12 +289,14 @@ def parse_scenario(text: str, command: str, out_dir: str = ".") -> Scenario:
 # A coefficient file describes a real forcing, so c_{-k} = conj(c_k). Files
 # written with %.17g round-trip exactly; the tolerance on the file's
 # hermitian_defect (relative to the largest coefficient) only forgives
-# round-off from other writers. The field then keeps the modes k >= 0.
+# round-off from other writers. The source then serves the modes k >= 0.
 HERMITIAN_TOL = 1e-12
 
 
 def _load_coefficient_file(path: str, period: float, shape, domain: str,
-                           modes: int) -> FourierField:
+                           modes: int) -> ModeSource:
+    """The file's forcing as a source over its validated modes k >= 0; a
+    malformed file is a ConfigurationError naming it."""
     with open(path) as fh:
         lines = fh.readlines()
     if not any(line.strip() for line in lines):
@@ -313,23 +329,27 @@ def _load_coefficient_file(path: str, period: float, shape, domain: str,
         raise ConfigurationError(
             f"coefficient file {path}: mode k = {raw['k'][bad][0]:g} is above "
             f"modes = {modes}")
-    ks = raw["k"].astype(int)
+    rows = np.stack([raw[key].astype(int) for key in ("k", "j", "i")], axis=1)
+    _, first = np.unique(rows, axis=0, return_index=True)
+    if len(first) < len(rows):
+        k, j, i = rows[np.setdiff1d(np.arange(len(rows)), first)[0]]
+        raise ConfigurationError(f"coefficient file {path}: the row (k, j, i) = "
+                                 f"({k}, {j}, {i}) is repeated")
+    ks, j, i = rows.T
     n = int(np.max(np.abs(ks))) if len(ks) else 0
     coeffs = np.zeros((2 * n + 1,) + tuple(shape), dtype=complex)
-    np.add.at(coeffs, (ks + n, raw["j"].astype(int), raw["i"].astype(int)),
-              raw["re"] + 1j * raw["im"])
+    coeffs[ks + n, j, i] += raw["re"] + 1j * raw["im"]  # 0 + v: a -0 cell reads as +0
     defect = hermitian_defect(coeffs)
     if defect > HERMITIAN_TOL:
         raise ConfigurationError(
             f"coefficient file {path}: not a real forcing, c(-k) != conj(c(k)) "
             f"(relative defect {defect:.3e} > {HERMITIAN_TOL:.0e})")
-    return FourierField(period, coeffs[n:].copy(), domain)
+    return ModeSource(period, n, tuple(shape), domain, coeffs[n:].copy().__getitem__)
 
 
-def _wave_forcing(scn: Scenario, grid) -> tuple[ModeSource | FourierField | None,
-                                                ModeSource | None, dict]:
-    """The wave forcing g and, for mode:<n>, its closed-form solution;
-    analytic forcing builds each mode when a solve asks for it."""
+def _wave_forcing(scn: Scenario, grid) -> tuple[ModeSource | None, ModeSource | None, dict]:
+    """The wave forcing g and, for mode:<n>, its closed-form solution, as
+    sources; analytic forcing builds each mode when a solve asks for it."""
     text = scn["forcing.wave"]
     amp = scn["forcing.wave.amplitude"]
     meta = {"spec": text, "amplitude": amp}
@@ -347,21 +367,22 @@ def _wave_forcing(scn: Scenario, grid) -> tuple[ModeSource | FourierField | None
                                   WAVE, scn["modes"]).scaled(amp), None, meta
 
 
-def _smooth_heat_modes(grid, k: int, amplitude: float) -> dict[int, np.ndarray]:
-    """{k: mode k} of amplitude cos(k w t) * sin(pi x / Lx) * (1 + y / Ly_h)."""
-    shape = np.sin(np.pi * grid.x / grid.lx)[None, :] * (1.0 + grid.y_h / grid.ly_h)[:, None]
+def _smooth_heat_source(grid, period: float, k: int, amplitude: float) -> ModeSource:
+    """amplitude cos(k w t) * sin(pi x / Lx) * (1 + y / Ly_h) on the heat
+    subdomain; the amplitude is built into mode k, so the zero modes stay +0."""
     if k < 1:
         raise ConfigurationError(f"smooth heat forcing needs k >= 1, got {k}")
-    return {k: 0.5 * amplitude * shape}
+    shape = np.sin(np.pi * grid.x / grid.lx)[None, :] * (1.0 + grid.y_h / grid.ly_h)[:, None]
+    return ModeSource(period, k, (grid.ny_h, grid.nx), HEAT, {k: 0.5 * amplitude * shape}.get)
 
 
 def smooth_heat_forcing(grid, period: float, k: int = 1,
                         amplitude: float = 1.0) -> FourierField:
-    """cos(k w t) * sin(pi x / Lx) * (1 + y / Ly_h) on the heat subdomain."""
-    return FourierField.from_mode_dict(period, k, _smooth_heat_modes(grid, k, amplitude), HEAT)
+    """The smooth heat forcing with every mode built (_smooth_heat_source)."""
+    return _smooth_heat_source(grid, period, k, amplitude).stored()
 
 
-def _heat_forcing(scn: Scenario, grid) -> tuple[ModeSource | FourierField | None, dict]:
+def _heat_forcing(scn: Scenario, grid) -> tuple[ModeSource | None, dict]:
     text = scn["forcing.heat"]
     amp = scn["forcing.heat.amplitude"]
     meta = {"spec": text, "amplitude": amp}
@@ -369,23 +390,22 @@ def _heat_forcing(scn: Scenario, grid) -> tuple[ModeSource | FourierField | None
     if kind == "none":
         return None, meta
     if kind == "smooth":
-        modes = _smooth_heat_modes(grid, args[0], amp)
-        return ModeSource(scn["period"], args[0], (grid.ny_h, grid.nx), HEAT, modes.get), meta
+        return _smooth_heat_source(grid, scn["period"], args[0], amp), meta
     return _load_coefficient_file(args[0], scn["period"], (grid.ny_h, grid.nx),
                                   HEAT, scn["modes"]).scaled(amp), meta
-
-
-def _stored(x: ModeSource | FourierField | None,
-            n_modes: int | None = None) -> FourierField | None:
-    """A forcing as a FourierField holding at least its modes 0..n_modes (all
-    by default): a ModeSource builds them, a coefficient file's field is one."""
-    return x.stored(n_modes) if isinstance(x, ModeSource) else x
 
 
 def _build_grid(scn: Scenario):
     return build_stacked_rectangles(
         scn["grid.lx"], scn["grid.ly_w"], scn["grid.ly_h"],
         scn["grid.nx"], scn["grid.ny_w"], scn["grid.ny_h"])
+
+
+def _reference_grid(scn: Scenario):
+    """The closed-form families' box (0, pi) x (0, 1) at the scenario's nodes;
+    the heat box, which no closed-form command reads, has 3 rows by default."""
+    return build_stacked_rectangles(np.pi, 1.0, 1.0, scn["grid.nx"], scn["grid.ny_w"],
+                                    scn.values.get("grid.ny_h", 3))
 
 
 def _out(scn: Scenario, suffix: str) -> str:
@@ -466,10 +486,10 @@ def _run_solve(scn: Scenario) -> dict:
         _phase(f"relative error vs analytic solution: {rel:.3e}")
     if scn["check.weak"]:
         w_low, u_low = (np.stack(modes) for modes in zip(*low))
+        f_low, g_low = (None if x is None else x.stored(analysis._TEST_MODES) for x in (f, g))
         summary["weak_residual"] = analysis.weak_residual(
-            stream.report(w_low, u_low, residuals), _stored(f, analysis._TEST_MODES),
-            _stored(g, analysis._TEST_MODES), grid, n_tests=scn["check.weak.tests"],
-            seed=scn.seed)
+            stream.report(w_low, u_low, residuals), f_low, g_low, grid,
+            n_tests=scn["check.weak.tests"], seed=scn.seed)
     reporting.write_json(_out(scn, ".json"), summary)
     _phase(f"max mode residual {max_residual:.3e}, wrote {_out(scn, '.json')}")
     return summary
@@ -479,7 +499,7 @@ def _run_epsilon_sweep(scn: Scenario) -> dict:
     grid = _build_grid(scn)
     g, _, meta_w = _wave_forcing(scn, grid)
     f, meta_h = _heat_forcing(scn, grid)
-    f, g = _stored(f), _stored(g)
+    f, g = (None if x is None else x.stored() for x in (f, g))
     _phase("reference harmonic solve")
     reference = solve_periodic_harmonic(grid, f, g, scn["modes"], tol=scn["tol"])
     w_ref_norm = max(analysis.sobolev_time_norm(reference.w, 0, grid, "l2"), 1e-300)
@@ -545,7 +565,7 @@ def _run_geometry_check(scn: Scenario) -> dict:
 
 
 def _run_identity_check(scn: Scenario) -> dict:
-    grid = _build_grid(scn)
+    grid = _reference_grid(scn)
     spec = parse_field(scn["field"])
     n = scn["mode"]
     g, w = closedform.analytic_mode(n, grid)
@@ -554,8 +574,7 @@ def _run_identity_check(scn: Scenario) -> dict:
     payload = report.as_dict()
     payload["mode"] = n
     payload["field"] = spec.describe()
-    if scn["equipartition"]:
-        payload["equipartition_residual"] = analysis.equipartition_residual(w, g, grid)
+    payload["equipartition_residual"] = analysis.equipartition_residual(w, g, grid)
     names = sorted(report.terms)
     reporting.write_csv(_out(scn, "_terms.csv"), ["term", "value"],
                         [names, [report.terms[t] for t in names]])
@@ -566,8 +585,7 @@ def _run_identity_check(scn: Scenario) -> dict:
 
 
 def _run_regularity_scan(scn: Scenario) -> dict:
-    grid = build_stacked_rectangles(np.pi, 1.0, 1.0, scn["grid.nx"],
-                                    scn["grid.ny_w"], 3)
+    grid = _reference_grid(scn)
     rule = closedform.series_rule(scn["rule"])
     _phase(f"scan rule {rule.tag}, truncations {scn['truncations']}")
     result = analysis.regularity_scan(rule, scn["truncations"], grid)
@@ -581,7 +599,7 @@ def _run_regularity_scan(scn: Scenario) -> dict:
 
 
 def _run_example_gen(scn: Scenario) -> dict:
-    grid = _build_grid(scn)
+    grid = _reference_grid(scn)
     n = scn["mode"]
     g, w = closedform.analytic_mode(n, grid)
     amp_g, amp_w = closedform.mode_amplitudes(n, grid)

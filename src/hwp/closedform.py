@@ -45,8 +45,18 @@ def bump_profile() -> BumpProfile:
                        d2phi=_poly_eval(p.deriv(2)))
 
 
+def on_reference_geometry(lx: float, ly_w: float) -> bool:
+    """Whether the wave box (0, lx) x (0, ly_w) is the reference (0, pi) x (0, 1)."""
+    return abs(lx - np.pi) <= 1e-12 and abs(ly_w - 1.0) <= 1e-12
+
+
+def max_terms(nx: int) -> int:
+    """The largest n of sin(n x) that nx nodes on (0, pi) resolve: nx - 1 >= 2 n."""
+    return (nx - 1) // 2
+
+
 def _check_reference_geometry(grid: Grid) -> None:
-    if abs(grid.lx - np.pi) > 1e-12 or abs(grid.ly_w - 1.0) > 1e-12:
+    if not on_reference_geometry(grid.lx, grid.ly_w):
         raise ClosedFormError(
             "analytic families are defined on the reference geometry "
             f"(0, pi) x (0, 1); got Lx={grid.lx:g}, Ly_w={grid.ly_w:g}")
@@ -119,15 +129,8 @@ def series_sources(rule: SeriesRule, n_terms: int,
     asked for."""
     if n_terms < 1:
         raise ClosedFormError(f"need at least one term, got {n_terms}")
-    if 2 * n_terms > grid.nx - 1:
+    if n_terms > max_terms(grid.nx):
         raise ClosedFormError(
             f"grid with nx={grid.nx} cannot resolve spatial frequency "
             f"{n_terms}; need nx-1 >= {2 * n_terms}")
     return _family_sources(n_terms, grid, lambda n: -0.5j * rule.coefficient(n) if n else None)
-
-
-def series_forcing(rule: SeriesRule, n_terms: int,
-                   grid: Grid) -> tuple[FourierField, FourierField]:
-    """series_sources with every mode built into a Fourier field."""
-    g, w = (source.stored() for source in series_sources(rule, n_terms, grid))
-    return g, w

@@ -7,19 +7,21 @@ c_k for k = 0..N only, as numpy's rfft does, with the normalization
 
 The modes k = -N..-1 are implied, c_{-k} = conj(c_k), so the mean c_0 is
 real and f(t) = Re(c_0 + 2 sum_{k>=1} c_k e^{i w k t}). Sums over all modes
--N..N become sums over k >= 0 with the weights of ``mode_weights`` (1 for
-k = 0, 2 for k > 0); in particular sum_k weight_k ||c_k||^2 equals the time
-average of ||f(t)||^2 (Parseval).
+-N..N become sums over k >= 0 with the weights of ``parseval_weights`` (1
+for k = 0, 2 for k > 0); sum_k weight_k ||c_k||^2 is the time average of
+||f(t)||^2 (Parseval).
 
 Samples become coefficients one way only, by ``time_transform`` (uniform
 samples over a period, through rfft); coefficients become samples by
-``FourierField.sample_real`` at any times, or one mode at a time by
-``add_mode_samples``. A mean c_0 that is not real is rejected when the field
-is built and again when it is sampled.
+``add_mode_samples``, one mode at a time, which ``FourierField.sample_real``
+sums over the stored modes. A mean c_0 that is not real is rejected when
+the field is built and again when it is sampled.
 
 A ``ModeSource`` is a real field that stores no modes: it builds mode k when
-asked for it. A solve reads its forcing through ``period``, ``n_modes``,
-``spatial_shape`` and ``mode(k)`` only, which both classes provide.
+asked for it, and ``stored`` builds its modes into a FourierField. Every
+forcing a command builds is a ModeSource. A solve reads its forcing through
+``period``, ``n_modes``, ``spatial_shape`` and ``mode(k)`` only, which both
+classes provide.
 """
 
 from __future__ import annotations
@@ -85,80 +87,51 @@ class FourierField:
     def wavenumbers(self) -> np.ndarray:
         return np.arange(self.n_modes + 1)
 
-    def mode_weights(self) -> np.ndarray:
-        """How often each stored mode counts in a sum over k = -N..N: 1 for
-        k = 0, 2 for k > 0."""
-        return np.where(self.wavenumbers() == 0, 1.0, 2.0)
-
     def sample_real(self, times: np.ndarray) -> np.ndarray:
         """Samples Re(c_0 + 2 sum_{k>=1} c_k e^{i w k t}) at the given times,
-        shape (len(times), *spatial), in one matrix product; non-finite
-        coefficients, or a mean c_0 made non-real after construction, raise
-        AnalysisError."""
+        shape (len(times), *spatial): add_mode_samples summed over the stored
+        modes; non-finite coefficients, or a mean c_0 made non-real after
+        construction, raise AnalysisError."""
         if not np.all(np.isfinite(self.coeffs)):
             raise AnalysisError("sample_real: field has non-finite coefficients")
         self._check_real_mean()
         t = np.atleast_1d(np.asarray(times, dtype=float))
-        phases = self.mode_weights() * np.exp(1j * self.omega * np.outer(t, self.wavenumbers()))
-        out = phases @ self.coeffs.reshape(len(self.coeffs), -1)
-        return out.real.reshape((len(t),) + self.spatial_shape)
+        out = np.zeros((len(t),) + self.spatial_shape)
+        for k, c_k in enumerate(self.coeffs):
+            add_mode_samples(out, t, self.period, k, c_k)
+        return out
 
     def derivative(self, order: int = 1) -> "FourierField":
         ks = self.wavenumbers().reshape((-1,) + (1,) * len(self.spatial_shape))
         factor = (1j * self.omega * ks) ** order
         return FourierField(self.period, factor * self.coeffs, self.domain)
 
-    def scaled(self, factor: float) -> "FourierField":
-        """factor times the field; a non-real factor would make it complex
-        and raises AnalysisError."""
-        _check_real_factor(factor)
-        return FourierField(self.period, factor * self.coeffs, self.domain)
-
-    def _combine(self, other: "FourierField", op, what: str) -> "FourierField":
-        """op(self, other), op np.add or np.subtract, into one new array padded
-        with zero modes; a mismatch raises AnalysisError before allocating."""
+    def __sub__(self, other: "FourierField") -> "FourierField":
+        """self - other into one new array padded with zero modes; a mismatch
+        raises AnalysisError before allocating."""
         for name in ("period", "domain", "spatial_shape"):
             mine, theirs = getattr(self, name), getattr(other, name)
             if mine != theirs:
-                raise AnalysisError(f"cannot {what} fields of mismatched {name}: "
+                raise AnalysisError(f"cannot subtract fields of mismatched {name}: "
                                     f"{mine!r} and {theirs!r}")
         out = np.zeros((max(self.n_modes, other.n_modes) + 1,) + self.spatial_shape,
                        dtype=complex)
         out[:len(self.coeffs)] = self.coeffs
         part = out[:len(other.coeffs)]
-        op(part, other.coeffs, out=part)
+        np.subtract(part, other.coeffs, out=part)
         return FourierField(self.period, out, self.domain)
-
-    def __add__(self, other: "FourierField") -> "FourierField":
-        return self._combine(other, np.add, "add")
-
-    def __sub__(self, other: "FourierField") -> "FourierField":
-        return self._combine(other, np.subtract, "subtract")
 
     @classmethod
     def zeros(cls, period: float, n_modes: int, spatial_shape: tuple[int, ...],
               domain: str) -> "FourierField":
         return cls(period, np.zeros((n_modes + 1,) + spatial_shape, dtype=complex), domain)
 
-    @classmethod
-    def from_mode_dict(cls, period: float, n_modes: int, modes: dict[int, np.ndarray],
-                       domain: str) -> "FourierField":
-        """Build a field from {k: coefficient array}, k = 0..n_modes; mode
-        -k is the conjugate of mode k, and a k outside 0..n_modes raises
-        AnalysisError."""
-        shape = next(iter(modes.values())).shape if modes else ()
-        coeffs = np.zeros((n_modes + 1,) + shape, dtype=complex)
-        for k, c in modes.items():
-            if not 0 <= k <= n_modes:
-                raise AnalysisError(f"mode {k} is outside 0..{n_modes}; a real field "
-                                    f"stores k >= 0 only")
-            coeffs[k] = c
-        return cls(period, coeffs, domain)
 
-
-def _check_real_factor(factor: float) -> None:
-    if np.imag(factor) != 0:
-        raise AnalysisError(f"cannot scale a real field by the non-real factor {factor!r}")
+def parseval_weights(ks: int | np.ndarray) -> float | np.ndarray:
+    """How often each mode k >= 0 (an int or an integer-valued array) counts
+    in a sum over k = -N..N: 1 for k = 0, 2 for k > 0 (mode -k is the
+    conjugate of mode k). Cheap for one int, as the per-mode sampler needs."""
+    return 2.0 - (ks == 0)
 
 
 @dataclass(frozen=True)
@@ -186,10 +159,11 @@ class ModeSource:
         return c if k >= 0 else np.conj(c)
 
     def scaled(self, factor: float) -> "ModeSource":
-        """factor times the field, applied to each mode (zero modes too, as
-        FourierField.scaled does) as it is built; a non-real factor raises
-        AnalysisError."""
-        _check_real_factor(factor)
+        """factor times the field, applied to each mode as it is built (zero
+        modes too, so a negative factor gives them signed zeros); a non-real
+        factor would make the field complex and raises AnalysisError."""
+        if np.imag(factor) != 0:
+            raise AnalysisError(f"cannot scale a real field by the non-real factor {factor!r}")
         build, shape = self.build, self.spatial_shape
         return replace(self, build=lambda k: factor * (np.zeros(shape, dtype=complex)
                                                        if (c := build(k)) is None else c))
@@ -199,8 +173,7 @@ class ModeSource:
         n = self.n_modes if n_modes is None else min(n_modes, self.n_modes)
         out = FourierField.zeros(self.period, n, self.spatial_shape, self.domain)
         for k in range(n + 1):
-            c = self.build(k)
-            if c is not None:
+            if (c := self.build(k)) is not None:
                 out.coeffs[k] = c
         out._check_real_mean()
         return out
@@ -213,11 +186,11 @@ def add_mode_samples(samples: np.ndarray, times: np.ndarray, period: float, k: i
     (len(times), *spatial) C-contiguous, in place.
 
     One BLAS product over the real and imaginary parts of c_k (a view, no
-    copy) accumulates into samples; summed over k = 0..N this is
-    sample_real up to the order of summation.
+    copy) accumulates into samples; sample_real is this summed over
+    k = 0..N.
     """
     c_k = np.ascontiguousarray(c_k, dtype=complex).reshape(-1)
-    phase = (1.0 if k == 0 else 2.0) * np.exp(1j * (2.0 * np.pi / period) * (times * k))
+    phase = parseval_weights(k) * np.exp(1j * (2.0 * np.pi / period) * (times * k))
     # samples^T (points x times) += [Re c, Im c] (points x 2) @ [Re p; -Im p] (2 x times)
     out = dgemm(1.0, c_k.view(float).reshape(-1, 2).T, np.stack([phase.real, -phase.imag]),
                 beta=1.0, c=samples.reshape(len(times), -1).T, trans_a=1, overwrite_c=1)

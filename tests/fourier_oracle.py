@@ -18,6 +18,21 @@ def two_sided(field, n=None):
     return np.stack([field.mode(k) for k in range(-n, n + 1)])
 
 
+def from_modes(period, n_modes, modes, domain):
+    """The field of modes 0..n_modes whose mode k is modes[k] ({k: array},
+    k >= 0), and zero where modes has no key."""
+    shape = np.shape(next(iter(modes.values()))) if modes else ()
+    coeffs = np.zeros((n_modes + 1,) + shape, dtype=complex)
+    for k, c in modes.items():
+        coeffs[k] = c
+    return FourierField(period, coeffs, domain)
+
+
+def scaled(field, factor):
+    """factor times the field, zero modes included."""
+    return FourierField(field.period, factor * field.coeffs, field.domain)
+
+
 def truncated(field, n_modes):
     """field cut to modes 0..n_modes, or padded with zero modes up to it."""
     c = field.coeffs[:n_modes + 1]

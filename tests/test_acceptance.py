@@ -19,6 +19,8 @@ from hwp import analysis
 from hwp import operators as ops
 from hwp.cli import main, smooth_heat_forcing
 
+import fourier_oracle as oracle
+
 T = 2 * np.pi
 
 
@@ -55,7 +57,7 @@ def _compatible_g2(grid):
     g_amp[1:-1, 1:-1] = -lap - 4.0 * c
 
     def sin2t(amp):  # sin(2t) A as the modes +-2
-        return hwp.FourierField.from_mode_dict(T, 2, {2: -0.5j * amp}, "wave")
+        return oracle.from_modes(T, 2, {2: -0.5j * amp}, "wave")
 
     return sin2t(g_amp), sin2t(w_amp)
 

@@ -9,7 +9,7 @@ import hwp
 from hwp import analysis
 from hwp.cli import smooth_heat_forcing
 from hwp.errors import AnalysisError, ConfigurationError
-from hwp.timefourier import FourierField
+from hwp.timefourier import FourierField, ModeSource
 from hwp import quadrature as quad
 from hwp.fields import jet_batch
 
@@ -38,7 +38,7 @@ def _unit_spatial_shape(grid):
 def test_sobolev_norm_closed_form():
     grid = wave_grid(17)
     psi = _unit_spatial_shape(grid)
-    f = FourierField.from_mode_dict(T, 3, {3: -0.5j * psi}, "wave")
+    f = oracle.from_modes(T, 3, {3: -0.5j * psi}, "wave")
     # value^2 = (1 + 9)^s * (1/4 + 1/4)
     assert analysis.sobolev_time_norm(f, 1, grid) ** 2 == pytest.approx(5.0, rel=1e-12)
     assert analysis.sobolev_time_norm(f, -1, grid) ** 2 == pytest.approx(0.05, rel=1e-12)
@@ -503,15 +503,16 @@ def test_equipartition_matches_sparse_form_oracle(n):
 @pytest.mark.parametrize("name", ["w", "g"])
 def test_equipartition_rejects_non_real_input_by_name(name):
     # mode 1 without its partner cannot be stored; a complex mean, the one
-    # non-real input left, is refused when the field is built, and so is
-    # a non-real scale factor
+    # non-real input left, is refused when the field is built, and a
+    # source of its modes refuses a non-real scale factor
     grid = wave_grid(9)
     w, g, _, _ = _identity_data(grid, 4)
     field_ = w if name == "w" else g
     with pytest.raises(AnalysisError, match="^the mean c_0 of a real field must be real"):
         FourierField(T, field_.coeffs + 1e-3j, field_.domain)
     with pytest.raises(AnalysisError, match="^cannot scale a real field by the non-real"):
-        field_.scaled(1.0 + 1e-6j)
+        ModeSource(T, field_.n_modes, field_.spatial_shape, field_.domain,
+                   field_.mode).scaled(1.0 + 1e-6j)
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +605,7 @@ def _assert_matches_oracle(rep, f, g, grid, corruptions, converged=True, seed=5)
         assert new == pytest.approx(old, rel=1e-10)
     for target in corruptions:
         bad = copy.deepcopy(rep)
-        bad_g = g.scaled(1.01) if target == "g" else g
+        bad_g = oracle.scaled(g, 1.01) if target == "g" else g
         if target in ("w", "u"):
             getattr(bad, target).coeffs *= 1.01
         new = hwp.weak_residual(bad, f, bad_g, grid, n_tests=6, seed=seed)
@@ -623,8 +624,8 @@ def test_weak_residual_matches_oracle(dims, modes, forcing):
     g = hwp.analytic_mode(1, grid)[0] if forcing != "heat" else None
     f = None
     if forcing != "wave":
-        f = (oracle.truncated(smooth_heat_forcing(grid, T, 1), modes)
-             + smooth_heat_forcing(grid, T, modes))
+        f = FourierField(T, oracle.truncated(smooth_heat_forcing(grid, T, 1), modes).coeffs
+                         + smooth_heat_forcing(grid, T, modes).coeffs, "heat")
     rep = hwp.solve_periodic_harmonic(grid, f, g, modes)
     corruptions = (["w", "g"] if g is not None else []) + (["u"] if f is not None else [])
     _assert_matches_oracle(rep, f, g, grid, corruptions)

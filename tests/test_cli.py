@@ -14,7 +14,7 @@ from hwp.cli import (COMMANDS, SCHEMAS, _forcing_spec, _load_coefficient_file, m
 from hwp.errors import ConfigurationError
 from hwp.fields import jet_batch
 from hwp.periodic import ModeStream, solve_periodic_harmonic
-from hwp.timefourier import HEAT, WAVE, FourierField
+from hwp.timefourier import HEAT, WAVE, FourierField, ModeSource
 
 import fourier_oracle as oracle
 
@@ -105,7 +105,7 @@ def _stored_forcing(spec: str, amp: float, grid, period=2 * np.pi) -> FourierFie
         return smooth_heat_forcing(grid, period, args[0], amp)
     if kind == "mode":
         n = args[0]
-        return tuple(FourierField.from_mode_dict(period, n, {n: -0.5j * a}, WAVE).scaled(amp)
+        return tuple(oracle.scaled(oracle.from_modes(period, n, {n: -0.5j * a}, WAVE), amp)
                      for a in closedform.mode_amplitudes(n, grid))
     rule, n_terms = closedform.series_rule(args[0]), args[1]
     g = FourierField.zeros(period, n_terms, (grid.ny_w, grid.nx), WAVE)
@@ -113,7 +113,7 @@ def _stored_forcing(spec: str, amp: float, grid, period=2 * np.pi) -> FourierFie
     for n in range(1, n_terms + 1):
         sx = np.sin(n * grid.x)[None, :]
         g.coeffs[n] = -0.5j * rule.coefficient(n) * (-sx * phi.d2phi(grid.y_w)[:, None])
-    return g.scaled(amp)
+    return oracle.scaled(g, amp)
 
 
 def _bits(a):
@@ -227,7 +227,7 @@ def test_mode_tables_are_the_two_sided_bytes(tmp_path):
     out = tmp_path / "out"
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
     grid = mesh.build_stacked_rectangles(np.pi, 1.0, 1.0, 17, 17, 17)
-    g, _ = closedform.series_forcing(closedform.series_rule("G1"), 4, grid)
+    g = closedform.series_sources(closedform.series_rule("G1"), 4, grid)[0].stored()
     rep = solve_periodic_harmonic(grid, smooth_heat_forcing(grid, 2 * np.pi, 2), g, 5)
     ks = list(range(-5, 6))
     u, w = oracle.two_sided(rep.u), oracle.two_sided(rep.w)
@@ -240,7 +240,7 @@ def test_mode_tables_are_the_two_sided_bytes(tmp_path):
                          [rep.mode_residuals.get(abs(k), 0.0) for k in ks]])
     assert (out / "solve_pin_modes.csv").read_bytes() == ref.read_bytes()
 
-    cfg = _write(tmp_path, grid_keys + "name = pin\nmode = 3\n")
+    cfg = _write(tmp_path, "grid.nx = 17\ngrid.ny_w = 17\nname = pin\nmode = 3\n")
     assert main(["example-gen", "--config", cfg, "--out", str(out)]) == 0
     amp = closedform.mode_amplitudes(3, grid)[0]
     c = np.stack([-0.5j * amp, 0.5j * amp])  # sin(3t) A as two-sided modes +-3
@@ -304,7 +304,7 @@ def test_regularity_scan_scenario(tmp_path):
 
 @pytest.mark.parametrize("mode", [2, 3])
 def test_example_gen_coefficients_match_node_loop(tmp_path, mode):
-    cfg = _write(tmp_path, f"mode = {mode}\ngrid.nx = 17\ngrid.ny_w = 17\ngrid.ny_h = 17\n")
+    cfg = _write(tmp_path, f"mode = {mode}\ngrid.nx = 17\ngrid.ny_w = 17\n")
     out = tmp_path / "out"
     assert main(["example-gen", "--config", cfg, "--out", str(out)]) == 0
     # reference: the per-node loop the column build replaced, row-major,
@@ -325,7 +325,7 @@ def test_example_gen_coefficients_match_node_loop(tmp_path, mode):
 
 
 def test_example_gen_roundtrip_as_forcing_file(tmp_path):
-    cfg = _write(tmp_path, "mode = 2\ngrid.nx = 17\ngrid.ny_w = 17\ngrid.ny_h = 17\n")
+    cfg = _write(tmp_path, "mode = 2\ngrid.nx = 17\ngrid.ny_w = 17\n")
     out = tmp_path / "out"
     assert main(["example-gen", "--config", cfg, "--out", str(out)]) == 0
     coeffs = out / "example_gen_run_g_coeffs.csv"
@@ -434,20 +434,38 @@ def test_coefficient_file_header_only_is_zero_forcing(tmp_path):
     coeffs = tmp_path / "g.csv"
     coeffs.write_text("k,j,i,re,im\n")
     f = _load_coefficient_file(str(coeffs), 2 * np.pi, (9, 9), WAVE, 2)
-    assert f.n_modes == 0 and not np.any(f.coeffs)
+    assert f.n_modes == 0 and not np.any(f.stored().coeffs)
 
 
-def test_coefficient_file_repeated_rows_are_summed(tmp_path):
-    # a (k, j, i) that appears twice adds up, in file order
+def test_coefficient_file_serves_its_rows(tmp_path):
+    # one row per (k, j, i), served as the modes k >= 0 of a source
     coeffs = tmp_path / "g.csv"
-    coeffs.write_text("k,j,i,re,im\n1,2,3,0.5,0.25\n-1,2,3,0.5,-0.25\n"
-                      "1,2,3,0.125,-1.0\n-1,2,3,0.125,1.0\n0,4,5,1.5,0.0\n")
+    coeffs.write_text("k,j,i,re,im\n1,2,3,0.625,-0.75\n-1,2,3,0.625,0.75\n0,4,5,1.5,0.0\n")
     f = _load_coefficient_file(str(coeffs), 2 * np.pi, (9, 9), WAVE, 2)
-    assert f.n_modes == 1
+    assert isinstance(f, ModeSource) and f.n_modes == 1
     assert f.mode(1)[2, 3] == 0.625 - 0.75j
     assert f.mode(-1)[2, 3] == 0.625 + 0.75j
     assert f.mode(0)[4, 5] == 1.5
     assert sum(np.count_nonzero(f.mode(k)) for k in (-1, 0, 1)) == 3
+
+
+def test_coefficient_file_repeated_rows_rejected_by_name(tmp_path, capsys):
+    # an example-gen file with every row listed twice solved to twice the
+    # forcing (w_l2 0.0795 instead of 0.0398) with exit 0
+    cfg = _write(tmp_path, "grid.nx = 9\ngrid.ny_w = 9\nname = gen\n")
+    assert main(["example-gen", "--config", cfg, "--out", str(tmp_path)]) == 0
+    coeffs = tmp_path / "example_gen_gen_g_coeffs.csv"
+    header, *rows = coeffs.read_text().splitlines()
+    coeffs.write_text("\n".join([header] + rows + rows) + "\n")
+    first = rows[0].split(",")[:3]
+    cfg = _write(tmp_path, SMALL_SOLVE + f"forcing.wave = file:{coeffs}\n")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert str(coeffs) in captured.err
+    assert f"({', '.join(first)}) is repeated" in captured.err
+    assert "solving" not in captured.out
+    assert [p.name for p in out.iterdir()] == ["solve_run_error.json"]
 
 
 @pytest.mark.parametrize("k", [3, 10**12])
@@ -602,10 +620,16 @@ def test_bad_list_rejected_by_name_before_work(tmp_path, capsys, command, line):
 @pytest.mark.parametrize("command,line", [
     ("identity-check", "tol = 1e-8"), ("regularity-scan", "tol = 1e-8"),
     ("example-gen", "tol = 1e-8"), ("identity-check", "period = 3.0"),
-    ("example-gen", "period = 3.0"),
+    ("example-gen", "period = 3.0"), ("identity-check", "grid.lx = 3"),
+    ("identity-check", "grid.ly_w = 1"), ("identity-check", "grid.ly_h = 1"),
+    ("identity-check", "equipartition = false"), ("example-gen", "grid.lx = 3"),
+    ("example-gen", "grid.ly_w = 1"), ("example-gen", "grid.ly_h = 1"),
+    ("example-gen", "grid.ny_h = 9"),
 ])
 def test_keys_a_command_never_reads_rejected_by_name(tmp_path, capsys, command, line):
     # these commands take no tolerance, and their analytic family is 2 pi-periodic
+    # and lives on the box (0, pi) x (0, 1) of the wave grid: a box key could
+    # only fail (exit 15), and the heat box is never read
     cfg = _write(tmp_path, line + "\n")
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
@@ -630,6 +654,43 @@ def test_period_other_than_two_pi_rejected_with_analytic_wave_forcing(
     assert "'period'" in captured.err and "'forcing.wave'" in captured.err
     assert not captured.out
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,text,keys", [
+    ("solve", "grid.lx = 2\nforcing.wave = mode:2\n", ("'grid.lx'", "'forcing.wave'")),
+    ("solve", "grid.nx = 9\nforcing.wave = series:G1:8\n", ("'grid.nx'", "'forcing.wave'")),
+    ("regularity-scan", "grid.nx = 129\ntruncations = 8,65\n", ("'grid.nx'", "'truncations'")),
+], ids=["box", "series-nodes", "truncation-nodes"])
+def test_closed_form_the_grid_cannot_hold_rejected_by_name(tmp_path, capsys, command,
+                                                          text, keys):
+    # the closed-form families live on the box (0, pi) x (0, 1), and N terms
+    # need nx - 1 >= 2 N nodes; each of these used to parse and start, then
+    # fail with a ClosedFormError (exit 15)
+    cfg = _write(tmp_path, text)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert all(key in captured.err for key in keys), captured.err
+    assert not captured.out
+    assert not out.exists()
+
+
+def test_regularity_scan_memory_does_not_grow_with_truncation(tmp_path):
+    # at 257 x 9 the traced peaks for truncations 8,16 and 8,128 differ by
+    # less than 16 mode grids; a forcing and a solution stack per row took
+    # 1.99 and 9.95 MiB
+    peaks = []
+    for truncs in ("8,16", "8,128"):
+        scn = parse_scenario(f"grid.nx = 257\ngrid.ny_w = 9\ntruncations = {truncs}\n",
+                             "regularity-scan", out_dir=str(tmp_path))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert run_scenario(scn) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 16 * 257 * 9 * 16, peaks
 
 
 @pytest.mark.parametrize("command", ["solve", "epsilon-sweep"])

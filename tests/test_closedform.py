@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 import hwp
+from hwp import closedform
 from hwp.errors import ClosedFormError
 
 import fourier_oracle as oracle
@@ -77,25 +78,24 @@ def test_analytic_mode_solves_wave_equation():
 def test_series_composition():
     grid = hwp.build_stacked_rectangles(np.pi, 1.0, 1.0, 33, 17, 3)
     rule = hwp.series_rule("G1")
-    g2_series, _ = hwp.series_forcing(rule, 2, grid)
+    g2_series = closedform.series_sources(rule, 2, grid)[0].stored()
     g1, _ = hwp.analytic_mode(1, grid)
     g2, _ = hwp.analytic_mode(2, grid)
-    combo = g1 + g2.scaled(0.5)
-    assert np.max(np.abs(oracle.two_sided(g2_series) - oracle.two_sided(combo, 2))) < 1e-15
+    combo = oracle.two_sided(g1, 2) + 0.5 * oracle.two_sided(g2, 2)
+    assert np.max(np.abs(oracle.two_sided(g2_series) - combo)) < 1e-15
 
-    gG2, _ = hwp.series_forcing(hwp.series_rule("G2"), 1, grid)
+    gG2 = closedform.series_sources(hwp.series_rule("G2"), 1, grid)[0].stored()
     assert np.max(np.abs(oracle.two_sided(gG2) - oracle.two_sided(g1, 1))) < 1e-15
 
 
 def test_series_truncation_consistency():
     grid = hwp.build_stacked_rectangles(np.pi, 1.0, 1.0, 33, 17, 3)
     rule = hwp.series_rule("G1")
-    g4, _ = hwp.series_forcing(rule, 4, grid)
-    g3, _ = hwp.series_forcing(rule, 3, grid)
+    g4, g3 = (closedform.series_sources(rule, n, grid)[0].stored() for n in (4, 3))
     gm4, _ = hwp.analytic_mode(4, grid)
     diff = g4 - g3
-    expected = gm4.scaled(1.0 / 4.0)
-    assert np.max(np.abs(oracle.two_sided(diff) - oracle.two_sided(expected, 4))) < 1e-15
+    expected = oracle.two_sided(gm4, 4) / 4.0
+    assert np.max(np.abs(oracle.two_sided(diff) - expected)) < 1e-15
 
 
 def test_series_rules_summability():
@@ -110,4 +110,4 @@ def test_series_rules_summability():
 def test_series_aliasing_guard():
     grid = hwp.build_stacked_rectangles(np.pi, 1.0, 1.0, 17, 9, 3)
     with pytest.raises(ClosedFormError):
-        hwp.series_forcing(hwp.series_rule("G1"), 16, grid)
+        closedform.series_sources(hwp.series_rule("G1"), 16, grid)

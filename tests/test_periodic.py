@@ -8,7 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import hwp
-from hwp import analysis
+from hwp import analysis, closedform
 from hwp import operators as ops
 from hwp import quadrature as quad
 from hwp.errors import ConfigurationError, SolverError
@@ -106,8 +106,8 @@ def test_mode_zero_reports_the_whole_residual():
     mean_f = np.sin(X) * Y * (Y + 1)
     X, Y = np.meshgrid(grid.x, grid.y_w)
     mean_g = np.sin(X) * (1 - Y)
-    f = FourierField.from_mode_dict(T, 1, {0: mean_f}, HEAT)
-    g = FourierField.from_mode_dict(T, 1, {0: mean_g}, WAVE)
+    f = oracle.from_modes(T, 1, {0: mean_f}, HEAT)
+    g = oracle.from_modes(T, 1, {0: mean_g}, WAVE)
     rep = hwp.solve_periodic_harmonic(grid, f, g, 1)
     pair = hwp.solve_mean_pair(grid, mean_f, mean_g)
     assert pair.residual_heat > 0 and pair.residual_wave > 0
@@ -317,8 +317,7 @@ def _sine_state(grid, y):
 def _constant_forcing(dt, g, f):
     """g and f as time-constant fields of period dt: one step of size dt
     sees each at both ends."""
-    return (FourierField.from_mode_dict(dt, 0, {0: g}, WAVE),
-            FourierField.from_mode_dict(dt, 0, {0: f}, HEAT))
+    return oracle.from_modes(dt, 0, {0: g}, WAVE), oracle.from_modes(dt, 0, {0: f}, HEAT)
 
 
 @pytest.mark.parametrize("n", [5, 7])
@@ -364,7 +363,7 @@ def test_sine_march_matches_sparse_march(monkeypatch, case):
         steps, eps = 64, 0.2
     elif case == "aliased":
         grid = hwp.build_stacked_rectangles(np.pi, 1.0, 1.0, 17, 5, 5)
-        g, _ = hwp.series_forcing(hwp.series_rule("G1"), 8, grid)
+        g = closedform.series_sources(hwp.series_rule("G1"), 8, grid)[0].stored()
         steps, eps = 8, 0.5
     else:
         grid, g = grid_n(17), None
@@ -474,7 +473,7 @@ def test_converged_march_equals_trapezoidal_symbol_solve(case):
     if case == "aliased":
         # 8 steps per period see forcing modes 5..8 as their aliases -3..0
         grid = hwp.build_stacked_rectangles(np.pi, 1.0, 1.0, 17, 5, 5)
-        g, _ = hwp.series_forcing(hwp.series_rule("G1"), 8, grid)
+        g = closedform.series_sources(hwp.series_rule("G1"), 8, grid)[0].stored()
         steps, eps = 8, 0.5
     else:
         grid = grid_n(9)

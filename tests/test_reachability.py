@@ -50,7 +50,6 @@ ALLOWLIST = {
                                          "which no command runs yet",
     "operators._interface_functional": "the heat functional of the extension lemma",
     "timefourier.periodic_antiderivative": "the periodic primitive of acceptance criterion 9",
-    "timefourier.FourierField.__add__": "the partner of __sub__, which commands run",
 }
 
 _GRID = "grid.nx = 9\ngrid.ny_w = 9\ngrid.ny_h = 9\n"
@@ -61,7 +60,7 @@ _DOMAIN_FIELDS = {"arc": "arc", "horn": "horn:0.5", "rectangle": "graph-vertical
                   "unit-square": "graph-vertical:2"}
 
 SCENARIOS = (
-    ("example-gen", _GRID + "mode = 2\nname = gen\n"),
+    ("example-gen", "grid.nx = 9\ngrid.ny_w = 9\nmode = 2\nname = gen\n"),
     ("solve", _GRID + "modes = 2\nforcing.heat = smooth:1\ncheck.weak = true\n"
               "name = mode\n"),
     ("solve", _GRID + "modes = 3\nforcing.wave = series:G1:3\nname = series\n"),
