@@ -50,7 +50,7 @@ for eps in (0.2, 0.1, 0.05):
     rep = hwp.epsilon_march(grid, forcing, None, params)
     freq = hwp.solve_periodic_harmonic(grid, forcing, None, 4, eps=eps, n_steps=STEPS)
     gap = analysis.sobolev_time_norm(rep.w - reference.w, 0, grid) / ref_norm
-    est = analysis.estimate_check(rep, forcing, None, "damped-energy", k=0)
+    est = analysis.estimate_check(rep, forcing, None, "damped-energy")
     contraction = np.median(rep.params["contraction"])
     note = "" if prev_gap is None else f"   (factor {prev_gap / gap:.2f})"
     print(f"{eps:6.2f} {rep.params['periods']:8d} {contraction:12.3f} "

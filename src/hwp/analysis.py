@@ -22,7 +22,7 @@ from . import closedform
 from . import operators as ops
 from . import quadrature as quad
 from .periodic import SolveReport
-from .timefourier import (HEAT, INTERFACE, WAVE, FourierField, mean_decompose,
+from .timefourier import (HEAT, INTERFACE, WAVE, FourierField, ModeSource, mean_decompose,
                           parseval_weights)
 
 
@@ -34,20 +34,28 @@ def _subdomain_dims(grid: Grid, domain: str) -> tuple[int, int, float, float]:
     raise AnalysisError(f"field domain {domain!r} has no area mass")
 
 
-def _spatial_norm_sq(field_: FourierField, grid: Grid, flavor: str) -> np.ndarray:
-    """Per-mode squared spatial norms ||c_k||^2, k = 0..N, one mode at a time."""
+def _spatial_norm_sq(field_: FourierField | ModeSource | None, grid: Grid,
+                     flavor: str) -> np.ndarray:
+    """Per-mode squared spatial norms ||c_k||^2, k = 0..N, one mode at a time
+    (none for an absent field); flavor "dual" is the heat box's Dirichlet dual."""
+    if field_ is None:
+        return np.zeros(0)
     if field_.domain == INTERFACE:
         if flavor != "l2":
             raise AnalysisError("interface fields only carry the L2 flavor")
         wx = quad.trap_weights_1d(grid.nx, grid.hx)
         return np.sum(wx[None, :] * np.abs(field_.coeffs) ** 2, axis=1)
     ny, nx, hx, hy = _subdomain_dims(grid, field_.domain)
+    modes = (field_.mode(k) for k in range(field_.n_modes + 1))
     if flavor == "l2":
         mass = quad.trap_mass(ny, nx, hx, hy)
-        return np.array([np.sum(mass * np.abs(c) ** 2) for c in field_.coeffs])
+        return np.array([np.sum(mass * np.abs(c) ** 2) for c in modes])
     if flavor == "h1":
-        return np.array([quad.gradient_energy(c, hx, hy) for c in field_.coeffs])
-    raise AnalysisError(f"unknown spatial flavor {flavor!r}; use 'l2' or 'h1'")
+        return np.array([quad.gradient_energy(c, hx, hy) for c in modes])
+    if flavor == "dual" and field_.domain == HEAT:
+        return np.array([ops.heat_dual_norm_sq(grid, c) for c in modes])
+    raise AnalysisError(f"unknown spatial flavor {flavor!r}; use 'l2', 'h1' or "
+                        f"(on the heat box) 'dual'")
 
 
 def sobolev_time_norm(field_: FourierField, s: float, grid: Grid,
@@ -429,15 +437,6 @@ def weak_residual(report: SolveReport, f: FourierField | None,
 # Estimate-ratio checks
 # ---------------------------------------------------------------------------
 
-def _dual_time_norm_sq(f: FourierField | None, grid: Grid, s: float) -> float:
-    """sum_{k=-N..N} (1+(wk)^2)^s ||f_k||^2_dual with the discrete Dirichlet
-    dual, the modes k >= 0 in one solve."""
-    if f is None:
-        return 0.0
-    weight = parseval_weights(f.wavenumbers()) * (1.0 + (f.omega * f.wavenumbers()) ** 2) ** s
-    return float(weight @ ops.heat_dual_norm_sq(grid, f.coeffs))
-
-
 def _sup_time_norm(field_: FourierField, grid: Grid, flavor: str) -> float:
     """Max over 128 uniform times of the spatial norm, sampled N+1 times at
     a time, so the samples never outgrow one mode stack."""
@@ -456,8 +455,30 @@ def _sup_time_norm(field_: FourierField, grid: Grid, flavor: str) -> float:
     return float(np.sqrt(best))
 
 
+def damped_energy(eps: float, omega: float, u_h1: np.ndarray, u_l2: np.ndarray,
+                  w_l2: np.ndarray, f_dual: np.ndarray, g_l2: np.ndarray) -> dict:
+    """The damped-energy estimate of estimate_check from the squared norms of the
+    modes k = 0..N of the solution and the forcing (_spatial_norm_sq), weighted by
+    Parseval: lhs = sum |u_k|^2_H1 + eps |u_k|^2 + eps (w k)^2 |w_k|^2 and rhs =
+    sum |f_k|^2_dual + |g_k|^2 / eps. Norms gathered mode by mode give the same bits."""
+    ks = np.arange(len(u_h1))
+    weight = parseval_weights(ks)
+    lhs = (float(np.sum(weight * u_h1)) + eps * float(np.sum(weight * u_l2))
+           + eps * float(np.sum(weight * (omega * ks) ** 2 * w_l2)))
+    rhs = (float(parseval_weights(np.arange(len(f_dual))) @ f_dual)
+           + float(parseval_weights(np.arange(len(g_l2))) @ g_l2) / eps)
+    return _rated({"variant": "damped-energy", "lhs": lhs, "rhs": rhs, "eps": eps})
+
+
+def _rated(out: dict) -> dict:
+    """out with the ratio lhs / rhs, and whether rhs = 0 < lhs (a violation)."""
+    lhs, rhs = float(out["lhs"]), float(out["rhs"])
+    return {**out, "violation": bool(rhs == 0.0 and lhs > 0.0),
+            "ratio": 0.0 if lhs == rhs == 0.0 else np.inf if rhs == 0.0 else lhs / rhs}
+
+
 def estimate_check(report: SolveReport, f: FourierField | None,
-                   g: FourierField | None, variant: str, *, k: int = 0) -> dict:
+                   g: FourierField | None, variant: str) -> dict:
     """Evaluate lhs/rhs of one of the a priori estimates and report the ratio.
 
     Variants:
@@ -465,7 +486,7 @@ def estimate_check(report: SolveReport, f: FourierField | None,
                            solution (contractive-field setting);
       "existence-graph":   H^4/H^8 data norms (graph-field setting);
       "damped-energy":     the eps-uniform energy balance of the damped
-                           construction, order k (requires an epsilon report);
+                           construction (requires an epsilon report; damped_energy);
       "interface-sign":    L2 data plus interface-primitive control of the
                            wave energy (graph case of the boundary-reduced
                            estimate, with the field graph_vertical(2.0)).
@@ -482,7 +503,8 @@ def estimate_check(report: SolveReport, f: FourierField | None,
         lhs = (u_norm
                + _sup_time_norm(w, grid, "h1")
                + _sup_time_norm(w.derivative(), grid, "l2"))
-        rhs = float(np.sqrt(_dual_time_norm_sq(f, grid, s_f)))
+        rhs = 0.0 if f is None else plancherel_norm(ops.heat_dual_norm_sq(grid, f.coeffs),
+                                                    s_f, f.omega)
         if g is not None:
             rhs += sobolev_time_norm(g, s_g, grid, "l2")
         out.update(lhs=lhs, rhs=rhs, u_norm=u_norm,
@@ -491,20 +513,9 @@ def estimate_check(report: SolveReport, f: FourierField | None,
         if report.method != "epsilon" or not report.params.get("eps", 0) > 0:
             raise AnalysisError("damped-energy estimate needs an epsilon report "
                                 "with a positive damping shift")
-        eps = float(report.params["eps"])
-        omega = u.omega
-        wk_u = parseval_weights(u.wavenumbers()) * (omega * u.wavenumbers()) ** (2 * k)
-        u_h1 = float(np.sum(wk_u * _spatial_norm_sq(u, grid, "h1")))
-        u_l2 = float(np.sum(wk_u * _spatial_norm_sq(u, grid, "l2")))
-        wk_w = parseval_weights(w.wavenumbers()) * (omega * w.wavenumbers()) ** (2 * (k + 1))
-        w_l2 = float(np.sum(wk_w * _spatial_norm_sq(w, grid, "l2")))
-        lhs = u_h1 + eps * u_l2 + eps * w_l2
-        rhs = _dual_time_norm_sq(f.derivative(k) if f is not None else None, grid, 0.0)
-        if g is not None:
-            g_k = g.derivative(k)
-            rhs += float(parseval_weights(g_k.wavenumbers())
-                         @ _spatial_norm_sq(g_k, grid, "l2")) / eps
-        out.update(lhs=lhs, rhs=rhs, eps=eps, order=k)
+        return damped_energy(float(report.params["eps"]), u.omega,
+                             *(_spatial_norm_sq(x, grid, flavor) for x, flavor in (
+                                 (u, "h1"), (u, "l2"), (w, "l2"), (f, "dual"), (g, "l2"))))
     elif variant == "interface-sign":
         spec = graph_vertical(2.0)
         _, w_free = mean_decompose(w)
@@ -524,13 +535,7 @@ def estimate_check(report: SolveReport, f: FourierField | None,
         out.update(lhs=lhs, rhs=rhs, field=spec.describe())
     else:
         raise AnalysisError(f"unknown estimate variant {variant!r}")
-
-    lhs = float(out["lhs"])
-    rhs = float(out["rhs"])
-    out["violation"] = bool(rhs == 0.0 and lhs > 0.0)
-    out["ratio"] = 0.0 if (lhs == 0.0 and rhs == 0.0) else (
-        np.inf if rhs == 0.0 else lhs / rhs)
-    return out
+    return _rated(out)
 
 
 # ---------------------------------------------------------------------------
@@ -555,11 +560,7 @@ def regularity_scan(rule, truncations, grid: Grid) -> dict:
     if any(b <= a for a, b in zip(truncs, truncs[1:])):
         raise ConfigurationError("truncations must be strictly increasing")
     _, w_ref = closedform.series_sources(rule, truncs[-1], grid)
-    mass = quad.trap_mass(grid.ny_w, grid.nx, grid.hx, grid.hy_w)
-    l2, h1 = np.zeros((2, truncs[-1] + 1))  # the squared norms of each mode
-    for k in range(truncs[-1] + 1):
-        c = w_ref.mode(k)
-        l2[k], h1[k] = quad.norm_sq(mass, c), quad.gradient_energy(c, grid.hx, grid.hy_w)
+    l2, h1 = (_spatial_norm_sq(w_ref, grid, flavor) for flavor in ("l2", "h1"))
     omega = 2.0 * np.pi / w_ref.period
     s0, s1, grad = ([plancherel_norm(sq[:n + 1], s, omega) for n in truncs]
                     for sq, s in ((l2, 0.0), (l2, 1.0), (h1, 0.0)))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
+import warnings
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
@@ -27,7 +27,7 @@ from .errors import (AliasingError, AnalysisError, ClosedFormError,
                      HwpError, MeshError, SolverError)
 from .fields import parse_field
 from .mesh import DEMO_DOMAINS, build_stacked_rectangles, sample_domain
-from .periodic import ModeStream, solve_periodic_harmonic
+from .periodic import ModeStream
 from .timefourier import (HEAT, WAVE, FourierField, ModeSource, add_mode_samples,
                           hermitian_defect)
 
@@ -259,6 +259,10 @@ def parse_scenario(text: str, command: str, out_dir: str = ".") -> Scenario:
                 raise ConfigurationError(
                     f"key {key!r}: {values[key]!r} needs 'grid.nx' >= {2 * args[1] + 1}, "
                     f"got {values['grid.nx']}")
+    if "period" in schema and values["period"] != closedform.REFERENCE_PERIOD and all(
+            values[key] == "none" for key in _FORCING_FORMS):
+        raise ConfigurationError(f"key 'period': {values['period']} is not 2 pi, and only "
+                                 f"a file: or smooth: forcing takes another period")
     if "field" in schema:
         try:
             parse_field(values["field"])
@@ -296,21 +300,29 @@ HERMITIAN_TOL = 1e-12
 def _load_coefficient_file(path: str, period: float, shape, domain: str,
                            modes: int) -> ModeSource:
     """The file's forcing as a source over its validated modes k >= 0; a
-    malformed file is a ConfigurationError naming it."""
+    malformed file is a ConfigurationError naming it. np.loadtxt parses the
+    rows below the header line into one float block, the columns it names."""
     with open(path) as fh:
-        lines = fh.readlines()
-    if not any(line.strip() for line in lines):
-        raise ConfigurationError(f"coefficient file {path} is empty; expected the "
-                                 f"header k,j,i,re,im")
-    try:
-        raw = np.atleast_1d(np.genfromtxt(lines, delimiter=",", names=True))
-    except ValueError as exc:  # a row whose cell count differs from the header's
-        raise ConfigurationError(f"coefficient file {path}: rows do not match the "
-                                 f"header ({' '.join(str(exc).split())})") from exc
+        header = next((line for line in fh if line.strip()), None)
+        if header is None:
+            raise ConfigurationError(f"coefficient file {path} is empty; expected the "
+                                     f"header k,j,i,re,im")
+        names = [name.strip() for name in header.split(",")]
+        with warnings.catch_warnings():  # a file with the header only has no rows
+            warnings.simplefilter("ignore", UserWarning)
+            try:
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            except ValueError as exc:  # rows of unequal length, or a cell that is no number
+                raise ConfigurationError(
+                    f"coefficient file {path}: {str(exc).split(';')[0]}") from exc
+    if data.size and data.shape[1] != len(names):
+        raise ConfigurationError(f"coefficient file {path}: rows do not match the header "
+                                 f"(got {data.shape[1]} columns instead of {len(names)})")
+    cols = {}
     for key in ("k", "j", "i", "re", "im"):
-        if key not in (raw.dtype.names or ()):
+        if key not in names:
             raise ConfigurationError(f"coefficient file {path}: column {key} is missing")
-        col = raw[key]
+        cols[key] = col = data[:, names.index(key)] if data.size else np.zeros(0)
         integer = key in ("k", "j", "i")
         bad = ~np.isfinite(col) | (integer & (col != np.round(col)))
         if np.any(bad):
@@ -318,27 +330,23 @@ def _load_coefficient_file(path: str, period: float, shape, domain: str,
             raise ConfigurationError(
                 f"coefficient file {path}: column {key} value {col[bad][0]:g} "
                 f"is not {kind}")
-    for key, size in (("j", shape[0]), ("i", shape[1])):
-        bad = ~((raw[key] >= 0) & (raw[key] < size))
+    for name, key, bad, what in (
+            ("index", "j", (cols["j"] < 0) | (cols["j"] >= shape[0]), f"outside 0..{shape[0] - 1}"),
+            ("index", "i", (cols["i"] < 0) | (cols["i"] >= shape[1]), f"outside 0..{shape[1] - 1}"),
+            ("mode", "k", np.abs(cols["k"]) > modes, f"is above modes = {modes}")):
         if np.any(bad):
-            raise ConfigurationError(
-                f"coefficient file {path}: index {key} = {raw[key][bad][0]:g} "
-                f"outside 0..{size - 1}")
-    bad = np.abs(raw["k"]) > modes
-    if np.any(bad):
-        raise ConfigurationError(
-            f"coefficient file {path}: mode k = {raw['k'][bad][0]:g} is above "
-            f"modes = {modes}")
-    rows = np.stack([raw[key].astype(int) for key in ("k", "j", "i")], axis=1)
-    _, first = np.unique(rows, axis=0, return_index=True)
-    if len(first) < len(rows):
-        k, j, i = rows[np.setdiff1d(np.arange(len(rows)), first)[0]]
-        raise ConfigurationError(f"coefficient file {path}: the row (k, j, i) = "
-                                 f"({k}, {j}, {i}) is repeated")
-    ks, j, i = rows.T
+            raise ConfigurationError(f"coefficient file {path}: {name} {key} = "
+                                     f"{cols[key][bad][0]:g} {what}")
+    ks, j, i = (cols[key].astype(int) for key in ("k", "j", "i"))
     n = int(np.max(np.abs(ks))) if len(ks) else 0
+    cells = np.ravel_multi_index((ks + n, j, i), (2 * n + 1,) + tuple(shape))
+    _, first = np.unique(cells, return_index=True)
+    if len(first) < len(cells):
+        row = np.setdiff1d(np.arange(len(cells)), first)[0]
+        raise ConfigurationError(f"coefficient file {path}: the row (k, j, i) = "
+                                 f"({ks[row]}, {j[row]}, {i[row]}) is repeated")
     coeffs = np.zeros((2 * n + 1,) + tuple(shape), dtype=complex)
-    coeffs[ks + n, j, i] += raw["re"] + 1j * raw["im"]  # 0 + v: a -0 cell reads as +0
+    coeffs.reshape(-1)[cells] += cols["re"] + 1j * cols["im"]  # 0 + v: a -0 cell reads as +0
     defect = hermitian_defect(coeffs)
     if defect > HERMITIAN_TOL:
         raise ConfigurationError(
@@ -426,7 +434,6 @@ def _run_solve(scn: Scenario) -> dict:
     g, w_ref, meta_w = _wave_forcing(scn, grid)
     f, meta_h = _heat_forcing(scn, grid)
     _phase(f"solving {scn['modes']} modes on {grid.nx}x{grid.ny_w}+{grid.ny_h} grid")
-    t0 = time.perf_counter()
     stream = ModeStream(grid, f, g, scn["modes"], tol=scn["tol"])
     n, period = stream.n_modes, stream.period
     error = w_ref is not None and f is None
@@ -450,7 +457,6 @@ def _run_solve(scn: Scenario) -> dict:
         add_mode_samples(snaps["u"], times, period, k, u_k)
         if scn["check.weak"] and k <= analysis._TEST_MODES:
             low.append((w_k, u_k))
-    elapsed = time.perf_counter() - t0
 
     # rows k = -N..N from the modes k >= 0: mode -k, the conjugate of mode k,
     # has its norms
@@ -475,8 +481,6 @@ def _run_solve(scn: Scenario) -> dict:
         "max_residual": max_residual,
         "norms": {name: analysis.plancherel_norm(row, 0, omega)
                   for name, row in zip(("u_l2", "w_l2", "w_h1"), sq)},
-        "timings": stream.timings,
-        "wall_seconds": elapsed,
         "seed": scn.seed,
     }
     if error:
@@ -499,29 +503,40 @@ def _run_epsilon_sweep(scn: Scenario) -> dict:
     grid = _build_grid(scn)
     g, _, meta_w = _wave_forcing(scn, grid)
     f, meta_h = _heat_forcing(scn, grid)
-    f, g = (None if x is None else x.stored() for x in (f, g))
-    _phase("reference harmonic solve")
-    reference = solve_periodic_harmonic(grid, f, g, scn["modes"], tol=scn["tol"])
-    w_ref_norm = max(analysis.sobolev_time_norm(reference.w, 0, grid, "l2"), 1e-300)
-
-    dts, gaps, ratios, residuals = [], [], [], []
-    for eps in scn["epsilons"]:
-        # the periodic orbit of the trapezoidal march with `steps` steps
-        rep = solve_periodic_harmonic(grid, f, g, scn["modes"], tol=scn["tol"],
-                                      eps=eps, n_steps=scn["steps"])
-        gap = (analysis.sobolev_time_norm(rep.w - reference.w, 0, grid, "l2")
-               / w_ref_norm)
-        est = analysis.estimate_check(rep, f, g, "damped-energy", k=0)
-        dts.append(rep.params["dt"])
-        gaps.append(gap)
-        ratios.append(est["ratio"])
-        residuals.append(rep.max_residual())
+    epsilons, modes = scn["epsilons"], scn["modes"]
+    # the undamped reference and, per eps, the periodic orbit of the
+    # trapezoidal march with `steps` steps, streamed in lockstep
+    reference = ModeStream(grid, f, g, modes, tol=scn["tol"])
+    orbits = [ModeStream(grid, f, g, modes, tol=scn["tol"], eps=eps, n_steps=scn["steps"])
+              for eps in epsilons]
+    _phase(f"reference harmonic solve and {len(epsilons)} damped orbits, in lockstep")
+    mass_w = quadr.trap_mass(grid.ny_w, grid.nx, grid.hx, grid.hy_w)
+    mass_h = quadr.trap_mass(grid.ny_h, grid.nx, grid.hx, grid.hy_h)
+    # per mode |w_ref|^2 and, per eps, |w - w_ref|^2, the damped-energy terms
+    # |u|^2_H1, |u|^2 and |w|^2, and the residual
+    ref_sq, per_mode = np.zeros(modes + 1), np.zeros((len(epsilons), 5, modes + 1))
+    for (k, w_ref, _, _), *damped in zip(reference, *orbits):
+        ref_sq[k] = quadr.norm_sq(mass_w, w_ref)
+        for sq, (_, w_k, u_k, residual) in zip(per_mode, damped):
+            sq[:, k] = (quadr.norm_sq(mass_w, w_k - w_ref),
+                        quadr.gradient_energy(u_k, grid.hx, grid.hy_h),
+                        quadr.norm_sq(mass_h, u_k), quadr.norm_sq(mass_w, w_k), residual)
+    omega = 2.0 * np.pi / reference.period
+    w_ref_norm = max(analysis.plancherel_norm(ref_sq, 0, omega), 1e-300)
+    # the forcing's norms do not depend on eps
+    forcing = [analysis._spatial_norm_sq(x, grid, flavor)
+               for x, flavor in ((f, "dual"), (g, "l2"))]
+    gaps = [analysis.plancherel_norm(sq[0], 0, omega) / w_ref_norm for sq in per_mode]
+    ratios = [analysis.damped_energy(eps, omega, *sq[1:4], *forcing)["ratio"]
+              for eps, sq in zip(epsilons, per_mode)]
+    for eps, gap in zip(epsilons, gaps):
         _phase(f"eps={eps:g}: gap {gap:.3e}")
     reporting.write_csv(_out(scn, ".csv"),
-                        ["epsilon", "dt", "gap_rel", "damped_energy_ratio",
-                         "max_residual"], [scn["epsilons"], dts, gaps, ratios, residuals])
+                        ["epsilon", "dt", "gap_rel", "damped_energy_ratio", "max_residual"],
+                        [epsilons, [orbit.dt for orbit in orbits], gaps, ratios,
+                         per_mode[:, 4].max(axis=1)])
     summary = {
-        "epsilons": list(scn["epsilons"]),
+        "epsilons": list(epsilons),
         "gaps": gaps,
         "damped_energy_ratios": ratios,
         "forcing": {"wave": meta_w, "heat": meta_h},

@@ -8,8 +8,9 @@ Two routes to T-periodic solutions of the coupled system:
   and asks the forcing for its mode k only when mode k's solve starts, so
   what a consumer holds is up to it: solve_periodic_harmonic collects the
   stream into a SolveReport (fields storing modes k >= 0 only, real by
-  construction), while the solve command keeps per-mode norms, snapshot
-  sums and the modes its weak check reads, and drops each mode after use.
+  construction), while the commands keep per-mode norms and drop each mode
+  after use: solve with snapshot sums and the modes its weak check reads,
+  epsilon-sweep zipping the undamped stream with one damped one per eps.
   With a damping shift eps and a step count n_steps it computes the damped
   construction below directly, one frequency solve per mode.
 
@@ -49,7 +50,6 @@ measured median contraction is 0.619, against exp(-eps T) = 0.285.
 
 from __future__ import annotations
 
-import time
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -59,7 +59,8 @@ from .errors import ConfigurationError, SolverError
 from .mesh import Grid
 from . import operators as ops
 from . import quadrature as quad
-from .timefourier import HEAT, INTERFACE, WAVE, FourierField, ModeSource, time_transform
+from .timefourier import (HEAT, INTERFACE, WAVE, FourierField, ModeSource, mean_decompose,
+                          time_transform)
 
 
 @dataclass
@@ -72,7 +73,6 @@ class SolveReport:
     trace_h: FourierField       # u restricted to the interface row
     trace_primitive: FourierField  # its mean-free primitive (equals w trace)
     mode_residuals: dict[int, float]
-    timings: dict[str, float]
     method: str
     params: dict = field(default_factory=dict)
 
@@ -84,15 +84,11 @@ class SolveReport:
         return max(self.mode_residuals.values(), default=0.0)
 
 
-def _trace_fields(grid: Grid, w: FourierField) -> tuple[FourierField, FourierField]:
-    """Interface velocity trace h = i w k * (w on the interface row) and its
-    mean-free primitive (which is the interface trace of w itself)."""
-    ks = w.wavenumbers().reshape(-1, 1)
-    w_trace = w.coeffs[:, 0, :]
-    h = FourierField(w.period, 1j * w.omega * ks * w_trace, INTERFACE)
-    big_h = FourierField(w.period, w_trace.copy(), INTERFACE)
-    big_h.coeffs[0] = 0.0  # primitive is mean-free by construction
-    return h, big_h
+def _trace_fields(w: FourierField) -> tuple[FourierField, FourierField]:
+    """Interface velocity trace h = i w k * (w on the interface row), the time
+    derivative of that row, and its mean-free primitive, the row's mean-free part."""
+    trace = FourierField(w.period, w.coeffs[:, 0, :], INTERFACE)
+    return trace.derivative(), mean_decompose(trace)[1]
 
 
 def _aliased_mode(x: FourierField | ModeSource, k: int, n_steps: int | None) -> np.ndarray:
@@ -122,7 +118,7 @@ class ModeStream:
     trapezoidal march with n_steps steps per period (see the module
     docstring): the trapezoidal symbol replaces i w k, the forcing is folded
     onto its aliases mod n_steps, and the mode count is capped at
-    (n_steps - 1) // 2. ``timings`` adds up the time spent in the solves.
+    (n_steps - 1) // 2.
     """
 
     def __init__(self, grid: Grid, f: FourierField | ModeSource | None,
@@ -142,29 +138,23 @@ class ModeStream:
         self.n_modes = n_modes if n_steps is None else min(n_modes, (n_steps - 1) // 2)
         self.grid, self.f, self.g = grid, f, g
         self.tol, self.eps, self.n_steps = tol, eps, n_steps
-        self.timings = {"mean": 0.0, "modes": 0.0}
 
     def __iter__(self) -> Iterator[tuple[int, np.ndarray, np.ndarray, float]]:
         for k in range(self.n_modes + 1):
             yield (k, *self._solve(k))  # keeps no reference to the mode once yielded
 
     def _solve(self, k: int) -> tuple[np.ndarray, np.ndarray, float]:
-        """w_k, u_k and the residual of mode k; its time is added to timings."""
-        t0 = time.perf_counter()
+        """w_k, u_k and the residual of mode k."""
         f_k, g_k = (None if x is None else _aliased_mode(x, k, self.n_steps)
                     for x in (self.f, self.g))
         if k == 0:
             pair = ops.solve_mean_pair(self.grid, *(None if c is None else c.real
                                                     for c in (f_k, g_k)),
                                        tol=self.tol, eps=self.eps)
-            out = pair.mean_w.astype(complex), pair.mean_u.astype(complex), pair.residual
-        else:
-            op = ops.assemble_coupled_mode(self.grid, k, self.period, eps=self.eps,
-                                           dt=self.dt)
-            x = ops.solve_linear(op, ops.mode_rhs(op, f_k, g_k), tol=self.tol)
-            out = (*ops.split_mode_solution(op, x), op.residual)
-        self.timings["mean" if k == 0 else "modes"] += time.perf_counter() - t0
-        return out
+            return pair.mean_w.astype(complex), pair.mean_u.astype(complex), pair.residual
+        op = ops.assemble_coupled_mode(self.grid, k, self.period, eps=self.eps, dt=self.dt)
+        x = ops.solve_linear(op, ops.mode_rhs(op, f_k, g_k), tol=self.tol)
+        return (*ops.split_mode_solution(op, x), op.residual)
 
     def report(self, w: np.ndarray, u: np.ndarray,
                residuals: dict[int, float]) -> SolveReport:
@@ -174,7 +164,7 @@ class ModeStream:
         and n_steps None when continuous in time); the plain one reports
         method "harmonic"."""
         w_field = FourierField(self.period, w, WAVE)
-        h, big_h = _trace_fields(self.grid, w_field)
+        h, big_h = _trace_fields(w_field)
         if self.n_steps is None and self.eps == 0:
             method, params = "harmonic", {"n_modes": self.n_modes, "tol": self.tol}
         else:
@@ -182,8 +172,8 @@ class ModeStream:
                                          "n_steps": self.n_steps}
         return SolveReport(
             grid=self.grid, u=FourierField(self.period, u, HEAT), w=w_field, trace_h=h,
-            trace_primitive=big_h, mode_residuals=dict(residuals),
-            timings=dict(self.timings), method=method, params=params)
+            trace_primitive=big_h, mode_residuals=dict(residuals), method=method,
+            params=params)
 
 
 def solve_periodic_harmonic(grid: Grid, f: FourierField | ModeSource | None,
@@ -332,11 +322,9 @@ def epsilon_march(grid: Grid, f: FourierField | None, g: FourierField | None,
         if not periods:
             raise ConfigurationError("need a period when no forcing is given")
         period = periods.pop()
-    t0 = time.perf_counter()
     m = params.n_steps
     dt = period / m
     march = _SineMarch(grid, params.eps, dt, m, g, f)
-    t_setup = time.perf_counter()
 
     y = np.zeros(march.shape)
     snapshot = y.copy()
@@ -358,7 +346,6 @@ def epsilon_march(grid: Grid, f: FourierField | None, g: FourierField | None,
             f"period map did not contract below {params.period_tol:.1e} within "
             f"{params.max_periods} periods (last diff {diffs[-1]:.3e})",
             history=diffs)
-    t_march = time.perf_counter()
 
     # one more period, recording the state at every step start
     n_rep = min(params.n_report_modes, (m - 1) // 2)
@@ -369,15 +356,11 @@ def epsilon_march(grid: Grid, f: FourierField | None, g: FourierField | None,
         y = march.step(y, i)
     w_field = time_transform(w_hist, period=period, n_modes=n_rep, domain=WAVE)
     u_field = time_transform(u_hist, period=period, n_modes=n_rep, domain=HEAT)
-    t_record = time.perf_counter()
 
-    h, big_h = _trace_fields(grid, w_field)
+    h, big_h = _trace_fields(w_field)
     return SolveReport(
         grid=grid, u=u_field, w=w_field, trace_h=h, trace_primitive=big_h,
-        mode_residuals={0: diffs[-1]},
-        timings={"setup": t_setup - t0, "march": t_march - t_setup,
-                 "record": t_record - t_march},
-        method="epsilon",
+        mode_residuals={0: diffs[-1]}, method="epsilon",
         params={"eps": params.eps, "dt": dt, "n_steps": m,
                 "periods": n_periods, "period_tol": params.period_tol,
                 "contraction": contraction, "period_diffs": diffs})

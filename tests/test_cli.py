@@ -86,13 +86,20 @@ def test_solve_scenario_end_to_end(tmp_path):
 
 
 def test_solve_determinism_byte_identical(tmp_path):
-    cfg = _write(tmp_path, MINIMAL_SOLVE + "modes = 2\nseed = 7\n")
+    # every CSV and every result JSON repeats byte for byte: the JSON carries
+    # no timings
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["solve", "--config", cfg, "--out", str(out1)]) == 0
-    assert main(["solve", "--config", cfg, "--out", str(out2)]) == 0
-    for p1 in sorted(out1.glob("*.csv")):
-        p2 = out2 / p1.name
-        assert p1.read_bytes() == p2.read_bytes()
+    for command, text in (("solve", MINIMAL_SOLVE + "modes = 2\nseed = 7\n"),
+                          ("epsilon-sweep", MINIMAL_SOLVE + "modes = 2\nsteps = 8\n"
+                           "epsilons = 0.2,0.1\nforcing.heat = smooth:1\nseed = 7\n")):
+        cfg = _write(tmp_path, text)
+        assert main([command, "--config", cfg, "--out", str(out1)]) == 0
+        assert main([command, "--config", cfg, "--out", str(out2)]) == 0
+    written = sorted(p.name for p in out1.iterdir())
+    assert "solve_run.json" in written and "epsilon_sweep_run.json" in written
+    assert written == sorted(p.name for p in out2.iterdir())
+    for name in written:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
 
@@ -415,7 +422,9 @@ def test_coefficient_file_bad_column_rejected_by_name(tmp_path, capsys, column, 
 @pytest.mark.parametrize("text,what", [
     ("", "is empty"),
     ("k,j,i,re,im\n1,3,3,1.0\n", "got 4 columns instead of 5"),
-], ids=["empty", "ragged-row"])
+    ("k,j,i,re,im\n1,3,3,1.0,0.0\n-1,3,3,1.0\n", "columns"),
+    ("k,j,i,re,im\n1,3,3,abc,0.0\n-1,3,3,abc,0.0\n", "'abc'"),
+], ids=["empty", "ragged-row", "ragged-later-row", "non-numeric"])
 def test_coefficient_file_unreadable_rejected_by_name(tmp_path, capsys, text, what):
     # numpy's IndexError (empty) and ValueError (ragged) used to escape as
     # exit 1 with a traceback
@@ -428,6 +437,34 @@ def test_coefficient_file_unreadable_rejected_by_name(tmp_path, capsys, text, wh
     assert str(coeffs) in captured.err and what in captured.err
     assert "solving" not in captured.out  # rejected before any work started
     assert [p.name for p in out.iterdir()] == ["solve_run_error.json"]
+
+
+def test_coefficient_file_parse_memory_is_bounded(tmp_path):
+    # a 65^2 wave file with modes +-1..16 at every node: 135,200 rows and
+    # about 6 MiB of text for a kept stack of 1.1 MiB; reading every line
+    # and parsing with genfromtxt peaked at 90.6 MiB
+    n, top = 65, 16
+    rng = np.random.default_rng(0)
+    c = rng.standard_normal((top, n, n)) + 1j * rng.standard_normal((top, n, n))
+    k, j, i = (a.ravel() for a in np.meshgrid(np.arange(1, top + 1), np.arange(n),
+                                              np.arange(n), indexing="ij"))
+    rows = np.concatenate([np.stack([k, j, i, c.real.ravel(), c.imag.ravel()], axis=1),
+                           np.stack([-k, j, i, c.real.ravel(), -c.imag.ravel()], axis=1)])
+    coeffs = tmp_path / "g.csv"
+    np.savetxt(coeffs, rows, fmt=["%d", "%d", "%d", "%.17g", "%.17g"], delimiter=",",
+               header="k,j,i,re,im", comments="")
+    del rows, k, j, i
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        source = _load_coefficient_file(str(coeffs), 2 * np.pi, (n, n), WAVE, top)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20, peak
+    assert source.n_modes == top
+    assert np.array_equal(source.mode(5), c[4])
+    assert np.array_equal(source.mode(-16), np.conj(c[15]))
 
 
 def test_coefficient_file_header_only_is_zero_forcing(tmp_path):
@@ -572,6 +609,55 @@ def test_epsilon_sweep_scenario(tmp_path):
     assert header == "epsilon,dt,gap_rel,damped_energy_ratio,max_residual"
 
 
+def test_epsilon_sweep_is_the_stacked_route(tmp_path):
+    # the sweep streams the reference and each eps orbit in lockstep and keeps
+    # per-mode squared norms; its gaps, damped-energy ratios, dt and residuals
+    # are those of the collected reports, the field difference and
+    # estimate_check, bit for bit
+    text = ("grid.nx = 17\ngrid.ny_w = 13\ngrid.ny_h = 9\nmodes = 4\nsteps = 16\n"
+            "epsilons = 0.2,0.1\nforcing.wave = series:G1:3\nforcing.heat = smooth:2\n"
+            "forcing.heat.amplitude = -0.7\nname = s\n")
+    scn = parse_scenario(text, "epsilon-sweep", out_dir=str(tmp_path))
+    assert run_scenario(scn) == 0
+    summary = json.loads((tmp_path / "epsilon_sweep_s.json").read_text())
+    table = np.loadtxt(tmp_path / "epsilon_sweep_s.csv", delimiter=",", skiprows=1)
+
+    grid = mesh.build_stacked_rectangles(np.pi, 1.0, 1.0, 17, 13, 9)
+    g = _stored_forcing("series:G1:3", 1.0, grid)
+    f = _stored_forcing("smooth:2", -0.7, grid)
+    reference = solve_periodic_harmonic(grid, f, g, 4)
+    ref_norm = analysis.sobolev_time_norm(reference.w, 0, grid, "l2")
+    for i, eps in enumerate((0.2, 0.1)):
+        rep = solve_periodic_harmonic(grid, f, g, 4, eps=eps, n_steps=16)
+        gap = analysis.sobolev_time_norm(rep.w - reference.w, 0, grid, "l2") / ref_norm
+        est = analysis.estimate_check(rep, f, g, "damped-energy")
+        assert summary["gaps"][i] == gap
+        assert summary["damped_energy_ratios"][i] == est["ratio"]
+        assert list(table[i, [1, 2, 3, 4]]) == [rep.params["dt"], gap, est["ratio"],
+                                                rep.max_residual()]
+
+
+def test_epsilon_sweep_memory_does_not_grow_with_modes(tmp_path):
+    # at 65^2 with 129 steps and two epsilons, the traced peak of a whole sweep
+    # for modes = 4, 16 and 64 differs by less than one w + u mode stack of
+    # modes = 4 (5 * 2 * 65^2 complex values); holding the reference's and
+    # each orbit's stacks took 3.2, 7.9 and 26.6 MiB
+    peaks = []
+    for modes in (4, 16, 64):
+        scn = parse_scenario(f"grid.nx = 65\ngrid.ny_w = 65\ngrid.ny_h = 65\n"
+                             f"modes = {modes}\nsteps = 129\nepsilons = 0.2,0.1\n"
+                             f"forcing.wave = series:G1:4\n", "epsilon-sweep",
+                             out_dir=str(tmp_path))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert run_scenario(scn) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) - min(peaks) < 5 * 2 * 65 * 65 * 16, peaks
+
+
 @pytest.mark.parametrize("line", ["period_tol = 1e-7", "max_periods = 400"])
 def test_epsilon_sweep_march_keys_rejected_by_name(tmp_path, capsys, line):
     # the sweep solves for the damped orbit directly; nothing is marched
@@ -654,6 +740,28 @@ def test_period_other_than_two_pi_rejected_with_analytic_wave_forcing(
     assert "'period'" in captured.err and "'forcing.wave'" in captured.err
     assert not captured.out
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "epsilon-sweep"])
+def test_period_other_than_two_pi_rejected_without_forcing(tmp_path, capsys, command):
+    # with both forcings none the stream fell back to 2 pi: period = 3 wrote
+    # "period": 2 pi (solve) and dt = 2 pi / steps (epsilon-sweep) with exit 0
+    text = SMALL_SOLVE + "steps = 8\n" if command == "epsilon-sweep" else SMALL_SOLVE
+    cfg = _write(tmp_path, text + "period = 3.0\nforcing.wave = none\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "'period'" in captured.err
+    assert not captured.out
+    assert not out.exists()
+    # a smooth: heat forcing takes the period
+    scn = parse_scenario(text + "period = 3.0\nforcing.wave = none\nforcing.heat = smooth:1\n",
+                         command, out_dir=str(out))
+    assert run_scenario(scn) == 0
+    if command == "solve":
+        assert json.loads((out / "solve_run.json").read_text())["period"] == 3.0
+    else:
+        assert np.loadtxt(out / "epsilon_sweep_run.csv", delimiter=",", skiprows=1)[0, 1] == 3.0 / 8
 
 
 @pytest.mark.parametrize("command,text,keys", [

@@ -44,8 +44,6 @@ ALLOWLIST = {
     "errors.SolverError.__init__": "runs only when a solve fails",
     "analysis._sup_time_norm": "the sup-in-time norm of the existence estimates of "
                                "estimate_check, which no command runs yet",
-    "timefourier.mean_decompose": "the mean-free part of the existence and interface "
-                                  "estimates of estimate_check",
     "operators.harmonic_extension_mode": "the extension lemma across the interface, "
                                          "which no command runs yet",
     "operators._interface_functional": "the heat functional of the extension lemma",
@@ -67,7 +65,7 @@ SCENARIOS = (
     ("solve", _GRID + f"modes = 2\nforcing.wave = file:{_COEFFS}\nname = wave-file\n"),
     ("solve", _GRID + f"modes = 2\nforcing.wave = none\nforcing.heat = file:{_COEFFS}\n"
               "name = heat-file\n"),
-    ("epsilon-sweep", _GRID + "modes = 2\nsteps = 8\nepsilons = 0.2\n"
+    ("epsilon-sweep", _GRID + "modes = 2\nsteps = 8\nepsilons = 0.2,0.1\n"
                       "forcing.heat = smooth:1\nname = sweep\n"),
     *(("geometry-check", f"domain = {domain}\nfield = {field}\nresolution = 8\n"
        f"poincare = {domain in ('rectangle', 'unit-square')}\npoincare.nx = 5\n"
