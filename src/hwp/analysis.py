@@ -101,31 +101,27 @@ class IdentityReport:
                 "terms": dict(self.terms)}
 
 
-def _parseval_modes(period: float, fields: dict[str, FourierField | None]
-                    ) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray | None]]:
-    """Time integrals of real bilinear forms as Parseval sums.
+def _parseval_modes(period: float, fields: dict[str, FourierField | ModeSource | None]):
+    """Time integrals of real bilinear forms as Parseval sums, one mode at a time.
 
     For real periodic fields a, b with modes a_k, b_k and any real bilinear
     form B on space,
 
         int_0^T B(a(t), b(t)) dt = sum_{k >= 0} weight_k Re B(a_k, conj(b_k)),
 
-    weight_k = T for k = 0 and 2T for k > 0. Returns the modes k >= 0 at
-    which any given field has a non-zero coefficient, their weights, and
-    each field's coefficients at those modes, shape (K, *spatial) (None
-    stays None). Every FourierField is real by construction.
+    weight_k = T for k = 0 and 2T for k > 0. Yields (k, weight_k, modes) for
+    each mode k >= 0 at which any given field has a non-zero coefficient,
+    modes holding each field's c_k (None stays None). Every field is read
+    through mode(k), so a FourierField and a ModeSource serve alike; each
+    modes dict is emptied before the next mode is built, so one mode of
+    each field is held at a time.
     """
-    given = {name: f for name, f in fields.items() if f is not None}
-    n = max(f.n_modes for f in given.values())
-    ks = np.array([k for k in range(n + 1)
-                   if any(k <= f.n_modes and np.any(f.mode(k)) for f in given.values())],
-                  dtype=int)
-    stacks: dict[str, np.ndarray | None] = dict.fromkeys(fields)
-    for name, f in given.items():
-        own = ks <= f.n_modes
-        stacks[name] = np.zeros((len(ks),) + f.spatial_shape, dtype=complex)
-        stacks[name][own] = f.coeffs[ks[own]]
-    return ks, period * parseval_weights(ks), stacks
+    n = max(f.n_modes for f in fields.values() if f is not None)
+    for k in range(n + 1):
+        modes = {name: None if f is None else f.mode(k) for name, f in fields.items()}
+        if any(np.any(c) for c in modes.values() if c is not None):
+            yield k, period * parseval_weights(k), modes
+        modes.clear()
 
 
 def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -135,10 +131,10 @@ def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _area_sums(spec: VectorFieldSpec, x: np.ndarray, y: np.ndarray,
                wk: np.ndarray, gk: np.ndarray, hx: float, hy: float) -> np.ndarray:
-    """Per-mode sums over the cells between the node rows y of the four area
-    densities of the identity: (grad w)^T sym(grad b) grad w, g (grad w . b),
-    g w div b and |w|^2 Lap(div b), each paired as Re(a conj(b)); shape
-    (4, K) for w and g of shape (K, len(y), len(x))."""
+    """Sums over the cells between the node rows y of the four area densities
+    of the identity: (grad w)^T sym(grad b) grad w, g (grad w . b), g w div b
+    and |w|^2 Lap(div b), each paired as Re(a conj(b)); shape (4,) for one
+    mode's w and g of shape (len(y), len(x))."""
     xc, yc = quad.cell_centers(x, y)
     jets = jet_batch(spec, np.stack([xc.ravel(), yc.ravel()], axis=1))
     bx = jets["b"][:, 0].reshape(xc.shape)
@@ -155,10 +151,10 @@ def _area_sums(spec: VectorFieldSpec, x: np.ndarray, y: np.ndarray,
                  _pair(gc, bx * fx + by * fy),
                  _pair(gc, wc) * divb,
                  _pair(wc, wc) * lapdiv)
-    return np.stack([np.sum(d, axis=(1, 2)) for d in densities])
+    return np.array([np.sum(d) for d in densities])
 
 
-def multiplier_identity_residual(w: FourierField, g: FourierField,
+def multiplier_identity_residual(w: FourierField | ModeSource, g: FourierField | ModeSource,
                                  h: FourierField | None,
                                  big_h: FourierField | None,
                                  spec: VectorFieldSpec, grid: Grid,
@@ -179,33 +175,16 @@ def multiplier_identity_residual(w: FourierField, g: FourierField,
     Every time integral is an exact Parseval sum over the modes k >= 0 that
     carry data (see _parseval_modes). Requires mean-free g, h and H.
 
-    The four area terms are summed over strips of cell rows of about
-    ``fields._JET_CHUNK`` cells each (see _area_sums), with the field's jets
-    evaluated per strip, so the working set beyond the mode stacks is one
-    strip's arrays. Every per-cell value is that of one pass; once the box
-    takes more than one strip (more than _JET_CHUNK cells) the summation
-    order differs, and the area terms may move in their last digits.
+    The fields are read one mode at a time through mode(k) (a FourierField
+    or a ModeSource), and each mode's four area terms are summed over strips
+    of cell rows of about ``fields._JET_CHUNK`` cells each (see _area_sums),
+    with the field's jets evaluated per strip, so the working set is one
+    mode plus one strip's arrays, whatever the number of modes. Every
+    per-cell value is that of one pass; once the box takes more than one
+    strip (more than _JET_CHUNK cells) the summation order differs, and the
+    area terms may move in their last digits.
     """
-    _, weight, modes = _parseval_modes(w.period, {"w": w, "g": g, "h": h, "H": big_h})
-    for name, f_ in (("g", g), ("h", h), ("H", big_h)):
-        if f_ is None:
-            continue
-        scale = max(float(np.max(np.abs(f_.coeffs))), 1e-300)
-        if float(np.max(np.abs(f_.mode(0)))) > 1e-10 * scale:
-            raise AnalysisError(f"{name} must be mean-free for the identity")
-
     ny, nx, hx, hy = grid.ny_w, grid.nx, grid.hx, grid.hy_w
-    wk, gk = modes["w"], modes["g"]
-    # the four area terms over strips of cell rows r0..r1-1, each reading
-    # node rows r0..r1 (per-mode sums in the order of the terms below)
-    rows = max(1, _JET_CHUNK // (nx - 1))
-    area_sums = np.zeros((4, weight.size))
-    for r0 in range(0, ny - 1, rows):
-        nodes = slice(r0, min(r0 + rows, ny - 1) + 1)
-        area_sums += _area_sums(spec, grid.x, grid.y_w[nodes], wk[:, nodes],
-                                gk[:, nodes], hx, hy)
-    area = hx * hy
-
     # interface row geometry (outward normal (0, -1))
     wx = quad.trap_weights_1d(nx, hx)
     iface_jets = jet_batch(spec, np.stack([grid.x, np.zeros(nx)], axis=1))
@@ -218,37 +197,69 @@ def multiplier_identity_residual(w: FourierField, g: FourierField,
     left_b = jet_batch(spec, np.stack([np.zeros(ny), grid.y_w], axis=1))["b"]
     right_b = jet_batch(spec, np.stack([np.full(ny, grid.lx), grid.y_w], axis=1))["b"]
 
-    def integral(density: np.ndarray) -> float:
-        """Time integral of a per-mode density (K, ...) summed over space."""
-        return float(weight @ np.sum(density, axis=tuple(range(1, density.ndim))))
+    # per mode that carries data: the four area sums over strips of cell rows
+    # r0..r1-1, each reading node rows r0..r1, then the interface and wall
+    # sums; the largest |c_k| and |c_0| of g, h and H for the mean-free check
+    rows = max(1, _JET_CHUNK // (nx - 1))
+    weight, sums = [], []
+    largest = {name: 0.0 for name, f in (("g", g), ("h", h), ("H", big_h)) if f is not None}
+    mean = dict(largest)
+    for k, weight_k, c in _parseval_modes(w.period, {"w": w, "g": g, "h": h, "H": big_h}):
+        for name in largest:
+            size = float(np.max(np.abs(c[name])))
+            largest[name] = max(largest[name], size)
+            if k == 0:
+                mean[name] = size
+        wk, gk, hk, Hk = c["w"], c["g"], c["h"], c["H"]
+        area_sums = np.zeros(4)
+        for r0 in range(0, ny - 1, rows):
+            nodes = slice(r0, min(r0 + rows, ny - 1) + 1)
+            area_sums += _area_sums(spec, grid.x, grid.y_w[nodes], wk[nodes], gk[nodes],
+                                    hx, hy)
+        # interface terms; absent h or H contribute nothing
+        h2 = dH2 = H2 = np.zeros(nx)
+        if hk is not None:
+            h2 = _pair(hk, hk)
+        if Hk is not None:
+            dH = np.empty_like(Hk)
+            dH[1:-1] = (Hk[2:] - Hk[:-2]) / (2 * hx)
+            dH[0] = quad.one_sided_deriv_low(Hk, hx)
+            dH[-1] = quad.one_sided_deriv_high(Hk, hx)
+            dH2, H2 = _pair(dH, dH), _pair(Hk, Hk)
+        # wall terms: -1/2 |dn w|^2 (b.n) per edge, 3-point one-sided stencils
+        dn_top = quad.one_sided_deriv_high(wk, hy, axis=0)
+        dn_left = -quad.one_sided_deriv_low(wk, hx, axis=1)
+        dn_right = quad.one_sided_deriv_high(wk, hx, axis=1)
+        weight.append(weight_k)
+        sums.append([*area_sums,
+                     np.sum(wx * dH2 * iface_b_dot_n),
+                     np.sum(wx * _pair(dn_top, dn_top) * top_b[:, 1]),
+                     np.sum(wy * _pair(dn_left, dn_left) * (-left_b[:, 0])),
+                     np.sum(wy * _pair(dn_right, dn_right) * right_b[:, 0]),
+                     np.sum(wx * h2 * iface_b_dot_n),
+                     np.sum(wx * H2 * iface_dn_divb)])
+    for name in largest:
+        if mean[name] > 1e-10 * max(largest[name], 1e-300):
+            raise AnalysisError(f"{name} must be mean-free for the identity")
 
-    # interface terms; absent h or H contribute nothing
-    h2 = dH2 = H2 = np.zeros((weight.size, nx))
-    if modes["h"] is not None:
-        h2 = _pair(modes["h"], modes["h"])
-    if modes["H"] is not None:
-        Hk = modes["H"]
-        dH = np.empty_like(Hk)
-        dH[:, 1:-1] = (Hk[:, 2:] - Hk[:, :-2]) / (2 * hx)
-        dH[:, 0] = quad.one_sided_deriv_low(Hk, hx, axis=1)
-        dH[:, -1] = quad.one_sided_deriv_high(Hk, hx, axis=1)
-        dH2, H2 = _pair(dH, dH), _pair(Hk, Hk)
-    # wall terms: -1/2 |dn w|^2 (b.n) per edge, 3-point one-sided stencils
-    dn_top = quad.one_sided_deriv_high(wk, hy, axis=1)
-    dn_left = -quad.one_sided_deriv_low(wk, hx, axis=2)
-    dn_right = quad.one_sided_deriv_high(wk, hx, axis=2)
+    # one contiguous row per sum: a dot product over a strided row may add
+    # in another order
+    weight, sums = np.array(weight), np.array(sums).reshape(-1, 10).T.copy()
+
+    def integral(i: int) -> float:
+        """Time integral of the per-mode sums i."""
+        return float(weight @ sums[i])
+
+    area = hx * hy
     terms = {
-        "lhs_contractivity": area * float(weight @ area_sums[0]),
-        "lhs_interface_tangential": 0.5 * integral(wx * dH2 * iface_b_dot_n),
-        "lhs_wall_normal": -0.5 * (
-            integral(wx * _pair(dn_top, dn_top) * top_b[:, 1])
-            + integral(wy * _pair(dn_left, dn_left) * (-left_b[:, 0]))
-            + integral(wy * _pair(dn_right, dn_right) * right_b[:, 0])),
-        "rhs_g_flow": area * float(weight @ area_sums[1]),
-        "rhs_g_w_div": 0.5 * area * float(weight @ area_sums[2]),
-        "rhs_w2_lapdiv": 0.25 * area * float(weight @ area_sums[3]),
-        "rhs_h2_sign": 0.5 * integral(wx * h2 * iface_b_dot_n),
-        "rhs_H2_flux": -0.25 * integral(wx * H2 * iface_dn_divb),
+        "lhs_contractivity": area * integral(0),
+        "lhs_interface_tangential": 0.5 * integral(4),
+        "lhs_wall_normal": -0.5 * (integral(5) + integral(6) + integral(7)),
+        "rhs_g_flow": area * integral(1),
+        "rhs_g_w_div": 0.5 * area * integral(2),
+        "rhs_w2_lapdiv": 0.25 * area * integral(3),
+        "rhs_h2_sign": 0.5 * integral(8),
+        "rhs_H2_flux": -0.25 * integral(9),
     }
 
     # a zero term times a negative factor is -0.0; report it as 0.0
@@ -261,22 +272,28 @@ def multiplier_identity_residual(w: FourierField, g: FourierField,
                           terms=terms, hx=hx, hy=hy)
 
 
-def equipartition_residual(w: FourierField, g: FourierField, grid: Grid) -> float:
+def equipartition_residual(w: FourierField | ModeSource, g: FourierField | ModeSource,
+                           grid: Grid) -> float:
     """|int int (|grad w|^2 - |w_t|^2) - int int g w| on the wave box.
 
     Valid for w vanishing on the outer wall with zero discrete interface
     Neumann data; uses the edge Dirichlet form and interior mass so the
     identity is exact (to round-off) when g is manufactured from the
     discrete operators. The time integrals are one Parseval sum over the
-    modes that carry data (see _parseval_modes).
+    modes that carry data (see _parseval_modes), read one mode at a time.
     """
     mass = quad.interior_mass(grid.ny_w, grid.nx, grid.hx, grid.hy_w)
-    ks, weight, modes = _parseval_modes(w.period, {"w": w, "g": g})
-    wk, gk = modes["w"], modes["g"]
-    grad = np.real(ops.wave_edge_form(grid, wk, wk))
-    lhs = grad - (w.omega * ks) ** 2 * np.sum(mass * _pair(wk, wk), axis=(1, 2))
-    rhs = np.sum(mass * _pair(gk, wk), axis=(1, 2))
-    return abs(float(weight @ (lhs - rhs)))
+    ks, weight, sums = [], [], []
+    for k, weight_k, c in _parseval_modes(w.period, {"w": w, "g": g}):
+        wk, gk = c["w"], c["g"]
+        ks.append(k)
+        weight.append(weight_k)
+        sums.append((np.real(ops.wave_edge_form(grid, wk, wk)),
+                     np.sum(mass * _pair(wk, wk)), np.sum(mass * _pair(gk, wk))))
+    grad, l2, rhs = np.array(sums).reshape(-1, 3).T
+    omega = 2.0 * np.pi / w.period
+    lhs = grad - (omega * np.array(ks)) ** 2 * l2
+    return abs(float(np.array(weight) @ (lhs - rhs)))
 
 
 # ---------------------------------------------------------------------------

@@ -238,7 +238,8 @@ def parse_scenario(text: str, command: str, out_dir: str = ".") -> Scenario:
 
     # forcing and field specs parse, and referenced files exist, before
     # execution starts; the analytic wave families are 2 pi-periodic, live
-    # on the reference box, and their modes are solved for and resolved
+    # on the reference box and are resolved, and every analytic or smooth
+    # forced mode is one the solve computes
     for key in _FORCING_FORMS:
         if key in schema:
             kind, args = _forcing_spec(key, values[key])
@@ -252,7 +253,7 @@ def parse_scenario(text: str, command: str, out_dir: str = ".") -> Scenario:
                 raise ConfigurationError(
                     f"keys 'grid.lx', 'grid.ly_w': {values['grid.lx']:g} x "
                     f"{values['grid.ly_w']:g} is not the box pi x 1 of {key!r} = {values[key]!r}")
-            if kind in ("mode", "series") and args[-1] > values["modes"]:
+            if kind in ("mode", "series", "smooth") and args[-1] > values["modes"]:
                 raise ConfigurationError(f"key {key!r}: {values[key]!r} forces mode {args[-1]}, "
                                          f"above 'modes' = {values['modes']}")
             if kind == "series" and args[1] > closedform.max_terms(values["grid.nx"]):
@@ -572,7 +573,8 @@ def _run_geometry_check(scn: Scenario) -> dict:
         pc = geometry.check_poincare(spec, grid)
         payload["poincare"] = {"rayleigh_min": pc.rayleigh_min,
                                "iterations": pc.iterations,
-                               "converged": pc.converged}
+                               "converged": pc.converged,
+                               "negative_eigenvalues": pc.negative_eigenvalues}
         _phase(f"rayleigh_min = {pc.rayleigh_min:.6e} in {pc.iterations} iterations")
     reporting.write_json(_out(scn, ".json"), payload)
     _phase(f"verdicts: {report.verdicts}")
@@ -583,7 +585,7 @@ def _run_identity_check(scn: Scenario) -> dict:
     grid = _reference_grid(scn)
     spec = parse_field(scn["field"])
     n = scn["mode"]
-    g, w = closedform.analytic_mode(n, grid)
+    g, w = closedform.analytic_sources(n, grid)
     _phase(f"flow-multiplier identity for analytic mode {n}, field {spec.describe()}")
     report = analysis.multiplier_identity_residual(w, g, None, None, spec, grid)
     payload = report.as_dict()

@@ -68,22 +68,31 @@ def mode_amplitudes(n: int, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     if n < 1:
         raise ClosedFormError(f"mode index must be >= 1, got {n}")
     _check_reference_geometry(grid)
+    return _amplitude(n, grid, 0), _amplitude(n, grid, 1)
+
+
+def _amplitude(n: int, grid: Grid, i: int) -> np.ndarray:
+    """Entry i of mode_amplitudes(n, grid), A_g (i = 0) or A_w (i = 1),
+    built alone."""
     profile = bump_profile()
     sx = np.sin(n * grid.x)[None, :]
-    return -sx * profile.d2phi(grid.y_w)[:, None], sx * profile.phi(grid.y_w)[:, None]
+    if i == 0:
+        return -sx * profile.d2phi(grid.y_w)[:, None]
+    return sx * profile.phi(grid.y_w)[:, None]
 
 
 def _family_sources(n_modes: int, grid: Grid,
                     weight: Callable[[int], complex | None]) -> tuple[ModeSource, ModeSource]:
     """The sources g and w_ref whose mode n is weight(n) times the amplitudes
     (A_g, A_w) of mode_amplitudes(n, grid), built when asked for (weight
-    None: a zero mode); nothing is held between requests."""
+    None: a zero mode); each builds only its own amplitude, and nothing is
+    held between requests."""
     _check_reference_geometry(grid)
 
     def part(i: int) -> ModeSource:
         return ModeSource(REFERENCE_PERIOD, n_modes, (grid.ny_w, grid.nx), WAVE,
                           lambda n: None if (a := weight(n)) is None
-                          else a * mode_amplitudes(n, grid)[i])
+                          else a * _amplitude(n, grid, i))
 
     return part(0), part(1)
 

@@ -18,10 +18,11 @@ conditions involve non-explicit constants:
 * a Rayleigh-quotient check of the interface Poincare inequality on the
   rectangular wave subgrid.
 
-The interior margins are computed in chunks of ``fields._JET_CHUNK``
-samples (jets and reductions together), so check_conditions holds the
-samples plus one chunk's arrays, whatever the sample count; the chunked
-margins are bitwise those of one batch.
+The interior samples are built, and their margins computed, in chunks of
+whole columns of at most ``fields._JET_CHUNK`` samples (samples, jets and
+reductions together), so check_conditions and trapezoid_obstruction hold
+one chunk's arrays, whatever the sample count; the chunked margins are
+bitwise those of one batch.
 """
 
 from __future__ import annotations
@@ -33,14 +34,16 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import GeometryCheckError, SolverError
-from .fields import _JET_CHUNK, VectorFieldSpec, jet_batch, sym_min_eig
-from .mesh import DomainSamples, Grid, _ruled_midpoints, sample_domain
+from .fields import VectorFieldSpec, jet_batch, sym_min_eig
+from .mesh import DomainSamples, Grid, _ruled_columns, sample_domain
 from . import quadrature as quad
 
 # relative round-off level at which p and q of _quadform_margin count as zero
 _PQ_RTOL = 64 * np.finfo(float).eps
 # convergence tolerance (relative) and iteration limit of check_poincare
 _RAYLEIGH_RTOL, _RAYLEIGH_MAX_ITERATIONS = 1e-8, 500
+# relative residual every shifted solve of check_poincare must meet
+_SOLVE_RTOL = 1e-9
 
 
 @dataclass
@@ -96,11 +99,12 @@ def _quadform_margin(jets: dict[str, np.ndarray], tol: float) -> float:
     sxy = 0.5 * (grad[:, 0, 1] + grad[:, 1, 0])
     bb = bx * bx + by * by
     moving = bb > 0
-    if np.any(sym_min_eig(grad[~moving]) < -tol):
-        return -np.inf
-    if not np.any(moving):
-        return np.inf
-    bx, by, sxx, syy, sxy, bb = (a[moving] for a in (bx, by, sxx, syy, sxy, bb))
+    if not np.all(moving):  # the compactions copy; skip them when all samples move
+        if np.any(sym_min_eig(grad[~moving]) < -tol):
+            return -np.inf
+        if not np.any(moving):
+            return np.inf
+        bx, by, sxx, syy, sxy, bb = (a[moving] for a in (bx, by, sxx, syy, sxy, bb))
     p = sxx * by * by - 2.0 * sxy * bx * by + syy * bx * bx
     q = sxy * (bx * bx - by * by) + (syy - sxx) * bx * by
     zero = _PQ_RTOL * np.sqrt(sxx * sxx + 2.0 * sxy * sxy + syy * syy) * bb
@@ -108,6 +112,8 @@ def _quadform_margin(jets: dict[str, np.ndarray], tol: float) -> float:
         return -np.inf
     flat = p <= zero
     det = sxx * syy - sxy * sxy
+    if not np.any(flat):
+        return float(np.min(det / p, initial=np.inf))
     bsb = sxx * bx * bx + 2.0 * sxy * bx * by + syy * by * by
     return float(min(np.min(det[~flat] / p[~flat], initial=np.inf),
                      np.min(bsb[flat] / (bb[flat] * bb[flat]), initial=np.inf)))
@@ -117,13 +123,14 @@ def check_conditions(spec: VectorFieldSpec, samples: DomainSamples,
                      tol: float = 1e-10) -> GeometryReport:
     """Evaluate all sign and contractivity margins of a field on a domain.
 
-    The interior jets and their three reductions (contractivity, bilap_max,
-    the graph quadratic-form margin) run over chunks of at most
-    ``fields._JET_CHUNK`` samples, so the working set beyond the samples is
-    one chunk's arrays; every margin and verdict is bitwise that of one
-    batch. The boundary jets are one batch.
+    The interior samples, their jets and the three reductions
+    (contractivity, bilap_max, the graph quadratic-form margin) are built
+    one chunk of whole columns at a time (``RuledColumns.chunks``), so the
+    working set is one chunk's arrays whatever the sample count; every
+    margin and verdict is bitwise that of one batch. The boundary jets are
+    one batch.
     """
-    if samples.interior_points.size == 0:
+    if samples.interior.size == 0:
         raise GeometryCheckError("empty interior sample set")
     gamma_w = samples.gamma_w_mask()
     gamma = samples.gamma_mask()
@@ -136,9 +143,8 @@ def check_conditions(spec: VectorFieldSpec, samples: DomainSamples,
     # a NaN through like the min / max of one batch, and any chunk's -inf
     # margin wins, as one batch returns -inf before it takes any minimum
     contractivity, bilap_max, margin, blocked = np.inf, -np.inf, np.inf, False
-    points = samples.interior_points
-    for start in range(0, len(points), _JET_CHUNK):
-        jets = jet_batch(spec, points[start:start + _JET_CHUNK])
+    for points, _ in samples.interior.chunks():
+        jets = jet_batch(spec, points)
         contractivity = np.minimum(contractivity, np.min(sym_min_eig(jets["grad"])))
         bilap_max = np.maximum(bilap_max, np.max(jets["lap_div"]))
         chunk_margin = _quadform_margin(jets, tol)
@@ -191,11 +197,15 @@ class PoincareReport:
     rayleigh_min: float
     iterations: int
     converged: bool
+    negative_eigenvalues: int | None  # below -sigma; None if the factor pivoted off-diagonal
 
     @property
     def poincare_constant(self) -> float:
-        """Constant in ||f||^2 <= C * (form), valid when rayleigh_min > 0."""
-        return np.inf if self.rayleigh_min <= 0 else 1.0 / self.rayleigh_min
+        """Constant in ||f||^2 <= C * (form), valid when rayleigh_min > 0 and
+        no eigenvalue is negative."""
+        if self.rayleigh_min <= 0 or self.negative_eigenvalues:
+            return np.inf
+        return 1.0 / self.rayleigh_min
 
 
 def _poincare_form(spec: VectorFieldSpec, grid: Grid) -> tuple[sp.csr_matrix, sp.csr_matrix]:
@@ -280,30 +290,54 @@ def _poincare_form(spec: VectorFieldSpec, grid: Grid) -> tuple[sp.csr_matrix, sp
 
 
 def check_poincare(spec: VectorFieldSpec, grid: Grid) -> PoincareReport:
-    """Smallest generalized Rayleigh quotient of the interface Poincare form.
+    """Generalized Rayleigh quotient of the interface Poincare form nearest 0.
 
-    Inverse-power iteration on (A, M) with a small mass shift; A may be
-    singular (e.g. for the zero field), in which case the reported minimum
-    is zero to solver accuracy. Converged when two successive quotients
-    differ by 1e-8 relative; SolverError if not within 500 iterations.
+    Inverse-power iteration on (A, M) with a small mass shift sigma. The
+    one matrix A + sigma M is factored in SuperLU's symmetric mode
+    (diagonal pivots, one symmetric fill-reducing ordering; A is symmetric,
+    so its CSR arrays are its CSC ones), and the diagonal M is applied as a
+    vector. Every solve is held to ||(A + sigma M) w - M v|| <= 1e-9 ||M v||
+    and raises SolverError with its relative residual otherwise. Converged
+    when two successive quotients differ by 1e-8 relative; SolverError if
+    not within 500 iterations.
+
+    The iteration finds the eigenvalue nearest -sigma, which is the
+    smallest only when the form is positive semidefinite up to -sigma.
+    negative_eigenvalues counts the eigenvalues below -sigma: the negative
+    pivots of the symmetric factor (Sylvester's law of inertia), or None
+    when the factor pivoted off the diagonal. rayleigh_min is the smallest
+    eigenvalue when that count is 0. A may be singular (e.g. for the zero
+    field), in which case the reported minimum is zero to solver accuracy.
     """
     a, m = _poincare_form(spec, grid)
-    n = a.shape[0]
-    scale = abs(a).sum() / max(abs(m).sum(), 1e-300)
-    sigma = 1e-6 * max(scale, 1e-12)
-    lu = spla.splu((a + sigma * m).tocsc())
+    mass = m.diagonal()
+    sigma = 1e-6 * max(abs(a).sum() / max(abs(m).sum(), 1e-300), 1e-12)
+    shifted = a + sigma * m
+    del a, m
+    lu = spla.splu(sp.csc_matrix((shifted.data, shifted.indices, shifted.indptr),
+                                 shape=shifted.shape),
+                   permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options={"SymmetricMode": True})
+    negative = (int(np.count_nonzero(lu.U.diagonal() < 0))
+                if np.array_equal(lu.perm_r, lu.perm_c) else None)
     rng = np.random.default_rng(1234)
-    v = rng.standard_normal(n)
-    v /= np.sqrt(v @ (m @ v))
+    v = rng.standard_normal(shifted.shape[0])
+    v /= np.sqrt(v @ (mass * v))
     lam = np.inf
     for it in range(1, _RAYLEIGH_MAX_ITERATIONS + 1):
-        w = lu.solve(m @ v)
-        w /= np.sqrt(w @ (m @ w))
-        lam_new = (w @ (a @ w)) / (w @ (m @ w))
+        mv = mass * v
+        w = lu.solve(mv)
+        aw = shifted @ w
+        residual = float(np.linalg.norm(aw - mv) / np.linalg.norm(mv))
+        if not residual <= _SOLVE_RTOL:
+            raise SolverError(f"Poincare solve {it} missed its residual contract: "
+                              f"{residual:.3e} > {_SOLVE_RTOL:.0e}", residual=residual)
+        wmw = w @ (mass * w)
+        lam_new = (w @ aw) / wmw - sigma
         if abs(lam_new - lam) <= _RAYLEIGH_RTOL * max(abs(lam_new), sigma):
             return PoincareReport(rayleigh_min=float(lam_new), iterations=it,
-                                  converged=True)
-        lam, v = lam_new, w
+                                  converged=True, negative_eigenvalues=negative)
+        lam, v = lam_new, w / np.sqrt(wmw)
     raise SolverError(
         f"Rayleigh iteration did not converge in {_RAYLEIGH_MAX_ITERATIONS} iterations "
         f"(last value {lam:.6e})", residual=float(lam))
@@ -352,11 +386,16 @@ def trapezoid_obstruction(spec: VectorFieldSpec, resolution: int = 64,
     the sign condition fails.
     """
     samples = sample_domain("trapezoid", resolution)
-    jets = jet_batch(spec, samples.interior_points)
-    interior = float(np.sum(jets["grad"][:, 0, 0] * samples.interior_weights))
+    interior, contractivity = 0.0, np.inf
+    for points, weights in samples.interior.chunks():
+        grad = jet_batch(spec, points)["grad"]
+        interior += float(np.sum(grad[:, 0, 0] * weights))
+        contractivity = np.minimum(contractivity, np.min(sym_min_eig(grad)))
+    contractivity = float(contractivity)
     # Omega_l = right triangle, x in (1, 1+y)
     ys, hy = np.linspace(0, 1, resolution, endpoint=False) + 0.5 / resolution, 1.0 / resolution
-    y, x, hx = _ruled_midpoints(ys, np.zeros_like(ys), ys, resolution, "trapezoid")
+    y, x, hx = _ruled_columns(ys, hy, np.zeros_like(ys), ys, resolution,
+                              "trapezoid").midpoints()
     jl = jet_batch(spec, np.stack([1.0 + x, y], axis=1))
     interior += float(np.sum(jl["grad"][:, 1, 1] * (hx * hy)))
 
@@ -368,8 +407,6 @@ def trapezoid_obstruction(spec: VectorFieldSpec, resolution: int = 64,
     top = jet_batch(spec, np.stack([xq, np.ones(ny)], axis=1))["b"]
     boundary = float(np.sum((slant[:, 0] - slant[:, 1] - left[:, 0]) * hyq)
                      + np.sum(top[:, 1] * hyq))
-
-    contractivity = float(np.min(sym_min_eig(jets["grad"])))
 
     bnd = jet_batch(spec, samples.boundary_points)
     b_dot_n = np.sum(bnd["b"] * samples.boundary_normals, axis=1)

@@ -19,7 +19,9 @@ Interior samples use ruled midpoint quadrature: the outer coordinate (x,
 y or the polar angle) is cut into equal cells, and each outer midpoint t
 gets max(1, ceil((hi(t) - lo(t)) * resolution)) equal inner cells between
 the domain's bounds lo(t) < s < hi(t); the weight is the product of the two
-spacings (times r in polar coordinates). A domain whose sample count would
+spacings (times r in polar coordinates). A domain holds its columns only
+(RuledColumns) and builds its samples a chunk of whole columns at a time,
+so no consumer holds all of them at once. A domain whose sample count would
 exceed MAX_INTERIOR_SAMPLES is rejected with ConfigurationError before any
 sample is built.
 """
@@ -27,10 +29,12 @@ sample is built.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
 from .errors import ConfigurationError, MeshError
+from .fields import _JET_CHUNK
 
 
 @dataclass(frozen=True)
@@ -88,26 +92,91 @@ ON_GAMMA_W = "OnGammaW"
 MAX_INTERIOR_SAMPLES = 2**21
 
 
+@dataclass(frozen=True)
+class RuledColumns:
+    """Ruled midpoint samples of the region { (t, s) : lo(t) < s < hi(t) },
+    kept as their columns and built a chunk of whole columns at a time.
+
+    Column c sits at the outer midpoint t[c] (outer spacing h_t) and holds
+    the n[c] inner midpoints lo[c] + (k + 1/2) h[c], k < n[c]. The chart
+    maps (t, s) to the plane: "xy" is (x, y) = (t, s), "yx" is (s, t), and
+    "polar" reads t as the angle and s as the radius; a sample's weight is
+    h_t h[c] (times the radius in polar coordinates).
+    """
+
+    t: np.ndarray
+    h_t: float
+    lo: np.ndarray
+    h: np.ndarray
+    n: np.ndarray
+    chart: str
+
+    @property
+    def size(self) -> int:
+        return int(self.n.sum())
+
+    def midpoints(self, cols: slice = slice(None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The repeated t, the inner midpoints s and their spacing h_s of
+        the columns cols, sample by sample."""
+        n = self.n[cols]
+        k = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+        h_s = np.repeat(self.h[cols], n)
+        return np.repeat(self.t[cols], n), np.repeat(self.lo[cols], n) + (k + 0.5) * h_s, h_s
+
+    def chunks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Points (m, 2) and weights (m,) of consecutive runs of whole
+        columns, m <= fields._JET_CHUNK unless one column alone holds more.
+        The polar chart takes cos and sin once per column."""
+        ends = np.cumsum(self.n)
+        c0 = 0
+        while c0 < len(ends):
+            start = ends[c0] - self.n[c0]
+            c1 = max(c0 + 1, int(np.searchsorted(ends, start + _JET_CHUNK, side="right")))
+            cols = slice(c0, c1)
+            t, s, h_s = self.midpoints(cols)
+            if self.chart == "polar":
+                n = self.n[cols]
+                yield (np.stack([s * np.repeat(np.cos(self.t[cols]), n),
+                                 s * np.repeat(np.sin(self.t[cols]), n)], axis=1),
+                       s * h_s * self.h_t)
+            elif self.chart == "xy":
+                yield np.stack([t, s], axis=1), self.h_t * h_s
+            else:
+                yield np.stack([s, t], axis=1), h_s * self.h_t
+            c0 = c1
+
+
 @dataclass
 class DomainSamples:
     """Quadrature and boundary samples of one demo domain.
 
-    interior_points carry positive midpoint-rule weights summing to the
-    domain area (to sampling accuracy); boundary samples carry unit outward
-    normals and a tag telling whether the sample lies on the interface
-    portion or on the homogeneous wall.
+    The interior is held as its ruled columns (RuledColumns) and read in
+    chunks of at most ``fields._JET_CHUNK`` samples, whose positive
+    midpoint-rule weights sum to the domain area (to sampling accuracy);
+    boundary samples carry unit outward normals and a tag telling whether
+    the sample lies on the interface portion or on the homogeneous wall.
     """
 
     name: str
-    interior_points: np.ndarray   # (n, 2)
-    interior_weights: np.ndarray  # (n,)
+    interior: RuledColumns
     boundary_points: np.ndarray   # (m, 2)
     boundary_normals: np.ndarray  # (m, 2)
     boundary_tags: np.ndarray     # (m,) str, ON_GAMMA or ON_GAMMA_W
 
     @property
+    def interior_points(self) -> np.ndarray:
+        """Every interior point, (n, 2): the chunks in one array."""
+        return np.concatenate([p for p, _ in self.interior.chunks()] or [np.empty((0, 2))])
+
+    @property
+    def interior_weights(self) -> np.ndarray:
+        """Every interior weight, (n,): the chunks in one array."""
+        return np.concatenate([w for _, w in self.interior.chunks()] or [np.empty(0)])
+
+    @property
     def area(self) -> float:
-        return float(np.sum(self.interior_weights))
+        """The sum of the interior weights, chunk by chunk."""
+        return float(sum(np.sum(w) for _, w in self.interior.chunks()))
 
     def gamma_mask(self) -> np.ndarray:
         return self.boundary_tags == ON_GAMMA
@@ -121,15 +190,14 @@ def _midpoints(a: float, b: float, n: int) -> tuple[np.ndarray, float]:
     return a + (np.arange(n) + 0.5) * h, h
 
 
-def _ruled_midpoints(ts: np.ndarray, lo: np.ndarray, hi: np.ndarray, res: int,
-                     name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Inner midpoints of the region { (t, s) : lo(t) < s < hi(t) }.
+def _ruled_columns(ts: np.ndarray, h_t: float, lo: np.ndarray, hi: np.ndarray, res: int,
+                   name: str, chart: str = "xy") -> RuledColumns:
+    """The columns of the region { (t, s) : lo(t) < s < hi(t) }.
 
-    ts are the outer midpoints and lo, hi the inner bounds there. Column t
-    gets n = max(1, ceil((hi-lo)*res)) midpoints; columns with hi <= lo get
-    none. Returns the repeated t, the inner midpoints s and their spacing
-    h_s. The sample count is checked against MAX_INTERIOR_SAMPLES before
-    anything is allocated.
+    ts are the outer midpoints (spacing h_t) and lo, hi the inner bounds
+    there. Column t gets n = max(1, ceil((hi-lo)*res)) midpoints; columns
+    with hi <= lo get none. The sample count is checked against
+    MAX_INTERIOR_SAMPLES; no sample is built.
     """
     keep = hi > lo
     ts, lo, hi = ts[keep], lo[keep], hi[keep]
@@ -139,16 +207,7 @@ def _ruled_midpoints(ts: np.ndarray, lo: np.ndarray, hi: np.ndarray, res: int,
         raise ConfigurationError(
             f"domain {name!r} at resolution {res} needs {total} interior "
             f"samples, above the bound of {MAX_INTERIOR_SAMPLES}")
-    h = (hi - lo) / n
-    k = np.arange(total) - np.repeat(np.cumsum(n) - n, n)
-    h_s = np.repeat(h, n)
-    return np.repeat(ts, n), np.repeat(lo, n) + (k + 0.5) * h_s, h_s
-
-
-def _polar(th: np.ndarray, r: np.ndarray, h_r: np.ndarray,
-           h_th: float) -> tuple[np.ndarray, np.ndarray]:
-    """Cartesian points and area weights of polar midpoint samples."""
-    return np.stack([r * np.cos(th), r * np.sin(th)], axis=1), r * h_r * h_th
+    return RuledColumns(ts, h_t, lo, (hi - lo) / n, n, chart)
 
 
 def _segment_boundary(p0, p1, normal, tag: str, res: int):
@@ -185,18 +244,15 @@ def _stack(parts):
     return np.vstack(pts), np.vstack(nrm), np.concatenate(tags)
 
 
-def _column_samples(t0: float, t1: float, lo, hi, res: int,
-                    name: str) -> tuple[np.ndarray, np.ndarray]:
-    """Points (x, y) and weights of the region t0 < x < t1, lo(x) < y < hi(x)."""
+def _column_samples(t0: float, t1: float, lo, hi, res: int, name: str) -> RuledColumns:
+    """The columns of the region t0 < x < t1, lo(x) < y < hi(x)."""
     nt = max(1, int(np.ceil((t1 - t0) * res)))
     ts, ht = _midpoints(t0, t1, nt)
-    x, y, hy = _ruled_midpoints(ts, lo(ts), hi(ts), res, name)
-    return np.stack([x, y], axis=1), ht * hy
+    return _ruled_columns(ts, ht, lo(ts), hi(ts), res, name)
 
 
 def _rectangle_samples(lx: float, ly: float, res: int, name: str) -> DomainSamples:
-    pts, wts = _column_samples(0.0, lx, np.zeros_like, lambda t: np.full_like(t, ly),
-                               res, name)
+    cols = _column_samples(0.0, lx, np.zeros_like, lambda t: np.full_like(t, ly), res, name)
     parts = [
         _segment_boundary((0, 0), (lx, 0), (0, -1), ON_GAMMA, res),
         _segment_boundary((lx, 0), (lx, ly), (1, 0), ON_GAMMA_W, res),
@@ -204,14 +260,14 @@ def _rectangle_samples(lx: float, ly: float, res: int, name: str) -> DomainSampl
         _segment_boundary((0, ly), (0, 0), (-1, 0), ON_GAMMA_W, res),
     ]
     b = _stack(parts)
-    return DomainSamples("rectangle", pts, wts, *b)
+    return DomainSamples("rectangle", cols, *b)
 
 
 def _triangle_samples(res: int) -> DomainSamples:
     # apex at the origin, opening left; vertical far side is the interface
     # vertices (0,0), (-1, 1/2), (-1, -1/2)
-    pts, wts = _column_samples(-1.0, 0.0, lambda t: 0.5 * t, lambda t: -0.5 * t,
-                               res, "triangle")
+    cols = _column_samples(-1.0, 0.0, lambda t: 0.5 * t, lambda t: -0.5 * t, res,
+                           "triangle")
     parts = [
         _segment_boundary((-1, -0.5), (-1, 0.5), (-1, 0), ON_GAMMA, res),
         # upper slanted edge y = -x/2, outward normal (1/2, 1)
@@ -220,7 +276,7 @@ def _triangle_samples(res: int) -> DomainSamples:
         _segment_boundary((0, 0), (-1, -0.5), (0.5, -1), ON_GAMMA_W, res),
     ]
     b = _stack(parts)
-    return DomainSamples("triangle", pts, wts, *b)
+    return DomainSamples("triangle", cols, *b)
 
 
 def _horn_samples(res: int) -> DomainSamples:
@@ -231,7 +287,7 @@ def _horn_samples(res: int) -> DomainSamples:
     def wall(c):
         return lambda t: c * (-t) ** 2.0
 
-    pts, wts = _column_samples(-1.0, 0.0, wall(c_lo), wall(c_hi), res, "horn")
+    cols = _column_samples(-1.0, 0.0, wall(c_lo), wall(c_hi), res, "horn")
 
     def curve(c):
         return lambda t: (t, c * (-t) ** 2.0)
@@ -250,13 +306,13 @@ def _horn_samples(res: int) -> DomainSamples:
         _curve_boundary(curve(c_lo), -1.0, t_in, outward_lo, ON_GAMMA_W, res, 1.5),
     ]
     b = _stack(parts)
-    return DomainSamples("horn", pts, wts, *b)
+    return DomainSamples("horn", cols, *b)
 
 
 def _trapezoid_samples(res: int) -> DomainSamples:
     # vertices (0,0), (1,0), (2,1), (0,1); interface is the bottom edge
     ys, hy = _midpoints(0.0, 1.0, res)
-    y, x, hx = _ruled_midpoints(ys, np.zeros_like(ys), 1.0 + ys, res, "trapezoid")
+    cols = _ruled_columns(ys, hy, np.zeros_like(ys), 1.0 + ys, res, "trapezoid", "yx")
     parts = [
         _segment_boundary((0, 0), (1, 0), (0, -1), ON_GAMMA, res),
         _segment_boundary((1, 0), (2, 1), (1, -1), ON_GAMMA_W, res),
@@ -264,7 +320,7 @@ def _trapezoid_samples(res: int) -> DomainSamples:
         _segment_boundary((0, 1), (0, 0), (-1, 0), ON_GAMMA_W, res),
     ]
     b = _stack(parts)
-    return DomainSamples("trapezoid", np.stack([x, y], axis=1), hx * hy, *b)
+    return DomainSamples("trapezoid", cols, *b)
 
 
 _SPIRAL_ALPHA = 0.2  # growth rate of the spiral and shell arcs
@@ -283,7 +339,7 @@ def _spiral_band(res: int, r0: float, r1_factor: float, name: str) -> DomainSamp
     r_out = lambda th: r1_factor * r0 * np.exp(alpha * th)
     n_th = max(8, int(np.ceil(theta_max * r1_factor * r0 * np.exp(alpha * theta_max) * res)))
     ths, hth = _midpoints(0.0, theta_max, n_th)
-    pts, wts = _polar(*_ruled_midpoints(ths, r_in(ths), r_out(ths), res, name), hth)
+    cols = _ruled_columns(ths, hth, r_in(ths), r_out(ths), res, name, "polar")
 
     def arc(curve_r):
         return lambda th: (curve_r(th) * np.cos(th), curve_r(th) * np.sin(th))
@@ -318,7 +374,7 @@ def _spiral_band(res: int, r0: float, r1_factor: float, name: str) -> DomainSamp
                         ON_GAMMA_W, res, arc_len),
     ]
     b = _stack(parts)
-    return DomainSamples(name, pts, wts, *b)
+    return DomainSamples(name, cols, *b)
 
 
 def _arc_samples(res: int) -> DomainSamples:
@@ -327,8 +383,8 @@ def _arc_samples(res: int) -> DomainSamples:
     r_in, r_out, th0, th1 = 1.0, 2.0, np.pi / 6, 5 * np.pi / 6
     n_th = max(8, int(np.ceil((th1 - th0) * r_out * res)))
     ths, hth = _midpoints(th0, th1, n_th)
-    pts, wts = _polar(*_ruled_midpoints(ths, np.full(n_th, r_in), np.full(n_th, r_out),
-                                        res, "arc"), hth)
+    cols = _ruled_columns(ths, hth, np.full(n_th, r_in), np.full(n_th, r_out), res, "arc",
+                          "polar")
 
     def circle(r, sign):
         def param(th):
@@ -349,7 +405,7 @@ def _arc_samples(res: int) -> DomainSamples:
         _curve_boundary(pi_, th0, th1, ni, ON_GAMMA_W, res, (th1 - th0) * r_in),
     ]
     b = _stack(parts)
-    return DomainSamples("arc", pts, wts, *b)
+    return DomainSamples("arc", cols, *b)
 
 
 _DOMAIN_BUILDERS = {
@@ -380,6 +436,6 @@ def sample_domain(descriptor: str, resolution: int) -> DomainSamples:
     if resolution < 8:
         raise ConfigurationError(f"resolution must be >= 8, got {resolution}")
     samples = _DOMAIN_BUILDERS[descriptor](resolution)
-    if np.any(samples.interior_weights <= 0):
+    if any(np.any(w <= 0) for _, w in samples.interior.chunks()):
         raise MeshError(f"non-positive quadrature weight in domain {descriptor!r}")
     return samples

@@ -452,5 +452,7 @@ def harmonic_extension_mode(grid: Grid, u_k: np.ndarray, f_k: np.ndarray | None,
 def wave_edge_form(grid: Grid, a: np.ndarray, b: np.ndarray) -> complex | np.ndarray:
     """Edge Dirichlet form a_W(a, conj(b)) on the wave rectangle (exact
     summation-by-parts partner of the five-point Laplacian there), of one
-    pair (ny_w, nx) or of each pair of a batch (..., ny_w, nx)."""
-    return np.sum(np.conj(b) * quad.sbp_apply(a, grid.hx, grid.hy_w), axis=(-2, -1))
+    pair (ny_w, nx) or of each pair of a batch (..., ny_w, nx); the products
+    overwrite the scattered a, so two arrays of a's size are held."""
+    scattered = quad.sbp_apply(a, grid.hx, grid.hy_w)
+    return np.sum(np.multiply(np.conj(b), scattered, out=scattered), axis=(-2, -1))

@@ -110,12 +110,16 @@ def sbp_apply(u: np.ndarray, hx: float, hy: float) -> np.ndarray:
     """``sbp_stiffness(ny, nx, hx, hy, range(1, ny - 1)) @ u`` without the
     matrix, for u of shape (..., ny, nx) (leading axes a batch): the x-edge
     differences of the interior rows and the y-edge differences of the
-    interior columns, each scattered back onto its two end nodes."""
+    interior columns, each scattered back onto its two end nodes; out and
+    one difference array are held at a time."""
     out = np.zeros_like(u)
-    d = np.diff(u[..., 1:-1, :], axis=-1) * (hy / hx)
+    d = np.diff(u[..., 1:-1, :], axis=-1)
+    d *= hy / hx
     out[..., 1:-1, :-1] -= d
     out[..., 1:-1, 1:] += d
-    d = np.diff(u[..., 1:-1], axis=-2) * (hx / hy)
+    del d  # freed before the y differences are formed
+    d = np.diff(u[..., 1:-1], axis=-2)
+    d *= hx / hy
     out[..., :-1, 1:-1] -= d
     out[..., 1:, 1:-1] += d
     return out

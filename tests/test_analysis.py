@@ -1,12 +1,11 @@
 import copy
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 import hwp
-from hwp import analysis
+from hwp import analysis, closedform
 from hwp.cli import smooth_heat_forcing
 from hwp.errors import AnalysisError, ConfigurationError
 from hwp.timefourier import FourierField, ModeSource
@@ -14,6 +13,7 @@ from hwp import quadrature as quad
 from hwp.fields import jet_batch
 
 import fourier_oracle as oracle
+from conftest import traced_peak
 
 T = 2 * np.pi
 
@@ -302,10 +302,22 @@ def test_multiplier_identity_rejects_non_real_input_by_name(name):
         fields[name] = FourierField(T, coeffs, fields[name].domain)
 
 
+def _mode_stacks(period, fields):
+    """The modes analysis._parseval_modes yields, collected (each dict is
+    copied before the generator empties it): their weights and each field's
+    coefficients at them, shape (K, *spatial) (None stays None)."""
+    data = [(k, weight_k, dict(c)) for k, weight_k, c in analysis._parseval_modes(period, fields)]
+    weight = np.array([weight_k for _, weight_k, _ in data])
+    return weight, {name: None if f is None else
+                    np.array([c[name] for _, _, c in data]).reshape((-1,) + f.spatial_shape)
+                    for name, f in fields.items()}
+
+
 def _single_pass_identity(w, g, h, big_h, spec, grid, jet_batch=jet_batch):
     """The identity with every cell-centre jet and area density in one
-    pass, the oracle of the cell-row strips (mean-free checks left out)."""
-    _, weight, modes = analysis._parseval_modes(w.period, {"w": w, "g": g, "h": h, "H": big_h})
+    pass, over the stacked modes, the oracle of the per-mode cell-row
+    strips (mean-free checks left out)."""
+    weight, modes = _mode_stacks(w.period, {"w": w, "g": g, "h": h, "H": big_h})
     pair = analysis._pair
     ny, nx, hx, hy = grid.ny_w, grid.nx, grid.hx, grid.hy_w
     xc, yc = quad.cell_centers(grid.x, grid.y_w)
@@ -412,13 +424,40 @@ def test_identity_memory_is_bounded():
     grid = wave_grid(385, 385)
     g, w = hwp.analytic_mode(2, grid)
     spec = hwp.graph_vertical(2.0)
-    tracemalloc.start()
-    try:
-        hwp.multiplier_identity_residual(w, g, None, None, spec, grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, _ = traced_peak(lambda: hwp.multiplier_identity_residual(w, g, None, None, spec, grid))
     assert peak < 16e6
+
+
+@pytest.mark.parametrize("family", ["mode:3", "series:G1:5"])
+def test_identity_and_equipartition_from_sources_are_the_stored_bits(family):
+    # both read their fields one mode at a time through mode(k), so a source
+    # that builds each mode on demand gives the bits of its stored field
+    grid = wave_grid(65, 49)
+    if family == "mode:3":
+        g, w = closedform.analytic_sources(3, grid)
+    else:
+        g, w = closedform.series_sources(closedform.series_rule("G1"), 5, grid)
+    g_stored, w_stored = g.stored(), w.stored()
+    for field in _STRIP_FIELDS:
+        spec = hwp.parse_field(field)
+        got = hwp.multiplier_identity_residual(w, g, None, None, spec, grid)
+        ref = hwp.multiplier_identity_residual(w_stored, g_stored, None, None, spec, grid)
+        assert repr(got.as_dict()) == repr(ref.as_dict())
+    assert (repr(hwp.equipartition_residual(w, g, grid))
+            == repr(hwp.equipartition_residual(w_stored, g_stored, grid)))
+
+
+def test_parseval_modes_hold_one_mode_at_a_time():
+    # each modes dict is emptied before the next mode is built, so the
+    # previous mode is no longer referenced while the next one is made
+    grid = wave_grid(17)
+    g, w = closedform.series_sources(closedform.series_rule("G2"), 4, grid)
+    seen = []
+    for k, _, modes in analysis._parseval_modes(w.period, {"w": w, "g": g, "h": None}):
+        assert all(seen_modes == {} for seen_modes in seen)
+        assert modes["h"] is None and modes["w"].shape == (17, 17)
+        seen.append(modes)
+    assert [len(m) for m in seen] == [0, 0, 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -698,12 +737,7 @@ def test_weak_residual_memory_is_bounded():
     g2, _ = hwp.analytic_mode(2, grid)
     f = smooth_heat_forcing(grid, T, 1)
     rep = hwp.solve_periodic_harmonic(grid, f, g2, 2)
-    tracemalloc.start()
-    try:
-        hwp.weak_residual(rep, f, g2, grid, n_tests=5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, _ = traced_peak(lambda: hwp.weak_residual(rep, f, g2, grid, n_tests=5))
     assert peak < 2**20
 
 
@@ -716,12 +750,7 @@ def test_sup_time_norm_samples_in_chunks(flavor):
     grid = wave_grid(161)
     w = oracle.random_real_field(np.random.default_rng(1), T, 2, (grid.ny_w, grid.nx))
     stack = w.coeffs.nbytes
-    tracemalloc.start()
-    try:
-        got = analysis._sup_time_norm(w, grid, flavor)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, got = traced_peak(lambda: analysis._sup_time_norm(w, grid, flavor))
     assert peak <= 3 * stack
     mass = quad.trap_mass(grid.ny_w, grid.nx, grid.hx, grid.hy_w)
     samples = w.sample_real(np.arange(128) * T / 128)

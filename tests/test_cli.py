@@ -1,7 +1,6 @@
 import itertools
 import json
 import re
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +16,7 @@ from hwp.periodic import ModeStream, solve_periodic_harmonic
 from hwp.timefourier import HEAT, WAVE, FourierField, ModeSource
 
 import fourier_oracle as oracle
+from conftest import traced_peak
 
 
 MINIMAL_SOLVE = """
@@ -213,13 +213,9 @@ def test_solve_memory_does_not_grow_with_modes(tmp_path):
         scn = parse_scenario(f"grid.nx = 129\ngrid.ny_w = 129\ngrid.ny_h = 129\n"
                              f"modes = {modes}\nforcing.wave = series:G1:{modes}\n",
                              "solve", out_dir=str(tmp_path))
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            assert run_scenario(scn) == 0
-            peaks.append(tracemalloc.get_traced_memory()[1] - base)
-        finally:
-            tracemalloc.stop()
+        peak, status = traced_peak(lambda: run_scenario(scn))
+        assert status == 0
+        peaks.append(peak)
     assert max(peaks) - min(peaks) < 5 * 129 * 129 * 16, peaks
 
 
@@ -454,13 +450,8 @@ def test_coefficient_file_parse_memory_is_bounded(tmp_path):
     np.savetxt(coeffs, rows, fmt=["%d", "%d", "%d", "%.17g", "%.17g"], delimiter=",",
                header="k,j,i,re,im", comments="")
     del rows, k, j, i
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        source = _load_coefficient_file(str(coeffs), 2 * np.pi, (n, n), WAVE, top)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    peak, source = traced_peak(
+        lambda: _load_coefficient_file(str(coeffs), 2 * np.pi, (n, n), WAVE, top))
     assert peak < 24 * 2**20, peak
     assert source.n_modes == top
     assert np.array_equal(source.mode(5), c[4])
@@ -531,6 +522,19 @@ def test_analytic_wave_forcing_above_modes_rejected(tmp_path, capsys, command, s
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert "'forcing.wave'" in captured.err and f"mode {top}," in captured.err
+    assert "'modes' = 2" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "epsilon-sweep"])
+def test_smooth_heat_forcing_above_modes_rejected(tmp_path, capsys, command):
+    # modes = 2: smooth:3 forces mode 3, which no solve computes; it used to
+    # exit 0 with u_l2 = w_l2 = w_h1 = 0
+    cfg = _write(tmp_path, SMALL_SOLVE + "forcing.wave = none\nforcing.heat = smooth:3\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "'forcing.heat'" in captured.err and "mode 3," in captured.err
     assert "'modes' = 2" in captured.err
     assert captured.out == "" and not out.exists()
 
@@ -648,13 +652,9 @@ def test_epsilon_sweep_memory_does_not_grow_with_modes(tmp_path):
                              f"modes = {modes}\nsteps = 129\nepsilons = 0.2,0.1\n"
                              f"forcing.wave = series:G1:4\n", "epsilon-sweep",
                              out_dir=str(tmp_path))
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            assert run_scenario(scn) == 0
-            peaks.append(tracemalloc.get_traced_memory()[1] - base)
-        finally:
-            tracemalloc.stop()
+        peak, status = traced_peak(lambda: run_scenario(scn))
+        assert status == 0
+        peaks.append(peak)
     assert max(peaks) - min(peaks) < 5 * 2 * 65 * 65 * 16, peaks
 
 
@@ -783,6 +783,21 @@ def test_closed_form_the_grid_cannot_hold_rejected_by_name(tmp_path, capsys, com
     assert not out.exists()
 
 
+def test_identity_check_memory_does_not_grow_with_mode(tmp_path):
+    # the whole command at 385^2 reads the closed-form sources one mode at a
+    # time: 10.4 MiB traced for mode 2 and for mode 8, where the stored w and
+    # g of modes 0..n and their Parseval copies took 28.5 MiB at mode 2
+    peaks = []
+    for mode in (2, 8):
+        scn = parse_scenario(f"grid.nx = 385\ngrid.ny_w = 385\nmode = {mode}\n",
+                             "identity-check", out_dir=str(tmp_path))
+        peak, status = traced_peak(lambda: run_scenario(scn))
+        assert status == 0
+        peaks.append(peak)
+    assert max(peaks) <= 12 * 2**20, peaks
+    assert max(peaks) - min(peaks) < 2**20, peaks
+
+
 def test_regularity_scan_memory_does_not_grow_with_truncation(tmp_path):
     # at 257 x 9 the traced peaks for truncations 8,16 and 8,128 differ by
     # less than 16 mode grids; a forcing and a solution stack per row took
@@ -791,13 +806,9 @@ def test_regularity_scan_memory_does_not_grow_with_truncation(tmp_path):
     for truncs in ("8,16", "8,128"):
         scn = parse_scenario(f"grid.nx = 257\ngrid.ny_w = 9\ntruncations = {truncs}\n",
                              "regularity-scan", out_dir=str(tmp_path))
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            assert run_scenario(scn) == 0
-            peaks.append(tracemalloc.get_traced_memory()[1] - base)
-        finally:
-            tracemalloc.stop()
+        peak, status = traced_peak(lambda: run_scenario(scn))
+        assert status == 0
+        peaks.append(peak)
     assert abs(peaks[1] - peaks[0]) < 16 * 257 * 9 * 16, peaks
 
 

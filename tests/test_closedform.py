@@ -111,3 +111,22 @@ def test_series_aliasing_guard():
     grid = hwp.build_stacked_rectangles(np.pi, 1.0, 1.0, 17, 9, 3)
     with pytest.raises(ClosedFormError):
         closedform.series_sources(hwp.series_rule("G1"), 16, grid)
+
+
+
+@pytest.mark.parametrize("family,data", [("mode:3", [3]), ("series:G1:4", [1, 2, 3, 4])])
+def test_family_sources_build_each_amplitude_once(family, data, monkeypatch):
+    # g and w_ref each build only their own amplitude of a mode that carries
+    # data; both used to build the pair of mode_amplitudes and keep half
+    grid = hwp.build_stacked_rectangles(np.pi, 1.0, 1.0, 17, 9, 3)
+    if family == "mode:3":
+        g, w = closedform.analytic_sources(3, grid)
+    else:
+        g, w = closedform.series_sources(hwp.series_rule("G1"), 4, grid)
+    built = []
+    amplitude = closedform._amplitude
+    monkeypatch.setattr(closedform, "_amplitude",
+                        lambda n, grid_, i: built.append((n, i)) or amplitude(n, grid_, i))
+    for k in range(g.n_modes + 1):
+        g.mode(k), w.mode(k)
+    assert built == [(n, i) for n in data for i in (0, 1)]

@@ -1,15 +1,16 @@
-import tracemalloc
-
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 import hwp
-from hwp.errors import FieldDomainError, GeometryCheckError
+from hwp.errors import FieldDomainError, GeometryCheckError, SolverError
 from hwp import geometry, quadrature as quad
 from hwp.fields import jet_batch, sym_min_eig
 from hwp.geometry import _poincare_form, boundary_sign_table
 from hwp.mesh import DomainSamples
+
+from conftest import traced_peak
 
 
 def test_triangle_translate_passes_geometric_optics():
@@ -62,8 +63,7 @@ def test_empty_boundary_set_rejected():
     samples = hwp.sample_domain("unit-square", 16)
     broken = DomainSamples(
         name="broken",
-        interior_points=samples.interior_points,
-        interior_weights=samples.interior_weights,
+        interior=samples.interior,
         boundary_points=samples.boundary_points,
         boundary_normals=samples.boundary_normals,
         boundary_tags=np.full(len(samples.boundary_tags), "OnGammaW"),
@@ -99,6 +99,44 @@ def test_poincare_zero_field_reports_zero():
     grid = hwp.build_stacked_rectangles(1.0, 1.0, 1.0, 17, 17, 3)
     rep = hwp.check_poincare(hwp.VectorFieldSpec("zero"), grid)
     assert abs(rep.rayleigh_min) < 1e-6
+
+
+_INERTIA_FIELDS = ["graph-vertical:2", "spiral:0.2", "horn:-1", "horn:0.5", "translate:0,0",
+                   "zero"]
+
+
+@pytest.mark.parametrize("n", [17, 33])
+@pytest.mark.parametrize("field", _INERTIA_FIELDS)
+def test_poincare_inertia_matches_dense_pencil(field, n):
+    # the negative pivots of the symmetric factor count the negative
+    # eigenvalues of (A, M) (Sylvester); the iteration converges to the
+    # eigenvalue nearest the small shift, which is the smallest one only
+    # when that count is 0 (spiral:0.2 at 17^2 reports 1.69 while the
+    # pencil goes down to -5.4e4)
+    spec = hwp.parse_field(field)
+    grid = hwp.build_stacked_rectangles(np.pi, 1.0, 1.0, n, n, 3)
+    rep = hwp.check_poincare(spec, grid)
+    a, m = _poincare_form(spec, grid)
+    eig = scipy.linalg.eigh(a.toarray(), m.toarray(), eigvals_only=True)
+    scale = np.max(np.abs(eig))
+    assert rep.negative_eigenvalues == np.count_nonzero(eig < -1e-9 * scale)
+    if rep.negative_eigenvalues == 0:
+        assert rep.rayleigh_min == pytest.approx(eig[0], rel=1e-8, abs=1e-9 * scale)
+    else:
+        assert rep.rayleigh_min > eig[0] and rep.poincare_constant == np.inf
+        assert np.min(np.abs(eig - rep.rayleigh_min)) <= 1e-8 * abs(rep.rayleigh_min)
+
+
+def test_poincare_solve_held_to_its_residual_contract(monkeypatch):
+    # a factor of a slightly different matrix solves every system to about
+    # 1e-6 only; the first solve fails the 1e-9 contract, by name
+    splu = geometry.spla.splu
+    monkeypatch.setattr(geometry.spla, "splu",
+                        lambda a, **kwargs: splu(a * (1.0 + 1e-6), **kwargs))
+    grid = hwp.build_stacked_rectangles(1.0, 1.0, 1.0, 17, 17, 3)
+    with pytest.raises(SolverError, match="^Poincare solve 1 missed its residual contract") as err:
+        hwp.check_poincare(hwp.graph_vertical(2.0), grid)
+    assert 1e-9 < err.value.residual < 1e-5
 
 
 def test_poincare_refinement_stability():
@@ -612,10 +650,37 @@ def test_check_conditions_chunks_partition_the_interior(monkeypatch):
 
 def test_check_conditions_memory_is_bounded():
     samples = _demo_samples("spiral", 96)
-    tracemalloc.start()
-    try:
-        hwp.check_conditions(hwp.spiral(0.2), samples)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, _ = traced_peak(lambda: hwp.check_conditions(hwp.spiral(0.2), samples))
     assert peak < 8e6
+
+
+def test_spiral_geometry_check_memory_does_not_grow_with_resolution():
+    # sampling and checking hold the columns and one chunk of whole columns:
+    # 3.9 and 4.2 MiB at resolutions 96 and 192 (410,069 and 1,640,276
+    # samples); holding the samples took 21.9 MiB at 96
+    peaks = {res: traced_peak(lambda: hwp.check_conditions(
+        hwp.spiral(0.2), hwp.sample_domain("spiral", res)))[0] for res in (96, 192)}
+    assert peaks[96] <= 6 * 2**20, peaks
+    assert peaks[192] - peaks[96] <= 2**20, peaks
+
+
+def _positive_jets(n, seed):
+    """Jets with b != 0 and a positive definite sym(grad b) everywhere, so
+    every sample moves and none is flat."""
+    rng = np.random.default_rng(seed)
+    root = rng.standard_normal((n, 2, 2))
+    grad = root @ np.swapaxes(root, 1, 2) + 0.1 * np.eye(2) + 0.3 * np.array([[0, 1], [-1, 0]])
+    return _jets(rng.standard_normal((n, 2)) + 0.1, grad)
+
+
+def test_quadform_margin_fast_paths_are_the_compacted_bits():
+    # all samples moving and none flat skips the compactions; a resting
+    # sample (b = 0, S = I) forces the moving compaction, a flat one with a
+    # large bound (b = (1, 0), S = diag(1e6, 0)) the flat one, and neither
+    # changes the margin's bits
+    jets = _positive_jets(5000, 7)
+    fast = geometry._quadform_margin(jets, 1e-10)
+    assert np.isfinite(fast)
+    for b, grad in (([0.0, 0.0], np.eye(2)), ([1.0, 0.0], np.diag([1e6, 0.0]))):
+        more = _jets(np.vstack([jets["b"], [b]]), np.concatenate([jets["grad"], [grad]]))
+        assert geometry._quadform_margin(more, 1e-10) == fast

@@ -4,6 +4,7 @@ import pytest
 import hwp
 from hwp import mesh
 from hwp.errors import ConfigurationError, MeshError
+from hwp.fields import _JET_CHUNK
 
 
 def _interface_unknowns(op):
@@ -184,6 +185,31 @@ def test_interior_samples_match_column_loop(name, res):
     s = hwp.sample_domain(name, res)
     np.testing.assert_array_equal(s.interior_points, pts)
     np.testing.assert_array_equal(s.interior_weights, wts)
+
+
+@pytest.mark.parametrize("name", hwp.DEMO_DOMAINS)
+def test_interior_chunks_are_runs_of_whole_columns(name):
+    # each chunk takes as many whole columns as fit in fields._JET_CHUNK
+    # samples, and together the chunks hold every sample once
+    cols = hwp.sample_domain(name, 96).interior
+    sizes = np.array([len(w) for _, w in cols.chunks()])
+    ends, col_ends = np.cumsum(sizes), np.cumsum(cols.n)
+    assert ends[-1] == cols.size and np.all(sizes <= _JET_CHUNK)
+    assert np.all(np.isin(ends, col_ends))
+    after = np.searchsorted(col_ends, ends[:-1]) + 1  # the column after each chunk
+    assert np.all(sizes[:-1] + cols.n[after] > _JET_CHUNK)
+
+
+@pytest.mark.parametrize("size", [1, 100, 5000, 10**6])
+def test_interior_chunks_of_any_size_are_the_same_samples(size, monkeypatch):
+    # a column longer than the chunk size is a chunk of its own
+    s = hwp.sample_domain("spiral", 16)
+    monkeypatch.setattr(mesh, "_JET_CHUNK", size)
+    chunks = list(s.interior.chunks())
+    np.testing.assert_array_equal(np.concatenate([p for p, _ in chunks]), s.interior_points)
+    np.testing.assert_array_equal(np.concatenate([w for _, w in chunks]), s.interior_weights)
+    if size == 1:
+        assert len(chunks) == len(s.interior.n)
 
 
 def test_sample_count_bounded_before_sampling(monkeypatch):

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,6 +7,8 @@ import hwp
 from hwp import operators as ops
 from hwp import quadrature as quad
 from hwp.errors import ConfigurationError, SolverError
+
+from conftest import traced_peak
 
 T = 2 * np.pi
 
@@ -283,12 +283,7 @@ def test_solve_linear_memory_is_bounded():
     op = ops.assemble_coupled_mode(grid, 2, T)
     rhs = ops.mode_rhs(op, None, g2.mode(2))
     column_system = rhs.nbytes
-    tracemalloc.start()
-    try:
-        ops.solve_linear(op, rhs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, _ = traced_peak(lambda: ops.solve_linear(op, rhs))
     assert op.residual <= 1e-10
     assert peak <= 4 * column_system
 

@@ -40,6 +40,10 @@ ALLOWLIST = {
                                 "bench/tracing.py counts",
     "operators.ModeOperator.matrix": "bench/tracing.py reads its nonzero count",
     "quadrature.sbp_stiffness": "bench/tracing.py wraps it as a traced layer",
+    "mesh.DomainSamples.interior_points": "every interior point in one array, which "
+                                          "bench/tracing.py counts; commands read chunks",
+    "mesh.DomainSamples.interior_weights": "every interior weight in one array, for "
+                                           "checks against the sampled quadrature",
     "quadrature.laplacian_5pt": "bench/tracing.py wraps it as a traced layer",
     "errors.SolverError.__init__": "runs only when a solve fails",
     "analysis._sup_time_norm": "the sup-in-time norm of the existence estimates of "

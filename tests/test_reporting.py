@@ -4,13 +4,14 @@ import re
 import subprocess
 import sys
 import textwrap
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hwp import reporting
+
+from conftest import traced_peak
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -253,12 +254,8 @@ def test_grid_csv_working_set_does_not_grow_with_the_grid(tmp_path):
     for n in (81, 161, 321):
         array = np.random.default_rng(n).standard_normal((n, n))
         reporting._workspace.cache_clear()
-        tracemalloc.start()
-        try:
-            reporting.write_grid_csv(str(tmp_path / f"grid{n}.csv"), array)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks.append(traced_peak(
+            lambda: reporting.write_grid_csv(str(tmp_path / f"grid{n}.csv"), array))[0])
         assert (tmp_path / f"grid{n}.csv").read_bytes().endswith(_percent_g(array[-1:]))
     assert max(peaks) - min(peaks) <= 64 * 1024, peaks
     assert max(peaks) <= 1.25 * 2**20, peaks
