@@ -356,10 +356,8 @@ def _gram(sines: np.ndarray, profiles: np.ndarray, hx: float,
     return l2, (np.kron(my @ my.T, dx @ dx.T) + np.kron(dy @ dy.T, mx @ mx.T)) * (hx * hy)
 
 
-def weak_residual(report: SolveReport, f: FourierField | None,
-                  g: FourierField | None, grid: Grid, n_tests: int = 10,
-                  seed: int = 2024) -> float:
-    """Max normalized weak-form defect over random smooth test pairs.
+class WeakCheck:
+    """Max normalized weak-form defect over random smooth test pairs, mode by mode.
 
     For each pair (psi on the wave box, phi on the heat box) with matching
     interface traces the defect per temporal mode k is
@@ -385,69 +383,96 @@ def weak_residual(report: SolveReport, f: FourierField | None,
     norm quadratic in its coefficients. The forms factor: each solution mode
     is summed over x against sin(m x) and its edge-scatter second difference
     (real products on its real and imaginary parts), then over y against Y_t
-    and its scatter, and the Grams are 1-D sums: O(modes * grid) time, O(grid
-    lines) extra memory. Each test costs a 6-coefficient dot product and a
-    6x6 Gram form per mode. Only the modes the test and the solution share
-    enter the defect; all enter the norm. Non-finite coefficients in w, u, f
-    or g and n_tests < 1 raise AnalysisError.
+    and its scatter, and the Grams are 1-D sums: O(grid) time and O(grid
+    lines) extra memory per mode. ``add`` keeps only the 12 projections of a
+    mode k <= _TEST_MODES onto the 6 fields per side; the test
+    coefficients and Grams do not depend on the solution, so ``residual``
+    costs per test a 6-coefficient dot product and a 6x6 Gram form per mode.
+    Only the modes the test and the solution share enter the defect; all
+    enter the norm. n_tests < 1 raises AnalysisError.
     """
-    if n_tests < 1:
-        raise AnalysisError(f"weak residual needs n_tests >= 1, got {n_tests}")
-    u, w = report.u, report.w
-    fields_ = {"w": w, "u": u, "f": f, "g": g}
+
+    def __init__(self, grid: Grid, period: float, n_tests: int = 10, seed: int = 2024):
+        if n_tests < 1:
+            raise AnalysisError(f"weak residual needs n_tests >= 1, got {n_tests}")
+        self.grid, self.period, self.omega = grid, period, 2.0 * np.pi / period
+        self.a, self.b = _test_coefficients(np.random.default_rng(seed), n_tests)
+        self.sines, self.y_w, self.y_h = _test_factors(grid)
+        self.x_factors = np.concatenate([self.sines, _edge_scatter(self.sines)]).T
+        self.x_factors[[0, -1], :3] = 0.0  # the masses weigh interior nodes only
+        self.proj = np.zeros((2, _TEST_MODES + 1, 6), dtype=complex)  # wave, heat side
+        self.n_shared = 0  # the highest mode added
+
+    def _pairings(self, c: np.ndarray, y: np.ndarray, hy: float):
+        """The interior-mass and sbp_apply pairings of one mode c with the 6 fields,
+        each (6,), and the real and imaginary parts of its x sums against sin(m x)."""
+        hx = self.grid.hx
+        xs = np.stack([c.real @ self.x_factors, c.imag @ self.x_factors])
+        inner = np.einsum("ty,rym->rtm", y[:, 1:-1], xs[:, 1:-1])
+        edge = np.einsum("ty,rym->rtm", _edge_scatter(y), xs[..., :3])
+        mass = hx * hy * inner[..., :3]
+        stiff = hy / hx * inner[..., 3:] + hx / hy * edge
+        return ((mass[0] + 1j * mass[1]).reshape(6),
+                (stiff[0] + 1j * stiff[1]).reshape(6), xs[..., :3])
+
+    def add(self, k: int, w_k: np.ndarray, u_k: np.ndarray,
+            f: FourierField | ModeSource | None, g: FourierField | ModeSource | None) -> None:
+        """Pair mode k of the solution, w_k and u_k, and mode k of the heat
+        forcing f and the wave forcing g (read through mode(k) here) with the
+        tests; a no-op past _TEST_MODES, where no test has a mode."""
+        if k > _TEST_MODES:
+            return
+        grid, omega = self.grid, self.omega
+        mass_w, stiff_w, sums_w = self._pairings(w_k, self.y_w, grid.hy_w)
+        mass_h, stiff_h, sums_h = self._pairings(u_k, self.y_h, grid.hy_h)
+        proj_w = stiff_w - (omega * k) ** 2 * mass_w
+        proj_h = stiff_h + 1j * omega * k * mass_h
+        if g is not None:
+            proj_w -= self._pairings(g.mode(k), self.y_w, grid.hy_w)[0]
+        if f is not None:
+            proj_h -= self._pairings(f.mode(k), self.y_h, grid.hy_h)[0]
+        # interface flux defect on row 0 of the wave box (the x sums skip the walls)
+        flux = ((sums_w[:, 1] - sums_w[:, 0]) / grid.hy_w
+                - (sums_h[:, -1] - sums_h[:, -2]) / grid.hy_h)
+        proj_w += grid.hx * np.kron(self.y_w[:, 0], flux[0] + 1j * flux[1])
+        self.proj[:, k] = proj_w, proj_h
+        self.n_shared = max(self.n_shared, k)
+
+    def residual(self) -> float:
+        """The largest normalized defect over the tests, from the modes added."""
+        grid, n, a, b = self.grid, self.n_shared, self.a, self.b
+        l2_w, h1_w = _gram(self.sines, self.y_w, grid.hx, grid.hy_w)
+        l2_h, h1_h = _gram(self.sines, self.y_h, grid.hx, grid.hy_h)
+        weight = parseval_weights(np.arange(_TEST_MODES + 1))
+        shared = weight[:n + 1, None]
+        proj_w, proj_h = self.proj[:, :n + 1]
+        defect = self.period * (
+            np.einsum("tkj,kj->t", np.conj(a[:, :n + 1]), shared * proj_w)
+            + np.einsum("tkj,kj->t", np.conj(b[:, :n + 1]), shared * proj_h))
+        time_weight = 1.0 + (self.omega * np.arange(_TEST_MODES + 1)) ** 2
+
+        def quad_form(c, gram):
+            return np.einsum("tki,ij,tkj->tk", np.conj(c), gram, c).real
+
+        scale_sq = (weight * (time_weight * (quad_form(a, l2_w) + quad_form(b, l2_h))
+                              + quad_form(a, h1_w) + quad_form(b, h1_h))).sum(axis=1)
+        return float(np.max(np.abs(defect.real) / np.maximum(np.sqrt(scale_sq), 1e-300)))
+
+
+def weak_residual(report: SolveReport, f: FourierField | None,
+                  g: FourierField | None, grid: Grid, n_tests: int = 10,
+                  seed: int = 2024) -> float:
+    """The WeakCheck residual of report's w and u, the heat forcing f and the wave forcing
+    g, fed modes k = 0..N (zero past a field's own). Non-finite coefficients in
+    w, u, f or g and n_tests < 1 raise AnalysisError before any mode is paired."""
+    check = WeakCheck(grid, report.period, n_tests, seed)
+    fields_ = {"w": report.w, "u": report.u, "f": f, "g": g}
     for name, field_ in fields_.items():
         if field_ is not None and not np.all(np.isfinite(field_.coeffs)):
             raise AnalysisError(f"weak residual: field {name!r} has non-finite coefficients")
-    period, omega = report.period, w.omega
-    n_shared = min(_TEST_MODES, max(x.n_modes for x in fields_.values() if x is not None))
-    ks = np.arange(n_shared + 1)[:, None]
-    hx = grid.hx
-    sines, y_w, y_h = _test_factors(grid)
-    x_factors = np.concatenate([sines, _edge_scatter(sines)]).T
-    x_factors[[0, -1], :3] = 0.0  # the masses weigh interior nodes only
-
-    def pairings(field_, y, hy):
-        """The interior-mass and sbp_apply pairings of modes 0..n_shared of
-        field_ (zero past its own) with the 6 fields, each (K, 6), and the
-        real and imaginary parts of their x sums against sin(m x)."""
-        live = field_.coeffs[:n_shared + 1]
-        xs = np.zeros((2, n_shared + 1, live.shape[1], 6))
-        xs[:, :len(live)] = live.real @ x_factors, live.imag @ x_factors
-        inner = np.einsum("ty,rkym->rktm", y[:, 1:-1], xs[..., 1:-1, :])
-        edge = np.einsum("ty,rkym->rktm", _edge_scatter(y), xs[..., :3])
-        mass = hx * hy * inner[..., :3]
-        stiff = hy / hx * inner[..., 3:] + hx / hy * edge
-        return ((mass[0] + 1j * mass[1]).reshape(-1, 6),
-                (stiff[0] + 1j * stiff[1]).reshape(-1, 6), xs[..., :3])
-
-    mass_w, stiff_w, sums_w = pairings(w, y_w, grid.hy_w)
-    mass_h, stiff_h, sums_h = pairings(u, y_h, grid.hy_h)
-    proj_w = stiff_w - (omega * ks) ** 2 * mass_w
-    proj_h = stiff_h + 1j * omega * ks * mass_h
-    if g is not None:
-        proj_w -= pairings(g, y_w, grid.hy_w)[0]
-    if f is not None:
-        proj_h -= pairings(f, y_h, grid.hy_h)[0]
-    # interface flux defect on row 0 of the wave box (the x sums skip the walls)
-    flux = ((sums_w[:, :, 1] - sums_w[:, :, 0]) / grid.hy_w
-            - (sums_h[:, :, -1] - sums_h[:, :, -2]) / grid.hy_h)
-    proj_w += hx * np.kron(y_w[:, 0], flux[0] + 1j * flux[1])
-
-    l2_w, h1_w = _gram(sines, y_w, hx, grid.hy_w)
-    l2_h, h1_h = _gram(sines, y_h, hx, grid.hy_h)
-    a, b = _test_coefficients(np.random.default_rng(seed), n_tests)
-    weight = parseval_weights(np.arange(_TEST_MODES + 1))
-    shared = weight[:n_shared + 1, None]
-    defect = period * (np.einsum("tkj,kj->t", np.conj(a[:, :n_shared + 1]), shared * proj_w)
-                       + np.einsum("tkj,kj->t", np.conj(b[:, :n_shared + 1]), shared * proj_h))
-    time_weight = 1.0 + (omega * np.arange(_TEST_MODES + 1)) ** 2
-
-    def quad_form(c, gram):
-        return np.einsum("tki,ij,tkj->tk", np.conj(c), gram, c).real
-
-    scale_sq = (weight * (time_weight * (quad_form(a, l2_w) + quad_form(b, l2_h))
-                          + quad_form(a, h1_w) + quad_form(b, h1_h))).sum(axis=1)
-    return float(np.max(np.abs(defect.real) / np.maximum(np.sqrt(scale_sq), 1e-300)))
+    for k in range(max(x.n_modes for x in fields_.values() if x is not None) + 1):
+        check.add(k, report.w.mode(k), report.u.mode(k), f, g)
+    return check.residual()
 
 
 # ---------------------------------------------------------------------------

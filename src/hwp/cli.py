@@ -169,6 +169,8 @@ def _convert(key: str, spec: _Key, raw: str):
 
 _FORCING_FORMS = {"forcing.wave": "none | mode:<n> | series:G1|G2[:<N>] | file:<csv>",
                   "forcing.heat": "none | smooth:<k> | file:<csv>"}
+# the rectangular demo domains, on which the Poincare check runs, by their side lx
+_POINCARE_SIDES = {"unit-square": 1.0, "rectangle": np.pi}
 
 
 def _positive_int(raw: str) -> int:
@@ -269,6 +271,10 @@ def parse_scenario(text: str, command: str, out_dir: str = ".") -> Scenario:
             parse_field(values["field"])
         except ConfigurationError as exc:
             raise ConfigurationError(f"key 'field': {exc}") from exc
+    if values.get("poincare") and values["domain"] not in _POINCARE_SIDES:
+        raise ConfigurationError(
+            f"key 'poincare': the Rayleigh-quotient check runs on the rectangular domains "
+            f"{', '.join(_POINCARE_SIDES)} only, not 'domain' = {values['domain']!r}")
     if "epsilons" in schema and not all(e > 0 for e in values["epsilons"]):
         raise ConfigurationError(
             f"key 'epsilons': damping shifts must be positive, got {values['epsilons']}")
@@ -445,7 +451,8 @@ def _run_solve(scn: Scenario) -> dict:
     sq = np.zeros((5 if error else 3, n + 1))
     times = np.arange(8) * period / 8.0
     snaps = {"w": np.zeros((8, grid.ny_w, grid.nx)), "u": np.zeros((8, grid.ny_h, grid.nx))}
-    low: list[tuple[np.ndarray, np.ndarray]] = []  # the modes the weak check reads
+    weak = (analysis.WeakCheck(grid, period, scn["check.weak.tests"], scn.seed)
+            if scn["check.weak"] else None)
     residuals: dict[int, float] = {}
     for k, w_k, u_k, residual in stream:
         residuals[k] = residual
@@ -456,8 +463,8 @@ def _run_solve(scn: Scenario) -> dict:
             sq[3:, k] = quadr.norm_sq(mass_w, w_k - ref_k), quadr.norm_sq(mass_w, ref_k)
         add_mode_samples(snaps["w"], times, period, k, w_k)
         add_mode_samples(snaps["u"], times, period, k, u_k)
-        if scn["check.weak"] and k <= analysis._TEST_MODES:
-            low.append((w_k, u_k))
+        if weak is not None:
+            weak.add(k, w_k, u_k, f, g)
 
     # rows k = -N..N from the modes k >= 0: mode -k, the conjugate of mode k,
     # has its norms
@@ -469,7 +476,6 @@ def _run_solve(scn: Scenario) -> dict:
     for name in ("w", "u"):
         for j, snap in enumerate(snaps.pop(name)):  # freed once written
             reporting.write_grid_csv(_out(scn, f"_{name}_t{j}.csv"), snap)
-    reporting._workspace.cache_clear()  # not held through the weak check
 
     omega = 2.0 * np.pi / period
     max_residual = max(residuals.values())
@@ -489,12 +495,8 @@ def _run_solve(scn: Scenario) -> dict:
         rel = analysis.plancherel_norm(sq[3], 0, omega) / max(ref_norm, 1e-300)
         summary["relative_error_vs_analytic"] = rel
         _phase(f"relative error vs analytic solution: {rel:.3e}")
-    if scn["check.weak"]:
-        w_low, u_low = (np.stack(modes) for modes in zip(*low))
-        f_low, g_low = (None if x is None else x.stored(analysis._TEST_MODES) for x in (f, g))
-        summary["weak_residual"] = analysis.weak_residual(
-            stream.report(w_low, u_low, residuals), f_low, g_low, grid,
-            n_tests=scn["check.weak.tests"], seed=scn.seed)
+    if weak is not None:
+        summary["weak_residual"] = weak.residual()
     reporting.write_json(_out(scn, ".json"), summary)
     _phase(f"max mode residual {max_residual:.3e}, wrote {_out(scn, '.json')}")
     return summary
@@ -564,11 +566,7 @@ def _run_geometry_check(scn: Scenario) -> dict:
         _phase(f"trapezoid counting identity mismatch {obs.mismatch:.3e}, "
                f"{len(obs.sign_violations)} sign violations")
     if scn["poincare"]:
-        if scn["domain"] not in ("unit-square", "rectangle"):
-            raise ConfigurationError(
-                "the Rayleigh-quotient check runs on rectangular domains only")
-        lx = 1.0 if scn["domain"] == "unit-square" else np.pi
-        grid = build_stacked_rectangles(lx, 1.0, 1.0,
+        grid = build_stacked_rectangles(_POINCARE_SIDES[scn["domain"]], 1.0, 1.0,
                                         scn["poincare.nx"], scn["poincare.ny"], 3)
         pc = geometry.check_poincare(spec, grid)
         payload["poincare"] = {"rayleigh_min": pc.rayleigh_min,

@@ -191,22 +191,16 @@ def _midpoints(a: float, b: float, n: int) -> tuple[np.ndarray, float]:
 
 
 def _ruled_columns(ts: np.ndarray, h_t: float, lo: np.ndarray, hi: np.ndarray, res: int,
-                   name: str, chart: str = "xy") -> RuledColumns:
+                   chart: str = "xy") -> RuledColumns:
     """The columns of the region { (t, s) : lo(t) < s < hi(t) }.
 
     ts are the outer midpoints (spacing h_t) and lo, hi the inner bounds
     there. Column t gets n = max(1, ceil((hi-lo)*res)) midpoints; columns
-    with hi <= lo get none. The sample count is checked against
-    MAX_INTERIOR_SAMPLES; no sample is built.
+    with hi <= lo get none. No sample is built.
     """
     keep = hi > lo
     ts, lo, hi = ts[keep], lo[keep], hi[keep]
     n = np.maximum(1, np.ceil((hi - lo) * res)).astype(np.int64)
-    total = int(n.sum())
-    if total > MAX_INTERIOR_SAMPLES:
-        raise ConfigurationError(
-            f"domain {name!r} at resolution {res} needs {total} interior "
-            f"samples, above the bound of {MAX_INTERIOR_SAMPLES}")
     return RuledColumns(ts, h_t, lo, (hi - lo) / n, n, chart)
 
 
@@ -239,35 +233,29 @@ def _curve_boundary(param, t0: float, t1: float, outward, tag: str, res: int,
     return xy(param, ts), nrms, np.full(n, tag)
 
 
-def _stack(parts):
-    pts, nrm, tags = zip(*parts)
-    return np.vstack(pts), np.vstack(nrm), np.concatenate(tags)
-
-
-def _column_samples(t0: float, t1: float, lo, hi, res: int, name: str) -> RuledColumns:
+def _column_samples(t0: float, t1: float, lo, hi, res: int) -> RuledColumns:
     """The columns of the region t0 < x < t1, lo(x) < y < hi(x)."""
     nt = max(1, int(np.ceil((t1 - t0) * res)))
     ts, ht = _midpoints(t0, t1, nt)
-    return _ruled_columns(ts, ht, lo(ts), hi(ts), res, name)
+    return _ruled_columns(ts, ht, lo(ts), hi(ts), res)
 
 
-def _rectangle_samples(lx: float, ly: float, res: int, name: str) -> DomainSamples:
-    cols = _column_samples(0.0, lx, np.zeros_like, lambda t: np.full_like(t, ly), res, name)
+# each builder returns a domain's interior columns and its boundary parts
+def _rectangle_samples(lx: float, ly: float, res: int) -> tuple[RuledColumns, list]:
+    cols = _column_samples(0.0, lx, np.zeros_like, lambda t: np.full_like(t, ly), res)
     parts = [
         _segment_boundary((0, 0), (lx, 0), (0, -1), ON_GAMMA, res),
         _segment_boundary((lx, 0), (lx, ly), (1, 0), ON_GAMMA_W, res),
         _segment_boundary((lx, ly), (0, ly), (0, 1), ON_GAMMA_W, res),
         _segment_boundary((0, ly), (0, 0), (-1, 0), ON_GAMMA_W, res),
     ]
-    b = _stack(parts)
-    return DomainSamples("rectangle", cols, *b)
+    return cols, parts
 
 
-def _triangle_samples(res: int) -> DomainSamples:
+def _triangle_samples(res: int) -> tuple[RuledColumns, list]:
     # apex at the origin, opening left; vertical far side is the interface
     # vertices (0,0), (-1, 1/2), (-1, -1/2)
-    cols = _column_samples(-1.0, 0.0, lambda t: 0.5 * t, lambda t: -0.5 * t, res,
-                           "triangle")
+    cols = _column_samples(-1.0, 0.0, lambda t: 0.5 * t, lambda t: -0.5 * t, res)
     parts = [
         _segment_boundary((-1, -0.5), (-1, 0.5), (-1, 0), ON_GAMMA, res),
         # upper slanted edge y = -x/2, outward normal (1/2, 1)
@@ -275,11 +263,10 @@ def _triangle_samples(res: int) -> DomainSamples:
         # lower slanted edge y = x/2, outward normal (1/2, -1)
         _segment_boundary((0, 0), (-1, -0.5), (0.5, -1), ON_GAMMA_W, res),
     ]
-    b = _stack(parts)
-    return DomainSamples("triangle", cols, *b)
+    return cols, parts
 
 
-def _horn_samples(res: int) -> DomainSamples:
+def _horn_samples(res: int) -> tuple[RuledColumns, list]:
     # cusp at the origin, opening left; walls are integral curves of the
     # anisotropic radial flow (x/2, y): y = c x^2, x in (-1, 0), c = 1/2, 3/2
     c_lo, c_hi = 0.5, 1.5
@@ -287,7 +274,7 @@ def _horn_samples(res: int) -> DomainSamples:
     def wall(c):
         return lambda t: c * (-t) ** 2.0
 
-    cols = _column_samples(-1.0, 0.0, wall(c_lo), wall(c_hi), res, "horn")
+    cols = _column_samples(-1.0, 0.0, wall(c_lo), wall(c_hi), res)
 
     def curve(c):
         return lambda t: (t, c * (-t) ** 2.0)
@@ -305,28 +292,26 @@ def _horn_samples(res: int) -> DomainSamples:
         _curve_boundary(curve(c_hi), -1.0, t_in, outward_hi, ON_GAMMA_W, res, 2.5),
         _curve_boundary(curve(c_lo), -1.0, t_in, outward_lo, ON_GAMMA_W, res, 1.5),
     ]
-    b = _stack(parts)
-    return DomainSamples("horn", cols, *b)
+    return cols, parts
 
 
-def _trapezoid_samples(res: int) -> DomainSamples:
+def _trapezoid_samples(res: int) -> tuple[RuledColumns, list]:
     # vertices (0,0), (1,0), (2,1), (0,1); interface is the bottom edge
     ys, hy = _midpoints(0.0, 1.0, res)
-    cols = _ruled_columns(ys, hy, np.zeros_like(ys), 1.0 + ys, res, "trapezoid", "yx")
+    cols = _ruled_columns(ys, hy, np.zeros_like(ys), 1.0 + ys, res, "yx")
     parts = [
         _segment_boundary((0, 0), (1, 0), (0, -1), ON_GAMMA, res),
         _segment_boundary((1, 0), (2, 1), (1, -1), ON_GAMMA_W, res),
         _segment_boundary((2, 1), (0, 1), (0, 1), ON_GAMMA_W, res),
         _segment_boundary((0, 1), (0, 0), (-1, 0), ON_GAMMA_W, res),
     ]
-    b = _stack(parts)
-    return DomainSamples("trapezoid", cols, *b)
+    return cols, parts
 
 
 _SPIRAL_ALPHA = 0.2  # growth rate of the spiral and shell arcs
 
 
-def _spiral_band(res: int, r0: float, r1_factor: float, name: str) -> DomainSamples:
+def _spiral_band(res: int, r0: float, r1_factor: float) -> tuple[RuledColumns, list]:
     """Region between two logarithmic-spiral arcs, capped by radial segments.
 
     Arcs r = c * exp(alpha * theta) are integral curves of the rotational
@@ -339,7 +324,7 @@ def _spiral_band(res: int, r0: float, r1_factor: float, name: str) -> DomainSamp
     r_out = lambda th: r1_factor * r0 * np.exp(alpha * th)
     n_th = max(8, int(np.ceil(theta_max * r1_factor * r0 * np.exp(alpha * theta_max) * res)))
     ths, hth = _midpoints(0.0, theta_max, n_th)
-    cols = _ruled_columns(ths, hth, r_in(ths), r_out(ths), res, name, "polar")
+    cols = _ruled_columns(ths, hth, r_in(ths), r_out(ths), res, "polar")
 
     def arc(curve_r):
         return lambda th: (curve_r(th) * np.cos(th), curve_r(th) * np.sin(th))
@@ -373,18 +358,16 @@ def _spiral_band(res: int, r0: float, r1_factor: float, name: str) -> DomainSamp
         _curve_boundary(arc(r_in), 0.0, theta_max, arc_outward(r_in, +1),
                         ON_GAMMA_W, res, arc_len),
     ]
-    b = _stack(parts)
-    return DomainSamples(name, cols, *b)
+    return cols, parts
 
 
-def _arc_samples(res: int) -> DomainSamples:
+def _arc_samples(res: int) -> tuple[RuledColumns, list]:
     """Annular sector 1 < r < 2, pi/6 < theta < 5 pi/6; interface is the far
     radial cap."""
     r_in, r_out, th0, th1 = 1.0, 2.0, np.pi / 6, 5 * np.pi / 6
     n_th = max(8, int(np.ceil((th1 - th0) * r_out * res)))
     ths, hth = _midpoints(th0, th1, n_th)
-    cols = _ruled_columns(ths, hth, np.full(n_th, r_in), np.full(n_th, r_out), res, "arc",
-                          "polar")
+    cols = _ruled_columns(ths, hth, np.full(n_th, r_in), np.full(n_th, r_out), res, "polar")
 
     def circle(r, sign):
         def param(th):
@@ -404,19 +387,18 @@ def _arc_samples(res: int) -> DomainSamples:
         _curve_boundary(po, th0, th1, no, ON_GAMMA_W, res, (th1 - th0) * r_out),
         _curve_boundary(pi_, th0, th1, ni, ON_GAMMA_W, res, (th1 - th0) * r_in),
     ]
-    b = _stack(parts)
-    return DomainSamples("arc", cols, *b)
+    return cols, parts
 
 
 _DOMAIN_BUILDERS = {
-    "unit-square": lambda res: _rectangle_samples(1.0, 1.0, res, "unit-square"),
-    "rectangle": lambda res: _rectangle_samples(np.pi, 1.0, res, "rectangle"),
+    "unit-square": lambda res: _rectangle_samples(1.0, 1.0, res),
+    "rectangle": lambda res: _rectangle_samples(np.pi, 1.0, res),
     "triangle": _triangle_samples,
     "horn": _horn_samples,
     "trapezoid": _trapezoid_samples,
     # the spiral's outer arc is its inner arc one turn on
-    "spiral": lambda res: _spiral_band(res, 0.5, np.exp(2 * np.pi * _SPIRAL_ALPHA), "spiral"),
-    "shell": lambda res: _spiral_band(res, 0.6, 5.0 / 3.0, "shell"),
+    "spiral": lambda res: _spiral_band(res, 0.5, np.exp(2 * np.pi * _SPIRAL_ALPHA)),
+    "shell": lambda res: _spiral_band(res, 0.6, 5.0 / 3.0),
     "arc": _arc_samples,
 }
 
@@ -428,14 +410,20 @@ def sample_domain(descriptor: str, resolution: int) -> DomainSamples:
     (e.g. the rectangle is (0, pi) x (0, 1)).
 
     resolution is the approximate number of sample points per unit length;
-    values below 8 are rejected as too coarse to certify anything.
+    values below 8 are rejected as too coarse to certify anything; a domain
+    of more than MAX_INTERIOR_SAMPLES samples is rejected before any is built.
     """
     if descriptor not in _DOMAIN_BUILDERS:
         raise MeshError(f"unknown domain descriptor {descriptor!r}; "
                         f"available: {', '.join(DEMO_DOMAINS)}")
     if resolution < 8:
         raise ConfigurationError(f"resolution must be >= 8, got {resolution}")
-    samples = _DOMAIN_BUILDERS[descriptor](resolution)
-    if any(np.any(w <= 0) for _, w in samples.interior.chunks()):
+    cols, parts = _DOMAIN_BUILDERS[descriptor](resolution)
+    if cols.size > MAX_INTERIOR_SAMPLES:
+        raise ConfigurationError(
+            f"domain {descriptor!r} at resolution {resolution} needs {cols.size} interior "
+            f"samples, above the bound of {MAX_INTERIOR_SAMPLES}")
+    if any(np.any(w <= 0) for _, w in cols.chunks()):
         raise MeshError(f"non-positive quadrature weight in domain {descriptor!r}")
-    return samples
+    pts, nrm, tags = zip(*parts)
+    return DomainSamples(descriptor, cols, np.vstack(pts), np.vstack(nrm), np.concatenate(tags))

@@ -9,8 +9,8 @@ Two routes to T-periodic solutions of the coupled system:
   what a consumer holds is up to it: solve_periodic_harmonic collects the
   stream into a SolveReport (fields storing modes k >= 0 only, real by
   construction), while the commands keep per-mode norms and drop each mode
-  after use: solve with snapshot sums and the modes its weak check reads,
-  epsilon-sweep zipping the undamped stream with one damped one per eps.
+  after use: solve with snapshot sums and its weak check's pairings of each
+  mode, epsilon-sweep zipping the undamped stream with one damped one per eps.
   With a damping shift eps and a step count n_steps it computes the damped
   construction below directly, one frequency solve per mode.
 
@@ -156,39 +156,29 @@ class ModeStream:
         x = ops.solve_linear(op, ops.mode_rhs(op, f_k, g_k), tol=self.tol)
         return (*ops.split_mode_solution(op, x), op.residual)
 
-    def report(self, w: np.ndarray, u: np.ndarray,
-               residuals: dict[int, float]) -> SolveReport:
-        """The SolveReport of the stacks w and u of modes 0..K collected from
-        this stream (K = n_modes for the whole solution). A damped or stepped
-        stream reports method "epsilon" with params eps, dt and n_steps (dt
-        and n_steps None when continuous in time); the plain one reports
-        method "harmonic"."""
-        w_field = FourierField(self.period, w, WAVE)
-        h, big_h = _trace_fields(w_field)
-        if self.n_steps is None and self.eps == 0:
-            method, params = "harmonic", {"n_modes": self.n_modes, "tol": self.tol}
-        else:
-            method, params = "epsilon", {"eps": self.eps, "dt": self.dt,
-                                         "n_steps": self.n_steps}
-        return SolveReport(
-            grid=self.grid, u=FourierField(self.period, u, HEAT), w=w_field, trace_h=h,
-            trace_primitive=big_h, mode_residuals=dict(residuals), method=method,
-            params=params)
-
 
 def solve_periodic_harmonic(grid: Grid, f: FourierField | ModeSource | None,
                             g: FourierField | ModeSource | None, n_modes: int,
                             tol: float = 1e-10, eps: float = 0.0,
                             n_steps: int | None = None) -> SolveReport:
-    """Mode-by-mode periodic solve with n_modes temporal frequencies: the
-    ModeStream of these arguments, collected into one SolveReport."""
+    """The ModeStream of these arguments collected into one SolveReport: method
+    "harmonic", or "epsilon" when damped or stepped, with params eps, dt and
+    n_steps (dt and n_steps None when continuous in time)."""
     stream = ModeStream(grid, f, g, n_modes, tol=tol, eps=eps, n_steps=n_steps)
     w = np.zeros((stream.n_modes + 1, grid.ny_w, grid.nx), dtype=complex)
     u = np.zeros((stream.n_modes + 1, grid.ny_h, grid.nx), dtype=complex)
     residuals: dict[int, float] = {}
     for k, w_k, u_k, residual in stream:
         w[k], u[k], residuals[k] = w_k, u_k, residual
-    return stream.report(w, u, residuals)
+    w_field = FourierField(stream.period, w, WAVE)
+    h, big_h = _trace_fields(w_field)
+    if n_steps is None and eps == 0:
+        method, params = "harmonic", {"n_modes": stream.n_modes, "tol": tol}
+    else:
+        method, params = "epsilon", {"eps": eps, "dt": stream.dt, "n_steps": n_steps}
+    return SolveReport(
+        grid=grid, u=FourierField(stream.period, u, HEAT), w=w_field, trace_h=h,
+        trace_primitive=big_h, mode_residuals=residuals, method=method, params=params)
 
 
 # ---------------------------------------------------------------------------

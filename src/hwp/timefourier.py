@@ -168,11 +168,10 @@ class ModeSource:
         return replace(self, build=lambda k: factor * (np.zeros(shape, dtype=complex)
                                                        if (c := build(k)) is None else c))
 
-    def stored(self, n_modes: int | None = None) -> FourierField:
-        """Modes 0..min(n_modes, N) (all by default) built into a FourierField."""
-        n = self.n_modes if n_modes is None else min(n_modes, self.n_modes)
-        out = FourierField.zeros(self.period, n, self.spatial_shape, self.domain)
-        for k in range(n + 1):
+    def stored(self) -> FourierField:
+        """Every mode 0..N built into a FourierField."""
+        out = FourierField.zeros(self.period, self.n_modes, self.spatial_shape, self.domain)
+        for k in range(self.n_modes + 1):
             if (c := self.build(k)) is not None:
                 out.coeffs[k] = c
         out._check_real_mean()

@@ -219,6 +219,22 @@ def test_solve_memory_does_not_grow_with_modes(tmp_path):
     assert max(peaks) - min(peaks) < 5 * 129 * 129 * 16, peaks
 
 
+def test_weak_check_adds_no_mode_to_the_solve(tmp_path):
+    # the weak check pairs each mode as it streams: a whole solve at 129^2
+    # with it peaks less than two complex wave modes above the same solve
+    # without it (stacking modes 0..2 of w and u and storing the forcing
+    # added 1.52 MiB)
+    peaks = []
+    for weak in ("false", "true"):
+        scn = parse_scenario("grid.nx = 129\ngrid.ny_w = 129\ngrid.ny_h = 129\nmodes = 16\n"
+                             f"forcing.wave = series:G1:16\ncheck.weak = {weak}\n",
+                             "solve", out_dir=str(tmp_path))
+        peak, status = traced_peak(lambda: run_scenario(scn))
+        assert status == 0
+        peaks.append(peak)
+    assert peaks[1] - peaks[0] < 2 * 129 * 129 * 16, peaks
+
+
 def test_mode_tables_are_the_two_sided_bytes(tmp_path):
     # the fields store modes k >= 0; solve's _modes.csv and example-gen's
     # _g_coeffs.csv still list k = -N..N, byte for byte what the two-sided
@@ -284,8 +300,21 @@ poincare.ny = 9
     out = tmp_path / "out"
     assert main(["geometry-check", "--config", cfg, "--out", str(out)]) == 0
     payload = json.loads((out / "geometry_check_run.json").read_text())
+    assert payload["domain"] == "unit-square"
     assert payload["poincare"]["rayleigh_min"] > 0
     assert payload["graph_quadform_margin"] >= 0.24
+
+
+def test_poincare_on_a_curved_domain_rejected_before_work(tmp_path, capsys):
+    # the Rayleigh-quotient check needs a rectangular domain; the spiral used
+    # to be sampled, its margins computed and its boundary CSV written first
+    cfg = _write(tmp_path, "domain = spiral\nfield = spiral:0.2\nresolution = 16\n"
+                 "poincare = true\n")
+    out = tmp_path / "out"
+    assert main(["geometry-check", "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "'poincare'" in captured.err and "'domain' = 'spiral'" in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 def test_identity_check_scenario(tmp_path):
@@ -923,7 +952,7 @@ def test_readme_key_table_matches_schemas():
 
 def test_the_csv_workspace_lives_for_one_command(tmp_path):
     # held past its command, the formatter's 800-KiB workspace would add to
-    # a later command's (or the weak check's) peak memory
+    # a later command's peak memory
     reporting.write_grid_csv(str(tmp_path / "grid.csv"), np.ones((3, 3)))
     assert reporting._workspace.cache_info().currsize == 1
     assert run_scenario(parse_scenario(MINIMAL_SOLVE, "solve", str(tmp_path))) == 0

@@ -183,6 +183,7 @@ def _loop_reference(name, res):
 def test_interior_samples_match_column_loop(name, res):
     pts, wts = _loop_reference(name, res)
     s = hwp.sample_domain(name, res)
+    assert s.name == name
     np.testing.assert_array_equal(s.interior_points, pts)
     np.testing.assert_array_equal(s.interior_weights, wts)
 
