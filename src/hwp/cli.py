@@ -556,7 +556,6 @@ def _run_geometry_check(scn: Scenario) -> dict:
     samples = sample_domain(scn["domain"], scn["resolution"])
     report = geometry.check_conditions(spec, samples, tol=scn["tol"])
     payload = report.as_dict()
-    payload["area"] = samples.area
     reporting.write_csv(_out(scn, "_boundary.csv"),
                         ["x", "y", "nx", "ny", "tag", "b_dot_n"],
                         geometry.boundary_sign_table(report, samples))

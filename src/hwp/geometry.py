@@ -34,7 +34,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import GeometryCheckError, SolverError
-from .fields import VectorFieldSpec, jet_batch, sym_min_eig
+from .fields import _JET_CHUNK, VectorFieldSpec, jet_batch, sym_min_eig
 from .mesh import DomainSamples, Grid, _ruled_columns, sample_domain
 from . import quadrature as quad
 
@@ -44,6 +44,12 @@ _PQ_RTOL = 64 * np.finfo(float).eps
 _RAYLEIGH_RTOL, _RAYLEIGH_MAX_ITERATIONS = 1e-8, 500
 # relative residual every shifted solve of check_poincare must meet
 _SOLVE_RTOL = 1e-9
+# SuperLU panel width and relaxed-supernode size of check_poincare's factor:
+# the panel workspace grows with panel width times order; at 193^2-385^2
+# (scipy 1.17) width 2 factored faster than SuperLU's default and, where
+# that workspace sets the peak (graph-vertical), took about half the memory;
+# relaxing supernodes changed neither the fill nor the time
+_PANEL_SIZE, _RELAX = 2, 1
 
 
 @dataclass
@@ -56,6 +62,7 @@ class GeometryReport:
     interface_sign_min: float
     bilap_max: float
     graph_quadform_margin: float
+    area: float  # the sum of the interior weights, chunk by chunk
     # b.n per boundary sample, for boundary_sign_table; not part of as_dict
     b_dot_n: np.ndarray = field(repr=False, compare=False)
     verdicts: dict[str, bool] = field(default_factory=dict)
@@ -71,6 +78,7 @@ class GeometryReport:
             "bilap_max": self.bilap_max,
             "graph_quadform_margin": self.graph_quadform_margin,
             "verdicts": dict(self.verdicts),
+            "area": self.area,
         }
 
 
@@ -127,8 +135,9 @@ def check_conditions(spec: VectorFieldSpec, samples: DomainSamples,
     (contractivity, bilap_max, the graph quadratic-form margin) are built
     one chunk of whole columns at a time (``RuledColumns.chunks``), so the
     working set is one chunk's arrays whatever the sample count; every
-    margin and verdict is bitwise that of one batch. The boundary jets are
-    one batch.
+    margin and verdict is bitwise that of one batch. The same pass sums the
+    chunks' weights into the report's area. The boundary jets are one
+    batch.
     """
     if samples.interior.size == 0:
         raise GeometryCheckError("empty interior sample set")
@@ -142,8 +151,9 @@ def check_conditions(spec: VectorFieldSpec, samples: DomainSamples,
     # the interior reductions chunk by chunk; np.minimum / np.maximum carry
     # a NaN through like the min / max of one batch, and any chunk's -inf
     # margin wins, as one batch returns -inf before it takes any minimum
-    contractivity, bilap_max, margin, blocked = np.inf, -np.inf, np.inf, False
-    for points, _ in samples.interior.chunks():
+    contractivity, bilap_max, margin, blocked, area = np.inf, -np.inf, np.inf, False, 0.0
+    for points, weights in samples.interior.chunks():
+        area += np.sum(weights)
         jets = jet_batch(spec, points)
         contractivity = np.minimum(contractivity, np.min(sym_min_eig(jets["grad"])))
         bilap_max = np.maximum(bilap_max, np.max(jets["lap_div"]))
@@ -175,6 +185,7 @@ def check_conditions(spec: VectorFieldSpec, samples: DomainSamples,
         interface_sign_min=interface_sign_min,
         bilap_max=bilap_max,
         graph_quadform_margin=margin,
+        area=float(area),
         verdicts=verdicts,
         b_dot_n=b_dot_n,
     )
@@ -208,7 +219,8 @@ class PoincareReport:
         return 1.0 / self.rayleigh_min
 
 
-def _poincare_form(spec: VectorFieldSpec, grid: Grid) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+def _poincare_form(spec: VectorFieldSpec, grid: Grid
+                   ) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
     """Assemble (A, M) of the generalized eigenproblem on the wave rectangle.
 
     A f . f = int (grad f)^T S grad f + ||f||^2_{L2(interface)}
@@ -223,30 +235,46 @@ def _poincare_form(spec: VectorFieldSpec, grid: Grid) -> tuple[sp.csr_matrix, sp
     mean squared differences on opposite edges (no checkerboard kernel) and
     the product of the averaged differences. A node couples only to its
     eight neighbours, so A is built from its nine diagonals.
+
+    Returns A (CSR, sorted column indices), the diagonal of M, and the
+    position of each diagonal entry of A in A.data. A stores its nonzero
+    entries and every diagonal entry, so a shift can be added in place; it
+    is exactly symmetric, so its CSR arrays are also its CSC ones. The cell
+    gradients are evaluated in strips of node rows, each with the cell rows
+    on both sides, at most ``fields._JET_CHUNK`` cells unless a strip of
+    one node row holds more; every node sums its cells in the order of one
+    batch, so A does not depend on the strips.
     """
     ny, nx = grid.ny_w, grid.nx
     hx, hy = grid.hx, grid.hy_w
-
-    xc, yc = quad.cell_centers(grid.x, grid.y_w)
-    grad = jet_batch(spec, np.stack([xc.ravel(), yc.ravel()], axis=1))["grad"]
-    sx = (0.5 * hy / hx) * grad[:, 0, 0].reshape(xc.shape)
-    sy = (0.5 * hx / hy) * grad[:, 1, 1].reshape(xc.shape)
-    sxy = (0.25 * (grad[:, 0, 1] + grad[:, 1, 0])).reshape(xc.shape)
 
     # diag[j, i]: entry (n, n) at node n = (j, i); east, north, north_east
     # and north_west: entry (n, n') with n' = (j, i+1), (j+1, i), (j+1, i+1)
     # and (j+1, i-1)
     diag, east, north, north_east, north_west = np.zeros((5, ny, nx))
-    diag[:-1, :-1] += sx + sy + sxy
-    diag[:-1, 1:] += sx + sy - sxy
-    diag[1:, :-1] += sx + sy - sxy
-    diag[1:, 1:] += sx + sy + sxy
-    east[:-1, :-1] -= sx
-    east[1:, :-1] -= sx
-    north[:-1, :-1] -= sy
-    north[:-1, 1:] -= sy
-    north_east[:-1, :-1] -= sxy
-    north_west[:-1, 1:] += sxy
+    rows = max(1, _JET_CHUNK // (nx - 1) - 1)
+    for r0 in range(0, ny, rows):
+        # node rows r0..r1-1 take cell rows c0..c1-1: the cell above a node
+        # row first, then the cell below, as in one batch
+        r1 = min(r0 + rows, ny)
+        c0, c1 = max(r0 - 1, 0), min(r1, ny - 1)
+        xc, yc = quad.cell_centers(grid.x, grid.y_w[c0:c1 + 1])
+        grad = jet_batch(spec, np.stack([xc.ravel(), yc.ravel()], axis=1))["grad"]
+        sx = (0.5 * hy / hx) * grad[:, 0, 0].reshape(xc.shape)
+        sy = (0.5 * hx / hy) * grad[:, 1, 1].reshape(xc.shape)
+        sxy = (0.25 * (grad[:, 0, 1] + grad[:, 1, 0])).reshape(xc.shape)
+        above, below = slice(r0 - c0, None), slice(None, r1 - 1 - c0)
+        up, down = slice(r0, c1), slice(c0 + 1, r1)
+        diag[up, :-1] += sx[above] + sy[above] + sxy[above]
+        diag[up, 1:] += sx[above] + sy[above] - sxy[above]
+        diag[down, :-1] += sx[below] + sy[below] - sxy[below]
+        diag[down, 1:] += sx[below] + sy[below] + sxy[below]
+        east[up, :-1] -= sx[above]
+        east[down, :-1] -= sx[below]
+        north[up, :-1] -= sy[above]
+        north[up, 1:] -= sy[above]
+        north_east[up, :-1] -= sxy[above]
+        north_west[up, 1:] += sxy[above]
 
     # interface L2 mass on the bottom row
     wx = quad.trap_weights_1d(nx, hx)
@@ -278,24 +306,54 @@ def _poincare_form(spec: VectorFieldSpec, grid: Grid) -> tuple[sp.csr_matrix, sp
     bands = {0: diag}
     for d, band in ((1, east), (m - 1, north_west), (m, north), (m + 1, north_east)):
         bands[d] = bands.get(d, 0.0) + band
-    offsets = [d for d in sorted(bands) if d < n]
-    upper = [bands[d][:-1, 1:-1].ravel()[:n - d] for d in offsets]
-    # mirrored, so A is exactly symmetric; the conversion to CSR drops
-    # exact zeros (s11 = s12 = 0 would otherwise store three empty
-    # diagonals and slow the LU of check_poincare several-fold)
-    a = sp.diags(upper + upper[1:], offsets + [-d for d in offsets[1:]],
-                 shape=(n, n), format="csr")
+    upper = {d: bands[d][:-1, 1:-1].ravel()[:n - d] for d in sorted(bands) if d < n}
+    del diag, east, north, north_east, north_west, bands
+    # keep the diagonals that store anything (s11 = s12 = 0 leaves three;
+    # storing the empty ones slowed the LU of check_poincare several-fold),
+    # mirrored so A is exactly symmetric: row p holds diagonal d at column
+    # p + d, from upper[|d|] at min(p, p + d)
+    upper = {d: band for d, band in upper.items() if d == 0 or np.any(band)}
+    offsets = sorted({*upper, *(-d for d in upper)})
+    values = np.zeros((n, len(offsets)))
+    for col, d in enumerate(offsets):
+        if d >= 0:
+            values[:n - d, col] = upper[d]
+        else:
+            values[-d:, col] = upper[-d]
+    stored = values != 0
+    centre = offsets.index(0)
+    stored[:, centre] = True
+    data = values[stored]
+    indices = (np.arange(n, dtype=np.int32)[:, None]
+               + np.array(offsets, dtype=np.int32))[stored]
+    counts = stored.sum(axis=1)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(counts, out=indptr[1:])
+    at_diagonal = indptr[:-1] + stored[:, :centre].sum(axis=1, dtype=np.int32)
+    a = sp.csr_matrix((data, indices, indptr), shape=(n, n))
     mass = quad.trap_mass(ny, nx, hx, hy)[:-1, 1:-1].ravel()
-    return a, sp.diags(mass, format="csr")
+    return a, mass, at_diagonal
+
+
+def _mass_shift(a_data: np.ndarray, mass: np.ndarray) -> float:
+    """The shift sigma of check_poincare: 1e-6 times the ratio of the sums
+    of |A| over its nonzero entries and of M, and at least 1e-18. A stored
+    zero of A's diagonal is left out, as it would change the grouping of
+    the pairwise sum."""
+    magnitude = a_data[a_data != 0]
+    np.abs(magnitude, out=magnitude)
+    return 1e-6 * max(magnitude.sum() / max(mass.sum(), 1e-300), 1e-12)
 
 
 def check_poincare(spec: VectorFieldSpec, grid: Grid) -> PoincareReport:
     """Generalized Rayleigh quotient of the interface Poincare form nearest 0.
 
     Inverse-power iteration on (A, M) with a small mass shift sigma. The
-    one matrix A + sigma M is factored in SuperLU's symmetric mode
-    (diagonal pivots, one symmetric fill-reducing ordering; A is symmetric,
-    so its CSR arrays are its CSC ones), and the diagonal M is applied as a
+    one matrix A + sigma M (sigma M added into A's diagonal entries in
+    place) is factored in SuperLU's symmetric mode (diagonal pivots, one
+    symmetric fill-reducing ordering; A is symmetric, so its CSR arrays are
+    its CSC ones) with the panel and relaxed-supernode sizes
+    ``_PANEL_SIZE`` and ``_RELAX``, and the diagonal M is applied as a
     vector. Every solve is held to ||(A + sigma M) w - M v|| <= 1e-9 ||M v||
     and raises SolverError with its relative residual otherwise. Converged
     when two successive quotients differ by 1e-8 relative; SolverError if
@@ -309,14 +367,13 @@ def check_poincare(spec: VectorFieldSpec, grid: Grid) -> PoincareReport:
     eigenvalue when that count is 0. A may be singular (e.g. for the zero
     field), in which case the reported minimum is zero to solver accuracy.
     """
-    a, m = _poincare_form(spec, grid)
-    mass = m.diagonal()
-    sigma = 1e-6 * max(abs(a).sum() / max(abs(m).sum(), 1e-300), 1e-12)
-    shifted = a + sigma * m
-    del a, m
+    shifted, mass, at_diagonal = _poincare_form(spec, grid)
+    sigma = _mass_shift(shifted.data, mass)
+    shifted.data[at_diagonal] += sigma * mass
     lu = spla.splu(sp.csc_matrix((shifted.data, shifted.indices, shifted.indptr),
                                  shape=shifted.shape),
                    permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   relax=_RELAX, panel_size=_PANEL_SIZE,
                    options={"SymmetricMode": True})
     negative = (int(np.count_nonzero(lu.U.diagonal() < 0))
                 if np.array_equal(lu.perm_r, lu.perm_c) else None)

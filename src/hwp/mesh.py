@@ -173,11 +173,6 @@ class DomainSamples:
         """Every interior weight, (n,): the chunks in one array."""
         return np.concatenate([w for _, w in self.interior.chunks()] or [np.empty(0)])
 
-    @property
-    def area(self) -> float:
-        """The sum of the interior weights, chunk by chunk."""
-        return float(sum(np.sum(w) for _, w in self.interior.chunks()))
-
     def gamma_mask(self) -> np.ndarray:
         return self.boundary_tags == ON_GAMMA
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -11,6 +16,8 @@ from hwp.geometry import _poincare_form, boundary_sign_table
 from hwp.mesh import DomainSamples
 
 from conftest import traced_peak
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_triangle_translate_passes_geometric_optics():
@@ -116,8 +123,8 @@ def test_poincare_inertia_matches_dense_pencil(field, n):
     spec = hwp.parse_field(field)
     grid = hwp.build_stacked_rectangles(np.pi, 1.0, 1.0, n, n, 3)
     rep = hwp.check_poincare(spec, grid)
-    a, m = _poincare_form(spec, grid)
-    eig = scipy.linalg.eigh(a.toarray(), m.toarray(), eigvals_only=True)
+    a, mass, _ = _poincare_form(spec, grid)
+    eig = scipy.linalg.eigh(a.toarray(), np.diag(mass), eigvals_only=True)
     scale = np.max(np.abs(eig))
     assert rep.negative_eigenvalues == np.count_nonzero(eig < -1e-9 * scale)
     if rep.negative_eigenvalues == 0:
@@ -354,10 +361,10 @@ _POINCARE_FIELDS = ["graph-vertical:2", "spiral:0.2", "horn:0.5", "spiral:0.2+cr
 def test_poincare_form_matches_loop_assembly(field, monkeypatch):
     spec = _poincare_field(field, monkeypatch)
     grid = hwp.build_stacked_rectangles(1.3, 0.8, 1.0, 11, 9, 3)
-    a, m = _poincare_form(spec, grid)
+    a, mass, _ = _poincare_form(spec, grid)
     ref_a, ref_m = _loop_poincare_form(spec, grid)
     assert _rel_diff(a.toarray(), ref_a) <= 1e-14
-    np.testing.assert_array_equal(m.diagonal(), ref_m)
+    np.testing.assert_array_equal(mass, ref_m)
 
 
 @pytest.mark.parametrize("field", _POINCARE_FIELDS)
@@ -370,11 +377,146 @@ def test_poincare_form_structure_matches_kron_builder(field, dims, monkeypatch):
     lx, nx, ny = dims
     spec = _poincare_field(field, monkeypatch)
     grid = hwp.build_stacked_rectangles(lx, 1.0, 1.0, nx, ny, 3)
-    a, _ = _poincare_form(spec, grid)
+    a, _, _ = _poincare_form(spec, grid)
     ref = _kron_poincare_form(spec, grid)
     assert a.nnz == ref.nnz
     assert (a != a.T).nnz == 0
     assert abs(a - ref).max() <= 1e-14 * abs(ref).max()
+
+
+def _diags_poincare_form(spec, grid):
+    """Reference: (A, M) of _poincare_form as sp.diags assembled them, from
+    all cell gradients in one batch and the nine diagonals of the free
+    nodes, converted to CSR (which drops exact zeros)."""
+    ny, nx = grid.ny_w, grid.nx
+    hx, hy = grid.hx, grid.hy_w
+    xc, yc = quad.cell_centers(grid.x, grid.y_w)
+    grad = jet_batch(spec, np.stack([xc.ravel(), yc.ravel()], axis=1))["grad"]
+    sx = (0.5 * hy / hx) * grad[:, 0, 0].reshape(xc.shape)
+    sy = (0.5 * hx / hy) * grad[:, 1, 1].reshape(xc.shape)
+    sxy = (0.25 * (grad[:, 0, 1] + grad[:, 1, 0])).reshape(xc.shape)
+    diag, east, north, north_east, north_west = np.zeros((5, ny, nx))
+    diag[:-1, :-1] += sx + sy + sxy
+    diag[:-1, 1:] += sx + sy - sxy
+    diag[1:, :-1] += sx + sy - sxy
+    diag[1:, 1:] += sx + sy + sxy
+    east[:-1, :-1] -= sx
+    east[1:, :-1] -= sx
+    north[:-1, :-1] -= sy
+    north[:-1, 1:] -= sy
+    north_east[:-1, :-1] -= sxy
+    north_west[:-1, 1:] += sxy
+    wx = quad.trap_weights_1d(nx, hx)
+    diag[0, 1:-1] += wx[1:-1]
+    wy = quad.trap_weights_1d(ny, hy)
+    b_top = jet_batch(spec, np.stack([grid.x, np.full(nx, grid.ly_w)], axis=1))["b"]
+    b_left = jet_batch(spec, np.stack([np.zeros(ny), grid.y_w], axis=1))["b"]
+    b_right = jet_batch(spec, np.stack([np.full(ny, grid.lx), grid.y_w], axis=1))["b"]
+    c = -b_top[:, 1] * wx / hy**2
+    diag[-2] += 4.0 * c
+    diag[-3] += 0.25 * c
+    north[-3] -= c
+    for near, far, c in ((1, 2, b_left[:, 0] * wy / hx**2),
+                         (-2, -3, -b_right[:, 0] * wy / hx**2)):
+        diag[:, near] += 4.0 * c
+        diag[:, far] += 0.25 * c
+        east[:, min(near, far)] -= c
+    m = nx - 2
+    n = (ny - 1) * m
+    east[:, -2] = north_east[:, -2] = north_west[:, 1] = 0.0
+    bands = {0: diag}
+    for d, band in ((1, east), (m - 1, north_west), (m, north), (m + 1, north_east)):
+        bands[d] = bands.get(d, 0.0) + band
+    offsets = [d for d in sorted(bands) if d < n]
+    upper = [bands[d][:-1, 1:-1].ravel()[:n - d] for d in offsets]
+    a = sp.diags(upper + upper[1:], offsets + [-d for d in offsets[1:]],
+                 shape=(n, n), format="csr")
+    mass = quad.trap_mass(ny, nx, hx, hy)[:-1, 1:-1].ravel()
+    return a, sp.diags(mass, format="csr")
+
+
+@pytest.mark.parametrize("field", _POINCARE_FIELDS)
+@pytest.mark.parametrize("dims", [(np.pi, 33, 33), (1.3, 11, 9), (1.0, 4, 5), (1.0, 3, 3),
+                                  (np.pi, 193, 193)],
+                         ids=["33^2", "11x9", "4x5", "3^2", "193^2"])
+def test_poincare_form_is_bitwise_the_diagonal_assembly(field, dims, monkeypatch):
+    # the CSR arrays built from the diagonals, the shift and the shifted
+    # matrix SuperLU factors are those of sp.diags, bit for bit (193^2
+    # evaluates the gradients in more than one strip)
+    lx, nx, ny = dims
+    spec = _poincare_field(field, monkeypatch)
+    grid = hwp.build_stacked_rectangles(lx, 1.0, 1.0, nx, ny, 3)
+    a, mass, at_diagonal = _poincare_form(spec, grid)
+    ref, ref_m = _diags_poincare_form(spec, grid)
+    assert a.data.tobytes() == ref.data.tobytes()
+    np.testing.assert_array_equal(a.indices, ref.indices)
+    np.testing.assert_array_equal(a.indptr, ref.indptr)
+    assert mass.tobytes() == ref_m.diagonal().tobytes()
+    np.testing.assert_array_equal(a.indices[at_diagonal], np.arange(a.shape[0]))
+    sigma = geometry._mass_shift(a.data, mass)
+    assert sigma == 1e-6 * max(abs(ref).sum() / max(abs(ref_m).sum(), 1e-300), 1e-12)
+    a.data[at_diagonal] += sigma * mass
+    shifted = ref + sigma * ref_m
+    assert a.data.tobytes() == shifted.data.tobytes()
+    np.testing.assert_array_equal(a.indices, shifted.indices)
+    np.testing.assert_array_equal(a.indptr, shifted.indptr)
+
+
+@pytest.mark.parametrize("chunk", [1, 30, 41])
+def test_poincare_form_does_not_depend_on_the_strips(chunk, monkeypatch):
+    # strips of one, two and three node rows (11 x 9 nodes, 10 cells a row)
+    # give the one-strip bits
+    spec = _poincare_field("spiral:0.2+cross", monkeypatch)
+    grid = hwp.build_stacked_rectangles(1.3, 1.0, 1.0, 11, 9, 3)
+    ref, _ = _diags_poincare_form(spec, grid)
+    monkeypatch.setattr(geometry, "_JET_CHUNK", chunk)
+    a, _, _ = _poincare_form(spec, grid)
+    assert a.data.tobytes() == ref.data.tobytes()
+    np.testing.assert_array_equal(a.indices, ref.indices)
+
+
+@pytest.mark.parametrize("field", ["graph-vertical:2", "spiral:0.2"])
+def test_poincare_form_memory_is_bounded(field):
+    # the form holds the five nodal diagonal arrays, one strip of jets and
+    # about twice its output (the values and column indices of the kept
+    # diagonals, row by row, then their stored entries): 5.8 and 7.5 MiB at
+    # 193^2, against 13.8 and 12.9 MiB through sp.diags and its CSR copies
+    grid = hwp.build_stacked_rectangles(np.pi, 1.0, 1.0, 193, 193, 3)
+    peak, (a, mass, at_diagonal) = traced_peak(
+        lambda: _poincare_form(hwp.parse_field(field), grid))
+    output = sum(x.nbytes for x in (a.data, a.indices, a.indptr, mass, at_diagonal))
+    nodal = 5 * grid.ny_w * grid.nx * 8
+    assert peak <= 3 * output + nodal, (peak, output, nodal)
+
+
+_RECT_CONFIG = ("domain = rectangle\nfield = graph-vertical:2\npoincare = true\n"
+                "poincare.nx = 193\npoincare.ny = 193\nname = rect\n")
+
+
+def _child_maxrss_kib(code, tmp_path):
+    """ru_maxrss (KiB) of one fresh interpreter running code: a launcher
+    runs it as its only child and reads RUSAGE_CHILDREN."""
+    launcher = ("import resource, subprocess, sys; subprocess.run(sys.argv[1:], check=True); "
+                "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", launcher, sys.executable, "-c", code],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout.splitlines()[-1])
+
+
+def test_geometry_check_poincare_rss_rise_is_bounded(tmp_path):
+    # SuperLU allocates in C, out of tracemalloc's sight, so the rect
+    # geometry-check of the verify benchmark is measured as a process: its
+    # high-water mark above a process that only imports hwp: 9.2-10.3 MB
+    # with the direct CSR arrays and panel width 2, 20.6-21.1 MB through
+    # sp.diags, the A + sigma M copy and SuperLU's default panel (24 fresh
+    # processes each)
+    run = ("import hwp.cli as cli; cli.run_scenario(cli.parse_scenario("
+           f"{_RECT_CONFIG!r}, 'geometry-check', {str(tmp_path)!r}))")
+    rise = (_child_maxrss_kib(run, tmp_path)
+            - _child_maxrss_kib("import hwp.cli", tmp_path)) / 1024
+    assert rise <= 15.0, rise
 
 
 def test_trapezoid_integrals_match_column_loop(monkeypatch):
@@ -568,7 +710,13 @@ def _single_batch_conditions(spec, samples, tol=1e-10):
         field=spec.describe(), domain=samples.name, tol=tol,
         contractivity_margin=contractivity, gammaW_sign_max=gammaW_sign_max,
         interface_sign_min=interface_sign_min, bilap_max=bilap_max,
-        graph_quadform_margin=margin, verdicts=verdicts, b_dot_n=b_dot_n)
+        graph_quadform_margin=margin, area=_chunk_area(samples), verdicts=verdicts,
+        b_dot_n=b_dot_n)
+
+
+def _chunk_area(samples):
+    """Reference: the area as the samples summed it, chunk by chunk."""
+    return float(sum(np.sum(w) for _, w in samples.interior.chunks()))
 
 
 def _outcome(check, spec, samples):
@@ -599,6 +747,28 @@ def test_chunked_conditions_equal_single_batch(domain, field, resolution):
     spec, samples = hwp.parse_field(field), _demo_samples(domain, resolution)
     assert (_outcome(hwp.check_conditions, spec, samples)
             == _outcome(_single_batch_conditions, spec, samples))
+
+
+_DOMAIN_FIELDS = {"arc": "arc", "horn": "horn:0.5", "rectangle": "graph-vertical:2",
+                  "shell": "spiral:0.2", "spiral": "spiral:0.2",
+                  "trapezoid": "translate:0,0", "triangle": "translate:0,0",
+                  "unit-square": "graph-vertical:2"}
+
+
+@pytest.mark.parametrize("resolution", [16, 48, 96])
+@pytest.mark.parametrize("domain", hwp.DEMO_DOMAINS)
+def test_check_conditions_area_is_the_chunked_weight_sum(domain, resolution, monkeypatch):
+    # the margins' pass sums the weights: bitwise the sum chunk by chunk,
+    # and no chunk is built a second time
+    samples = _demo_samples(domain, resolution)
+    ref = _chunk_area(samples)
+    built = []
+    chunks = type(samples.interior).chunks
+    monkeypatch.setattr(type(samples.interior), "chunks",
+                        lambda self: built.append(1) or chunks(self))
+    rep = hwp.check_conditions(hwp.parse_field(_DOMAIN_FIELDS[domain]), samples)
+    assert rep.area == ref and rep.as_dict()["area"] == ref
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("blocked", [False, True], ids=["finite", "minus-inf"])
