@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AnalysisError, ConfigurationError
-from .fields import _JET_CHUNK, VectorFieldSpec, graph_vertical, jet_batch
+from .fields import _JET_CHUNK, VectorFieldSpec, graph_vertical, jet_batch, on_grid
 from .mesh import Grid
 from . import closedform
 from . import operators as ops
@@ -111,17 +111,33 @@ def _parseval_modes(period: float, fields: dict[str, FourierField | ModeSource |
 
     weight_k = T for k = 0 and 2T for k > 0. Yields (k, weight_k, modes) for
     each mode k >= 0 at which any given field has a non-zero coefficient,
-    modes holding each field's c_k (None stays None). Every field is read
-    through mode(k), so a FourierField and a ModeSource serve alike; each
-    modes dict is emptied before the next mode is built, so one mode of
-    each field is held at a time.
+    modes holding each field's c_k (None stays None). A FourierField is read
+    through mode(k); a ModeSource is built once per mode, and a mode it
+    builds as None (or past its own modes) is zero without being built or
+    scanned, so a k where every field is absent or such a zero is skipped at
+    once. Each modes dict is emptied before the next mode is built, so one
+    mode of each field is held at a time.
     """
     n = max(f.n_modes for f in fields.values() if f is not None)
     for k in range(n + 1):
-        modes = {name: None if f is None else f.mode(k) for name, f in fields.items()}
+        modes = {name: _built_mode(f, k) for name, f in fields.items()}
         if any(np.any(c) for c in modes.values() if c is not None):
+            for name, f in fields.items():
+                if f is not None and modes[name] is None:
+                    modes[name] = np.zeros(f.spatial_shape, dtype=complex)
             yield k, period * parseval_weights(k), modes
         modes.clear()
+
+
+def _built_mode(field_: FourierField | ModeSource | None, k: int) -> np.ndarray | None:
+    """c_k of field_ (k >= 0), or None where it is zero by construction: an
+    absent field, a mode past its own, or a ModeSource mode built as None."""
+    if field_ is None or k > field_.n_modes:
+        return None
+    if isinstance(field_, ModeSource):
+        c = field_.build(k)
+        return None if c is None else np.asarray(c, complex)
+    return field_.mode(k)
 
 
 def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -137,14 +153,11 @@ def _area_sums(spec: VectorFieldSpec, x: np.ndarray, y: np.ndarray,
     mode's w and g of shape (len(y), len(x))."""
     xc, yc = quad.cell_centers(x, y)
     jets = jet_batch(spec, np.stack([xc.ravel(), yc.ravel()], axis=1))
-    bx = jets["b"][:, 0].reshape(xc.shape)
-    by = jets["b"][:, 1].reshape(xc.shape)
     gsym = 0.5 * (jets["grad"] + np.swapaxes(jets["grad"], 1, 2))
-    g11 = gsym[:, 0, 0].reshape(xc.shape)
-    g12 = gsym[:, 0, 1].reshape(xc.shape)
-    g22 = gsym[:, 1, 1].reshape(xc.shape)
-    divb = jets["div"].reshape(xc.shape)
-    lapdiv = jets["lap_div"].reshape(xc.shape)
+    bx, by, g11, g12, g22, divb, lapdiv = (
+        on_grid(a, xc.shape) for a in (jets["b"][:, 0], jets["b"][:, 1], gsym[:, 0, 0],
+                                       gsym[:, 0, 1], gsym[:, 1, 1], jets["div"],
+                                       jets["lap_div"]))
     fx, fy = quad.cell_gradient(wk, hx, hy)
     gc, wc = quad.cell_average(gk), quad.cell_average(wk)
     densities = (g11 * _pair(fx, fx) + 2 * g12 * _pair(fx, fy) + g22 * _pair(fy, fy),

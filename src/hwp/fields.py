@@ -3,9 +3,11 @@
 Each built-in field carries exact expressions for its gradient, divergence,
 the gradient of the divergence, and the Laplacian of the divergence, all
 evaluated at once on an array of points by ``jet_batch``; these feed the
-geometric condition checks and the flow-multiplier identity. The available
-variants, built by the constructors below or parsed from text by
-``parse_field``:
+geometric condition checks and the flow-multiplier identity. b has one row
+per point; every other entry has one row per point only where it varies
+over the points (arc's gradient) and a single row otherwise, and its
+consumers broadcast it. The available variants, built by the constructors
+below or parsed from text by ``parse_field``:
 
 * translate(x0):      b = x - x0
 * horn(beta):         b = (beta*x, y)
@@ -32,7 +34,8 @@ _KINDS = tuple(_FIELD_ARGS)
 
 # points per jet evaluation of the chunked reductions (the interior margins
 # of geometry.check_conditions, the cell-row strips of the multiplier
-# identity): about 1.3 MB of jets, so a chunk's arrays stay in cache
+# identity): about 0.26 MB of jets for an affine field (b alone varies) and
+# 0.79 MB for arc, so a chunk's arrays stay in cache
 _JET_CHUNK = 1 << 14
 
 
@@ -75,47 +78,46 @@ def graph_vertical(c0: float) -> VectorFieldSpec:
 def jet_batch(spec: VectorFieldSpec, points: np.ndarray) -> dict[str, np.ndarray]:
     """Evaluate the full jet at an array of points, shape (n, 2).
 
-    Returns arrays b (n,2), grad (n,2,2), div (n,), grad_div (n,2),
-    lap_div (n,).
+    Returns b (n, 2) and grad (m, 2, 2), div (m,), grad_div (m, 2) and
+    lap_div (m,), where m = n for an entry that varies over the points
+    (only arc's grad) and m = 1 for one that does not. A consumer
+    broadcasts each entry against the points (``on_grid`` lays one out on
+    a grid of points); a sum over the points takes n terms either way.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    n = pts.shape[0]
     x, y = pts[:, 0], pts[:, 1]
-    b = np.zeros((n, 2))
-    grad = np.zeros((n, 2, 2))
-    div = np.zeros(n)
-    grad_div = np.zeros((n, 2))
-    lap_div = np.zeros(n)
+    grad, div = np.zeros((1, 2, 2)), np.zeros(1)
 
     kind = spec.kind
+    # b is written column by column with scalar operands, so that no
+    # temporary of the points' size is made for an affine field; "zero"
+    # keeps every entry 0
+    b = np.zeros((len(pts), 2))
     if kind == "translate":
         x0, y0 = spec.params
-        b[:, 0] = x - x0
-        b[:, 1] = y - y0
-        grad[:, 0, 0] = 1.0
-        grad[:, 1, 1] = 1.0
-        div[:] = 2.0
+        np.subtract(x, x0, out=b[:, 0])
+        np.subtract(y, y0, out=b[:, 1])
+        grad[0] = np.eye(2)
+        div[0] = 2.0
     elif kind == "horn":
         (beta,) = spec.params
-        b[:, 0] = beta * x
+        np.multiply(x, beta, out=b[:, 0])
         b[:, 1] = y
-        grad[:, 0, 0] = beta
-        grad[:, 1, 1] = 1.0
-        div[:] = beta + 1.0
+        grad[0] = np.diag([beta, 1.0])
+        div[0] = beta + 1.0
     elif kind == "spiral":
         (alpha,) = spec.params
-        b[:, 0] = -y + alpha * x
-        b[:, 1] = x + alpha * y
-        grad[:, 0, 0] = alpha
-        grad[:, 0, 1] = -1.0
-        grad[:, 1, 0] = 1.0
-        grad[:, 1, 1] = alpha
-        div[:] = 2.0 * alpha
+        np.multiply(x, alpha, out=b[:, 0])  # alpha x - y and alpha y + x
+        b[:, 0] -= y
+        np.multiply(y, alpha, out=b[:, 1])
+        b[:, 1] += x
+        grad[0] = [[alpha, -1.0], [1.0, alpha]]
+        div[0] = 2.0 * alpha
     elif kind == "graph-vertical":
         (c0,) = spec.params
-        b[:, 1] = y - c0
-        grad[:, 1, 1] = 1.0
-        div[:] = 1.0
+        np.subtract(y, c0, out=b[:, 1])
+        grad[0, 1, 1] = 1.0
+        div[0] = 1.0
     elif kind == "arc":
         if np.any(y <= 0):
             bad = pts[y <= 0][0]
@@ -126,15 +128,21 @@ def jet_batch(spec: VectorFieldSpec, points: np.ndarray) -> dict[str, np.ndarray
         b[:, 0] = -y * theta
         b[:, 1] = x * theta
         # grad theta = (-y, x) / r^2
+        grad = np.empty((len(pts), 2, 2))
         grad[:, 0, 0] = y * y / r2
         grad[:, 0, 1] = -theta - x * y / r2
         grad[:, 1, 0] = theta - x * y / r2
         grad[:, 1, 1] = x * x / r2
-        div[:] = 1.0  # renormalization makes div(Phi b) = 1 identically
-    elif kind == "zero":
-        pass
-    return {"b": b, "grad": grad, "div": div, "grad_div": grad_div,
-            "lap_div": lap_div}
+        div[0] = 1.0  # renormalization makes div(Phi b) = 1 identically
+    return {"b": b, "grad": grad, "div": div, "grad_div": np.zeros((1, 2)),
+            "lap_div": np.zeros(1)}
+
+
+def on_grid(entry: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """A jet entry (or a per-point function of one) at points laid out
+    row-major in shape: reshaped where it has one row per point, as it is
+    where it has one row, which broadcasts against the grid."""
+    return entry.reshape(shape) if len(entry) > 1 else entry
 
 
 def sym_min_eig(grad: np.ndarray) -> np.ndarray:

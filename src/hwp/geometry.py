@@ -34,7 +34,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import GeometryCheckError, SolverError
-from .fields import _JET_CHUNK, VectorFieldSpec, jet_batch, sym_min_eig
+from .fields import _JET_CHUNK, VectorFieldSpec, jet_batch, on_grid, sym_min_eig
 from .mesh import DomainSamples, Grid, _ruled_columns, sample_domain
 from . import quadrature as quad
 
@@ -42,8 +42,9 @@ from . import quadrature as quad
 _PQ_RTOL = 64 * np.finfo(float).eps
 # convergence tolerance (relative) and iteration limit of check_poincare
 _RAYLEIGH_RTOL, _RAYLEIGH_MAX_ITERATIONS = 1e-8, 500
-# relative residual every shifted solve of check_poincare must meet
-_SOLVE_RTOL = 1e-9
+# relative residual every shifted solve of check_poincare must meet, and the
+# iterative refinement steps a solve of an indefinite form may take to meet it
+_SOLVE_RTOL, _REFINE_STEPS = 1e-9, 2
 # SuperLU panel width and relaxed-supernode size of check_poincare's factor:
 # the panel workspace grows with panel width times order; at 193^2-385^2
 # (scipy 1.17) width 2 factored faster than SuperLU's default and, where
@@ -108,11 +109,12 @@ def _quadform_margin(jets: dict[str, np.ndarray], tol: float) -> float:
     bb = bx * bx + by * by
     moving = bb > 0
     if not np.all(moving):  # the compactions copy; skip them when all samples move
-        if np.any(sym_min_eig(grad[~moving]) < -tol):
+        if np.any(np.broadcast_to(sym_min_eig(grad), bb.shape)[~moving] < -tol):
             return -np.inf
         if not np.any(moving):
             return np.inf
-        bx, by, sxx, syy, sxy, bb = (a[moving] for a in (bx, by, sxx, syy, sxy, bb))
+        bx, by, sxx, syy, sxy, bb = (np.broadcast_to(a, moving.shape)[moving]
+                                     for a in (bx, by, sxx, syy, sxy, bb))
     p = sxx * by * by - 2.0 * sxy * bx * by + syy * bx * bx
     q = sxy * (bx * bx - by * by) + (syy - sxx) * bx * by
     zero = _PQ_RTOL * np.sqrt(sxx * sxx + 2.0 * sxy * sxy + syy * syy) * bb
@@ -123,7 +125,7 @@ def _quadform_margin(jets: dict[str, np.ndarray], tol: float) -> float:
     if not np.any(flat):
         return float(np.min(det / p, initial=np.inf))
     bsb = sxx * bx * bx + 2.0 * sxy * bx * by + syy * by * by
-    return float(min(np.min(det[~flat] / p[~flat], initial=np.inf),
+    return float(min(np.min(np.broadcast_to(det, p.shape)[~flat] / p[~flat], initial=np.inf),
                      np.min(bsb[flat] / (bb[flat] * bb[flat]), initial=np.inf)))
 
 
@@ -260,15 +262,18 @@ def _poincare_form(spec: VectorFieldSpec, grid: Grid
         c0, c1 = max(r0 - 1, 0), min(r1, ny - 1)
         xc, yc = quad.cell_centers(grid.x, grid.y_w[c0:c1 + 1])
         grad = jet_batch(spec, np.stack([xc.ravel(), yc.ravel()], axis=1))["grad"]
-        sx = (0.5 * hy / hx) * grad[:, 0, 0].reshape(xc.shape)
-        sy = (0.5 * hx / hy) * grad[:, 1, 1].reshape(xc.shape)
-        sxy = (0.25 * (grad[:, 0, 1] + grad[:, 1, 0])).reshape(xc.shape)
+        sx = (0.5 * hy / hx) * grad[:, 0, 0]
+        sy = (0.5 * hx / hy) * grad[:, 1, 1]
+        sxy = 0.25 * (grad[:, 0, 1] + grad[:, 1, 0])
+        # per cell, or one value broadcast over the cells (read-only views)
+        sx, sy, sxy, plus, minus = (np.broadcast_to(on_grid(a, xc.shape), xc.shape)
+                                    for a in (sx, sy, sxy, sx + sy + sxy, sx + sy - sxy))
         above, below = slice(r0 - c0, None), slice(None, r1 - 1 - c0)
         up, down = slice(r0, c1), slice(c0 + 1, r1)
-        diag[up, :-1] += sx[above] + sy[above] + sxy[above]
-        diag[up, 1:] += sx[above] + sy[above] - sxy[above]
-        diag[down, :-1] += sx[below] + sy[below] - sxy[below]
-        diag[down, 1:] += sx[below] + sy[below] + sxy[below]
+        diag[up, :-1] += plus[above]
+        diag[up, 1:] += minus[above]
+        diag[down, :-1] += minus[below]
+        diag[down, 1:] += plus[below]
         east[up, :-1] -= sx[above]
         east[down, :-1] -= sx[below]
         north[up, :-1] -= sy[above]
@@ -355,7 +360,10 @@ def check_poincare(spec: VectorFieldSpec, grid: Grid) -> PoincareReport:
     its CSC ones) with the panel and relaxed-supernode sizes
     ``_PANEL_SIZE`` and ``_RELAX``, and the diagonal M is applied as a
     vector. Every solve is held to ||(A + sigma M) w - M v|| <= 1e-9 ||M v||
-    and raises SolverError with its relative residual otherwise. Converged
+    and raises SolverError with its relative residual otherwise; when the
+    form is indefinite (the unpivoted factor may then lose accuracy), a
+    solve that misses first takes up to ``_REFINE_STEPS`` steps of
+    iterative refinement, w += solve(M v - (A + sigma M) w). Converged
     when two successive quotients differ by 1e-8 relative; SolverError if
     not within 500 iterations.
 
@@ -377,6 +385,9 @@ def check_poincare(spec: VectorFieldSpec, grid: Grid) -> PoincareReport:
                    options={"SymmetricMode": True})
     negative = (int(np.count_nonzero(lu.U.diagonal() < 0))
                 if np.array_equal(lu.perm_r, lu.perm_c) else None)
+    # an unpivoted factor of a positive definite form is backward stable, so
+    # only an indefinite (or off-diagonally pivoted) one is refined
+    refine = 0 if negative == 0 else _REFINE_STEPS
     rng = np.random.default_rng(1234)
     v = rng.standard_normal(shifted.shape[0])
     v /= np.sqrt(v @ (mass * v))
@@ -384,8 +395,13 @@ def check_poincare(spec: VectorFieldSpec, grid: Grid) -> PoincareReport:
     for it in range(1, _RAYLEIGH_MAX_ITERATIONS + 1):
         mv = mass * v
         w = lu.solve(mv)
-        aw = shifted @ w
-        residual = float(np.linalg.norm(aw - mv) / np.linalg.norm(mv))
+        for step in range(refine + 1):
+            if step:
+                w += lu.solve(mv - aw)
+            aw = shifted @ w
+            residual = float(np.linalg.norm(aw - mv) / np.linalg.norm(mv))
+            if residual <= _SOLVE_RTOL:
+                break
         if not residual <= _SOLVE_RTOL:
             raise SolverError(f"Poincare solve {it} missed its residual contract: "
                               f"{residual:.3e} > {_SOLVE_RTOL:.0e}", residual=residual)

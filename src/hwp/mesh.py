@@ -418,7 +418,11 @@ def sample_domain(descriptor: str, resolution: int) -> DomainSamples:
         raise ConfigurationError(
             f"domain {descriptor!r} at resolution {resolution} needs {cols.size} interior "
             f"samples, above the bound of {MAX_INTERIOR_SAMPLES}")
-    if any(np.any(w <= 0) for _, w in cols.chunks()):
+    # a column's weights are h_t h[c] (times the radius, which grows along
+    # the column from lo[c] + h[c]/2), so the spacings and the innermost
+    # radii bound them all from below; NaN fails the test too
+    inner = cols.lo + 0.5 * cols.h if cols.chart == "polar" else cols.h
+    if not (cols.h_t > 0 and np.all(cols.h > 0) and np.all(inner > 0)):
         raise MeshError(f"non-positive quadrature weight in domain {descriptor!r}")
     pts, nrm, tags = zip(*parts)
     return DomainSamples(descriptor, cols, np.vstack(pts), np.vstack(nrm), np.concatenate(tags))

@@ -2,6 +2,8 @@
 
 import tracemalloc
 
+import numpy as np
+
 
 def traced_peak(fn):
     """(peak, result) of fn(): the peak of the memory tracemalloc traces
@@ -14,3 +16,10 @@ def traced_peak(fn):
         return tracemalloc.get_traced_memory()[1] - base, result
     finally:
         tracemalloc.stop()
+
+
+def per_point(jets):
+    """A jet_batch dict with every entry as n rows, one per point (n the rows
+    of b): an entry of one row is repeated, as writable arrays."""
+    n = len(jets["b"])
+    return {name: np.broadcast_to(v, (n, *v.shape[1:])).copy() for name, v in jets.items()}

@@ -13,7 +13,7 @@ from hwp import quadrature as quad
 from hwp.fields import jet_batch
 
 import fourier_oracle as oracle
-from conftest import traced_peak
+from conftest import per_point, traced_peak
 
 T = 2 * np.pi
 
@@ -180,7 +180,7 @@ def _identity_terms_oracle(w, g, h, big_h, spec, grid, jet_batch=jet_batch):
     H_t = big_h.sample_real(times) if big_h is not None else np.zeros((wt, nx))
 
     xc, yc = quad.cell_centers(grid.x, grid.y_w)
-    jets = jet_batch(spec, np.stack([xc.ravel(), yc.ravel()], axis=1))
+    jets = per_point(jet_batch(spec, np.stack([xc.ravel(), yc.ravel()], axis=1)))
     bx, by = (jets["b"][:, i].reshape(xc.shape) for i in (0, 1))
     gsym = 0.5 * (jets["grad"] + np.swapaxes(jets["grad"], 1, 2))
     g11, g12, g22 = (gsym[:, p, q].reshape(xc.shape) for p, q in ((0, 0), (0, 1), (1, 1)))
@@ -321,7 +321,7 @@ def _single_pass_identity(w, g, h, big_h, spec, grid, jet_batch=jet_batch):
     pair = analysis._pair
     ny, nx, hx, hy = grid.ny_w, grid.nx, grid.hx, grid.hy_w
     xc, yc = quad.cell_centers(grid.x, grid.y_w)
-    jets = jet_batch(spec, np.stack([xc.ravel(), yc.ravel()], axis=1))
+    jets = per_point(jet_batch(spec, np.stack([xc.ravel(), yc.ravel()], axis=1)))
     bx, by = (jets["b"][:, i].reshape(xc.shape) for i in (0, 1))
     gsym = 0.5 * (jets["grad"] + np.swapaxes(jets["grad"], 1, 2))
     g11, g12, g22 = (gsym[:, p, q].reshape(xc.shape) for p, q in ((0, 0), (0, 1), (1, 1)))
@@ -458,6 +458,41 @@ def test_parseval_modes_hold_one_mode_at_a_time():
         assert modes["h"] is None and modes["w"].shape == (17, 17)
         seen.append(modes)
     assert [len(m) for m in seen] == [0, 0, 0, 0]
+
+
+def test_parseval_modes_build_no_zero_mode():
+    # a ModeSource mode built as None is skipped without building zeros; a
+    # k where every field is absent or None is not yielded, every yielded
+    # mode is built once, and a None mode of a yielded k reads as zeros
+    grid = wave_grid(9)
+    shape = (grid.ny_w, grid.nx)
+    calls = {"w": [], "g": []}
+
+    def source(name, live):
+        def build(k):
+            calls[name].append(k)
+            return np.full(shape, k + 1j) if k in live else None
+        return ModeSource(T, 4, shape, "wave", build)
+
+    zeros_made = []
+    real_zeros = np.zeros
+    fields = {"w": source("w", (2, 4)), "g": source("g", (4,)), "h": None}
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(analysis.np, "zeros",
+                  lambda *a, **kw: zeros_made.append(a) or real_zeros(*a, **kw))
+        got = [(k, weight, {name: None if c is None else c.copy() for name, c in modes.items()})
+               for k, weight, modes in analysis._parseval_modes(T, fields)]
+    assert [k for k, _, _ in got] == [2, 4]
+    assert calls == {"w": [0, 1, 2, 3, 4], "g": [0, 1, 2, 3, 4]}
+    assert zeros_made == [(shape,)]  # g at k = 2 only
+    (_, weight2, at2), (_, weight4, at4) = got
+    assert (weight2, weight4) == (2 * T, 2 * T)
+    np.testing.assert_array_equal(at2["w"], np.full(shape, 2 + 1j))
+    assert at2["g"].dtype == complex and not np.any(at2["g"]) and at2["h"] is None
+    np.testing.assert_array_equal(at4["g"], np.full(shape, 4 + 1j))
+    # a field of zero arrays still counts as zero, as the stored modes do
+    stored = FourierField.zeros(T, 2, shape, "wave")
+    assert list(analysis._parseval_modes(T, {"w": stored, "g": None})) == []
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,13 @@ import numpy as np
 import pytest
 
 import hwp
+from hwp import analysis, cli, geometry
 from hwp.errors import ConfigurationError, FieldDomainError
 from hwp.fields import jet_batch, sym_min_eig
+from hwp.timefourier import FourierField
+
+from conftest import per_point, traced_peak
+from jet_oracle import per_point_jets
 
 ALL_SPECS = [
     hwp.translate((0.3, -0.2)),
@@ -129,3 +134,95 @@ def test_parse_field_pads_missing_arguments():
     assert hwp.parse_field("translate:1").params == (1.0, 0.0)
     assert hwp.parse_field("horn").params == (1.0,)
     assert hwp.parse_field("spiral:").params == (0.2,)
+
+
+# ---------------------------------------------------------------------------
+# broadcast jets against the per-point jets they replaced
+# ---------------------------------------------------------------------------
+
+_KIND_FIELDS = ["translate:0.3,-0.2", "horn:0.5", "spiral:0.2", "graph-vertical:2", "arc",
+                "zero"]
+
+
+def test_only_b_and_arc_grad_have_a_row_per_point():
+    pts = np.column_stack([np.linspace(-1.0, 1.0, 7), np.linspace(0.1, 2.0, 7)])
+    for spec in ALL_SPECS:
+        out = jet_batch(spec, pts)
+        rows = {name: len(value) for name, value in out.items()}
+        varying = {"b", "grad"} if spec.kind == "arc" else {"b"}
+        assert rows == {name: 7 if name in varying else 1 for name in out}, spec.kind
+        oracle = per_point_jets(spec, pts)
+        for name, value in per_point(out).items():
+            np.testing.assert_array_equal(value, oracle[name])
+
+
+@pytest.mark.parametrize("field", [f for f in _KIND_FIELDS if f != "arc"])
+def test_affine_jets_allocate_only_b(field):
+    # b takes 16 bytes per point; the per-point jets took 80
+    pts = np.random.default_rng(0).uniform(0.1, 1.0, (1 << 14, 2))
+    peak, _ = traced_peak(lambda: jet_batch(hwp.parse_field(field), pts))
+    assert peak <= 20 * len(pts), peak
+
+
+def _run_outputs(command, text, out_dir):
+    """Every file one hwp command writes, by name, as bytes."""
+    cli.run_scenario(cli.parse_scenario(text, command, out_dir=str(out_dir)))
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+def _with_per_point_jets(monkeypatch, fn):
+    """fn() with geometry and analysis reading the per-point jets."""
+    with monkeypatch.context() as m:
+        m.setattr(geometry, "jet_batch", per_point_jets)
+        m.setattr(analysis, "jet_batch", per_point_jets)
+        return fn()
+
+
+@pytest.mark.parametrize("resolution", [16, 48])
+@pytest.mark.parametrize("field", _KIND_FIELDS)
+def test_geometry_check_outputs_are_the_per_point_bits(field, resolution, tmp_path,
+                                                       monkeypatch):
+    # the JSON (margins, verdicts, area, trapezoid report) and the boundary
+    # CSV of every demo domain; arc runs only where it is defined
+    ran = []
+    for domain in hwp.DEMO_DOMAINS:
+        text = f"domain = {domain}\nfield = {field}\nresolution = {resolution}\n"
+        got = _run_outputs("geometry-check", text, tmp_path / domain)
+        ref = _with_per_point_jets(monkeypatch, lambda: _run_outputs(
+            "geometry-check", text, tmp_path / f"{domain}-ref"))
+        assert got == ref, domain
+        if "geometry_check_run.json" in got:
+            ran.append(domain)
+            if domain == "trapezoid":
+                spec = hwp.parse_field(field)
+                report = hwp.trapezoid_obstruction(spec, resolution)
+                assert repr(report) == repr(_with_per_point_jets(
+                    monkeypatch, lambda: hwp.trapezoid_obstruction(spec, resolution)))
+    assert "arc" in ran and (field == "arc" or len(ran) == len(hwp.DEMO_DOMAINS))
+
+
+@pytest.mark.parametrize("n", [16, 48])
+@pytest.mark.parametrize("field", [f for f in _KIND_FIELDS if f != "arc"])
+def test_poincare_form_and_identity_are_the_per_point_bits(field, n, monkeypatch):
+    spec = hwp.parse_field(field)
+    for lx in (np.pi, 1.0):
+        grid = hwp.build_stacked_rectangles(lx, 1.0, 1.0, n, n, 3)
+        got = geometry._poincare_form(spec, grid)
+        ref = _with_per_point_jets(monkeypatch, lambda: geometry._poincare_form(spec, grid))
+        for mine, theirs in zip((got[0].data, got[0].indices, got[0].indptr, *got[1:]),
+                                (ref[0].data, ref[0].indices, ref[0].indptr, *ref[1:])):
+            assert mine.dtype == theirs.dtype
+            np.testing.assert_array_equal(mine, theirs)
+    # the identity terms of the closed-form mode with and without interface
+    # data h, H (mean-free, random)
+    grid = hwp.build_stacked_rectangles(np.pi, 1.0, 1.0, n, n, n)
+    g, w = hwp.analytic_mode(2, grid)
+    rng = np.random.default_rng(n)
+    h, big_h = (FourierField(w.period, np.vstack([np.zeros(n), rng.standard_normal((2, n))
+                                                   + 1j * rng.standard_normal((2, n))]),
+                             "interface") for _ in range(2))
+    for data in ((None, None), (h, big_h)):
+        got = hwp.multiplier_identity_residual(w, g, *data, spec, grid)
+        ref = _with_per_point_jets(
+            monkeypatch, lambda: hwp.multiplier_identity_residual(w, g, *data, spec, grid))
+        assert repr(got.as_dict()) == repr(ref.as_dict())

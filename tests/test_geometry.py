@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg
 
 import hwp
 from hwp.errors import FieldDomainError, GeometryCheckError, SolverError
@@ -15,7 +16,7 @@ from hwp.fields import jet_batch, sym_min_eig
 from hwp.geometry import _poincare_form, boundary_sign_table
 from hwp.mesh import DomainSamples
 
-from conftest import traced_peak
+from conftest import per_point, traced_peak
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -146,6 +147,38 @@ def test_poincare_solve_held_to_its_residual_contract(monkeypatch):
     assert 1e-9 < err.value.residual < 1e-5
 
 
+@pytest.mark.parametrize("lx,n,steps", [(np.pi, 129, 1), (np.pi, 193, 1), (1.0, 65, 2)],
+                         ids=["pi-129^2", "pi-193^2", "unit-65^2"])
+def test_poincare_refines_the_solves_of_an_indefinite_form(lx, n, steps, monkeypatch):
+    # the unpivoted factor of the indefinite horn:-1 form misses the 1e-9
+    # contract at its first or second solve (4.5e-9 to 8.6e-6); `steps`
+    # refinement steps meet it, and the quotient is the eigenvalue nearest
+    # -sigma, as a pivoted shift-invert Lanczos finds it
+    spec = hwp.parse_field("horn:-1")
+    grid = hwp.build_stacked_rectangles(lx, 1.0, 1.0, n, n, 3)
+    monkeypatch.setattr(geometry, "_REFINE_STEPS", steps - 1)
+    with pytest.raises(SolverError, match="missed its residual contract"):
+        hwp.check_poincare(spec, grid)
+    monkeypatch.undo()
+    rep = hwp.check_poincare(spec, grid)
+    assert rep.converged and rep.negative_eigenvalues > 0 and rep.poincare_constant == np.inf
+    a, mass, _ = _poincare_form(spec, grid)
+    sigma = geometry._mass_shift(a.data, mass)
+    (nearest,) = scipy.sparse.linalg.eigsh(a.tocsc(), k=1, M=sp.diags(mass).tocsc(),
+                                           sigma=-sigma, return_eigenvectors=False)
+    assert rep.rayleigh_min == pytest.approx(nearest, rel=1e-6, abs=1e-10)
+
+
+def test_poincare_nearly_singular_indefinite_form_still_fails_its_contract():
+    # horn:-1 on the unit square at 193^2 has an eigenvalue of about -3e-11;
+    # two refinement steps leave a solve above the contract, which raises
+    # with its residual
+    grid = hwp.build_stacked_rectangles(1.0, 1.0, 1.0, 193, 193, 3)
+    with pytest.raises(SolverError, match="missed its residual contract") as err:
+        hwp.check_poincare(hwp.parse_field("horn:-1"), grid)
+    assert err.value.residual > 1e-9
+
+
 def test_poincare_refinement_stability():
     coarse = hwp.build_stacked_rectangles(1.0, 1.0, 1.0, 9, 9, 3)
     fine = hwp.build_stacked_rectangles(1.0, 1.0, 1.0, 17, 17, 3)
@@ -257,7 +290,7 @@ def _kron_poincare_form(spec, grid):
     full node set, restricted to the free nodes and symmetrized."""
     ny, nx, hx, hy = grid.ny_w, grid.nx, grid.hx, grid.hy_w
     xc, yc = quad.cell_centers(grid.x, grid.y_w)
-    grad = jet_batch(spec, np.stack([xc.ravel(), yc.ravel()], axis=1))["grad"]
+    grad = per_point(jet_batch(spec, np.stack([xc.ravel(), yc.ravel()], axis=1)))["grad"]
     sym = 0.5 * (grad + np.swapaxes(grad, 1, 2))
     a = _kron_gradient_form(ny, nx, hx, hy, *(sym[:, p, q].reshape(xc.shape)
                                               for p, q in ((0, 0), (0, 1), (1, 1))))
@@ -300,7 +333,7 @@ def _loop_poincare_form(spec, grid):
     per-wall-sample rank-one normal-derivative terms."""
     ny, nx, hx, hy = grid.ny_w, grid.nx, grid.hx, grid.hy_w
     xc, yc = quad.cell_centers(grid.x, grid.y_w)
-    grad = jet_batch(spec, np.stack([xc.ravel(), yc.ravel()], axis=1))["grad"]
+    grad = per_point(jet_batch(spec, np.stack([xc.ravel(), yc.ravel()], axis=1)))["grad"]
     sym = 0.5 * (grad + np.swapaxes(grad, 1, 2))
     a = _loop_gradient_form(ny, nx, hx, hy, *(sym[:, p, q].reshape(xc.shape)
                                               for p, q in ((0, 0), (0, 1), (1, 1))))
@@ -391,7 +424,7 @@ def _diags_poincare_form(spec, grid):
     ny, nx = grid.ny_w, grid.nx
     hx, hy = grid.hx, grid.hy_w
     xc, yc = quad.cell_centers(grid.x, grid.y_w)
-    grad = jet_batch(spec, np.stack([xc.ravel(), yc.ravel()], axis=1))["grad"]
+    grad = per_point(jet_batch(spec, np.stack([xc.ravel(), yc.ravel()], axis=1)))["grad"]
     sx = (0.5 * hy / hx) * grad[:, 0, 0].reshape(xc.shape)
     sy = (0.5 * hx / hy) * grad[:, 1, 1].reshape(xc.shape)
     sxy = (0.25 * (grad[:, 0, 1] + grad[:, 1, 0])).reshape(xc.shape)
@@ -583,7 +616,8 @@ _DEMO_PAIRS = [
 
 @pytest.mark.parametrize("domain,field", _DEMO_PAIRS)
 def test_sampled_margin_bounds_exact_margin(domain, field):
-    jets = jet_batch(hwp.parse_field(field), hwp.sample_domain(domain, 32).interior_points)
+    jets = per_point(jet_batch(hwp.parse_field(field),
+                               hwp.sample_domain(domain, 32).interior_points))
     exact = geometry._quadform_margin(jets, 1e-10)
     sampled = _sampled_quadform_margin(jets)
     assert np.isfinite(exact) and exact > 0
@@ -597,7 +631,8 @@ def test_sampled_margin_bounds_exact_margin(domain, field):
 
 def test_exact_margin_equals_sampled_when_ratio_is_direction_free():
     # graph-vertical: xi^T S xi = xi_2^2 and (xi.b)^2 = (y-2)^2 xi_2^2
-    jets = jet_batch(hwp.graph_vertical(2.0), hwp.sample_domain("unit-square", 32).interior_points)
+    jets = per_point(jet_batch(hwp.graph_vertical(2.0),
+                               hwp.sample_domain("unit-square", 32).interior_points))
     exact = geometry._quadform_margin(jets, 1e-10)
     assert exact == pytest.approx(_sampled_quadform_margin(jets), rel=1e-14)
     assert exact == pytest.approx(1.0 / np.max((jets["b"][:, 1]) ** 2), rel=1e-14)
@@ -613,7 +648,7 @@ def test_exact_margin_on_arc_matches_closed_form():
 
 
 def test_sampling_overestimates_the_margin():
-    jets = jet_batch(hwp.horn(0.5), hwp.sample_domain("trapezoid", 64).interior_points)
+    jets = per_point(jet_batch(hwp.horn(0.5), hwp.sample_domain("trapezoid", 64).interior_points))
     exact = geometry._quadform_margin(jets, 1e-10)
     sampled = _sampled_quadform_margin(jets)
     assert exact == pytest.approx(0.3385964, abs=1e-7)
@@ -783,7 +818,7 @@ def test_chunked_conditions_carry_nan_of_a_middle_chunk(blocked, monkeypatch):
     neg_at = samples.interior_points[[11]] if blocked else np.empty((0, 2))
 
     def jets(spec, points):
-        out = jet_batch(spec, points)
+        out = per_point(jet_batch(spec, points))
         for targets, grad, lap in ((nan_at, np.nan, np.nan), (neg_at, -np.eye(2), 0.0)):
             hit = (points[:, None, :] == targets[None]).all(axis=2).any(axis=1)
             out["grad"][hit] = grad

@@ -258,3 +258,35 @@ def test_curve_samples_match_per_sample_loop(monkeypatch, name, res):
     for got, expected in calls:
         for a, b in zip(got, expected):
             np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("name", hwp.DEMO_DOMAINS)
+def test_every_demo_domain_passes_the_column_weight_check(name):
+    # the check reads the columns; at a few resolutions every built weight
+    # is positive too
+    for res in range(8, 97):
+        cols = hwp.sample_domain(name, res).interior
+        if res in (8, 17, 96):
+            assert all(np.all(w > 0) for _, w in cols.chunks())
+
+
+@pytest.mark.parametrize("chart,h_t,lo,h", [
+    ("xy", 0.1, [0.0, 0.0], [0.1, 0.0]),        # a zero inner spacing
+    ("yx", 0.1, [0.0, 0.0], [0.1, -0.1]),       # a negative one
+    ("xy", -0.1, [0.0], [0.1]),                 # a negative outer spacing
+    ("polar", 0.1, [1.0, -0.05], [0.1, 0.1]),   # an innermost radius of 0
+    ("polar", 0.1, [1.0, -0.3], [0.1, 0.1]),    # a negative one, with positive radii above
+    ("xy", 0.1, [0.0], [np.nan]),               # NaN
+], ids=["zero-h", "negative-h", "negative-h_t", "zero-radius", "negative-radius", "nan"])
+def test_non_positive_column_weight_rejected(chart, h_t, lo, h, monkeypatch):
+    n = len(lo)
+    cols = mesh.RuledColumns(np.linspace(0.1, 0.2, n), h_t, np.array(lo), np.array(h),
+                             np.full(n, 4), chart)
+    parts = mesh._rectangle_samples(1.0, 1.0, 8)[1]
+    monkeypatch.setitem(mesh._DOMAIN_BUILDERS, "unit-square", lambda res: (cols, parts))
+    with pytest.raises(MeshError, match="non-positive quadrature weight"):
+        hwp.sample_domain("unit-square", 8)
+    # the same columns with every spacing and radius positive pass
+    monkeypatch.setitem(mesh._DOMAIN_BUILDERS, "unit-square", lambda res: (
+        mesh.RuledColumns(cols.t, 0.1, np.ones(n), np.full(n, 0.1), cols.n, chart), parts))
+    hwp.sample_domain("unit-square", 8)
