@@ -22,8 +22,8 @@ from . import closedform
 from . import operators as ops
 from . import quadrature as quad
 from .periodic import SolveReport
-from .timefourier import (HEAT, INTERFACE, WAVE, FourierField, ModeSource, mean_decompose,
-                          parseval_weights)
+from .timefourier import (HEAT, INTERFACE, WAVE, FourierField, ModeSource, built_mode,
+                          mean_decompose, parseval_weights)
 
 
 def _subdomain_dims(grid: Grid, domain: str) -> tuple[int, int, float, float]:
@@ -37,7 +37,8 @@ def _subdomain_dims(grid: Grid, domain: str) -> tuple[int, int, float, float]:
 def _spatial_norm_sq(field_: FourierField | ModeSource | None, grid: Grid,
                      flavor: str) -> np.ndarray:
     """Per-mode squared spatial norms ||c_k||^2, k = 0..N, one mode at a time
-    (none for an absent field); flavor "dual" is the heat box's Dirichlet dual."""
+    (none for an absent field, 0 for a mode built as None, see built_mode);
+    flavor "dual" is the heat box's Dirichlet dual."""
     if field_ is None:
         return np.zeros(0)
     if field_.domain == INTERFACE:
@@ -46,16 +47,18 @@ def _spatial_norm_sq(field_: FourierField | ModeSource | None, grid: Grid,
         wx = quad.trap_weights_1d(grid.nx, grid.hx)
         return np.sum(wx[None, :] * np.abs(field_.coeffs) ** 2, axis=1)
     ny, nx, hx, hy = _subdomain_dims(grid, field_.domain)
-    modes = (field_.mode(k) for k in range(field_.n_modes + 1))
     if flavor == "l2":
         mass = quad.trap_mass(ny, nx, hx, hy)
-        return np.array([np.sum(mass * np.abs(c) ** 2) for c in modes])
-    if flavor == "h1":
-        return np.array([quad.gradient_energy(c, hx, hy) for c in modes])
-    if flavor == "dual" and field_.domain == HEAT:
-        return np.array([ops.heat_dual_norm_sq(grid, c) for c in modes])
-    raise AnalysisError(f"unknown spatial flavor {flavor!r}; use 'l2', 'h1' or "
-                        f"(on the heat box) 'dual'")
+        norm_sq = lambda c: np.sum(mass * np.abs(c) ** 2)
+    elif flavor == "h1":
+        norm_sq = lambda c: quad.gradient_energy(c, hx, hy)
+    elif flavor == "dual" and field_.domain == HEAT:
+        norm_sq = lambda c: ops.heat_dual_norm_sq(grid, c)
+    else:
+        raise AnalysisError(f"unknown spatial flavor {flavor!r}; use 'l2', 'h1' or "
+                            f"(on the heat box) 'dual'")
+    modes = (built_mode(field_, k) for k in range(field_.n_modes + 1))
+    return np.array([0.0 if c is None else norm_sq(c) for c in modes])
 
 
 def sobolev_time_norm(field_: FourierField, s: float, grid: Grid,
@@ -111,33 +114,19 @@ def _parseval_modes(period: float, fields: dict[str, FourierField | ModeSource |
 
     weight_k = T for k = 0 and 2T for k > 0. Yields (k, weight_k, modes) for
     each mode k >= 0 at which any given field has a non-zero coefficient,
-    modes holding each field's c_k (None stays None). A FourierField is read
-    through mode(k); a ModeSource is built once per mode, and a mode it
-    builds as None (or past its own modes) is zero without being built or
-    scanned, so a k where every field is absent or such a zero is skipped at
-    once. Each modes dict is emptied before the next mode is built, so one
-    mode of each field is held at a time.
+    modes holding each field's c_k (built_mode; zeros for a mode built as
+    None, None for an absent field). Each modes dict is emptied before the
+    next mode is built, so one mode of each field is held at a time.
     """
     n = max(f.n_modes for f in fields.values() if f is not None)
     for k in range(n + 1):
-        modes = {name: _built_mode(f, k) for name, f in fields.items()}
+        modes = {name: built_mode(f, k) for name, f in fields.items()}
         if any(np.any(c) for c in modes.values() if c is not None):
             for name, f in fields.items():
                 if f is not None and modes[name] is None:
                     modes[name] = np.zeros(f.spatial_shape, dtype=complex)
             yield k, period * parseval_weights(k), modes
         modes.clear()
-
-
-def _built_mode(field_: FourierField | ModeSource | None, k: int) -> np.ndarray | None:
-    """c_k of field_ (k >= 0), or None where it is zero by construction: an
-    absent field, a mode past its own, or a ModeSource mode built as None."""
-    if field_ is None or k > field_.n_modes:
-        return None
-    if isinstance(field_, ModeSource):
-        c = field_.build(k)
-        return None if c is None else np.asarray(c, complex)
-    return field_.mode(k)
 
 
 def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -188,14 +177,12 @@ def multiplier_identity_residual(w: FourierField | ModeSource, g: FourierField |
     Every time integral is an exact Parseval sum over the modes k >= 0 that
     carry data (see _parseval_modes). Requires mean-free g, h and H.
 
-    The fields are read one mode at a time through mode(k) (a FourierField
-    or a ModeSource), and each mode's four area terms are summed over strips
-    of cell rows of about ``fields._JET_CHUNK`` cells each (see _area_sums),
-    with the field's jets evaluated per strip, so the working set is one
-    mode plus one strip's arrays, whatever the number of modes. Every
-    per-cell value is that of one pass; once the box takes more than one
-    strip (more than _JET_CHUNK cells) the summation order differs, and the
-    area terms may move in their last digits.
+    Each mode's four area terms are summed over strips of cell rows of
+    about ``fields._JET_CHUNK`` cells each (see _area_sums), with the jets
+    evaluated per strip, so the working set is one mode of each field plus
+    one strip's arrays, whatever the number of modes. Every per-cell value
+    is that of one pass; past one strip the summation order differs, and
+    the area terms may move in their last digits.
     """
     ny, nx, hx, hy = grid.ny_w, grid.nx, grid.hx, grid.hy_w
     # interface row geometry (outward normal (0, -1))
@@ -401,11 +388,13 @@ class WeakCheck:
     mode k <= _TEST_MODES onto the 6 fields per side; the test
     coefficients and Grams do not depend on the solution, so ``residual``
     costs per test a 6-coefficient dot product and a 6x6 Gram form per mode.
-    Only the modes the test and the solution share enter the defect; all
-    enter the norm. n_tests < 1 raises AnalysisError.
+    Only the modes the test and the solution of modes 0..n_modes share enter
+    the defect (a mode not added is zero); all enter the norm. n_tests < 1
+    raises AnalysisError.
     """
 
-    def __init__(self, grid: Grid, period: float, n_tests: int = 10, seed: int = 2024):
+    def __init__(self, grid: Grid, period: float, n_modes: int, n_tests: int = 10,
+                 seed: int = 2024):
         if n_tests < 1:
             raise AnalysisError(f"weak residual needs n_tests >= 1, got {n_tests}")
         self.grid, self.period, self.omega = grid, period, 2.0 * np.pi / period
@@ -414,7 +403,7 @@ class WeakCheck:
         self.x_factors = np.concatenate([self.sines, _edge_scatter(self.sines)]).T
         self.x_factors[[0, -1], :3] = 0.0  # the masses weigh interior nodes only
         self.proj = np.zeros((2, _TEST_MODES + 1, 6), dtype=complex)  # wave, heat side
-        self.n_shared = 0  # the highest mode added
+        self.n_shared = min(n_modes, _TEST_MODES)  # the modes tests and solution share
 
     def _pairings(self, c: np.ndarray, y: np.ndarray, hy: float):
         """The interior-mass and sbp_apply pairings of one mode c with the 6 fields,
@@ -449,7 +438,6 @@ class WeakCheck:
                 - (sums_h[:, -1] - sums_h[:, -2]) / grid.hy_h)
         proj_w += grid.hx * np.kron(self.y_w[:, 0], flux[0] + 1j * flux[1])
         self.proj[:, k] = proj_w, proj_h
-        self.n_shared = max(self.n_shared, k)
 
     def residual(self) -> float:
         """The largest normalized defect over the tests, from the modes added."""
@@ -478,12 +466,13 @@ def weak_residual(report: SolveReport, f: FourierField | None,
     """The WeakCheck residual of report's w and u, the heat forcing f and the wave forcing
     g, fed modes k = 0..N (zero past a field's own). Non-finite coefficients in
     w, u, f or g and n_tests < 1 raise AnalysisError before any mode is paired."""
-    check = WeakCheck(grid, report.period, n_tests, seed)
     fields_ = {"w": report.w, "u": report.u, "f": f, "g": g}
+    n = max(x.n_modes for x in fields_.values() if x is not None)
+    check = WeakCheck(grid, report.period, n, n_tests, seed)
     for name, field_ in fields_.items():
         if field_ is not None and not np.all(np.isfinite(field_.coeffs)):
             raise AnalysisError(f"weak residual: field {name!r} has non-finite coefficients")
-    for k in range(max(x.n_modes for x in fields_.values() if x is not None) + 1):
+    for k in range(n + 1):
         check.add(k, report.w.mode(k), report.u.mode(k), f, g)
     return check.residual()
 

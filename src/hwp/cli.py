@@ -16,6 +16,7 @@ import argparse
 import sys
 import warnings
 from dataclasses import dataclass, field as dc_field
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -447,15 +448,15 @@ def _run_solve(scn: Scenario) -> dict:
     mass_w = quadr.trap_mass(grid.ny_w, grid.nx, grid.hx, grid.hy_w)
     mass_h = quadr.trap_mass(grid.ny_h, grid.nx, grid.hx, grid.hy_h)
     # squared norms of each mode as it arrives: u l2, w l2, w h1, then
-    # w - w_ref and w_ref in l2 when the error is reported
+    # w - w_ref and w_ref in l2 when the error is reported; 0 for a skipped mode
     sq = np.zeros((5 if error else 3, n + 1))
+    residual = np.zeros(n + 1)
     times = np.arange(8) * period / 8.0
     snaps = {"w": np.zeros((8, grid.ny_w, grid.nx)), "u": np.zeros((8, grid.ny_h, grid.nx))}
-    weak = (analysis.WeakCheck(grid, period, scn["check.weak.tests"], scn.seed)
+    weak = (analysis.WeakCheck(grid, period, n, scn["check.weak.tests"], scn.seed)
             if scn["check.weak"] else None)
-    residuals: dict[int, float] = {}
-    for k, w_k, u_k, residual in stream:
-        residuals[k] = residual
+    for k, w_k, u_k, residual_k in stream:
+        residual[k] = residual_k
         sq[:3, k] = (quadr.norm_sq(mass_h, u_k), quadr.norm_sq(mass_w, w_k),
                      quadr.gradient_energy(w_k, grid.hx, grid.hy_w))
         if error:
@@ -470,7 +471,6 @@ def _run_solve(scn: Scenario) -> dict:
     # has its norms
     ks = np.arange(-n, n + 1)
     u_norm, w_norm = np.sqrt(sq[0]), np.sqrt(sq[1])
-    residual = np.array([residuals[k] for k in range(n + 1)])
     reporting.write_csv(_out(scn, "_modes.csv"), ["k", "u_norm", "w_norm", "residual"],
                         [ks, u_norm[abs(ks)], w_norm[abs(ks)], residual[abs(ks)]])
     for name in ("w", "u"):
@@ -478,7 +478,7 @@ def _run_solve(scn: Scenario) -> dict:
             reporting.write_grid_csv(_out(scn, f"_{name}_t{j}.csv"), snap)
 
     omega = 2.0 * np.pi / period
-    max_residual = max(residuals.values())
+    max_residual = float(residual.max())
     summary = {
         "grid": {"nx": grid.nx, "ny_w": grid.ny_w, "ny_h": grid.ny_h,
                  "lx": grid.lx, "ly_w": grid.ly_w, "ly_h": grid.ly_h},
@@ -516,9 +516,13 @@ def _run_epsilon_sweep(scn: Scenario) -> dict:
     mass_w = quadr.trap_mass(grid.ny_w, grid.nx, grid.hx, grid.hy_w)
     mass_h = quadr.trap_mass(grid.ny_h, grid.nx, grid.hx, grid.hy_h)
     # per mode |w_ref|^2 and, per eps, |w - w_ref|^2, the damped-energy terms
-    # |u|^2_H1, |u|^2 and |w|^2, and the residual
+    # |u|^2_H1, |u|^2 and |w|^2, and the residual (zero where the streams
+    # all skip a mode without data)
     ref_sq, per_mode = np.zeros(modes + 1), np.zeros((len(epsilons), 5, modes + 1))
-    for (k, w_ref, _, _), *damped in zip(reference, *orbits):
+    for (k, w_ref, _, _), *damped in zip_longest(reference, *orbits, fillvalue=(None,) * 4):
+        if (ks := [k_eps for k_eps, *_ in damped]) != [k] * len(ks):
+            raise SolverError(f"epsilon-sweep: the reference yields mode {k} and the orbits at "
+                              f"eps = {list(epsilons)} modes {ks} (None: no more modes)")
         ref_sq[k] = quadr.norm_sq(mass_w, w_ref)
         for sq, (_, w_k, u_k, residual) in zip(per_mode, damped):
             sq[:, k] = (quadr.norm_sq(mass_w, w_k - w_ref),

@@ -27,7 +27,7 @@ bitwise those of one batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.sparse as sp
@@ -69,18 +69,8 @@ class GeometryReport:
     verdicts: dict[str, bool] = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "field": self.field,
-            "domain": self.domain,
-            "tol": self.tol,
-            "contractivity_margin": self.contractivity_margin,
-            "gammaW_sign_max": self.gammaW_sign_max,
-            "interface_sign_min": self.interface_sign_min,
-            "bilap_max": self.bilap_max,
-            "graph_quadform_margin": self.graph_quadform_margin,
-            "verdicts": dict(self.verdicts),
-            "area": self.area,
-        }
+        return {**{f.name: getattr(self, f.name) for f in fields(self) if f.name != "b_dot_n"},
+                "verdicts": dict(self.verdicts)}
 
 
 def _quadform_margin(jets: dict[str, np.ndarray], tol: float) -> float:
@@ -430,15 +420,9 @@ class TrapezoidObstructionReport:
     sign_violations: list[tuple[float, float, float]]
 
     def as_dict(self) -> dict:
-        return {
-            "field": self.field,
-            "interior_integral": self.interior_integral,
-            "boundary_integral": self.boundary_integral,
-            "mismatch": self.mismatch,
-            "contractivity_margin": self.contractivity_margin,
-            "n_sign_violations": len(self.sign_violations),
-            "sign_violations": [list(v) for v in self.sign_violations[:32]],
-        }
+        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "n_sign_violations": len(self.sign_violations),
+                "sign_violations": [list(v) for v in self.sign_violations[:32]]}
 
 
 def trapezoid_obstruction(spec: VectorFieldSpec, resolution: int = 64,

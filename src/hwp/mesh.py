@@ -119,9 +119,11 @@ class RuledColumns:
         """The repeated t, the inner midpoints s and their spacing h_s of
         the columns cols, sample by sample."""
         n = self.n[cols]
-        k = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
         h_s = np.repeat(self.h[cols], n)
-        return np.repeat(self.t[cols], n), np.repeat(self.lo[cols], n) + (k + 0.5) * h_s, h_s
+        s = np.arange(0.5, n.sum()) - np.repeat(np.cumsum(n) - n, n)  # k + 1/2, exact
+        s *= h_s
+        s += np.repeat(self.lo[cols], n)
+        return np.repeat(self.t[cols], n), s, h_s
 
     def chunks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Points (m, 2) and weights (m,) of consecutive runs of whole
@@ -134,15 +136,15 @@ class RuledColumns:
             c1 = max(c0 + 1, int(np.searchsorted(ends, start + _JET_CHUNK, side="right")))
             cols = slice(c0, c1)
             t, s, h_s = self.midpoints(cols)
-            if self.chart == "polar":
-                n = self.n[cols]
-                yield (np.stack([s * np.repeat(np.cos(self.t[cols]), n),
-                                 s * np.repeat(np.sin(self.t[cols]), n)], axis=1),
-                       s * h_s * self.h_t)
-            elif self.chart == "xy":
-                yield np.stack([t, s], axis=1), self.h_t * h_s
+            if self.chart == "polar":  # points and weights written in place, not stacked
+                points, n = np.empty((len(s), 2)), self.n[cols]
+                for j, trig in enumerate((np.cos, np.sin)):
+                    np.multiply(s, np.repeat(trig(self.t[cols]), n), out=points[:, j])
+                h_s *= s
+                h_s *= self.h_t
+                yield points, h_s
             else:
-                yield np.stack([s, t], axis=1), h_s * self.h_t
+                yield np.stack([t, s] if self.chart == "xy" else [s, t], axis=1), h_s * self.h_t
             c0 = c1
 
 

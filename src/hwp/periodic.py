@@ -4,13 +4,13 @@ Two routes to T-periodic solutions of the coupled system:
 
 * ModeStream: spectral in time, one mode at a time. Mode 0 is the
   stationary mean-value pair; every mode k >= 1 is one complex coupled
-  solve. The stream yields (k, w_k, u_k, residual) for k = 0..N in order
-  and asks the forcing for its mode k only when mode k's solve starts, so
-  what a consumer holds is up to it: solve_periodic_harmonic collects the
-  stream into a SolveReport (fields storing modes k >= 0 only, real by
-  construction), while the commands keep per-mode norms and drop each mode
-  after use: solve with snapshot sums and its weak check's pairings of each
-  mode, epsilon-sweep zipping the undamped stream with one damped one per eps.
+  solve. It yields (k, w_k, u_k, residual) only for the modes k = 0..N
+  whose forcing carries data; any other mode is +0 with residual 0.0, where
+  each consumer starts, and is neither built nor solved nor reduced.
+  solve_periodic_harmonic collects the stream into a SolveReport; the
+  commands reduce it one mode at a time: solve into norms, snapshot sums
+  and weak-check pairings, epsilon-sweep zipping the undamped stream with
+  one damped one per eps.
   With a damping shift eps and a step count n_steps it computes the damped
   construction below directly, one frequency solve per mode.
 
@@ -59,8 +59,8 @@ from .errors import ConfigurationError, SolverError
 from .mesh import Grid
 from . import operators as ops
 from . import quadrature as quad
-from .timefourier import (HEAT, INTERFACE, WAVE, FourierField, ModeSource, mean_decompose,
-                          time_transform)
+from .timefourier import (HEAT, INTERFACE, WAVE, FourierField, ModeSource, built_mode,
+                          mean_decompose, time_transform)
 
 
 @dataclass
@@ -91,27 +91,33 @@ def _trace_fields(w: FourierField) -> tuple[FourierField, FourierField]:
     return trace.derivative(), mean_decompose(trace)[1]
 
 
-def _aliased_mode(x: FourierField | ModeSource, k: int, n_steps: int | None) -> np.ndarray:
-    """Mode k of x as n_steps uniform samples per period see it: the sum of
-    the coefficients k + j n_steps, j in order, over the modes -N..N of x
-    (the plain coefficient when n_steps is None)."""
-    if n_steps is None:
-        return x.mode(k)
-    return sum((x.mode(j) for j in range(-x.n_modes, x.n_modes + 1)
-                if (j - k) % n_steps == 0), np.zeros(x.spatial_shape, dtype=complex))
+def _aliased_mode(x: FourierField | ModeSource | None, k: int,
+                  n_steps: int | None) -> np.ndarray | None:
+    """Mode k >= 0 of x as n_steps uniform samples per period see it: the sum
+    of the coefficients k + j n_steps, j in order, over the modes -N..N of x
+    (the plain coefficient when n_steps is None); None when every term is
+    (built_mode). A None term is left out: it adds zero to a sum from +0."""
+    if n_steps is None or x is None:
+        return built_mode(x, k)
+    aliases = [c if j >= 0 else np.conj(c) for j in range(-x.n_modes, x.n_modes + 1)
+               if (j - k) % n_steps == 0 and (c := built_mode(x, abs(j))) is not None]
+    return sum(aliases, np.zeros(x.spatial_shape, dtype=complex)) if aliases else None
 
 
 class ModeStream:
     """The mode-by-mode periodic solve as a stream of per-mode results.
 
-    Iterating yields (k, w_k, u_k, residual) for k = 0..n_modes in order:
-    the complex wave and heat coefficients of mode k (u_k with its derived
-    interface trace) and the relative residual of its solve. Mode 0 is the
-    stationary mean-value pair; every mode k >= 1 is one complex coupled
-    solve that reads mode k of the forcing f (heat) and g (wave), each a
-    FourierField or a ModeSource, only when it starts. So a consumer that
-    keeps what it needs of each mode and drops the rest holds one mode of
-    the solution at a time. Every input is checked when the stream is built.
+    Iterating yields (k, w_k, u_k, residual) in order for each mode
+    k = 0..n_modes whose forcing carries data: the complex wave and heat
+    coefficients of mode k (u_k with its derived interface trace) and the
+    relative residual of its solve. Mode 0 is the stationary mean-value
+    pair; every mode k >= 1 is one complex coupled solve that reads mode k
+    of the forcing f (heat) and g (wave), each a FourierField or a
+    ModeSource, only when it starts. A mode where each is absent, built as
+    None or all zeros is +0 with residual 0.0; it is neither built nor
+    solved nor yielded. So a consumer that starts from zeros, keeps what it
+    needs of each mode and drops the rest holds one mode of the solution at
+    a time. Every input is checked when the stream is built.
 
     eps > 0 adds the damping shift of the damped construction. With
     n_steps set, the stream is the discrete periodic orbit of the
@@ -141,12 +147,15 @@ class ModeStream:
 
     def __iter__(self) -> Iterator[tuple[int, np.ndarray, np.ndarray, float]]:
         for k in range(self.n_modes + 1):
-            yield (k, *self._solve(k))  # keeps no reference to the mode once yielded
+            if (solved := self._solve(k)) is not None:
+                yield (k, *solved)
+                del solved  # keeps no reference to the mode once yielded
 
-    def _solve(self, k: int) -> tuple[np.ndarray, np.ndarray, float]:
-        """w_k, u_k and the residual of mode k."""
-        f_k, g_k = (None if x is None else _aliased_mode(x, k, self.n_steps)
-                    for x in (self.f, self.g))
+    def _solve(self, k: int) -> tuple[np.ndarray, np.ndarray, float] | None:
+        """w_k, u_k and the residual of mode k, or None when its forcing has no data."""
+        f_k, g_k = (_aliased_mode(x, k, self.n_steps) for x in (self.f, self.g))
+        if not any(np.any(c) for c in (f_k, g_k) if c is not None):
+            return None
         if k == 0:
             pair = ops.solve_mean_pair(self.grid, *(None if c is None else c.real
                                                     for c in (f_k, g_k)),
@@ -167,7 +176,7 @@ def solve_periodic_harmonic(grid: Grid, f: FourierField | ModeSource | None,
     stream = ModeStream(grid, f, g, n_modes, tol=tol, eps=eps, n_steps=n_steps)
     w = np.zeros((stream.n_modes + 1, grid.ny_w, grid.nx), dtype=complex)
     u = np.zeros((stream.n_modes + 1, grid.ny_h, grid.nx), dtype=complex)
-    residuals: dict[int, float] = {}
+    residuals = dict.fromkeys(range(stream.n_modes + 1), 0.0)
     for k, w_k, u_k, residual in stream:
         w[k], u[k], residuals[k] = w_k, u_k, residual
     w_field = FourierField(stream.period, w, WAVE)

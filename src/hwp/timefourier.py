@@ -19,9 +19,9 @@ the field is built and again when it is sampled.
 
 A ``ModeSource`` is a real field that stores no modes: it builds mode k when
 asked for it, and ``stored`` builds its modes into a FourierField. Every
-forcing a command builds is a ModeSource. A solve reads its forcing through
-``period``, ``n_modes``, ``spatial_shape`` and ``mode(k)`` only, which both
-classes provide.
+forcing a command builds is a ModeSource. A solve reads mode k of either
+class through ``built_mode``, which gives None for a mode zero by
+construction.
 """
 
 from __future__ import annotations
@@ -176,6 +176,17 @@ class ModeSource:
                 out.coeffs[k] = c
         out._check_real_mean()
         return out
+
+
+def built_mode(x: FourierField | ModeSource | None, k: int) -> np.ndarray | None:
+    """c_k of x (k >= 0), or None where it is zero by construction: an absent
+    field, a mode past its own, or a ModeSource mode built as None."""
+    if x is None or k > x.n_modes:
+        return None
+    if isinstance(x, ModeSource):
+        c = x.build(k)
+        return None if c is None else np.asarray(c, complex)
+    return x.mode(k)
 
 
 def add_mode_samples(samples: np.ndarray, times: np.ndarray, period: float, k: int,

@@ -59,8 +59,9 @@ def test_counted_mode_operator_exposes_matrix():
 
 def test_tracer_counts_a_solve(tmp_path):
     # install the tracer, run a 9^2 solve through the cli, and read the
-    # counters a traced benchmark run reports: the mean pair and two modes
-    # are three solves of 105 unknowns, 483 nonzeros at k = 1
+    # counters a traced benchmark run reports: mode 2, the one mode of the
+    # forcing with data, is one solve of 105 unknowns, 483 nonzeros (as at
+    # every k >= 1); the mean pair and mode 1 have no data and no solve
     original = hwp.operators.solve_linear
     tracer = TRACING.Tracer()
     scn = hwp.cli.parse_scenario(
@@ -72,7 +73,7 @@ def test_tracer_counts_a_solve(tmp_path):
     finally:
         tracer.uninstall()
     assert code == 0
-    assert tracer.counts["operators.solves"] == 3
+    assert tracer.counts["operators.solves"] == 1
     assert tracer.counts["operators.dimension"] == 105
     assert tracer.counts["operators.nnz"] == 483
     assert hwp.operators.solve_linear is original

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import re
@@ -156,10 +157,12 @@ def test_on_demand_forcing_modes_are_the_stored_stack(spec, amp):
     "check.weak = true\ncheck.weak.tests = 3\n",
     "forcing.wave = mode:3\nmodes = 6\n"])
 def test_streamed_solve_is_the_collected_report(tmp_path, monkeypatch, keys):
-    # the solve command consumes the mode stream one mode at a time; the modes
-    # it sees, and the norms, error and weak residual it writes, are those of
-    # the collected report on the stored forcing, bit for bit; the snapshots
-    # are its sample_real up to the order of summation
+    # the solve command consumes the mode stream one mode at a time; it sees
+    # exactly the modes whose forcing has data, and those modes, and the
+    # norms, error and weak residual it writes, are those of the collected
+    # report on the stored forcing, bit for bit; every other mode of the
+    # report is +0 with residual 0.0; the snapshots are its sample_real up to
+    # the order of summation
     seen = []
 
     class Recording(ModeStream):
@@ -180,11 +183,16 @@ def test_streamed_solve_is_the_collected_report(tmp_path, monkeypatch, keys):
     g, w_ref = g if isinstance(g, tuple) else (g, None)
     f = None if heat == "none" else _stored_forcing(heat, scn["forcing.heat.amplitude"], grid)
     report = solve_periodic_harmonic(grid, f, g, scn["modes"])
-    assert [k for k, *_ in seen] == list(range(scn["modes"] + 1))
+    data = [k for k in range(scn["modes"] + 1)
+            if any(x is not None and np.any(x.mode(k)) for x in (f, g))]
+    assert [k for k, *_ in seen] == data
     for k, w_k, u_k, residual in seen:
         assert np.array_equal(_bits(w_k), _bits(report.w.coeffs[k]))
         assert np.array_equal(_bits(u_k), _bits(report.u.coeffs[k]))
         assert residual == report.mode_residuals[k]
+    for k in sorted(set(range(scn["modes"] + 1)) - set(data)):
+        assert not np.any(_bits(report.w.coeffs[k])) and not np.any(_bits(report.u.coeffs[k]))
+        assert report.mode_residuals[k] == 0.0
     for name, field_, flavor in (("u_l2", report.u, "l2"), ("w_l2", report.w, "l2"),
                                  ("w_h1", report.w, "h1")):
         assert summary["norms"][name] == analysis.sobolev_time_norm(field_, 0, grid, flavor)
@@ -201,6 +209,89 @@ def test_streamed_solve_is_the_collected_report(tmp_path, monkeypatch, keys):
         for j in range(8):
             got = np.loadtxt(tmp_path / f"solve_s_{name}_t{j}.csv", delimiter=",", skiprows=1)
             assert np.max(np.abs(got - want[j])) <= 1e-14 * np.max(np.abs(want))
+
+
+_PINNED_GRID = "grid.nx = 17\ngrid.ny_w = 13\ngrid.ny_h = 9\nname = pin\nseed = 3\n"
+_PINNED_SWEEP = ("grid.nx = 9\ngrid.ny_w = 9\ngrid.ny_h = 9\nname = pin\nseed = 3\n"
+                 "forcing.wave = mode:2\nmodes = 4\nsteps = 16\n")
+
+
+def _output_digest(out: Path) -> str:
+    digest = hashlib.sha256()
+    for path in sorted(out.iterdir()):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("command,text,data,digest", [
+    # wave mode 3 at a negative amplitude: the empty modes are signed zeros
+    ("solve", _PINNED_GRID + "forcing.wave = mode:3\nmodes = 6\n"
+     "forcing.wave.amplitude = -1.5\ncheck.weak = true\n", [3],
+     "e415e55640de77e2c446950a2f6d0f5820efa7f8f2a6767f71abdad61b554782"),
+    ("solve", _PINNED_GRID + "forcing.wave = series:G1:2\nforcing.heat = smooth:4\n"
+     "modes = 6\ncheck.weak = true\n", [1, 2, 4],
+     "96b2e67e9fc3ea446c9cf2676dc1a416e598ea280ba9bd0a217aa2ebe83886b4"),
+    # the reference and three damped orbits, in lockstep
+    ("epsilon-sweep", _PINNED_SWEEP, [2] * 4,
+     "4be0cb5ee664a6dec5cd9e8a56378c1e7fb82a9ef29172820cfdda8c5a876bb2")])
+def test_mode_streams_touch_only_the_modes_with_data(tmp_path, monkeypatch, command, text,
+                                                     data, digest):
+    # a mode whose forcing has no data is neither solved, nor split into
+    # fields, nor added to a snapshot; the JSON and CSV bytes are those
+    # pinned when every mode was solved
+    calls = {"solve_linear": [], "split_mode_solution": [], "add_mode_samples": []}
+
+    def count(owner, name, mode_of):
+        inner = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name].append(mode_of(*args))
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    count(operators, "solve_linear", lambda op, *_: op.k)
+    count(operators, "split_mode_solution", lambda op, *_: op.k)
+    count(cli, "add_mode_samples", lambda samples, times, period, k, c_k: k)
+    assert run_scenario(parse_scenario(text, command, out_dir=str(tmp_path))) == 0
+    assert calls["solve_linear"] == calls["split_mode_solution"] == data
+    assert calls["add_mode_samples"] == ([k for k in data for _ in "wu"]
+                                         if command == "solve" else [])
+    assert _output_digest(tmp_path) == digest
+
+
+def test_sweep_forcing_norms_reduce_only_the_modes_with_data(tmp_path, monkeypatch):
+    # the heat forcing's dual norm, which the damped-energy ratios read, takes
+    # one Dirichlet solve per mode with data: smooth:3 has one of modes 0..4
+    dual, seen = operators.heat_dual_norm_sq, []
+    monkeypatch.setattr(operators, "heat_dual_norm_sq",
+                        lambda grid, v: seen.append(v.copy()) or dual(grid, v))
+    scn = parse_scenario(_PINNED_SWEEP + "forcing.heat = smooth:3\n", "epsilon-sweep",
+                         out_dir=str(tmp_path))
+    assert run_scenario(scn) == 0
+    assert len(seen) == 1 and np.any(seen[0])
+
+
+@pytest.mark.parametrize("skew", ["another mode", "fewer modes"])
+def test_sweep_rejects_streams_that_disagree_on_their_modes(tmp_path, monkeypatch, skew):
+    # the lockstep zip pairs mode k of the reference with mode k of every
+    # orbit; an orbit that yields another mode, or ends early, is a
+    # SolverError naming both, not a silent mispairing
+    class Skewed(ModeStream):
+        def __iter__(self):
+            for k, *rest in super().__iter__():
+                if self.eps == 0.1 and skew == "fewer modes":
+                    return
+                yield (k + 1 if self.eps == 0.1 else k, *rest)
+
+    monkeypatch.setattr(cli, "ModeStream", Skewed)
+    scn = parse_scenario(_PINNED_SWEEP, "epsilon-sweep", out_dir=str(tmp_path))
+    assert run_scenario(scn) == 12
+    record = json.loads((tmp_path / "epsilon_sweep_pin_error.json").read_text())
+    assert record["error_type"] == "SolverError" and record["exit_code"] == 12
+    other = "3" if skew == "another mode" else "None"
+    assert (f"the reference yields mode 2 and the orbits at eps = [0.2, 0.1, 0.05] "
+            f"modes [2, {other}, 2]") in record["message"]
+    assert not (tmp_path / "epsilon_sweep_pin.json").exists()
 
 
 def test_solve_memory_does_not_grow_with_modes(tmp_path):
